@@ -24,6 +24,12 @@ into **strong, exact ETags**:
   is only emitted when the two agree, so a validator never vouches for a
   torn read.
 
+* So are uncommitted rows: views read the live tables, into which an
+  open transaction writes in place before ``Table.version`` moves.  The
+  tables' seqlock epochs (``mutation_vector``) are captured and re-read
+  the same way, and a render that met a dirty or moving touched table
+  gets no validator — it may show a row that is about to roll back.
+
 The happy path is what makes this worth it: when a route's coverage is
 already known and the client's ``If-None-Match`` matches the ETag of the
 *current* vector, the request is answered ``304 Not Modified`` without
@@ -156,7 +162,9 @@ def compute_etag(
 class _CacheContext:
     """Per-request cache state threaded through dispatch."""
 
-    __slots__ = ("policy", "route", "request", "user_id", "_pre", "sink")
+    __slots__ = (
+        "policy", "route", "request", "user_id", "_pre", "_pre_epochs", "sink"
+    )
 
     def __init__(self, policy: "CachePolicy", route: str, request: Request,
                  user_id: int):
@@ -168,6 +176,8 @@ class _CacheContext:
         #: stays ``None`` on the 304 fast path, which only ever reads
         #: the covering tables' versions.
         self._pre: "dict[str, int] | None" = None
+        #: The tables' seqlock epochs at the same moment.
+        self._pre_epochs: "dict[str, int | None]" = {}
         #: Filled by the read probe during render.
         self.sink: set[str] = set()
 
@@ -181,6 +191,7 @@ class _CacheContext:
         """
         if self._pre is None:
             self._pre = self.policy.db.version_vector()
+            self._pre_epochs = self.policy.db.mutation_vector()
 
     def not_modified(self) -> "Response | None":
         """The 304 fast path: no render, no snapshot, no table reads.
@@ -221,12 +232,22 @@ class _CacheContext:
         not move between the pre-dispatch capture and now: a mid-render
         commit means the body may mix states, and a validator must never
         vouch for a torn read (the next request simply renders again).
+        Nor when a touched table is dirty, mid-change, or its epoch
+        moved: the views read live tables, so the body may carry rows
+        of a transaction that is still open or has rolled back, neither
+        of which the committed versions show.
         """
         if response.status != 200 or not self.sink or self._pre is None:
             return
         touched = frozenset(self.sink)
-        post = _project(self.policy.db.version_vector(touched), touched)
+        db = self.policy.db
+        post = _project(db.version_vector(touched), touched)
         if post != _project(self._pre, touched):
+            return
+        epochs = _project(db.mutation_vector(touched), touched)
+        if None in epochs.values() or epochs != _project(
+            self._pre_epochs, touched
+        ):
             return
         self.policy.coverage.widen(self.route, touched)
         response.headers.append(("ETag", compute_etag(

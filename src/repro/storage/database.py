@@ -676,6 +676,28 @@ class Database:
                 vector[name] = table.version
         return vector
 
+    def mutation_vector(
+        self, names: "Iterable[str] | None" = None
+    ) -> "dict[str, int | None]":
+        """Per-table seqlock epochs — ``None`` while a table is mid-change
+        or holds an open transaction's uncommitted rows.
+
+        The companion of :meth:`version_vector` for readers of the
+        *live* tables (the portal's views): committed versions cannot
+        see a transaction that has written in place and not committed
+        yet, or one that rolled back.  Equal, ``None``-free vectors
+        taken before and after a read prove that it saw committed state
+        only.  Same *names* contract as :meth:`version_vector`.
+        """
+        tables = self._tables
+        vector: "dict[str, int | None]" = {}
+        for name in tables if names is None else names:
+            table = tables.get(name)
+            if table is not None:
+                epoch = table.mutation_epoch
+                vector[name] = None if epoch & 1 or table.dirty else epoch
+        return vector
+
     # -- snapshots (MVCC read views) ---------------------------------------------------
 
     def snapshot(self) -> Snapshot:
@@ -1010,9 +1032,10 @@ class Database:
         applied: list[UndoEntry] = []
         for op in record["ops"]:
             table = self.table(op["table"])
-            # "before"/"after" are omitted when they carry nothing (an
-            # insert has no before-image, a delete no after-image); use
-            # .get so both the compact and the legacy encoding replay.
+            # Records are redo-only: a delete carries no "after", an
+            # update's holds the changed columns.  Older logs wrote the
+            # full row there (beside a "before" image nothing reads);
+            # apply_update merges either onto the current row.
             if op["op"] == "insert":
                 after = self._decode_row_from_wal(op["table"], op.get("after"))
                 assert after is not None

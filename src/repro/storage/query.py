@@ -18,17 +18,21 @@ on a key prefix + range on the next column), covering skip-fetch reads,
 and LIMIT-aware ordered rides — prices each with the table's statistics
 (live row count, O(1) exact distinct counts off the indexes, reservoir
 NDV estimates, O(log n) range probes), and picks the cheapest.
-:meth:`Query.explain` reports the chosen strategy — the A1 index
-ablation benchmark relies on it — plus estimated rows/cost, the
-alternatives considered, the plan fingerprint, and the result-cache
-status; ``explain(analyze=True)`` adds the actual row count so
-estimation error is visible.
+A primary-key equality short-circuits all of that: its plan is
+returned without pricing anything else.  :meth:`Query.explain` reports
+the chosen strategy — the A1 index ablation benchmark relies on it —
+plus estimated rows/cost, the alternatives (priced when asked for, not
+before), the query fingerprint, and the result-cache status;
+``explain(analyze=True)`` adds the actual row count so estimation error
+is visible.
 
 Result caching: every :meth:`Query.all`/:meth:`Query.count` consults the
 database's :class:`QueryCache`, a bounded LRU keyed on ``(table,
-committed version, plan fingerprint)``.  Because the table version only
-advances on commit, invalidation is a single integer comparison: any
-committed write makes every older entry unreachable, while rolled-back
+committed version, kind, fingerprint)``.  The fingerprint is purely
+syntactic — the query as written — so a lookup never plans; the planner
+runs on a miss only.  Because the table version only advances on
+commit, invalidation is a single integer comparison: any committed
+write makes every older entry unreachable, while rolled-back
 transactions leave the version — and the cache — intact.  While a
 transaction has uncommitted changes on a table the cache is *bypassed*
 in both directions, so dirty state is never served or stored.
@@ -51,11 +55,12 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from itertools import islice
+from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import SchemaError
+from repro.storage.table import note_table_read
 from repro.storage.types import sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,6 +87,14 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 _RANGE_OPS = {"<", "<=", ">", ">="}
+
+
+def _pk_order(bucket: "set[Any]") -> Any:
+    """The pks under one index key, in pk order — which keeps ordered
+    output and LIMIT row selection deterministic across plan
+    strategies.  Copies either way (one atomic call): *bucket* is the
+    index's live set and a writer may be resizing it."""
+    return tuple(bucket) if len(bucket) < 2 else sorted(bucket, key=sort_key)
 
 
 @dataclass(frozen=True)
@@ -152,9 +165,14 @@ class QueryCache:
 
     Entries for superseded table versions are never served (the key no
     longer matches) and age out through the LRU bound; no explicit
-    invalidation pass is needed.  Stored rows are private copies; hits
-    hand fresh copies to the caller, so cached data can never be
-    mutated from outside.
+    invalidation pass is needed.  A stored result is one tuple of the
+    table's own immutable version payloads (``RowVersion`` contract:
+    never mutated once linked), so an entry costs one object, not one
+    per row, and keeps serving its version's rows after the chains
+    pruned them.  :meth:`Query.all` hands every caller fresh shallow
+    copies, so neither the table nor a cached entry can be changed
+    through a returned row's keys; nested values (a JSON column's
+    dict) are shared with the table, as they always were.
     """
 
     def __init__(
@@ -168,6 +186,8 @@ class QueryCache:
         self._lock = threading.Lock()
         self._m_lookups = None
         self._m_evictions = None
+        #: outcome -> resolved counter child (labels() once, not per lookup)
+        self._outcomes: dict[str, Any] = {}
         if obs is not None:
             self._m_lookups = obs.metrics.counter(
                 "storage_query_cache_total",
@@ -177,7 +197,7 @@ class QueryCache:
             self._m_evictions = obs.metrics.counter(
                 "storage_query_cache_evictions_total",
                 "Query-result cache entries evicted by the LRU bound",
-            )
+            ).labels()
 
     @property
     def enabled(self) -> bool:
@@ -186,7 +206,12 @@ class QueryCache:
     def record(self, result: str) -> None:
         """Count one lookup outcome (``hit`` / ``miss`` / ``bypass``)."""
         if self._m_lookups is not None:
-            self._m_lookups.labels(result=result).inc()
+            child = self._outcomes.get(result)
+            if child is None:
+                child = self._outcomes[result] = self._m_lookups.labels(
+                    result=result
+                )
+            child.inc()
 
     def get(self, key: tuple) -> Any | None:
         with self._lock:
@@ -265,11 +290,13 @@ class Plan:
       index entries and the row store is never touched.
 
     ``strategy`` is the stable human-readable label reported by
-    :meth:`Query.explain` and mixed into the cache fingerprint (the
-    "plan shape" part of the cache key).  ``ordered`` names the natural
-    output order a seek produces — ``(column, descending)`` pairs for
-    the index columns after the pinned prefix — which lets execution
-    skip sorting and honor LIMIT with early exit (``early_exit``).
+    :meth:`Query.explain`.  ``ordered`` names the natural output order
+    a seek produces — ``(column, descending)`` pairs for the index
+    columns after the pinned prefix — which lets execution skip sorting
+    and honor LIMIT with early exit (``early_exit``).  ``rivals``
+    prices every access path of the same query afresh (the chosen one
+    included); only :meth:`Query.explain` calls it, for its
+    ``alternatives``.  The degraded snapshot scan has none.
     """
 
     strategy: str
@@ -292,7 +319,7 @@ class Plan:
     ordered: "tuple[tuple[str, bool], ...]" = ()
     early_exit: bool = False
     candidates: int = 0
-    alternatives: "tuple[tuple[str, float, int], ...]" = field(default=())
+    rivals: "Callable[[], list[Plan]] | None" = None
 
 
 class Query:
@@ -307,10 +334,6 @@ class Query:
         self._offset: int = 0
         self._use_indexes = True
         self._select: "tuple[str, ...] | None" = None
-        #: Memoized ``(mutation_epoch, Plan)`` — planning runs for the
-        #: fingerprint, explain, and execution of one call chain; the
-        #: epoch check invalidates it the moment the table moves.
-        self._plan_memo: "tuple[int, Plan] | None" = None
 
     # -- building ----------------------------------------------------------------
 
@@ -324,7 +347,6 @@ class Query:
                 f"table {self._table.name!r} has no column {column!r}"
             )
         self._conditions.append(Condition(column, op, value))
-        self._plan_memo = None
         return self
 
     def filter(self, *conditions: Condition) -> "Query":
@@ -335,7 +357,6 @@ class Query:
                     f"table {self._table.name!r} has no column {cond.column!r}"
                 )
             self._conditions.append(cond)
-        self._plan_memo = None
         return self
 
     def order_by(self, column: str, *, descending: bool = False) -> "Query":
@@ -344,21 +365,18 @@ class Query:
                 f"table {self._table.name!r} has no column {column!r}"
             )
         self._order.append((column, descending))
-        self._plan_memo = None
         return self
 
     def limit(self, n: int) -> "Query":
         if n < 0:
             raise SchemaError("limit must be >= 0")
         self._limit = n
-        self._plan_memo = None
         return self
 
     def offset(self, n: int) -> "Query":
         if n < 0:
             raise SchemaError("offset must be >= 0")
         self._offset = n
-        self._plan_memo = None
         return self
 
     def select(self, *columns: str) -> "Query":
@@ -375,13 +393,11 @@ class Query:
                     f"table {self._table.name!r} has no column {column!r}"
                 )
         self._select = tuple(columns)
-        self._plan_memo = None
         return self
 
     def without_indexes(self) -> "Query":
         """Force a full scan (used by the index-ablation benchmark)."""
         self._use_indexes = False
-        self._plan_memo = None
         return self
 
     # -- planning ------------------------------------------------------------------
@@ -454,6 +470,9 @@ class Query:
     def _plan(self) -> Plan:
         """Choose the cheapest access path for the current query shape.
 
+        Runs only when a result must be computed (cache miss or bypass)
+        or explained; the cache key is syntactic and never plans.
+
         Snapshot queries may only use the live indexes while those
         provably match the snapshot state: no committed change past the
         snapshot's sequence number, no uncommitted changes, and a
@@ -464,22 +483,15 @@ class Query:
         the indexes.  A failed guard degrades to a chain-walking scan,
         which is always correct.
         """
+        if self._snapshot is None:
+            return self._plan_live()
         tbl = self._table
         epoch = tbl.mutation_epoch
-        memo = self._plan_memo
-        if memo is not None and memo[0] == epoch and not (epoch & 1):
-            return memo[1]
-        if self._snapshot is None:
-            plan = self._plan_live()
-            if not (epoch & 1) and tbl.mutation_epoch == epoch:
-                self._plan_memo = (epoch, plan)
-            return plan
         if epoch & 1 or tbl.dirty or tbl.version > self._snapshot.seq:
             return self._scan_plan()
         plan = self._materialize(self._plan_live(for_snapshot=True))
         if tbl.mutation_epoch != epoch:
             return self._scan_plan()
-        self._plan_memo = (epoch, plan)
         return plan
 
     def _materialize(self, plan: Plan) -> Plan:
@@ -519,9 +531,47 @@ class Query:
         )
 
     def _plan_live(self, *, for_snapshot: bool = False) -> Plan:
-        scan = self._scan_plan()
+        """Cheapest live access path.  A primary-key equality is taken
+        without pricing anything else: at most one row is fetched, and
+        what the other paths would have cost matters only to
+        :meth:`explain`, which re-prices them through ``Plan.rivals``."""
         if not self._use_indexes:
-            return scan
+            return self._scan_plan()
+        best = self._pk_plan()
+        if best is None:
+            # min() is stable: the first candidate wins cost ties.
+            best = min(self._candidate_plans(for_snapshot), key=lambda p: p.cost)
+        best.rivals = lambda: self._candidate_plans(for_snapshot)
+        return best
+
+    def _pk_plan(self) -> "Plan | None":
+        """Primary-key equality: a direct dict hit."""
+        tbl = self._table
+        pk_col = tbl.pk_column
+        cond = None
+        for c in self._conditions:
+            # `= NULL` never matches (SQL semantics): it stays residual.
+            if c.column == pk_col and c.op == "=" and c.value is not None:
+                cond = c
+        if cond is None:
+            return None
+        pks = {cond.value} if cond.value in tbl else set()
+        residual = [c for c in self._conditions if c is not cond]
+        cost = SEEK_COST + len(pks) * (
+            ROW_FETCH_COST + len(residual) * RESIDUAL_COST
+        )
+        return Plan(
+            "pk",
+            "pks",
+            cost,
+            self._est(len(pks), residual),
+            residual,
+            pks=pks,
+            candidates=len(pks),
+        )
+
+    def _candidate_plans(self, for_snapshot: bool) -> "list[Plan]":
+        """Every applicable access path, priced; the scan comes last."""
         tbl = self._table
         live = len(tbl)
         conds = self._conditions
@@ -530,28 +580,12 @@ class Query:
         # `= NULL` never matches (SQL semantics), so such predicates must
         # not drive an index lookup — they stay residual and reject rows.
         eq = {c.column: c for c in conds if c.op == "=" and c.value is not None}
-        pk_col = tbl.pk_column
 
-        # Primary-key equality: direct dict hit.  Enumerated first so it
-        # wins cost ties against an index over the pk column.
-        if pk_col in eq:
-            cond = eq[pk_col]
-            pks = {cond.value} if cond.value in tbl else set()
-            residual = [c for c in conds if c is not cond]
-            cost = SEEK_COST + len(pks) * (
-                ROW_FETCH_COST + len(residual) * RESIDUAL_COST
-            )
-            plans.append(
-                Plan(
-                    "pk",
-                    "pks",
-                    cost,
-                    self._est(len(pks), residual),
-                    residual,
-                    pks=pks,
-                    candidates=len(pks),
-                )
-            )
+        # Enumerated first so it wins cost ties against an index over
+        # the pk column.
+        pk_plan = self._pk_plan()
+        if pk_plan is not None:
+            plans.append(pk_plan)
 
         # Hash probes: every (composite or single) hash/unique index whose
         # columns are all equality-constrained.  Longest specs first so
@@ -635,19 +669,8 @@ class Query:
             if seek_plan is not None:
                 plans.extend(seek_plan)
 
-        everything = plans + [scan]
-        best = min(everything, key=lambda p: p.cost)  # stable: first wins ties
-        best.alternatives = tuple(
-            sorted(
-                (
-                    (p.strategy, round(p.cost, 2), p.estimated_rows)
-                    for p in everything
-                    if p is not best
-                ),
-                key=lambda entry: entry[1],
-            )
-        )
-        return best
+        plans.append(self._scan_plan())
+        return plans
 
     def _seek_plan(
         self,
@@ -793,30 +816,26 @@ class Query:
         return plans
 
     def fingerprint(self) -> str:
-        """Stable digest of the query shape — including the plan shape.
+        """Stable digest of the query as written — it never plans.
 
-        Covers conditions, order, paging, projection, and the chosen
-        plan's strategy label, so two query sites that read the same
-        rows through different access paths cache independently.
-        Planning is deterministic for a given table version, so the
-        fingerprint is stable exactly as long as the cache key's
-        version component is.  Together with the table's committed
-        version this keys the result cache; :meth:`explain` reports it
-        so operators can correlate cache entries with query sites.
+        Covers conditions, order, paging, projection and
+        ``without_indexes()``; two ``Query`` objects of the same shape
+        share it.  The access path is not part of it: planning is
+        deterministic for a given table version, so under the cache
+        key's version component the strategy carried no information.
+        Together with the table's committed version this keys the
+        result cache; :meth:`explain` reports it so operators can
+        correlate cache entries with query sites.
         """
         shape = (
-            tuple(
-                (c.column, c.op, repr(c.value)) for c in self._conditions
-            ),
-            tuple(self._order),
+            [(c.column, c.op, c.value) for c in self._conditions],
+            self._order,
             self._limit,
             self._offset,
             self._use_indexes,
             self._select,
-            self._plan().strategy,
         )
-        digest = hashlib.sha1(repr(shape).encode("utf-8")).hexdigest()
-        return digest[:12]
+        return hashlib.sha1(repr(shape).encode("utf-8")).hexdigest()[:12]
 
     def _cache(self) -> "QueryCache | None":
         cache = getattr(self._table._db, "query_cache", None)
@@ -893,14 +912,7 @@ class Query:
             "early_exit": plan.early_exit,
             "residual_predicates": len(plan.residual),
             "order_by": list(self._order),
-            "alternatives": [
-                {
-                    "strategy": strategy,
-                    "cost": cost,
-                    "estimated_rows": estimated,
-                }
-                for strategy, cost, estimated in plan.alternatives
-            ],
+            "alternatives": self._alternatives(plan),
             "cache": cache_status,
             "fingerprint": self.fingerprint(),
             "snapshot_version": (
@@ -920,6 +932,26 @@ class Query:
         if analyze:
             result["actual_rows"] = len(self.all())
         return result
+
+    @staticmethod
+    def _alternatives(chosen: Plan) -> list[dict[str, Any]]:
+        """The access paths *chosen* beat, cheapest first (priced now)."""
+        if chosen.rivals is None:
+            return []
+        rivals = chosen.rivals()
+        for i, rival in enumerate(rivals):
+            if rival.strategy == chosen.strategy:
+                del rivals[i]
+                break
+        rivals.sort(key=lambda p: p.cost)
+        return [
+            {
+                "strategy": p.strategy,
+                "cost": round(p.cost, 2),
+                "estimated_rows": p.estimated_rows,
+            }
+            for p in rivals
+        ]
 
     # -- execution -----------------------------------------------------------------
 
@@ -962,43 +994,36 @@ class Query:
         return result
 
     def _iter_plan_rows(self, plan: Plan) -> Iterator[dict[str, Any]]:
-        """Yield internal row references for *plan* (zero-copy where
+        """Iterate internal row references for *plan* (zero-copy where
         possible; covering plans yield freshly synthesized dicts)."""
+        tbl = self._table
         residual = plan.residual
+        if not residual:
+            keep = None
+        elif len(residual) == 1:
+            keep = residual[0].matches
+        else:
+            keep = lambda row: all(cond.matches(row) for cond in residual)
         snap = self._snapshot
         if snap is not None:
             if snap.closed:
                 raise SchemaError(
-                    f"query on {self._table.name!r}: snapshot is closed"
+                    f"query on {tbl.name!r}: snapshot is closed"
                 )
             seq = snap.seq
             if plan.kind == "scan":
                 # Chain-walking scan at the pinned sequence number; the
                 # pk set is materialized atomically so concurrent
                 # commits can neither tear it nor change its size.
-                for _pk, row in self._table.items_at(seq):
-                    if all(cond.matches(row) for cond in residual):
-                        yield row
+                rows: Iterator[Any] = (row for _pk, row in tbl.items_at(seq))
             else:
                 # Index candidates were pinned against the snapshot by
                 # the planner (kind "pks"); rows are still resolved
                 # through the chains so a commit racing this loop
                 # cannot leak newer versions into the result.
-                for pk in plan.pks or ():
-                    row = self._table.row_at(pk, seq)
-                    if row is None:
-                        continue
-                    if all(cond.matches(row) for cond in residual):
-                        yield row
-            return
-        if plan.kind == "covering":
-            # Skip-fetch: rows come straight from the index entries (the
-            # pk rides along), the row store is never consulted.  The
-            # residual check runs once per distinct key — every residual
-            # column is part of the key.
-            pk_col = self._table.pk_column
-            cols = plan.index.columns
-            for raw, bucket in plan.index.seek(
+                rows = (tbl.row_at(pk, seq) for pk in plan.pks or ())
+        elif plan.kind in ("seek", "covering"):
+            entries = plan.index.seek(
                 plan.prefix,
                 plan.low,
                 plan.high,
@@ -1006,55 +1031,49 @@ class Query:
                 include_high=plan.include_high,
                 descending=plan.descending,
                 exclude_null=plan.exclude_null,
-            ):
-                base = dict(zip(cols, raw))
-                if not all(cond.matches(base) for cond in residual):
-                    continue
-                # pk order within a key keeps ordered output and LIMIT
-                # row selection deterministic across plan strategies.
-                for pk in sorted(bucket, key=sort_key):
-                    yield {**base, pk_col: pk}
-            return
-        if plan.kind == "seek":
-            for _raw, bucket in plan.index.seek(
-                plan.prefix,
-                plan.low,
-                plan.high,
-                include_low=plan.include_low,
-                include_high=plan.include_high,
-                descending=plan.descending,
-                exclude_null=plan.exclude_null,
-            ):
-                for pk in sorted(bucket, key=sort_key):
-                    row = self._table.raw_row(pk)
-                    if row is None:
-                        continue
-                    if all(cond.matches(row) for cond in residual):
-                        yield row
-            return
-        if plan.kind == "scan":
-            candidates: "Iterator[Any]" = iter(self._table.pks())
-        elif plan.kind == "hash":
-            candidates = iter(plan.index.lookup(plan.key))
-        elif plan.kind == "intersect":
-            assert plan.indexes is not None and plan.keys is not None
-            sets = sorted(
-                (
-                    index.lookup(key)
-                    for index, key in zip(plan.indexes, plan.keys)
-                ),
-                key=len,
             )
-            merged = set(sets[0]).intersection(*sets[1:]) if sets else set()
-            candidates = iter(merged)
-        else:  # "pks"
-            candidates = iter(plan.pks or ())
-        for pk in candidates:
-            row = self._table.raw_row(pk)
-            if row is None:
-                continue
-            if all(cond.matches(row) for cond in residual):
-                yield row
+            if plan.kind == "covering":
+                return self._covering_rows(plan.index.columns, entries, keep)
+            rows = map(
+                tbl.raw_row,
+                chain.from_iterable(_pk_order(b) for _raw, b in entries),
+            )
+        else:
+            if plan.kind == "scan":
+                pks: Any = tbl.pks()
+            elif plan.kind == "hash":
+                pks = plan.index.lookup(plan.key)
+            elif plan.kind == "intersect":
+                assert plan.indexes is not None and plan.keys is not None
+                sets = sorted(
+                    (
+                        index.lookup(key)
+                        for index, key in zip(plan.indexes, plan.keys)
+                    ),
+                    key=len,
+                )
+                pks = set(sets[0]).intersection(*sets[1:]) if sets else ()
+            else:  # "pks"
+                pks = plan.pks or ()
+            rows = map(tbl.raw_row, pks)
+        # Drop the pks that resolved to no row; a payload always holds
+        # at least its pk, so it is never falsy.
+        rows = filter(None, rows)
+        return rows if keep is None else filter(keep, rows)
+
+    def _covering_rows(
+        self, cols: "tuple[str, ...]", entries: Iterator[Any], keep: Any
+    ) -> Iterator[dict[str, Any]]:
+        """Skip-fetch: rows come straight from the index entries (the
+        pk rides along), the row store is never consulted.  The
+        residual check runs once per distinct key — every residual
+        column is part of the key."""
+        pk_col = self._table.pk_column
+        for raw, bucket in entries:
+            base = dict(zip(cols, raw))
+            if keep is None or keep(base):
+                for pk in _pk_order(bucket):
+                    yield {**base, pk_col: pk}
 
     def _matching_rows(self) -> Iterator[dict[str, Any]]:
         return self._iter_plan_rows(self._plan())
@@ -1092,46 +1111,54 @@ class Query:
         stop = None if self._limit is None else self._offset + self._limit
         return list(islice(rows_iter, self._offset, stop))
 
-    def _project(self, row: dict[str, Any]) -> dict[str, Any]:
-        """Copy *row*, trimmed to the projection (pk always included)."""
+    def _result_rows(self) -> "tuple[dict[str, Any], ...]":
+        """The result as *shared* rows: the immutable version payloads
+        themselves, or — under a projection — trimmed dicts private to
+        this result (pk always included).  This is what the cache
+        stores; callers are handed copies."""
+        rows = self._limited_rows()
         if self._select is None:
-            return dict(row)
-        pk_col = self._table.pk_column
-        out = {column: row.get(column) for column in self._select}
-        if pk_col not in out:
-            out[pk_col] = row.get(pk_col)
-        return out
+            return tuple(rows)
+        columns = self._select
+        if self._table.pk_column not in columns:
+            columns += (self._table.pk_column,)
+        return tuple({c: row.get(c) for c in columns} for row in rows)
 
-    def all(self) -> list[dict[str, Any]]:
-        """Execute and return row copies."""
+    def _through_cache(self, kind: str, compute: Callable[[], Any]) -> Any:
+        """Serve *compute* from the result cache, running (and
+        planning) it only on a miss or a bypass."""
         cache = self._cache()
         version = self._cache_version() if cache is not None else None
-        if cache is not None and version is not None:
-            key = self._cache_key("rows", version)
-            cached = cache.get(key)
-            if cached is not None:
-                cache.record("hit")
-                return [dict(r) for r in cached]
-            cache.record("miss")
-            # Snapshot the epoch before executing: if any mutation lands
-            # while we scan, the result may be torn and must not be
-            # published under the version captured in the key.
-            epoch = self._table.mutation_epoch
-            result = self._execute(
-                "rows", lambda: [self._project(r) for r in self._limited_rows()]
-            )
-            if (
-                self._table.mutation_epoch == epoch
-                and not self._table.dirty
-                and self._table.version == version
-            ):
-                cache.put(key, tuple(dict(r) for r in result))
-            return result
-        if cache is not None:
-            cache.record("bypass")
-        return self._execute(
-            "rows", lambda: [self._project(r) for r in self._limited_rows()]
-        )
+        if version is None:
+            if cache is not None:
+                cache.record("bypass")
+            return self._execute(kind, compute)
+        key = self._cache_key(kind, version)
+        cached = cache.get(key)
+        if cached is not None:
+            cache.record("hit")
+            # A hit touches no table method; the read probe (portal
+            # ETags) must still learn that this table was read.
+            note_table_read(self._table.name)
+            return cached
+        cache.record("miss")
+        # Snapshot the epoch before executing: if any mutation lands
+        # while we scan, the result may be torn and must not be
+        # published under the version captured in the key.
+        epoch = self._table.mutation_epoch
+        result = self._execute(kind, compute)
+        if (
+            self._table.mutation_epoch == epoch
+            and not self._table.dirty
+            and self._table.version == version
+        ):
+            cache.put(key, result)
+        return result
+
+    def all(self) -> list[dict[str, Any]]:
+        """Execute and return row copies (shallow: one ``dict`` per
+        row, whether the rows were cached or just read)."""
+        return [dict(r) for r in self._through_cache("rows", self._result_rows)]
 
     def first(self) -> dict[str, Any] | None:
         """Return the first matching row or ``None``."""
@@ -1153,29 +1180,7 @@ class Query:
 
     def count(self) -> int:
         """Number of matching rows (ignores limit/offset)."""
-        cache = self._cache()
-        version = self._cache_version() if cache is not None else None
-        if cache is not None and version is not None:
-            key = self._cache_key("count", version)
-            cached = cache.get(key)
-            if cached is not None:
-                cache.record("hit")
-                return cached
-            cache.record("miss")
-            epoch = self._table.mutation_epoch
-            result = self._execute(
-                "count", lambda: sum(1 for _ in self._matching_rows())
-            )
-            if (
-                self._table.mutation_epoch == epoch
-                and not self._table.dirty
-                and self._table.version == version
-            ):
-                cache.put(key, result)
-            return result
-        if cache is not None:
-            cache.record("bypass")
-        return self._execute(
+        return self._through_cache(
             "count", lambda: sum(1 for _ in self._matching_rows())
         )
 

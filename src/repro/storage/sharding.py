@@ -1192,6 +1192,17 @@ class ShardedDatabase:
                 vector[f"{sid}:{name}"] = version
         return vector
 
+    def mutation_vector(
+        self, names: "Iterable[str] | None" = None
+    ) -> "dict[str, int | None]":
+        """:meth:`Database.mutation_vector` per shard, keyed like
+        :meth:`version_vector`."""
+        return {
+            f"{sid}:{name}": epoch
+            for sid, db in enumerate(self.shards)
+            for name, epoch in db.mutation_vector(names).items()
+        }
+
     @property
     def committed_seq(self) -> int:
         """The highest commit sequence across shards (coarse progress

@@ -5,6 +5,8 @@ record carries a CRC32 of its payload; recovery replays records until the
 first torn/corrupt line (a crash mid-append) and truncates the tail, or
 raises :class:`~repro.errors.WalCorruption` when corruption appears
 *before* intact records (which indicates tampering, not a crash).
+Records are redo-only (see :meth:`WriteAheadLog._encode_ops`): rollback
+works from the in-memory undo list, never from the log.
 
 A *checkpoint* writes a full snapshot of every table and resets the log;
 recovery loads the most recent snapshot, then replays the WAL on top.
@@ -35,6 +37,27 @@ from repro.storage.table import UndoEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
+
+
+_ABSENT = object()
+
+
+def _changed(old: Any, new: Any) -> bool:
+    """Whether an update must log *new* over *old*.
+
+    Type-exact, because the log is JSON: ``1``, ``1.0`` and ``True``
+    compare equal yet replay as different values.  A column the update
+    did not name still holds the very object the old version held;
+    containers that are not that object are logged without looking
+    inside (equal containers can differ in a nested ``1``/``True``).
+    """
+    if old is new:
+        return False
+    return (
+        type(old) is not type(new)
+        or isinstance(new, (dict, list))
+        or old != new
+    )
 
 
 def _encode_payload(payload: dict[str, Any]) -> str:
@@ -177,6 +200,11 @@ class WriteAheadLog:
     def _encode_ops(
         operations: list[UndoEntry], encode_value
     ) -> list[dict[str, Any]]:
+        """Redo-only images: an insert logs its row, an update the
+        columns it changed, a delete nothing but the pk.  Replay merges
+        ``after`` onto the current row, so the full ``after`` images
+        (and the ``before`` images nothing ever read) of older logs
+        replay through the same code."""
         ops = []
         for entry in operations:
             op: dict[str, Any] = {
@@ -184,16 +212,16 @@ class WriteAheadLog:
                 "table": entry.table,
                 "pk": entry.pk,
             }
-            # Inserts have no before-image and deletes no after-image;
-            # omit the keys instead of serialising nulls.
-            if entry.op != "insert":
-                before = encode_value(entry.table, entry.before)
-                if before is not None:
-                    op["before"] = before
-            if entry.op != "delete":
-                after = encode_value(entry.table, entry.after)
-                if after is not None:
-                    op["after"] = after
+            after = entry.after
+            if entry.op == "update":
+                before = entry.before
+                after = {
+                    name: value
+                    for name, value in after.items()
+                    if _changed(before.get(name, _ABSENT), value)
+                }
+            if after is not None:
+                op["after"] = encode_value(entry.table, after)
             ops.append(op)
         return ops
 

@@ -177,6 +177,82 @@ class TestMidRenderCommits:
         assert policy.coverage.get("/projects") is None
 
 
+    def test_transaction_rolled_back_mid_render_suppresses_etag(self, system, admin):
+        """Committed versions never move for a rollback; the seqlock
+        epochs do."""
+        project = system.projects.create(admin, "steady")
+        policy, context = self._context(system)
+        context.capture()
+        context.sink.add("project")
+        txn = system.db.transaction()
+        txn.update("project", project.id, {"name": "ghost"})
+        txn.rollback()
+        response = Response("body")
+        context.finish(response)
+        assert "ETag" not in dict(response.headers)
+        assert policy.coverage.get("/projects") is None
+
+
+class TestUncommittedRows:
+    """Views read the live tables, into which an open transaction has
+    already written in place: such a render must not be certified on
+    the committed versions, which cannot see the transaction."""
+
+    def test_render_over_an_open_transaction_carries_no_validator(
+        self, client, system, admin
+    ):
+        project = system.projects.create(admin, "steady name")
+        system.samples.register_sample(admin, project.id, "s1", species="E. coli")
+        target = f"/projects/{project.id}"
+        client.get(target)  # learns the route's coverage
+        clean = client.get(target)
+        assert _etag(clean) and b"ghost sample" not in clean.body
+
+        txn = system.db.transaction()
+        sample = next(iter(system.db.rows("sample")))
+        txn.update("sample", sample["id"], {"name": "ghost sample"})
+        dirty = client.get(target, headers={"If-None-Match": _etag(clean)})
+        # The committed versions still match the client's validator, so
+        # the 304 (for the committed body it holds) stands ...
+        assert dirty.status == 304
+        # ... but a render of the in-place state is not vouched for.
+        dirty = client.get(target)
+        assert dirty.status == 200 and b"ghost sample" in dirty.body
+        assert _etag(dirty) == ""
+        txn.rollback()
+
+        after = client.get(target)
+        assert b"ghost sample" not in after.body
+        # The validator issued now is the one the clean body carried;
+        # at no point was it attached to the body with the ghost row.
+        assert _etag(after) == _etag(clean)
+        assert after.body == clean.body
+        assert client.get(
+            target, headers={"If-None-Match": _etag(after)}
+        ).status == 304
+
+    def test_sharded_vectors_carry_the_same_guard(self, tmp_path):
+        from repro.storage import Column, ColumnType, TableSchema
+        from repro.storage.sharding import ShardedDatabase
+
+        sdb = ShardedDatabase(tmp_path / "shards", shards=2)
+        sdb.create_table(TableSchema(
+            "doc", [Column("id", ColumnType.INT, primary_key=True),
+                    Column("body", ColumnType.TEXT)],
+        ))
+        sdb.insert("doc", {"id": 1, "body": "a"})
+        before = sdb.mutation_vector(["doc"])
+        assert set(before) == {"0:doc", "1:doc"} and None not in before.values()
+        txn = sdb.transaction()
+        txn.update("doc", 1, {"body": "b"})
+        assert list(sdb.mutation_vector(["doc"]).values()).count(None) == 1
+        txn.rollback()
+        after = sdb.mutation_vector(["doc"])
+        assert None not in after.values() and after != before
+        assert sdb.version_vector(["doc"]) == sdb.version_vector(["doc"])
+        sdb.close()
+
+
 class TestApiSurface:
     def test_api_requires_auth_with_json_401(self, app):
         anonymous = PortalClient(app)

@@ -18,6 +18,8 @@ def make_schema():
         [
             Column("id", ColumnType.INT, primary_key=True),
             Column("body", ColumnType.TEXT, nullable=False),
+            Column("note", ColumnType.TEXT),
+            Column("meta", ColumnType.JSON),
         ],
     )
 
@@ -202,6 +204,55 @@ class TestConvergence:
         # seq and the replica applied without opening a span.
         assert primary.trace_for_seq(seq) is None
         assert replicas[0].obs.tracer.finished("replication.apply") == []
+
+    def test_replicas_converge_on_delta_updates(self, cluster, tmp_path):
+        """Update records ship the changed columns only; a follower —
+        streaming, or bootstrapped from a checkpoint and then fed
+        deltas — merges them onto rows equal to the primary's."""
+        primary, publisher, replicas = cluster
+        for i in range(1, 4):
+            primary.insert(
+                "doc",
+                {"id": i, "body": f"b{i}", "note": f"n{i}", "meta": {"v": 1}},
+            )
+        primary.update("doc", 1, {"body": "b1'"})
+        primary.checkpoint()
+        late = Replica(
+            open_db(tmp_path / "late"),
+            ("127.0.0.1", publisher.port),
+            name="late",
+        ).start()
+        try:
+            primary.update("doc", 1, {"note": None})
+            primary.update("doc", 2, {"meta": {"v": True}, "note": "n2"})
+            with primary.transaction() as txn:
+                txn.update("doc", 3, {"body": "b3'"})
+                txn.update("doc", 3, {"note": "n3'"})
+                txn.delete("doc", 2)
+            shipped = [
+                op
+                for record in primary.wal.records()
+                for op in record.get("ops", ())
+            ]
+            assert [op.get("after") for op in shipped] == [
+                {"note": None},
+                {"meta": {"v": True}},
+                {"body": "b3'"},
+                {"note": "n3'"},
+                None,
+            ]
+            seq = current_seq(primary)
+            expected = list(primary.rows("doc"))
+            assert expected == [
+                {"id": 1, "body": "b1'", "note": None, "meta": {"v": 1}},
+                {"id": 3, "body": "b3'", "note": "n3'", "meta": {"v": 1}},
+            ]
+            for replica in replicas + [late]:
+                replica.wait_for(seq, timeout=10.0)
+                assert list(replica.db.rows("doc")) == expected
+        finally:
+            late.stop()
+            late.db.close()
 
     def test_streaming_survives_checkpoint_wal_reset(self, cluster):
         """A checkpoint resets the WAL under the tailer; if the new file

@@ -229,3 +229,136 @@ class TestSnapshotCaching:
             assert plan["cache"] == "bypassed"
             assert plan["cache_key"] is None
             assert plan["snapshot_version"] == snap.seq
+
+
+class TestSharedPayloads:
+    """Cached results share the table's immutable version payloads;
+    what a caller gets is always its own (shallow) copy."""
+
+    def test_mutating_a_returned_row_changes_nothing(self):
+        db = make_db()
+        with db.snapshot() as snap:
+            first = db.query("doc").where("project", "=", 1).all()  # miss
+            first.sort(key=lambda r: r["id"])
+            first[0]["title"] = "scribbled"
+            first[0]["extra"] = True
+            del first[1]["project"]
+            assert db.get("doc", 1)["title"] == "doc 1"
+            hit = db.query("doc").where("project", "=", 1).all()
+            assert lookup_counts(db)["hit"] == 1
+            assert sorted(r["title"] for r in hit) == ["doc 1", "doc 4", "doc 7"]
+            assert all(set(r) == {"id", "project", "title"} for r in hit)
+            for row in hit:
+                row["title"] = "scribbled again"
+            assert snap.get("doc", 1)["title"] == "doc 1"
+            assert {"id": 1, "project": 1, "title": "doc 1"} in (
+                snap.query("doc").where("project", "=", 1).all()
+            )
+        assert db.table("doc").raw_row(1)["title"] == "doc 1"
+
+    def test_entry_outlives_the_versions_it_shares(self):
+        """An entry for version *v* holds references to the *v* payloads:
+        superseding and pruning them leaves it intact (it is merely
+        unreachable for readers of the new version)."""
+        db = make_db()
+        table = db.table("doc")
+        query = db.query("doc").where("project", "=", 1)
+        version = table.version
+        old_key = query._cache_key("rows", version)
+        before = query.all()
+        for row in before:
+            db.update("doc", row["id"], {"title": "rewritten"})
+        table.prune_versions(db.committed_seq)
+        assert all(table.version_chain_length(r["id"]) == 1 for r in before)
+        assert [dict(r) for r in db.query_cache.get(old_key)] == before
+        fresh = db.query("doc").where("project", "=", 1).all()
+        assert {r["title"] for r in fresh} == {"rewritten"}
+
+    def test_projected_results_cache_private_rows(self):
+        db = make_db()
+        first = db.query("doc").select("title").where("project", "=", 2).all()
+        assert all(set(r) == {"title", "id"} for r in first)
+        first[0]["title"] = "scribbled"
+        again = db.query("doc").select("title").where("project", "=", 2).all()
+        assert lookup_counts(db)["hit"] == 1
+        assert sorted(r["title"] for r in again) == ["doc 2", "doc 5", "doc 8"]
+        # The projection is part of the key: full rows do not hit it.
+        full = db.query("doc").where("project", "=", 2).all()
+        assert set(full[0]) == {"id", "project", "title"}
+        assert lookup_counts(db)["hit"] == 1
+
+    def test_snapshot_query_populates_and_hits(self):
+        db = make_db()
+        with db.snapshot() as snap:
+            rows = snap.query("doc").where("project", "=", 0).all()
+            for row in rows:
+                row["title"] = "scribbled"
+            assert lookup_counts(db) == {"miss": 1}
+            again = snap.query("doc").where("project", "=", 0).all()
+            assert lookup_counts(db) == {"miss": 1, "hit": 1}
+            assert sorted(r["title"] for r in again) == [
+                "doc 0", "doc 3", "doc 6", "doc 9",
+            ]
+            assert snap.query("doc").where("project", "=", 0).count() == 4
+            assert snap.query("doc").where("project", "=", 0).count() == 4
+            assert lookup_counts(db) == {"miss": 2, "hit": 2}
+
+
+class TestKeyBeforePlan:
+    def _count_planning(self, monkeypatch):
+        from repro.storage.query import Query
+
+        calls = []
+        real = Query._plan_live
+
+        def counting(self, **kwargs):
+            calls.append(self)
+            return real(self, **kwargs)
+
+        monkeypatch.setattr(Query, "_plan_live", counting)
+        return calls
+
+    def test_equal_shapes_share_a_key_without_planning(self, monkeypatch):
+        db = make_db()
+        calls = self._count_planning(monkeypatch)
+        version = db.table("doc").version
+
+        def shape():
+            return db.query("doc").where("project", "=", 1).order_by("id").limit(2)
+
+        a, b = shape(), shape()
+        assert a.fingerprint() == b.fingerprint()
+        assert a._cache_key("rows", version) == b._cache_key("rows", version)
+        assert calls == []
+        assert a.all() == b.all()  # miss plans once, the hit not at all
+        assert len(calls) == 1
+        assert shape().count() == 3 and shape().count() == 3
+        assert len(calls) == 2
+        assert lookup_counts(db) == {"miss": 2, "hit": 2}
+
+    def test_key_does_not_depend_on_the_access_path(self):
+        """The same query before and after an index appears: the
+        strategy changes, the fingerprint does not."""
+        db = make_db()
+        query = db.query("doc").where("title", "=", "doc 1")
+        assert query.explain()["strategy"] == "scan"
+        before = query.fingerprint()
+        db.add_index("doc", "title")
+        assert query.explain()["strategy"].startswith("index:")
+        assert query.fingerprint() == before == query.explain()["fingerprint"]
+
+    def test_cache_hit_still_reports_the_table_to_the_read_probe(self):
+        """The portal learns a route's covering tables from the probe;
+        a render answered from the query cache read them all the same."""
+        from repro.storage.table import track_reads
+
+        db = make_db()
+        db.query("doc").where("project", "=", 1).all()
+        db.query("doc").where("project", "=", 1).count()
+        with track_reads(set()) as sink:
+            db.query("doc").where("project", "=", 1).all()
+            assert sink == {"doc"}
+            sink.clear()
+            db.query("doc").where("project", "=", 1).count()
+            assert sink == {"doc"}
+        assert lookup_counts(db)["hit"] == 2

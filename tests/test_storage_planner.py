@@ -402,3 +402,138 @@ class TestExplainProvenance:
             # falls back to the snapshot-safe scan.
             stale = snap.query("event").where("project", "=", 3).explain()
             assert stale["strategy"] == "scan"
+
+
+# -- plan equivalence on the hot shapes ------------------------------------
+
+
+def _hot_shapes(source):
+    """The ``engine_mixed`` read shapes, plus pk-equality corner cases;
+    *source* is a database or a snapshot."""
+    return {
+        "pk_query": lambda: source.query("event").where("id", "=", 7),
+        "hot_set": lambda: source.query("event").where("id", "=", 8),
+        "pk_miss": lambda: source.query("event").where("id", "=", 40_000),
+        "indexed_eq": lambda: source.query("event").where("project", "=", 3),
+        "range_limit": lambda: (
+            source.query("event").where("score", ">=", 100)
+            .order_by("score").limit(10)
+        ),
+        "pk_residual_hit": lambda: (
+            source.query("event").where("id", "=", 7).where("kind", "=", "run")
+        ),
+        "pk_residual_miss": lambda: (
+            source.query("event").where("id", "=", 7).where("kind", "=", "qc")
+        ),
+        "pk_null": lambda: source.query("event").where("id", "=", None),
+        "pk_twice": lambda: (
+            source.query("event").where("id", "=", 7).where("id", "=", 8)
+        ),
+    }
+
+
+def _by_id(rows):
+    return sorted(rows, key=lambda r: r["id"])
+
+
+class TestPlanEquivalence:
+    def _check(self, source):
+        """Chosen plan == forced scan, on a cache miss and on the hit
+        after it; returns the answers."""
+        answers = {}
+        for name, shape in _hot_shapes(source).items():
+            expected = shape().without_indexes().all()
+            for attempt in ("miss", "hit"):
+                rows = shape().all()
+                if name == "range_limit":  # the only ordered shape
+                    assert rows == expected, (name, attempt)
+                else:
+                    assert _by_id(rows) == _by_id(expected), (name, attempt)
+            assert shape().count() == shape().without_indexes().count(), name
+            answers[name] = rows if name == "range_limit" else _by_id(rows)
+        return answers
+
+    def test_live_plans_return_what_a_scan_returns(self, events_db):
+        answers = self._check(events_db)
+        row = events_db.get("event", 7)
+        assert answers["pk_query"] == answers["pk_residual_hit"] == [row]
+        assert len(answers["indexed_eq"]) == 20
+        assert [r["id"] for r in answers["range_limit"]] == list(range(100, 110))
+        for empty in ("pk_miss", "pk_residual_miss", "pk_null", "pk_twice"):
+            assert answers[empty] == []
+
+    def test_snapshot_plans_return_what_a_scan_returns(self, events_db):
+        live = self._check(events_db)
+        with events_db.snapshot() as snap:
+            assert self._check(snap) == live  # index plans, pinned
+            events_db.update("event", 7, {"kind": "qc", "project": 3})
+            events_db.delete("event", 103)
+            events_db.insert(
+                "event",
+                {"id": 40_000, "project": 3, "kind": "run", "batch": 1,
+                 "score": 101, "payload": "late"},
+            )
+            stale = snap.query("event").where("id", "=", 7).explain()
+            assert stale["strategy"] == "scan"  # the table moved on
+            assert self._check(snap) == live
+        moved = self._check(events_db)
+        assert moved["pk_residual_hit"] == [] and len(moved["pk_miss"]) == 1
+        assert len(moved["indexed_eq"]) == 21  # +7, +40000, -103
+        assert 103 not in [r["id"] for r in moved["range_limit"]]
+
+
+class TestPkShortCircuit:
+    def test_explain_still_lists_priced_alternatives(self, events_db):
+        events_db.add_index("event", "id", ordered=True)
+        query = events_db.query("event").where("id", "=", 7).where("project", "=", 7)
+        plan = query.explain()
+        assert plan["strategy"] == "pk"
+        assert plan["candidates"] == 1 and plan["residual_predicates"] == 1
+        strategies = [alt["strategy"] for alt in plan["alternatives"]]
+        assert "pk" not in strategies
+        assert {"scan", "index:ix_event_project"} <= set(strategies)
+        assert any(s.startswith("prefix:") for s in strategies)
+        costs = [alt["cost"] for alt in plan["alternatives"]]
+        assert costs == sorted(costs) and all(c > 0 for c in costs)
+        assert isinstance(plan["fingerprint"], str) and len(plan["fingerprint"]) == 12
+        assert plan["cache_key"] == {
+            "table": "event",
+            "version": events_db.table("event").version,
+            "kind": "rows",
+            "fingerprint": query.fingerprint(),
+        }
+
+    def test_pk_equality_prices_nothing_else(self, events_db, monkeypatch):
+        from repro.storage.query import Query
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("a pk equality enumerated alternatives")
+
+        monkeypatch.setattr(Query, "_candidate_plans", forbidden)
+        assert events_db.query("event").where("id", "=", 7).all() == [
+            events_db.get("event", 7)
+        ]
+        assert events_db.query("event").where("id", "=", 7).where(
+            "kind", "=", "qc"
+        ).count() == 0
+        with events_db.snapshot() as snap:
+            assert snap.query("event").where("id", "=", 9).all() == [
+                events_db.get("event", 9)
+            ]
+
+    def test_explain_does_not_populate_the_cache(self, events_db):
+        query = events_db.query("event").where("id", "=", 7)
+        first, second = query.explain(), query.explain()
+        assert first["cache"] == second["cache"] == "miss"
+        assert len(events_db.query_cache) == 0
+        assert events_db.query_cache.statistics()["lookups"] == {}
+        query.all()
+        assert query.explain()["cache"] == "hit"
+
+    def test_forced_scan_and_degraded_snapshot_list_no_alternatives(self, events_db):
+        forced = events_db.query("event").where("id", "=", 7).without_indexes()
+        assert forced.explain()["alternatives"] == []
+        with events_db.snapshot() as snap:
+            events_db.update("event", 7, {"kind": "qc"})
+            stale = snap.query("event").where("id", "=", 7).explain()
+            assert stale["strategy"] == "scan" and stale["alternatives"] == []

@@ -224,23 +224,111 @@ class TestNonDurable:
 
 
 class TestCompactEncoding:
-    """Commit records omit absent images (PR2): inserts carry no
-    ``before``, deletes no ``after``."""
+    """Commit records are redo-only: an insert carries its row, an
+    update ``pk`` + the columns it changed, a delete ``pk`` alone."""
 
     def test_insert_update_delete_images(self, tmp_path):
         db = open_db(tmp_path)
-        row = db.insert("item", {"name": "a"})
+        row = db.insert("item", {"name": "a", "meta": {"k": 1}})
         db.update("item", row["id"], {"name": "b"})
         db.delete("item", row["id"])
         records = list(db._wal.records())
         ops = [op for rec in records for op in rec["ops"]]
         by_kind = {op["op"]: op for op in ops}
-        assert "before" not in by_kind["insert"]
-        assert "after" in by_kind["insert"]
-        assert "before" in by_kind["update"] and "after" in by_kind["update"]
-        assert "after" not in by_kind["delete"]
-        assert "before" in by_kind["delete"]
+        assert all("before" not in op for op in ops)
+        assert by_kind["insert"]["after"]["name"] == "a"
+        assert by_kind["update"] == {
+            "op": "update", "table": "item", "pk": row["id"],
+            "after": {"name": "b"},
+        }
+        assert by_kind["delete"] == {
+            "op": "delete", "table": "item", "pk": row["id"],
+        }
         db.close()
+
+    def test_equal_but_differently_typed_values_are_logged(self, tmp_path):
+        """JSON has no ``1 == True == 1.0``: a delta that compared with
+        ``==`` alone would drop these updates and recovery would bring
+        back the old value."""
+        db = open_db(tmp_path)
+        row = db.insert("item", {"name": "a", "meta": 1})
+        for value in (True, 1.0, 1, {"n": 1}, {"n": True}):
+            db.update("item", row["id"], {"meta": value})
+        updates = [
+            op["after"]
+            for rec in db._wal.records()
+            for op in rec["ops"]
+            if op["op"] == "update"
+        ]
+        assert updates == [
+            {"meta": True}, {"meta": 1.0}, {"meta": 1},
+            {"meta": {"n": 1}}, {"meta": {"n": True}},
+        ]
+        assert [type(u["meta"]) for u in updates[:3]] == [bool, float, int]
+        db.close()
+        revived = open_db(tmp_path)
+        revived.recover()
+        assert revived.get("item", row["id"])["meta"] == {"n": True}
+        assert revived.get("item", row["id"])["meta"]["n"] is True
+
+    def test_update_naming_an_unchanged_value_logs_an_empty_delta(self, tmp_path):
+        db = open_db(tmp_path)
+        row = db.insert("item", {"name": "same"})
+        db.update("item", row["id"], {"name": "same"})
+        seq = db.committed_seq
+        last = list(db._wal.records())[-1]
+        assert last["ops"][0]["after"] == {}
+        db.close()
+        revived = open_db(tmp_path)
+        revived.recover()
+        assert revived.get("item", row["id"])["name"] == "same"
+        assert revived.committed_seq == seq
+
+    def test_old_encoding_recovers_to_the_same_state(self, tmp_path):
+        """A log hand-written the way every earlier build wrote it
+        (``before`` images, full ``after`` rows) and the log this build
+        writes for the same history replay to the same tables."""
+        created = dt.datetime(2010, 1, 5, 12, 0)
+        new = open_db(tmp_path / "new")
+        new.insert("item", {"name": "a", "created": created, "meta": {"k": 1}})
+        new.insert("item", {"name": "gone"})
+        new.update("item", 1, {"name": "b"})
+        new.update("item", 1, {"meta": {"k": 2}})
+        new.delete("item", 2)
+        new.close()
+
+        row_a = {"id": 1, "name": "a", "created": created.isoformat(),
+                 "meta": {"k": 1}}
+        row_b = {**row_a, "name": "b"}
+        row_c = {**row_b, "meta": {"k": 2}}
+        gone = {"id": 2, "name": "gone", "created": None, "meta": None}
+        old_ops = [
+            {"op": "insert", "table": "item", "pk": 1, "after": row_a},
+            {"op": "insert", "table": "item", "pk": 2, "after": gone},
+            {"op": "update", "table": "item", "pk": 1, "before": row_a,
+             "after": row_b},
+            {"op": "update", "table": "item", "pk": 1, "before": row_b,
+             "after": row_c},
+            {"op": "delete", "table": "item", "pk": 2, "before": gone},
+        ]
+        wal = WriteAheadLog(tmp_path / "old" / "wal.log")
+        for seq, op in enumerate(old_ops, start=1):
+            wal._append_record("commit", {"txn": seq, "seq": seq, "ops": [op]})
+        wal.close()
+
+        states = []
+        for name in ("new", "old"):
+            db = open_db(tmp_path / name)
+            assert db.recover()["wal_txns"] == 5
+            states.append(
+                (list(db.rows("item")), db.table("item").version,
+                 db.committed_seq)
+            )
+            db.close()
+        assert states[0] == states[1]
+        assert states[0][0] == [
+            {"id": 1, "name": "b", "created": created, "meta": {"k": 2}}
+        ]
 
     def test_compact_records_replay(self, tmp_path):
         db = open_db(tmp_path)
