@@ -19,9 +19,10 @@ Measures the paths the performance work targets:
 * **replication** (PR5) — WAL-shipping end-to-end apply throughput,
   aggregate snapshot-read QPS fanned out across 1/2/4 replicas, and
   the p95 replica lag under concurrent writes;
-* **sharded commits** (PR7) — always-mode throughput through the
-  :class:`~repro.storage.sharding.ShardedDatabase` coordinator at
-  1/2/4 shards with a 20% cross-shard (two-phase) transaction mix.
+* **sharded commits** (PR7) — always-mode throughput at 1/2/4 shards
+  with a 20% cross-shard (two-phase) transaction mix: one shard is a
+  plain :class:`~repro.storage.database.Database`, more go through the
+  :class:`~repro.storage.sharding.ShardedDatabase` coordinator.
   Single-shard transactions fsync only their owning shard's WAL, so
   throughput scales with the shard count;
 * **queue ingest** (PR8) — file-import jobs drained through the durable
@@ -193,7 +194,7 @@ SHARDED_COUNTS = (1, 2, 4)
 
 
 def _sharded_plan(
-    sdb, worker_id: int, per_thread: int
+    db, nshards: int, worker_id: int, per_thread: int
 ) -> list[tuple[int, ...]]:
     """Pre-compute each worker's transactions (outside the timed window).
 
@@ -204,14 +205,13 @@ def _sharded_plan(
     """
     import itertools
 
-    nshards = sdb.shard_count
     ids = itertools.count(1 + worker_id * 10_000_000)
     buckets: list[list[int]] = [[] for _ in range(nshards)]
 
     def take(shard: int) -> int:
         while not buckets[shard]:
             i = next(ids)
-            buckets[sdb.shard_index(i) if nshards > 1 else 0].append(i)
+            buckets[db.shard_index(i) if nshards > 1 else 0].append(i)
         return buckets[shard].pop()
 
     plan: list[tuple[int, ...]] = []
@@ -235,13 +235,15 @@ def bench_sharded_commit_cell(
     threads: int,
     base_dir: "str | Path | None" = None,
 ) -> dict[str, Any]:
-    """Always-mode commit throughput through the shard coordinator.
+    """Always-mode commit throughput at *shards* shards.
 
-    Same barrier/disjoint-key pattern as :func:`bench_commit_mode`, but
-    the writers go through :class:`ShardedDatabase` so single-shard
-    transactions route directly (one WAL fsync, on the owning shard's
-    writer lock) while every ``SHARDED_CROSS_EVERY``-th transaction is a
-    two-row cross-shard commit paying the full two-phase protocol.
+    Same barrier/disjoint-key pattern as :func:`bench_commit_mode`.  At
+    one shard the writers use a plain :class:`Database`, which is what a
+    one-shard deployment is; above that they go through
+    :class:`ShardedDatabase`, so single-shard transactions route
+    directly (one WAL fsync, on the owning shard's writer lock) while
+    every ``SHARDED_CROSS_EVERY``-th transaction is a two-row cross-shard
+    commit paying the full two-phase protocol.
     """
     from repro.storage.sharding import ShardedDatabase
 
@@ -252,18 +254,24 @@ def bench_sharded_commit_cell(
     with tempfile.TemporaryDirectory(
         prefix=f"bench-shard{shards}-", dir=base_dir
     ) as tmp:
-        sdb = ShardedDatabase(tmp, shards=shards, durability="always")
-        sdb.create_table(_commit_schema())
-        plans = [_sharded_plan(sdb, w, per_thread) for w in range(threads)]
+        db = (
+            Database(tmp, durability="always")
+            if shards == 1
+            else ShardedDatabase(tmp, shards=shards, durability="always")
+        )
+        db.create_table(_commit_schema())
+        plans = [
+            _sharded_plan(db, shards, w, per_thread) for w in range(threads)
+        ]
         barrier = threading.Barrier(threads + 1)
 
         def worker(plan: list[tuple[int, ...]]) -> None:
             barrier.wait()
             for pks in plan:
                 if len(pks) == 1:
-                    sdb.insert("bench_commit", {"id": pks[0], "n": pks[0] % 97})
+                    db.insert("bench_commit", {"id": pks[0], "n": pks[0] % 97})
                 else:
-                    with sdb.transaction() as txn:
+                    with db.transaction() as txn:
                         for pk in pks:
                             txn.insert(
                                 "bench_commit", {"id": pk, "n": pk % 97}
@@ -280,10 +288,10 @@ def bench_sharded_commit_cell(
         for thread in pool:
             thread.join()
         elapsed = time.perf_counter() - started
-        fsyncs = _fsync_count(sdb)
-        committed = sdb.count("bench_commit")
+        fsyncs = _fsync_count(db)
+        committed = db.count("bench_commit")
         two_pc = 0
-        family = sdb.obs.metrics.get("storage_2pc_total")
+        family = db.obs.metrics.get("storage_2pc_total")
         if family is not None:
             two_pc = int(
                 sum(
@@ -292,7 +300,7 @@ def bench_sharded_commit_cell(
                     if labels.get("outcome") == "commit"
                 )
             )
-        sdb.close()
+        db.close()
     return {
         "shards": shards,
         "transactions": total,

@@ -20,7 +20,7 @@ subcommand takes via ``--data``).  Subcommands:
 * ``search`` — run a query from the shell;
 * ``generate`` — synthesize an FGCZ-scale benchmark deployment;
 * ``bench`` — measure the storage hot paths, write a JSON report;
-* ``serve`` — run the web portal under wsgiref;
+* ``serve`` — run the web portal on the threaded portal server;
 * ``replicate`` — WAL-shipping replication: ``serve`` publishes this
   deployment's log, ``join`` follows a primary, ``status`` prints the
   local replication position, ``promote`` heals a replica directory
@@ -607,45 +607,30 @@ def cmd_maintenance(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.portal import PortalApplication
+    from repro.portal.server import PortalServer
 
     system = _open(args)
     system.reindex_all()
     # Periodic registry sampling makes `repro stats --window` and
     # /admin/metrics/history meaningful for this portal session.
     system.obs.history.start()
-    portal = PortalApplication(system)
-    if args.legacy_wsgiref:
-        from wsgiref.simple_server import make_server
-
-        print(
-            f"serving the B-Fabric portal on http://{args.host}:{args.port} "
-            "(legacy wsgiref, single-threaded)"
-        )
-        with make_server(args.host, args.port, portal) as httpd:
-            try:
-                httpd.serve_forever()
-            except KeyboardInterrupt:  # pragma: no cover - interactive
-                pass
-    else:
-        from repro.portal.server import PortalServer
-
-        server = PortalServer(
-            portal, args.host, args.port,
-            workers=args.workers,
-            max_inflight=args.max_inflight,
-            keep_alive=args.keep_alive,
-        )
-        server.start()
-        print(
-            f"serving the B-Fabric portal on http://{args.host}:{server.port} "
-            f"({args.workers} workers, max {args.max_inflight} in flight)"
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            server.shutdown()
+    server = PortalServer(
+        PortalApplication(system), args.host, args.port,
+        workers=args.workers,
+        max_inflight=args.max_inflight,
+        keep_alive=args.keep_alive,
+    )
+    server.start()
+    print(
+        f"serving the B-Fabric portal on http://{args.host}:{server.port} "
+        f"({args.workers} workers, max {args.max_inflight} in flight)"
+    )
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive
+        pass
+    finally:
+        server.shutdown()
     system.obs.history.stop()
     system.close()
     return 0
@@ -672,8 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--admin-password", default="admin")
     p_init.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="partition the write path across N single-writer shards "
-        "(persisted in the shard map; reopens keep the count)",
+        help="partition the write path across N >= 2 single-writer shards "
+        "(persisted in the shard map; reopens keep the count); 1 is a "
+        "plain database",
     )
     p_init.set_defaults(func=cmd_init)
 
@@ -929,10 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--keep-alive", type=float, default=5.0, metavar="SECONDS",
         help="idle keep-alive timeout (default 5s)",
-    )
-    p_serve.add_argument(
-        "--legacy-wsgiref", action="store_true",
-        help="serve single-threaded via wsgiref (escape hatch)",
     )
     p_serve.set_defaults(func=cmd_serve)
 

@@ -54,7 +54,11 @@ from repro.security.acl import AccessControl
 from repro.security.auth import Authenticator, hash_password
 from repro.security.principals import Principal, Role, SYSTEM
 from repro.storage.database import Database
-from repro.storage.sharding import ShardedDatabase, ShardRouter
+from repro.storage.sharding import (
+    ShardedDatabase,
+    ShardRouter,
+    resolve_shard_count,
+)
 from repro.tasks.queue import JobQueue, queue_models
 from repro.tasks.rules import install_standard_rules
 from repro.tasks.service import Task, TaskService
@@ -96,12 +100,12 @@ class BFabric:
         span_sample_rate: float = 1.0,
         queue_max_depth: "int | None" = None,
     ):
-        """*shards* partitions the write path across N independent
+        """*shards* >= 2 partitions the write path across N independent
         single-writer databases behind a :class:`ShardedDatabase`
-        coordinator (see ``repro init --shards``).  ``None`` keeps the
-        classic single database — unless the data directory was
-        initialised sharded, in which case the persisted shard map wins
-        and the deployment reopens with its original shard count."""
+        coordinator (see ``repro init --shards``); one shard is a plain
+        :class:`Database`.  The data directory decides: ``None`` opens
+        whatever it holds (one shard when empty), and an explicit count
+        that disagrees with it is refused with a ``SchemaError``."""
         self.clock = clock or SystemClock()
         self.path = Path(path) if path is not None else None
 
@@ -114,9 +118,8 @@ class BFabric:
             clock=self.clock, span_sample_rate=span_sample_rate
         )
         db_dir = self.path / "db" if self.path else None
-        if shards is None and db_dir is not None:
-            shards = ShardedDatabase.stored_shard_count(db_dir)
-        if shards is None:
+        shards = resolve_shard_count(db_dir, shards)
+        if shards == 1:
             self.db = Database(
                 db_dir, durable=durable, durability=durability, obs=self.obs
             )

@@ -5,8 +5,10 @@ writer lock, one fsync stream.  :class:`ShardedDatabase` splits the row
 space across N fully independent :class:`~repro.storage.database.Database`
 shards — each with its own WAL, group-commit batching, MVCC version
 chains, and data directory — and presents the same ``Database``-shaped
-API, so the facade, ORM, search, portal, and replication stack run
-unchanged on top.
+API, so the facade, ORM, search, and portal run unchanged on top.  A
+coordinator always has N >= 2 shards: a one-shard deployment *is* a
+plain ``Database``, and the data directory (its shard map, or a WAL or
+snapshot without one) decides which of the two opens it.
 
 Routing (:class:`ShardRouter`) follows the paper's data shape: B-Fabric
 rows are naturally project-scoped, so project-bearing tables hash the
@@ -34,9 +36,10 @@ the same answer without the decision log.
 Reads scatter-gather: :meth:`ShardedDatabase.snapshot` pins one MVCC
 snapshot *per shard* under the coordinator's publish lock — the vector
 is atomic with respect to cross-shard commits, so a 2PC transaction is
-either visible on all its shards or none.  Queries merge consistent
-per-shard views and :meth:`ShardedQuery.explain` reports the shards
-consulted and the routing mode (direct / scatter / global).
+either visible on all its shards or none.  :class:`ShardedQuery` is a
+:class:`~repro.storage.query.Query` whose rows come from the routed
+shards; its :meth:`~ShardedQuery.explain` reports the shards consulted
+and the routing mode (direct / scatter / global).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import threading
 import uuid
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -57,12 +61,11 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.resilience.faults import fault_point
-from repro.storage.database import Database
+from repro.storage.database import SNAPSHOT_NAME, WAL_NAME, Database
 from repro.storage.durability import Durability
-from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Condition, Query
+from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Query
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
-from repro.storage.table import UndoEntry
 from repro.storage.types import sort_key
 from repro.storage.wal import WriteAheadLog
 from repro.util.ids import IdAllocator
@@ -96,6 +99,49 @@ def stable_hash(value: Any) -> int:
     else:
         tag = f"{type(value).__name__}:{value}"
     return zlib.crc32(tag.encode("utf-8", "replace")) & 0xFFFFFFFF
+
+
+def stored_shard_count(path: "str | Path") -> int | None:
+    """How many shards the deployment at *path* holds, or ``None`` if
+    nothing is there yet.
+
+    A shard map records its N (always >= 2); a WAL or snapshot without
+    one is a plain one-shard :class:`Database`.
+    """
+    path = Path(path)
+    map_path = path / SHARD_MAP_NAME
+    if map_path.exists():
+        try:
+            shards = int(json.loads(map_path.read_text(encoding="utf-8"))["shards"])
+        except (ValueError, KeyError, TypeError):
+            raise SchemaError(f"unreadable shard map {map_path}") from None
+        if shards < 2:
+            raise SchemaError(
+                f"shard map {map_path} records {shards} shard(s); a one-shard "
+                f"deployment is a plain Database (its rows are in shard-0/)"
+            )
+        return shards
+    if (path / WAL_NAME).exists() or (path / SNAPSHOT_NAME).exists():
+        return 1
+    return None
+
+
+def resolve_shard_count(path: "str | Path | None", shards: int | None) -> int:
+    """The shard count to open *path* with: the directory's own.
+
+    An explicit *shards* that disagrees with the directory is refused
+    before anything is written; ``None`` (or an empty directory) takes
+    whatever is there, defaulting to one shard.
+    """
+    stored = None if path is None else stored_shard_count(path)
+    if shards is None:
+        return stored or 1
+    if stored is not None and stored != shards:
+        raise SchemaError(
+            f"data directory {path} holds {stored} shard(s); refusing to "
+            f"open it with {shards} (resharding is not supported)"
+        )
+    return shards
 
 
 class ShardRouter:
@@ -193,13 +239,6 @@ class ShardedTransaction:
         if self._state != _ACTIVE:
             raise TransactionError(f"transaction is {self._state}")
 
-    @property
-    def operations(self) -> list[UndoEntry]:
-        ops: list[UndoEntry] = []
-        for sid in sorted(self._txns):
-            ops.extend(self._txns[sid].operations)
-        return ops
-
     # -- shard access ------------------------------------------------------
 
     def _txn_for(self, sid: int) -> "Transaction":
@@ -207,9 +246,7 @@ class ShardedTransaction:
         if txn is not None:
             return txn
         try:
-            txn = self._sdb.shard(sid).transaction(
-                timeout=self._timeout if len(self._sdb.shards) > 1 else None
-            )
+            txn = self._sdb.shard(sid).transaction(timeout=self._timeout)
         except TransactionError:
             # Possible ABBA lock conflict with another cross-shard
             # transaction: release everything so the other side can make
@@ -231,14 +268,14 @@ class ShardedTransaction:
         values = dict(values)
         sdb._assign_pk(table, values)
         placement = sdb.placement(table)
-        if placement[0] == "global" and len(sdb.shards) > 1:
+        if placement[0] == "global":
             # Same row, same pk, on every shard — ascending shard order
             # keeps lock acquisition deadlock-free among global writers.
             row: dict[str, Any] = {}
             for sid in range(len(sdb.shards)):
                 row = self._txn_for(sid).insert(table, values)
             return row
-        sid = sdb._route_insert(table, placement, values, probe=self)
+        sid = sdb._route_insert(table, placement, values)
         return self._txn_for(sid).insert(table, values)
 
     def update(
@@ -247,15 +284,15 @@ class ShardedTransaction:
         self._require_active()
         sdb = self._sdb
         placement = sdb.placement(table)
-        if placement[0] == "global" and len(sdb.shards) > 1:
+        if placement[0] == "global":
             row: dict[str, Any] = {}
             for sid in range(len(sdb.shards)):
                 row = self._txn_for(sid).update(table, pk, changes)
             return row
-        sid = self._owning_shard(table, pk, placement)
+        sid = sdb._owner(table, pk)
         if placement[0] in ("project", "hash") and placement[1] in changes:
             new_sid = sdb.shard_index(changes[placement[1]])
-            if new_sid != sid and len(sdb.shards) > 1:
+            if new_sid != sid:
                 raise TransactionError(
                     f"update of routing column {placement[1]!r} on "
                     f"{table!r} would move the row from shard {sid} to "
@@ -267,33 +304,16 @@ class ShardedTransaction:
     def delete(self, table: str, pk: Any) -> dict[str, Any]:
         self._require_active()
         sdb = self._sdb
-        placement = sdb.placement(table)
-        if placement[0] == "global" and len(sdb.shards) > 1:
+        if sdb.placement(table)[0] == "global":
             row: dict[str, Any] = {}
             for sid in range(len(sdb.shards)):
                 row = self._txn_for(sid).delete(table, pk)
             return row
-        sid = self._owning_shard(table, pk, placement)
-        return self._txn_for(sid).delete(table, pk)
+        return self._txn_for(sdb._owner(table, pk)).delete(table, pk)
 
     def get(self, table: str, pk: Any) -> dict[str, Any]:
         self._require_active()
-        sdb = self._sdb
-        placement = sdb.placement(table)
-        sid = self._owning_shard(table, pk, placement)
-        return self._txn_for(sid).get(table, pk)
-
-    def _owning_shard(self, table: str, pk: Any, placement: tuple) -> int:
-        """The shard holding row *pk*, seeing this txn's own writes."""
-        sdb = self._sdb
-        if placement[0] == "global" or len(sdb.shards) == 1:
-            return 0
-        if placement[0] == "hash":
-            return sdb.shard_index(pk)
-        owner = sdb._probe_shard(table, pk)
-        if owner is None:
-            raise RowNotFound(table, pk)
-        return owner
+        return self._txn_for(self._sdb._owner(table, pk)).get(table, pk)
 
     # -- savepoints --------------------------------------------------------
 
@@ -377,9 +397,9 @@ class ShardedTransaction:
                         (
                             sid,
                             txn,
-                            sdb._fan_out(
+                            sdb._pool.submit(
                                 sdb.shard(sid).prepare_commit, txn, gtid
-                            ),
+                            ).result,
                         )
                     )
             finally:
@@ -432,9 +452,9 @@ class ShardedTransaction:
                     (
                         sid,
                         txn,
-                        sdb._fan_out(
+                        sdb._pool.submit(
                             sdb.shard(sid).commit_prepared_durable, txn, gtid
-                        ),
+                        ).result,
                     )
                 )
         except CrashPoint:
@@ -478,8 +498,9 @@ class ShardedSnapshot:
     Holds one per-shard :class:`~repro.storage.snapshot.Snapshot`,
     opened atomically with respect to cross-shard commits (the
     coordinator's publish lock covers both), so a 2PC transaction is
-    visible on all of its shards or on none.  Mirrors the single-shard
-    snapshot surface."""
+    visible on all of its shards or on none.  Offers the part of the
+    single-shard snapshot surface the stack reads through: point reads,
+    counts and queries."""
 
     __slots__ = ("_sdb", "_sid", "_parts", "_closed")
 
@@ -553,56 +574,27 @@ class ShardedSnapshot:
                 return row
         return None
 
-    def contains(self, table: str, pk: Any) -> bool:
-        return self.get_or_none(table, pk) is not None
-
-    def scan(self, table: str) -> Iterator[dict[str, Any]]:
-        for part in self._read_parts(table):
-            yield from part.scan(table)
-
     def count(self, table: str) -> int:
         return sum(part.count(table) for part in self._read_parts(table))
-
-    def pks(self, table: str) -> list[Any]:
-        out: list[Any] = []
-        for part in self._read_parts(table):
-            out.extend(part.pks(table))
-        return out
-
-    def lookup(
-        self, table: str, columns: "str | tuple[str, ...]", *values: Any
-    ) -> list[dict[str, Any]]:
-        rows: list[dict[str, Any]] = []
-        for part in self._read_parts(table):
-            rows.extend(part.lookup(table, columns, *values))
-        return rows
 
     def query(self, table: str) -> "ShardedQuery":
         self._check_open()
         return ShardedQuery(self._sdb, table, snapshot=self)
 
-    def statistics(self) -> dict[str, Any]:
-        self._check_open()
-        tables: dict[str, int] = {}
-        for name in self._sdb.table_names():
-            tables[name] = self.count(name)
-        return {
-            "seq": self.seq,
-            "vector": self.vector,
-            "tables": tables,
-            "total_rows": sum(tables.values()),
-        }
 
+class ShardedQuery(Query):
+    """A :class:`~repro.storage.query.Query` whose rows come from shards.
 
-class ShardedQuery:
-    """Scatter-gather twin of :class:`~repro.storage.query.Query`.
-
-    Collects the fluent state once, then builds one per-shard ``Query``
-    per consulted shard at execution time.  Single-shard routes (global
-    tables, equality on the routing column or hash key) push the full
-    query — order, offset, limit — down to that shard; scatter routes
-    push ``limit(offset+limit)`` down and re-sort/paginate the merged
-    rows at the coordinator."""
+    Everything else is inherited: the builder, column checks against
+    shard 0's schema (every shard holds the same one), ``fingerprint``,
+    and every terminal that ``Query`` computes over
+    :meth:`_matching_rows`/:meth:`_limited_rows` (``exists``, ``first``,
+    ``one``, ``pks``, ``values``, ``distinct_values``, ``aggregate``,
+    ``group_by``).  A single-shard route (a global table, or equality on
+    the routing column or hash key) pushes the whole query — order,
+    offset, limit — down to that shard; a scatter route pushes
+    ``limit(offset+limit)`` down and sorts and pages the merged rows.
+    ``all``/``count`` go through each shard's own result cache."""
 
     def __init__(
         self,
@@ -611,298 +603,91 @@ class ShardedQuery:
         *,
         snapshot: "ShardedSnapshot | None" = None,
     ):
+        super().__init__(sdb.shard(0).table(table), snapshot=snapshot)
         self._sdb = sdb
-        self._name = table
-        self._schema = sdb.shard(0).table(table).schema
-        self._snapshot = snapshot
-        self._conditions: list[Condition] = []
-        self._order: list[tuple[str, bool]] = []
-        self._limit: int | None = None
-        self._offset: int = 0
-        self._use_indexes = True
-
-    # -- building ----------------------------------------------------------
-
-    def _check_column(self, column: str) -> None:
-        if not self._schema.has_column(column):
-            raise SchemaError(
-                f"table {self._name!r} has no column {column!r}"
-            )
-
-    def where(
-        self, column: str, op: str = "=", value: Any = None
-    ) -> "ShardedQuery":
-        from repro.storage.query import _OPS
-
-        if op not in _OPS:
-            raise SchemaError(f"unknown operator {op!r}")
-        self._check_column(column)
-        self._conditions.append(Condition(column, op, value))
-        return self
-
-    def filter(self, *conditions: Condition) -> "ShardedQuery":
-        for cond in conditions:
-            self._check_column(cond.column)
-            self._conditions.append(cond)
-        return self
-
-    def order_by(
-        self, column: str, *, descending: bool = False
-    ) -> "ShardedQuery":
-        self._check_column(column)
-        self._order.append((column, descending))
-        return self
-
-    def limit(self, n: int) -> "ShardedQuery":
-        if n < 0:
-            raise SchemaError("limit must be >= 0")
-        self._limit = n
-        return self
-
-    def offset(self, n: int) -> "ShardedQuery":
-        if n < 0:
-            raise SchemaError("offset must be >= 0")
-        self._offset = n
-        return self
-
-    def without_indexes(self) -> "ShardedQuery":
-        self._use_indexes = False
-        return self
-
-    # -- routing -----------------------------------------------------------
 
     def _route(self) -> tuple[list[int], str]:
         """``(shards_consulted, routing)`` for this query's predicates."""
-        placement = self._sdb.placement(self._name)
+        placement = self._sdb.placement(self._table.name)
         if placement[0] == "global":
             return [0], "global"
-        n = len(self._sdb.shards)
-        if n == 1:
-            return [0], "direct"
-        eq: dict[str, Any] = {}
-        for cond in self._conditions:
-            if cond.op == "=" and cond.value is not None:
-                eq.setdefault(cond.column, cond.value)
-        if placement[0] in ("project", "hash") and placement[1] in eq:
-            return [self._sdb.shard_index(eq[placement[1]])], "direct"
-        return list(range(n)), "scatter"
+        if placement[0] in ("project", "hash"):
+            for cond in self._conditions:
+                if (
+                    cond.column == placement[1]
+                    and cond.op == "="
+                    and cond.value is not None
+                ):
+                    return [self._sdb.shard_index(cond.value)], "direct"
+        return list(range(len(self._sdb.shards))), "scatter"
 
-    def _build(self, sid: int, *, push_paging: bool) -> Query:
-        snap = self._snapshot.part(sid) if self._snapshot is not None else None
-        q = Query(self._sdb.shard(sid).table(self._name), snapshot=snap)
-        if self._conditions:
-            q.filter(*self._conditions)
-        for column, descending in self._order:
-            q.order_by(column, descending=descending)
-        if not self._use_indexes:
-            q.without_indexes()
+    def _part(self, sid: int, *, push_paging: bool = False) -> Query:
+        """This query on shard *sid*.  Paging goes down whole when the
+        shard is the only one consulted; otherwise a shard can never
+        contribute more than ``offset + limit`` rows to the page."""
+        snap = None if self._snapshot is None else self._snapshot.part(sid)
+        part = Query(self._sdb.shard(sid).table(self._table.name), snapshot=snap)
+        part._conditions = self._conditions
+        part._order = self._order
+        part._use_indexes = self._use_indexes
         if push_paging:
-            if self._offset:
-                q.offset(self._offset)
-            if self._limit is not None:
-                q.limit(self._limit)
+            part._offset, part._limit = self._offset, self._limit
         elif self._limit is not None:
-            # A shard can never contribute more than offset+limit rows
-            # to the merged page.
-            q.limit(self._offset + self._limit)
-        return q
+            part._limit = self._offset + self._limit
+        return part
 
-    def _merged_rows(self) -> list[dict[str, Any]]:
-        targets, _routing = self._route()
-        if len(targets) == 1:
-            return self._build(targets[0], push_paging=True).all()
-        rows: list[dict[str, Any]] = []
-        for sid in targets:
-            rows.extend(self._build(sid, push_paging=False).all())
+    def _matching_rows(self) -> Iterator[dict[str, Any]]:
+        return chain.from_iterable(
+            self._part(sid)._matching_rows() for sid in self._route()[0]
+        )
+
+    def _limited_rows(self) -> list[dict[str, Any]]:
+        targets, routing = self._route()
+        if routing != "scatter":
+            return self._part(targets[0], push_paging=True).all()
+        rows = [row for sid in targets for row in self._part(sid).all()]
         for column, descending in reversed(self._order):
             rows.sort(key=lambda r: sort_key(r.get(column)), reverse=descending)
-        if self._offset:
-            rows = rows[self._offset:]
-        if self._limit is not None:
-            rows = rows[: self._limit]
-        return rows
+        stop = None if self._limit is None else self._offset + self._limit
+        return rows[self._offset:stop]
 
-    # -- introspection -----------------------------------------------------
+    def all(self) -> list[dict[str, Any]]:
+        # The per-shard results are already private copies.
+        return list(self._result_rows())
 
-    def fingerprint(self) -> str:
-        return self._build(0, push_paging=True).fingerprint()
+    def count(self) -> int:
+        return sum(self._part(sid).count() for sid in self._route()[0])
 
-    def explain(self) -> dict[str, Any]:
-        """Single-shard explain enriched with the shard fan-out.
+    def explain(self, *, analyze: bool = False) -> dict[str, Any]:
+        """The consulted shards' explains, merged.
 
         ``shards_consulted`` lists the shards this query reads and
         ``routing`` is ``direct`` (one shard), ``scatter`` (all), or
         ``global`` (reference table, shard 0).  On a scatter route the
-        reported strategy/candidate numbers describe the first consulted
-        shard; ``shards`` maps every consulted shard to its strategy.
+        strategy describes the first consulted shard, ``shards`` maps
+        every consulted shard to its strategy, and candidates and
+        estimates are summed across them.
         """
         targets, routing = self._route()
-        base = self._build(
-            targets[0], push_paging=len(targets) == 1
-        ).explain()
-        base["shards_consulted"] = list(targets)
-        base["routing"] = routing
-        if len(targets) > 1:
-            shard_plans = {
-                sid: self._build(sid, push_paging=False).explain()
-                for sid in targets
-            }
-            base["shards"] = {
-                sid: plan["strategy"] for sid, plan in shard_plans.items()
-            }
-            base["candidates"] = sum(
-                plan["candidates"] for plan in shard_plans.values()
-            )
-            # Scatter-gather totals of the per-shard costed plans, so
-            # the merged view reports planner estimates too.
-            base["estimated_rows"] = sum(
-                plan["estimated_rows"] for plan in shard_plans.values()
-            )
-            base["estimated_cost"] = round(
-                sum(plan["estimated_cost"] for plan in shard_plans.values()),
-                2,
-            )
-        return base
-
-    # -- execution ---------------------------------------------------------
-
-    def all(self) -> list[dict[str, Any]]:
-        return self._merged_rows()
-
-    def first(self) -> dict[str, Any] | None:
-        rows = self.limit(1).all() if self._limit is None else self.all()
-        return rows[0] if rows else None
-
-    def one(self) -> dict[str, Any]:
-        rows = self.limit(2).all()
-        if not rows:
-            raise SchemaError(f"query on {self._name!r} matched no rows")
-        if len(rows) > 1:
-            raise SchemaError(
-                f"query on {self._name!r} matched more than one row"
-            )
-        return rows[0]
-
-    def count(self) -> int:
-        targets, _routing = self._route()
-        return sum(
-            self._build(sid, push_paging=False).count() for sid in targets
-        )
-
-    def exists(self) -> bool:
-        targets, _routing = self._route()
-        return any(
-            self._build(sid, push_paging=False).exists() for sid in targets
-        )
-
-    def pks(self) -> list[Any]:
-        pk_col = self._schema.primary_key.name
-        return [row[pk_col] for row in self._merged_rows()]
-
-    def values(self, column: str) -> list[Any]:
-        self._check_column(column)
-        return [row.get(column) for row in self._merged_rows()]
-
-    def distinct_values(self, column: str) -> list[Any]:
-        self._check_column(column)
-        targets, _routing = self._route()
-        seen: dict = {}
-        for sid in targets:
-            for value in self._build(
-                sid, push_paging=False
-            ).distinct_values(column):
-                seen[repr(value)] = value
-        return sorted(seen.values(), key=sort_key)
-
-    def aggregate(self, column: str, function: str) -> Any:
-        self._check_column(column)
-        if function not in ("count", "sum", "min", "max", "avg"):
-            raise SchemaError(f"unknown aggregate {function!r}")
-        targets, _routing = self._route()
-        if function == "avg":
-            # An average does not merge from per-shard averages: combine
-            # per-shard (sum, count) pairs instead.
-            total = 0.0
-            items = 0
-            for sid in targets:
-                q = self._build(sid, push_paging=False)
-                n = q.aggregate(column, "count")
-                if n:
-                    total += q.aggregate(column, "sum")
-                    items += n
-            return total / items if items else None
-        parts = [
-            self._build(sid, push_paging=False).aggregate(column, function)
+        plans = [
+            self._part(sid, push_paging=routing != "scatter").explain()
             for sid in targets
         ]
-        if function in ("count", "sum"):
-            return sum(parts)
-        values = [p for p in parts if p is not None]
-        if not values:
-            return None
-        return (
-            min(values, key=sort_key)
-            if function == "min"
-            else max(values, key=sort_key)
-        )
-
-    def group_by(
-        self,
-        column: str,
-        *,
-        aggregate: str = "count",
-        value_column: str | None = None,
-    ) -> dict[Any, Any]:
-        self._check_column(column)
-        if value_column is not None:
-            self._check_column(value_column)
-        if aggregate not in ("count", "sum", "min", "max", "avg"):
-            raise SchemaError(f"unknown aggregate {aggregate!r}")
-        targets, _routing = self._route()
-        if len(targets) == 1:
-            return self._build(targets[0], push_paging=False).group_by(
-                column, aggregate=aggregate, value_column=value_column
-            )
-        if aggregate == "avg":
-            sums: dict[Any, float] = {}
-            counts: dict[Any, int] = {}
-            for sid in targets:
-                q = self._build(sid, push_paging=False)
-                for key, value in q.group_by(
-                    column, aggregate="sum", value_column=value_column
-                ).items():
-                    sums[key] = sums.get(key, 0) + (value or 0)
-                for key, value in q.group_by(
-                    column, aggregate="count", value_column=value_column
-                ).items():
-                    counts[key] = counts.get(key, 0) + (value or 0)
-            return {
-                key: (sums.get(key, 0) / counts[key]) if counts.get(key) else None
-                for key in counts
+        result = plans[0]
+        result["shards_consulted"] = targets
+        result["routing"] = routing
+        if routing == "scatter":
+            result["shards"] = {
+                sid: plan["strategy"] for sid, plan in zip(targets, plans)
             }
-        merged: dict[Any, Any] = {}
-        for sid in targets:
-            partial = self._build(sid, push_paging=False).group_by(
-                column, aggregate=aggregate, value_column=value_column
+            for key in ("candidates", "estimated_rows"):
+                result[key] = sum(plan[key] for plan in plans)
+            result["estimated_cost"] = round(
+                sum(plan["estimated_cost"] for plan in plans), 2
             )
-            for key, value in partial.items():
-                if key not in merged:
-                    merged[key] = value
-                elif aggregate in ("count", "sum"):
-                    merged[key] = merged[key] + value
-                elif value is not None and (
-                    merged[key] is None
-                    or (
-                        aggregate == "min"
-                        and sort_key(value) < sort_key(merged[key])
-                    )
-                    or (
-                        aggregate == "max"
-                        and sort_key(value) > sort_key(merged[key])
-                    )
-                ):
-                    merged[key] = value
-        return merged
+        if analyze:
+            result["actual_rows"] = len(self.all())
+        return result
 
 
 class ShardedDatabase:
@@ -918,7 +703,7 @@ class ShardedDatabase:
         self,
         path: "str | Path | None" = None,
         *,
-        shards: int = 1,
+        shards: int,
         durable: bool = True,
         durability: "Durability | str | None" = None,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
@@ -926,8 +711,13 @@ class ShardedDatabase:
         router: "ShardRouter | None" = None,
         lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
     ):
-        if shards < 1:
-            raise SchemaError(f"shard count must be >= 1, got {shards}")
+        if shards < 2:
+            raise SchemaError(
+                f"a sharded deployment needs >= 2 shards, got {shards}; "
+                "one shard is a plain Database"
+            )
+        if path is not None:
+            resolve_shard_count(path, shards)
         self.obs = obs if obs is not None else Observability()
         self.router = router if router is not None else ShardRouter()
         self.durability = Durability.parse(durability)
@@ -972,7 +762,17 @@ class ShardedDatabase:
         }
         if self._path is not None:
             self._path.mkdir(parents=True, exist_ok=True)
-            self._load_or_write_shard_map(shards)
+            map_path = self._path / SHARD_MAP_NAME
+            if not map_path.exists():
+                map_path.write_text(
+                    json.dumps(
+                        {"shards": shards, "router": self.router.config()},
+                        indent=2,
+                        sort_keys=True,
+                    )
+                    + "\n",
+                    encoding="utf-8",
+                )
         self.shards: list[Database] = [
             Database(
                 self._path / f"shard-{i}" if self._path is not None else None,
@@ -980,7 +780,7 @@ class ShardedDatabase:
                 durability=durability,
                 query_cache_size=query_cache_size,
                 obs=self.obs,
-                shard=str(i) if shards > 1 else None,
+                shard=str(i),
             )
             for i in range(shards)
         ]
@@ -995,66 +795,8 @@ class ShardedDatabase:
         # then costs the slowest participant, not the sum.  One shard
         # never has two in-flight appends — its writer lock is held by
         # the dispatching transaction throughout.
-        self._pool: "ThreadPoolExecutor | None" = (
-            ThreadPoolExecutor(
-                max_workers=min(16, 4 * shards),
-                thread_name_prefix="shard-io",
-            )
-            if shards > 1
-            else None
-        )
-
-    def _fan_out(self, fn: Callable, *args) -> Callable:
-        """Run ``fn(*args)`` on the I/O pool; returns a join callable.
-
-        The join re-raises the task's exception, like
-        ``Future.result()``.  Without a pool (one shard) the call runs
-        inline and the join just replays its outcome.
-        """
-        if self._pool is not None:
-            return self._pool.submit(fn, *args).result
-        try:
-            result = fn(*args)
-        except BaseException as exc:
-            def raise_joiner(exc=exc):
-                raise exc
-            return raise_joiner
-        return lambda: result
-
-    # -- shard map ---------------------------------------------------------
-
-    @staticmethod
-    def stored_shard_count(path: "str | Path") -> int | None:
-        """Shard count persisted at *path*, or ``None`` if unsharded."""
-        map_path = Path(path) / SHARD_MAP_NAME
-        if not map_path.exists():
-            return None
-        try:
-            data = json.loads(map_path.read_text(encoding="utf-8"))
-            return int(data["shards"])
-        except (ValueError, KeyError, TypeError):
-            return None
-
-    def _load_or_write_shard_map(self, shards: int) -> None:
-        assert self._path is not None
-        map_path = self._path / SHARD_MAP_NAME
-        if map_path.exists():
-            stored = self.stored_shard_count(self._path)
-            if stored is not None and stored != shards:
-                raise SchemaError(
-                    f"data directory {self._path} was initialised with "
-                    f"{stored} shard(s); cannot open with {shards} "
-                    "(resharding is not supported)"
-                )
-            return
-        map_path.write_text(
-            json.dumps(
-                {"shards": shards, "router": self.router.config()},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+        self._pool = ThreadPoolExecutor(
+            max_workers=min(16, 4 * shards), thread_name_prefix="shard-io"
         )
 
     # -- routing -----------------------------------------------------------
@@ -1093,19 +835,10 @@ class ShardedDatabase:
             allocator.observe(supplied)
 
     def _route_insert(
-        self,
-        table: str,
-        placement: tuple,
-        values: dict[str, Any],
-        *,
-        probe: "ShardedTransaction | None" = None,
+        self, table: str, placement: tuple, values: dict[str, Any]
     ) -> int:
-        if len(self.shards) == 1 or placement[0] == "global":
-            return 0
-        kind = placement[1 - 1]
-        if kind == "project":
-            return self.shard_index(values.get(placement[1]))
-        if kind == "parent":
+        """The shard a new row of a partitioned *table* belongs on."""
+        if placement[0] == "parent":
             column, parent_table = placement[1], placement[2]
             parent_pk = values.get(column)
             if parent_pk is not None:
@@ -1119,7 +852,7 @@ class ShardedDatabase:
     def _probe_shard(self, table: str, pk: Any) -> "int | None":
         """Which shard holds row *pk* of *table* (live state), if any."""
         placement = self.placement(table)
-        if placement[0] == "global" or len(self.shards) == 1:
+        if placement[0] == "global":
             return 0 if pk in self.shards[0].table(table) else None
         if placement[0] == "hash":
             sid = self.shard_index(pk)
@@ -1128,6 +861,13 @@ class ShardedDatabase:
             if pk in db.table(table):
                 return sid
         return None
+
+    def _owner(self, table: str, pk: Any) -> int:
+        """The shard holding row *pk*; a missing row is an error."""
+        sid = self._probe_shard(table, pk)
+        if sid is None:
+            raise RowNotFound(table, pk)
+        return sid
 
     def _count_routing(self, routing: str) -> None:
         child = self._m_routing_children.get(routing)
@@ -1149,13 +889,12 @@ class ShardedDatabase:
     def table(self, name: str):
         """The live table — only where a single authoritative one exists.
 
-        With one shard, or for global tables (identical on every shard),
-        shard 0's table is the answer.  A partitioned table has no
-        single ``Table``; callers must go through the coordinator's
+        For global tables (identical on every shard) shard 0's table is
+        the answer.  A partitioned table has no single ``Table``;
+        callers must go through the coordinator's
         ``query``/``get``/``transaction`` surface instead.
         """
-        placement = self.placement(name)
-        if len(self.shards) == 1 or placement[0] == "global":
+        if self.placement(name)[0] == "global":
             return self.shards[0].table(name)
         raise SchemaError(
             f"table {name!r} is partitioned across {len(self.shards)} "
@@ -1168,9 +907,6 @@ class ShardedDatabase:
 
     def table_names(self) -> list[str]:
         return list(self._placements)
-
-    def referencing(self, table: str) -> list[tuple[str, str, str]]:
-        return self.shards[0].referencing(table)
 
     def table_dirty(self, name: str) -> bool:
         return any(db.table(name).dirty for db in self.shards)
@@ -1213,34 +949,15 @@ class ShardedDatabase:
         for db in self.shards:
             db.add_column(table, column)
 
-    def add_index(self, table: str, columns: "tuple[str, ...] | str") -> None:
-        for db in self.shards:
-            db.add_index(table, columns)
-
     # -- transactions ------------------------------------------------------
 
     def transaction(self, *, timeout: "float | None" = None) -> ShardedTransaction:
         with self._txn_lock:
             self._txn_counter += 1
             txn_id = self._txn_counter
-        txn = ShardedTransaction(
+        return ShardedTransaction(
             self, txn_id, self.lock_timeout if timeout is None else timeout
         )
-        if len(self.shards) == 1:
-            # Single-shard deployments keep the exact historical
-            # semantics: the writer lock is held from begin, so a
-            # snapshot opened right after transaction() includes every
-            # commit that preceded it.
-            txn._txn_for(0)
-        return txn
-
-    def on_commit(self, listener: Callable[[list[UndoEntry]], None]) -> None:
-        for db in self.shards:
-            db.on_commit(listener)
-
-    def on_commit_seq(self, listener: Callable[[int], None]) -> None:
-        for db in self.shards:
-            db.on_commit_seq(listener)
 
     # -- 2PC decision log --------------------------------------------------
 
@@ -1303,12 +1020,12 @@ class ShardedDatabase:
     # entirely and ride the owning shard's own autocommit path: the
     # routing work (pk allocation, placement hash) happens *before* the
     # shard writer lock is taken, instead of inside the hold as a
-    # wrapped transaction would do it.  Global tables (and the N==1
-    # migration-check corner) still go through the wrapper.
+    # wrapped transaction would do it.  Global tables (and routing-column
+    # updates, for the migration check) still go through the wrapper.
 
     def insert(self, table: str, values: dict[str, Any]) -> dict[str, Any]:
         placement = self.placement(table)
-        if placement[0] == "global" and len(self.shards) > 1:
+        if placement[0] == "global":
             with self.transaction() as txn:
                 return txn.insert(table, values)
         values = dict(values)
@@ -1322,25 +1039,20 @@ class ShardedDatabase:
     ) -> dict[str, Any]:
         placement = self.placement(table)
         routed = placement[0] in ("project", "hash")
-        if (placement[0] == "global" or (routed and placement[1] in changes)) \
-                and len(self.shards) > 1:
+        if placement[0] == "global" or (routed and placement[1] in changes):
             # Global fan-out, or a routing-column change that needs the
             # wrapper's cross-shard migration check.
             with self.transaction() as txn:
                 return txn.update(table, pk, changes)
-        sid = self._probe_shard(table, pk)
-        if sid is None:
-            raise RowNotFound(table, pk)
+        sid = self._owner(table, pk)
         self._count_routing("direct")
         return self.shards[sid].update(table, pk, changes)
 
     def delete(self, table: str, pk: Any) -> dict[str, Any]:
-        if self.placement(table)[0] == "global" and len(self.shards) > 1:
+        if self.placement(table)[0] == "global":
             with self.transaction() as txn:
                 return txn.delete(table, pk)
-        sid = self._probe_shard(table, pk)
-        if sid is None:
-            raise RowNotFound(table, pk)
+        sid = self._owner(table, pk)
         self._count_routing("direct")
         return self.shards[sid].delete(table, pk)
 
@@ -1358,7 +1070,6 @@ class ShardedDatabase:
 
     def query(self, table: str, *, snapshot=None) -> ShardedQuery:
         """Start a scatter-gather fluent query, optionally snapshot-pinned."""
-        self.placement(table)  # raise early for unknown tables
         return ShardedQuery(self, table, snapshot=snapshot)
 
     def count(self, table: str) -> int:
@@ -1461,29 +1172,28 @@ class ShardedDatabase:
             problems.extend(
                 f"shard {sid}: {problem}" for problem in db.verify_integrity()
             )
-        if len(self.shards) > 1:
-            for name, placement in self._placements.items():
-                if placement[0] == "global":
-                    reference = set(self.shards[0].table(name).pks())
-                    for sid in range(1, len(self.shards)):
-                        other = set(self.shards[sid].table(name).pks())
-                        if other != reference:
+        for name, placement in self._placements.items():
+            if placement[0] == "global":
+                reference = set(self.shards[0].table(name).pks())
+                for sid in range(1, len(self.shards)):
+                    other = set(self.shards[sid].table(name).pks())
+                    if other != reference:
+                        problems.append(
+                            f"global table {name!r}: shard {sid} "
+                            f"diverges from shard 0 "
+                            f"({len(other ^ reference)} row(s) differ)"
+                        )
+            else:
+                seen: dict[Any, int] = {}
+                for sid, db in enumerate(self.shards):
+                    for pk in db.table(name).pks():
+                        if pk in seen:
                             problems.append(
-                                f"global table {name!r}: shard {sid} "
-                                f"diverges from shard 0 "
-                                f"({len(other ^ reference)} row(s) differ)"
+                                f"table {name!r}: pk {pk!r} present on "
+                                f"shards {seen[pk]} and {sid}"
                             )
-                else:
-                    seen: dict[Any, int] = {}
-                    for sid, db in enumerate(self.shards):
-                        for pk in db.table(name).pks():
-                            if pk in seen:
-                                problems.append(
-                                    f"table {name!r}: pk {pk!r} present on "
-                                    f"shards {seen[pk]} and {sid}"
-                                )
-                            else:
-                                seen[pk] = sid
+                        else:
+                            seen[pk] = sid
         return problems
 
     def rebuild_indexes(self) -> None:
@@ -1556,22 +1266,8 @@ class ShardedDatabase:
             },
         }
 
-    @property
-    def query_cache(self):
-        """Shard 0's result cache (API compatibility; stats aggregate)."""
-        return self.shards[0].query_cache
-
-    @property
-    def wal(self) -> "WriteAheadLog | None":
-        """Shard 0's WAL — for single-shard compatibility surfaces only.
-
-        Replication and tailing of a sharded deployment must go
-        per-shard (``sdb.shard(i).wal``)."""
-        return self.shards[0].wal
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         for db in self.shards:
             db.close()
         if self._decision_log is not None:

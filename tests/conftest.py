@@ -10,11 +10,13 @@ import pytest
 from repro.storage import Column, ColumnType, Database, TableSchema
 from repro.util.clock import ManualClock
 
-#: ``REPRO_TEST_SHARDS=N`` reruns the whole suite with every
-#: ``BFabric`` facade backed by a ``ShardedDatabase`` coordinator with N
-#: shards instead of a bare ``Database`` — the drop-in compatibility
-#: check (CI runs the facade/ORM/portal suites with N=1).  Tests that
-#: construct ``Database`` directly are storage-internal and unaffected.
+#: ``REPRO_TEST_SHARDS=N`` (N >= 2) reruns a suite with every
+#: ``BFabric`` facade that does not pass ``shards`` itself backed by a
+#: ``ShardedDatabase`` coordinator with N shards instead of a bare
+#: ``Database`` — the drop-in compatibility check (CI runs the
+#: facade/ORM/portal suites with N=2; N=1 is a plain ``Database``, so it
+#: checks nothing).  Tests that construct ``Database`` directly are
+#: storage-internal and unaffected.
 _SHARDS = os.environ.get("REPRO_TEST_SHARDS")
 if _SHARDS:
     from repro.facade import BFabric as _BFabric

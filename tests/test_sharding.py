@@ -1,4 +1,8 @@
-"""Sharded write path: routing, scatter-gather reads, 2PC, drop-in N=1."""
+"""Sharded write path: routing, scatter-gather reads, 2PC, and the
+contract that one shard is a plain Database."""
+
+import os
+import random
 
 import pytest
 
@@ -9,12 +13,15 @@ from repro.errors import (
     SchemaError,
     TransactionError,
 )
+from repro import cli
+from repro.facade import BFabric
 from repro.resilience.faults import Fault, FaultPlan, inject
-from repro.storage import Column, ColumnType, TableSchema
+from repro.storage import Column, ColumnType, Database, TableSchema
 from repro.storage.sharding import (
     ShardedDatabase,
     ShardRouter,
     stable_hash,
+    stored_shard_count,
 )
 
 
@@ -426,24 +433,30 @@ class TestCoordinatorAggregation:
 
 
 class TestDropInSingleShard:
-    """N=1 must behave like a plain Database behind the same API."""
+    """One shard is not a coordinator: it is a plain Database."""
 
-    def test_database_shaped_surface(self):
-        sdb = _make(shards=1)
-        row = sdb.insert("note", {"body": "x"})
-        assert sdb.get("note", row["id"])["body"] == "x"
-        assert sdb.table("note").schema.name == "note"
-        with sdb.transaction() as txn:
-            txn.insert("note", {"body": "y"})
-        assert sdb.count("note") == 2
-        with sdb.snapshot() as snap:
-            sdb.insert("note", {"body": "z"})
-            assert snap.count("note") == 2
-        plan = sdb.query("note").explain()
-        assert plan["routing"] == "direct"
-        assert plan["shards_consulted"] == [0]
-        assert sdb.statistics()["sharding"]["shards"] == 1
-        sdb.close()
+    def test_database_shaped_surface(self, tmp_path):
+        assert type(BFabric(shards=1).db) is Database
+        system = BFabric(tmp_path / "d", shards=1)
+        assert type(system.db) is Database
+        system.close()
+        assert not (tmp_path / "d" / "db" / "shard_map.json").exists()
+        reopened = BFabric(tmp_path / "d")
+        assert type(reopened.db) is Database
+        reopened.close()
+        with pytest.raises(SchemaError, match=">= 2 shards"):
+            ShardedDatabase(shards=1)
+
+    def test_init_with_one_shard_creates_a_plain_database(self, tmp_path, capsys):
+        data = str(tmp_path / "d")
+        assert cli.main(["--data", data, "init", "--shards", "1"]) == 0
+        assert "sharded" not in capsys.readouterr().out
+        assert stored_shard_count(tmp_path / "d" / "db") == 1
+        system = BFabric(data)
+        system.recover()
+        assert type(system.db) is Database
+        assert system.directory.user_by_login("admin") is not None
+        system.close()
 
     def test_partitioned_table_access_raises_at_n_gt_1(self, sdb):
         with pytest.raises(SchemaError, match="partitioned"):
@@ -453,11 +466,40 @@ class TestDropInSingleShard:
 
 
 class TestShardMapPersistence:
+    def test_plain_directory_refuses_two_shards(self, tmp_path):
+        plain = BFabric(tmp_path / "d")
+        plain.bootstrap(password="pw")
+        plain.close()
+        before = sorted(os.listdir(tmp_path / "d" / "db"))
+        with pytest.raises(SchemaError, match=r"holds 1 shard.* with 2"):
+            BFabric(tmp_path / "d", shards=2)
+        assert sorted(os.listdir(tmp_path / "d" / "db")) == before
+        again = BFabric(tmp_path / "d")
+        again.recover()
+        assert type(again.db) is Database
+        assert again.directory.user_by_login("admin") is not None
+        again.close()
+
+    def test_two_shard_directory_refuses_one_shard(self, tmp_path):
+        sharded = BFabric(tmp_path / "d", shards=2)
+        sharded.bootstrap(password="pw")
+        sharded.close()
+        before = sorted(os.listdir(tmp_path / "d" / "db"))
+        with pytest.raises(SchemaError, match=r"holds 2 shard.* with 1"):
+            BFabric(tmp_path / "d", shards=1)
+        assert sorted(os.listdir(tmp_path / "d" / "db")) == before
+        again = BFabric(tmp_path / "d")
+        again.recover()
+        assert type(again.db) is ShardedDatabase
+        assert again.db.shard_count == 2
+        assert again.directory.user_by_login("admin") is not None
+        again.close()
+
     def test_reopen_with_other_count_refuses(self, tmp_path):
         sdb = _make(tmp_path / "d", shards=2)
         sdb.insert("note", {"body": "x"})
         sdb.close()
-        assert ShardedDatabase.stored_shard_count(tmp_path / "d") == 2
+        assert stored_shard_count(tmp_path / "d") == 2
         with pytest.raises(SchemaError, match="resharding"):
             _make(tmp_path / "d", shards=4)
 
@@ -487,3 +529,163 @@ class TestShardMapPersistence:
         fresh = again.insert("note", {"body": "new"})["id"]
         assert fresh not in ids
         again.close()
+
+
+# -- conformance: a sharded query answers exactly what a Database does -------
+
+#: Conformance tables and the column an equality predicate routes on:
+#: ``lab`` is global, ``sample`` routes by project, ``note`` hashes its pk.
+ROUTE_COLUMNS = {"lab": "id", "sample": "project_id", "note": "id"}
+
+
+def _conformance_schemas() -> list[TableSchema]:
+    def columns(*extra):
+        return [
+            Column("id", ColumnType.INT, primary_key=True),
+            *extra,
+            Column("grp", ColumnType.TEXT),
+            Column("val", ColumnType.FLOAT),
+        ]
+
+    return [
+        TableSchema("lab", columns(), indexes=["grp"]),
+        TableSchema(
+            "sample",
+            columns(Column("project_id", ColumnType.INT, nullable=False)),
+            indexes=["project_id", "grp"],
+            ordered=["val"],
+        ),
+        TableSchema("note", columns(), ordered=["val"]),
+    ]
+
+
+def _conformance_row(rng, table, pk):
+    row = {
+        "id": pk,
+        "grp": rng.choice(["a", "b", "c", None]),
+        # Integral floats: sums are exact whatever order shards add in.
+        "val": rng.choice([None, *map(float, range(8))]),
+    }
+    if table == "sample":
+        row["project_id"] = rng.randrange(6)
+    return row
+
+
+@pytest.fixture(scope="module")
+def conformance():
+    """The same seeded rows in a Database and a 2-shard coordinator,
+    each with a snapshot taken before an identical batch of writes."""
+    router = ShardRouter(global_tables={"lab"})
+    plain, sharded = Database(), ShardedDatabase(shards=2, router=router)
+    rng = random.Random(2010)
+    seeded = {
+        table: [_conformance_row(rng, table, pk) for pk in range(1, 41)]
+        for table in ROUTE_COLUMNS
+    }
+    later = {
+        table: [_conformance_row(rng, table, pk) for pk in range(41, 46)]
+        for table in ROUTE_COLUMNS
+    }
+    for db in (plain, sharded):
+        for schema in _conformance_schemas():
+            db.create_table(schema)
+        for table, rows in seeded.items():
+            for row in rows:
+                db.insert(table, row)
+    snaps = [plain.snapshot(), sharded.snapshot()]
+    for db in (plain, sharded):
+        for table, rows in later.items():
+            for row in rows:
+                db.insert(table, row)
+            db.update(table, 5, {"grp": "c", "val": 6.0})
+            db.delete(table, 11)
+    yield {
+        "live": (plain.query, sharded.query),
+        "snapshot": (snaps[0].query, snaps[1].query),
+    }
+    for snap in snaps:
+        snap.close()
+    sharded.close()
+
+
+AGGREGATES = ("count", "sum", "min", "max", "avg")
+
+
+def _conformance_ops(route):
+    """name -> (terminal, whether its result order is total)."""
+    ops = {
+        "all": (lambda q: q.all(), False),
+        "all_filtered": (lambda q: q.where("grp", "=", "a").all(), False),
+        "all_routed": (lambda q: q.where(route, "=", 3).all(), False),
+        "all_range": (
+            lambda q: q.where("val", ">=", 2.0).where("val", "<", 6.0).all(),
+            False,
+        ),
+        "page": (
+            lambda q: q.order_by("val", descending=True)
+            .order_by("id")
+            .offset(3)
+            .limit(6)
+            .all(),
+            True,
+        ),
+        "page_filtered": (
+            lambda q: q.where("grp", "!=", "b")
+            .order_by("grp")
+            .order_by("id", descending=True)
+            .offset(2)
+            .limit(4)
+            .all(),
+            True,
+        ),
+        "first": (lambda q: q.order_by("grp").order_by("id").first(), True),
+        "first_none": (lambda q: q.where("grp", "=", "zz").first(), True),
+        "one": (lambda q: q.where("id", "=", 7).one(), True),
+        "count": (lambda q: q.count(), True),
+        "count_filtered": (lambda q: q.where("grp", "=", "b").count(), True),
+        "exists": (lambda q: q.where("grp", "=", "c").exists(), True),
+        "exists_none": (lambda q: q.where("grp", "=", "zz").exists(), True),
+        "pks": (lambda q: q.pks(), False),
+        "pks_page": (
+            lambda q: q.order_by("id", descending=True).limit(5).pks(),
+            True,
+        ),
+        "values": (lambda q: q.order_by("id").values("val"), True),
+        "distinct_values": (lambda q: q.distinct_values("grp"), True),
+        "select": (lambda q: q.select("grp").order_by("id").all(), True),
+        "select_filtered": (
+            lambda q: q.where("grp", "=", "a").select("val").all(),
+            False,
+        ),
+    }
+    for fn in AGGREGATES:
+        ops[f"aggregate_{fn}"] = (
+            lambda q, fn=fn: q.aggregate("val", fn), True
+        )
+        ops[f"group_by_{fn}"] = (
+            lambda q, fn=fn: q.group_by("grp", aggregate=fn), True
+        )
+        ops[f"group_by_{fn}_value"] = (
+            lambda q, fn=fn: q.group_by(
+                "grp", aggregate=fn, value_column="val"
+            ),
+            True,
+        )
+    return ops
+
+
+def _unordered(result):
+    return sorted(result, key=repr) if isinstance(result, list) else result
+
+
+@pytest.mark.parametrize("op", sorted(_conformance_ops("id")))
+@pytest.mark.parametrize("mode", ["live", "snapshot"])
+@pytest.mark.parametrize("table", sorted(ROUTE_COLUMNS))
+def test_sharded_terminal_matches_database(conformance, table, mode, op):
+    plain_query, sharded_query = conformance[mode]
+    terminal, total = _conformance_ops(ROUTE_COLUMNS[table])[op]
+    expected = terminal(plain_query(table))
+    actual = terminal(sharded_query(table))
+    if not total:
+        expected, actual = _unordered(expected), _unordered(actual)
+    assert actual == expected
