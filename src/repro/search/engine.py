@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import heapq
+import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from itertools import islice
+from typing import Any, NamedTuple
 
 from repro.obs import Observability
-from repro.search.index import Document, InvertedIndex
+from repro.search.index import DocKey, Document, InvertedIndex
 from repro.search.query import SearchQuery, parse_query
 from repro.search.tokenizer import tokenize
 from repro.security.acl import AccessControl
@@ -26,13 +30,22 @@ class SearchResult:
     metadata: dict[str, Any]
 
 
-#: Bound on cached candidate sets (distinct query shapes per index
+#: Bound on cached ranked answers (distinct query shapes per index
 #: generation); small because one index mutation invalidates them all.
 SEARCH_CACHE_SIZE = 128
 
 
-def _snippet(document: Document, terms: set[str], *, width: int = 90) -> str:
-    """A short excerpt around the first matching term."""
+class _Ranked(NamedTuple):
+    """Every match of one query shape, best first, for all principals."""
+
+    #: Doc keys sorted by ``(-score, key)``.
+    keys: list[DocKey]
+    #: ``project_id`` (``None``: public) -> ascending positions in ``keys``.
+    by_project: dict[int | None, array]
+
+
+def _snippet(document: Document, terms: list[str], *, width: int = 90) -> str:
+    """A short excerpt around the first query term (in query order) found."""
     text = document.text()
     lowered = text.lower()
     position = -1
@@ -47,6 +60,11 @@ def _snippet(document: Document, terms: set[str], *, width: int = 90) -> str:
     prefix = "…" if start > 0 else ""
     suffix = "…" if start + width < len(text) else ""
     return f"{prefix}{excerpt}{suffix}"
+
+
+def _has(docs: dict, scoped_field: str | None, key: DocKey) -> bool:
+    per_field = docs.get(key)
+    return per_field is not None and (scoped_field is None or scoped_field in per_field)
 
 
 class SearchEngine:
@@ -79,17 +97,18 @@ class SearchEngine:
         )
         cache_total = self.obs.metrics.counter(
             "search_cache_total",
-            "Candidate-set cache lookups by result",
+            "Ranked-answer cache lookups by result",
             labels=("result",),
         )
         self._m_cache_hit = cache_total.labels(result="hit")
         self._m_cache_miss = cache_total.labels(result="miss")
-        # Posting-intersection cache, keyed by the index generation plus
-        # the canonical query shape.  Everything cached here is derived
-        # purely from index contents (term candidates, boolean algebra,
-        # type filter); per-principal ACL filtering happens after and is
-        # never cached.
-        self._candidate_cache: "OrderedDict[tuple, frozenset]" = OrderedDict()
+        # Ranked answers, keyed by the index generation plus the
+        # canonical query shape.  An entry is derived purely from index
+        # contents and serves every principal: the per-principal ACL
+        # step picks project buckets out of it on the way out and is
+        # never cached.  Portal workers share it, hence the lock.
+        self._ranked_cache: "OrderedDict[tuple, _Ranked]" = OrderedDict()
+        self._cache_lock = threading.Lock()
 
     # -- indexing -----------------------------------------------------------------
 
@@ -172,37 +191,52 @@ class SearchEngine:
         if types:
             effective_types |= set(types)
 
-        candidates = self._candidates(query, effective_types)
-        if candidates is None:
+        ranked = self._ranked(query, effective_types)
+        if ranked is None:
             return []
-        candidates = self._visible(principal, candidates, snapshot=snapshot)
+        if self._acl is None or principal.is_expert:
+            chosen = ranked.keys[:limit]
+        else:
+            if snapshot is not None:
+                ids = self._acl.visible_project_ids(principal, snapshot=snapshot)
+            else:
+                # Keyword omitted so duck-typed ACL stand-ins predating the
+                # snapshot parameter keep working for live searches.
+                ids = self._acl.visible_project_ids(principal)
+            visible = set(ids)
+            buckets = [
+                positions
+                for project_id, positions in ranked.by_project.items()
+                if project_id is None or project_id in visible
+            ]
+            chosen = [
+                ranked.keys[position]
+                for position in islice(heapq.merge(*buckets), limit)
+            ]
 
         positive = query.positive_terms
-        term_set = {term for term, _ in positive}
-        scored = [
-            (self.index.score(key, positive), key) for key in candidates
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        terms = [term for term, _ in positive]
         results = []
-        for score, key in scored[:limit]:
+        for key in chosen:
             document = self.index.document(*key)
-            assert document is not None
+            if document is None:
+                continue
             results.append(
                 SearchResult(
                     entity_type=key[0],
                     entity_id=key[1],
-                    score=round(score, 6),
+                    score=round(self.index.score(key, positive), 6),
                     label=document.metadata.get("label", ""),
-                    snippet=_snippet(document, term_set),
+                    snippet=_snippet(document, terms),
                     metadata=dict(document.metadata),
                 )
             )
         return results
 
-    def _candidates(
+    def _ranked(
         self, query: SearchQuery, effective_types: set[str]
-    ) -> frozenset | None:
-        """The pre-ACL candidate set for *query*, cached per generation.
+    ) -> _Ranked | None:
+        """The ranked answer for *query*, cached per index generation.
 
         Returns ``None`` for a query with no positive clause.  The cache
         key includes the index generation, so any add/remove/clear makes
@@ -221,35 +255,74 @@ class SearchEngine:
             tuple((c.term, c.field) for c in query.negated),
             tuple(sorted(effective_types)),
         )
-        cached = self._candidate_cache.get(shape)
+        with self._cache_lock:
+            cached = self._ranked_cache.get(shape)
+            if cached is not None:
+                self._ranked_cache.move_to_end(shape)
         if cached is not None:
-            self._candidate_cache.move_to_end(shape)
             self._m_cache_hit.inc()
             return cached
         self._m_cache_miss.inc()
 
-        # Intersection over required terms, union within each OR group,
-        # then intersected; negations subtracted, then the type filter.
-        candidate_sets = []
-        for clause in query.required:
-            candidate_sets.append(self.index.candidates(clause.term, clause.field))
-        for group in query.any_of:
-            union: set = set()
-            for clause in group:
-                union |= self.index.candidates(clause.term, clause.field)
-            candidate_sets.append(union)
-        candidates = set.intersection(*candidate_sets)
-        for clause in query.negated:
-            candidates -= self.index.candidates(clause.term, clause.field)
-        if effective_types:
-            candidates = {
-                key for key in candidates if key[0] in effective_types
-            }
-        result = frozenset(candidates)
-        self._candidate_cache[shape] = result
-        while len(self._candidate_cache) > SEARCH_CACHE_SIZE:
-            self._candidate_cache.popitem(last=False)
+        keys = []
+        by_project: dict[int | None, array] = {}
+        for key in self.index.rank(
+            self._matches(query, effective_types), query.positive_terms
+        ):
+            document = self.index.document(*key)
+            if document is None:
+                continue
+            project_id = document.metadata.get("project_id")
+            bucket = by_project.get(project_id)
+            if bucket is None:
+                bucket = by_project[project_id] = array("I")
+            bucket.append(len(keys))
+            keys.append(key)
+        result = _Ranked(keys, by_project)
+        with self._cache_lock:
+            self._ranked_cache[shape] = result
+            while len(self._ranked_cache) > SEARCH_CACHE_SIZE:
+                self._ranked_cache.popitem(last=False)
         return result
+
+    def _matches(
+        self, query: SearchQuery, effective_types: set[str]
+    ) -> list[DocKey]:
+        """Keys satisfying *query*'s boolean structure and type filter.
+
+        Each required clause, and each OR group (the union of its
+        alternatives), is one requirement.  The rarest seeds the
+        candidates; every other requirement and every negation is a
+        membership test against its posting dict, so a common term's
+        posting list is never copied.
+        """
+        posting = self.index.posting
+        requirements = [[(posting(c.term), c.field)] for c in query.required]
+        requirements += [
+            [(posting(c.term), c.field) for c in group] for group in query.any_of
+        ]
+        requirements.sort(key=lambda alts: sum(len(docs) for docs, _ in alts))
+        first, *others = requirements
+        # Kept in posting order, which is close to key order, so the
+        # ranking sort runs in near-linear time.
+        if len(first) == 1 and first[0][1] is None:
+            matched = list(first[0][0])
+        else:
+            matched = list(dict.fromkeys(
+                key for docs, scoped in first for key in list(docs)
+                if _has(docs, scoped, key)
+            ))
+        for alts in others:
+            matched = [
+                key for key in matched
+                if any(_has(docs, scoped, key) for docs, scoped in alts)
+            ]
+        for clause in query.negated:
+            docs = posting(clause.term)
+            matched = [key for key in matched if not _has(docs, clause.field, key)]
+        if effective_types:
+            matched = [key for key in matched if key[0] in effective_types]
+        return matched
 
     def quick_search(
         self, principal: Principal, text: str, *, limit: int = 10, snapshot=None
@@ -262,31 +335,6 @@ class SearchEngine:
             principal, " ".join(terms), limit=limit, snapshot=snapshot
         )
 
-    def _visible(self, principal: Principal, candidates: set, *, snapshot=None) -> set:
-        """Filter candidates to projects the principal may read.
-
-        The membership lookup runs at *snapshot* when one is given, so
-        the ACL decision is repeatable within a pinned request.
-        """
-        if self._acl is None or principal.is_expert:
-            return candidates
-        if snapshot is not None:
-            ids = self._acl.visible_project_ids(principal, snapshot=snapshot)
-        else:
-            # Keyword omitted so duck-typed ACL stand-ins predating the
-            # snapshot parameter keep working for live searches.
-            ids = self._acl.visible_project_ids(principal)
-        visible_projects = set(ids)
-        kept = set()
-        for key in candidates:
-            document = self.index.document(*key)
-            if document is None:
-                continue
-            project_id = document.metadata.get("project_id")
-            if project_id is None or project_id in visible_projects:
-                kept.add(key)
-        return kept
-
     # -- stats -----------------------------------------------------------------------
 
     def statistics(self) -> dict[str, int]:
@@ -294,5 +342,5 @@ class SearchEngine:
             "documents": len(self.index),
             "terms": self.index.term_count(),
             "generation": self.index.generation,
-            "candidate_cache_entries": len(self._candidate_cache),
+            "candidate_cache_entries": len(self._ranked_cache),
         }

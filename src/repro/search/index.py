@@ -49,9 +49,9 @@ class InvertedIndex:
         self._lengths: dict[DocKey, float] = {}
         self._boosts = dict(DEFAULT_FIELD_BOOSTS if field_boosts is None else field_boosts)
         # Monotonic generation, bumped on every index mutation.  The
-        # search engine keys cached posting intersections on it — the
-        # same trick the storage layer plays with table versions — so a
-        # stale candidate set can never be served.
+        # search engine keys cached ranked answers on it — the same
+        # trick the storage layer plays with table versions — so a
+        # stale answer can never be served.
         self._generation = 0
 
     @property
@@ -87,17 +87,25 @@ class InvertedIndex:
         return math.sqrt(total) or 1.0
 
     def remove(self, entity_type: str, entity_id: int) -> bool:
-        """Drop a document; returns whether it was indexed."""
+        """Drop a document; returns whether it was indexed.
+
+        Only the document's own posting lists are visited: its terms are
+        re-derived from the stored fields, exactly as :meth:`add` did.
+        """
         key = (entity_type, entity_id)
-        if key not in self._documents:
+        document = self._documents.get(key)
+        if document is None:
             return False
-        dead_terms = []
-        for term, docs in self._postings.items():
-            docs.pop(key, None)
+        terms = {
+            token
+            for value in document.fields.values()
+            for token in tokenize(str(value))
+        }
+        for term in terms:
+            docs = self._postings[term]
+            del docs[key]
             if not docs:
-                dead_terms.append(term)
-        for term in dead_terms:
-            del self._postings[term]
+                del self._postings[term]
         del self._documents[key]
         del self._lengths[key]
         self._generation += 1
@@ -134,23 +142,32 @@ class InvertedIndex:
             return 0.0
         return math.log(1.0 + len(self._documents) / df)
 
+    def _weight(self, per_field: dict[str, int], scoped_field: str | None) -> float:
+        """Boosted term frequency of one posting entry; 0 if the term is
+        not in *scoped_field*."""
+        boosts = self._boosts
+        if scoped_field is not None:
+            return per_field.get(scoped_field, 0) * boosts.get(scoped_field, 1.0)
+        weighted = 0.0
+        for field_name, tf in per_field.items():
+            weighted += tf * boosts.get(field_name, 1.0)
+        return weighted
+
     def _term_score(
         self, term: str, key: DocKey, scoped_field: str | None
     ) -> float:
         per_field = self._postings.get(term, {}).get(key)
         if per_field is None:
             return 0.0
-        if scoped_field is not None:
-            tf = per_field.get(scoped_field, 0)
-            if tf == 0:
-                return 0.0
-            weighted = tf * self._boosts.get(scoped_field, 1.0)
-        else:
-            weighted = sum(
-                tf * self._boosts.get(field_name, 1.0)
-                for field_name, tf in per_field.items()
-            )
+        weighted = self._weight(per_field, scoped_field)
+        if not weighted:
+            return 0.0
         return (1.0 + math.log(weighted)) * self._idf(term)
+
+    def posting(self, term: str) -> dict[DocKey, dict[str, int]]:
+        """``doc_key -> {field -> tf}`` for *term*; the caller must not
+        mutate it."""
+        return self._postings.get(term) or {}
 
     def candidates(self, term: str, scoped_field: str | None = None) -> set[DocKey]:
         """Documents containing *term* (optionally only in one field)."""
@@ -167,10 +184,49 @@ class InvertedIndex:
         terms: list[tuple[str, str | None]],
     ) -> float:
         """TF-IDF score of a document against ``(term, field)`` pairs."""
-        raw = sum(self._term_score(term, key, scoped) for term, scoped in terms)
+        raw = 0.0
+        for term, scoped in terms:
+            raw += self._term_score(term, key, scoped)
         if raw == 0.0:
             return 0.0
         return raw / self._lengths[key]
+
+    def rank(
+        self,
+        keys: list[DocKey],
+        terms: list[tuple[str, str | None]],
+    ) -> list[DocKey]:
+        """The distinct *keys* ordered by ``(-score(key, terms), key)``.
+
+        One pass per term, with its idf computed once.  A key's terms are
+        added left to right from ``0.0`` here and in :meth:`score` alike
+        (not with ``sum``, whose float algorithm differs across Python
+        versions), so the floats, and thus the order and its ties, are
+        exactly :meth:`score`'s.  Nothing is allocated per key but its
+        float, so ranking a large answer feeds the collector nothing.
+        Keys given close to key order (as postings hold them) sort in
+        near-linear time.
+        """
+        raw = dict.fromkeys(keys, 0.0)
+        weight = self._weight
+        for term, scoped in terms:
+            docs = self._postings.get(term)
+            if not docs:
+                continue
+            idf = self._idf(term)
+            for key in raw:
+                per_field = docs.get(key)
+                if per_field is not None:
+                    weighted = weight(per_field, scoped)
+                    if weighted:
+                        raw[key] += (1.0 + math.log(weighted)) * idf
+        lengths = self._lengths
+        for key, value in raw.items():
+            if value != 0.0:
+                raw[key] = value / lengths[key]
+        ranked = sorted(raw)
+        ranked.sort(key=raw.__getitem__, reverse=True)  # stable: ties keep key order
+        return ranked
 
     def documents(self) -> list[Document]:
         return list(self._documents.values())

@@ -14,6 +14,12 @@ Examples::
     type:sample hopeless               # only samples
     light OR dark                      # either term
 
+A clause whose text tokenizes into several words (an identifier such
+as ``resource_00012``, or ``name:wt_light``) requires every word, each
+scoped to the clause's field.  Negated clauses and clauses inside an
+OR group keep only their first word: ``-wt_light`` excludes ``wt``, and
+``wt_light OR dark`` means ``wt OR dark``.
+
 The parser is intentionally forgiving: empty clauses are dropped, an
 unknown trailing ``OR`` is treated as a word.  It raises
 :class:`~repro.errors.QuerySyntaxError` only for queries with no
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import QuerySyntaxError
-from repro.search.tokenizer import tokenize
+from repro.search.tokenizer import STOPWORDS, tokenize
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,14 @@ class SearchQuery:
         return not (self.required or self.any_of)
 
 
-def _clause_from(token: str) -> TermClause | None:
+def _clauses_from(token: str) -> list[TermClause]:
+    """The clause's words, each scoped to its field; ``[]`` if none.
+
+    The first word is kept even if it is a stopword (a lone ``the``
+    finds nothing rather than failing to parse); later words that the
+    index never holds are dropped, so requiring them cannot empty the
+    result.
+    """
     negated = token.startswith("-")
     if negated:
         token = token[1:]
@@ -69,12 +82,10 @@ def _clause_from(token: str) -> TermClause | None:
         field_name, token = token.split(":", 1)
         field_name = field_name.strip().lower() or None
     words = tokenize(token, keep_stopwords=True)
-    if not words:
-        return None
-    # Multi-word after tokenization (e.g. "wt_light") — keep the first
-    # word scoped; the rest become part of the same clause is overkill,
-    # the engine treats each parsed clause as one term.
-    return TermClause(term=words[0], field=field_name, negated=negated)
+    words[1:] = [word for word in words[1:] if word not in STOPWORDS]
+    return [
+        TermClause(term=word, field=field_name, negated=negated) for word in words
+    ]
 
 
 def parse_query(raw: str) -> SearchQuery:
@@ -98,10 +109,11 @@ def parse_query(raw: str) -> SearchQuery:
                 query.types.append(type_name)
             index += 1
             continue
-        clause = _clause_from(token)
+        clauses = _clauses_from(token)
         index += 1
-        if clause is None:
+        if not clauses:
             continue
+        clause = clauses[0]
         # Look ahead: is this token part of an OR chain?
         in_or_chain = (
             index < len(tokens) and tokens[index].upper() == "OR"
@@ -118,7 +130,7 @@ def parse_query(raw: str) -> SearchQuery:
                 query.any_of.append(pending_or)
                 pending_or = []
         else:
-            query.required.append(clause)
+            query.required.extend(clauses)
     if pending_or:
         query.any_of.append(pending_or)
     if query.is_empty():

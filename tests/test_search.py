@@ -1,6 +1,10 @@
 """Full-text search: tokenizer, index, query language, engine, history."""
 
 import datetime as dt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,8 @@ from repro.search import (
     parse_query,
     tokenize,
 )
+from repro.search.engine import SearchEngine
+from repro.security.principals import SYSTEM
 from repro.util.clock import ManualClock
 
 
@@ -127,6 +133,32 @@ class TestInvertedIndex:
         assert len(index) == 0
         assert index.term_count() == 0
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=8),
+                st.text(alphabet="abc ", max_size=12),
+            ),
+            max_size=20,
+        ),
+        st.lists(st.integers(min_value=1, max_value=8), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_remove_leaves_what_a_fresh_build_holds(self, entries, removals):
+        index = InvertedIndex()
+        current: dict[int, str] = {}
+        for entity_id, text in entries:
+            index.add(doc(entity_id, text))
+            current[entity_id] = text
+        for entity_id in removals:
+            assert index.remove("sample", entity_id) == (entity_id in current)
+            current.pop(entity_id, None)
+        fresh = InvertedIndex()
+        for entity_id, text in current.items():
+            fresh.add(doc(entity_id, text))
+        assert index._postings == fresh._postings
+        assert index._lengths == fresh._lengths
+
 
 class TestQueryParser:
     def test_plain_terms(self):
@@ -172,6 +204,30 @@ class TestQueryParser:
     def test_case_insensitive_or(self):
         query = parse_query("light or dark")
         assert len(query.any_of) == 1
+
+    def test_identifier_requires_every_word(self):
+        query = parse_query("resource_00012")
+        assert [(c.term, c.field) for c in query.required] == [
+            ("resource", None), ("00012", None),
+        ]
+
+    def test_identifier_words_share_the_field(self):
+        query = parse_query("name:wt_light.cel")
+        assert [(c.term, c.field) for c in query.required] == [
+            ("wt", "name"), ("light", "name"), ("cel", "name"),
+        ]
+
+    def test_identifier_drops_inner_stopwords(self):
+        query = parse_query("effect_of_light")
+        assert [c.term for c in query.required] == ["effect", "light"]
+
+    def test_negated_and_or_identifiers_keep_their_first_word(self):
+        query = parse_query("plant -wt_light wt_dark OR heat_shock")
+        assert [c.term for c in query.required] == ["plant"]
+        assert [c.term for c in query.negated] == ["wt"]
+        assert [[c.term for c in group] for group in query.any_of] == [
+            ["wt", "heat"]
+        ]
 
 
 @pytest.fixture
@@ -250,6 +306,58 @@ class TestSearchEngine:
         system.reindex_all()
         after = system.search.statistics()
         assert after["documents"] == before["documents"]
+
+
+class TestIdentifierSearch:
+    def test_identifier_ranks_that_resource_first(self):
+        # Named the way the deployment generator names them: every
+        # resource shares the word "resource", and workunits share the
+        # number.
+        engine = SearchEngine()
+        for i in range(60):
+            name = f"resource_{i:05d}.cel"
+            engine.index_document(
+                "data_resource", i + 1,
+                {"name": name, "uri": f"store://generated/{name}"},
+            )
+            engine.index_document(
+                "workunit", i + 1, {"name": f"report workunit {i:05d}"}
+            )
+        results = engine.search(SYSTEM, "resource_00012")
+        assert results[0].label == "resource_00012.cel"
+        assert [(r.entity_type, r.entity_id) for r in results] == [
+            ("data_resource", 13)
+        ]
+
+
+_SNIPPET_SCRIPT = """
+from repro.search.engine import SearchEngine
+from repro.security.principals import SYSTEM
+
+words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
+engine = SearchEngine()
+engine.index_document(
+    "sample", 1, {"name": " filler ".join(w + " padding" * 8 for w in words)}
+)
+for first, second in zip(words, reversed(words)):
+    print([r.snippet for r in engine.search(SYSTEM, f"{first} {second}")])
+"""
+
+
+class TestSnippetDeterminism:
+    def test_snippet_does_not_depend_on_the_hash_seed(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-c", _SNIPPET_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        # Anchored on the first query term: "alpha" opens the text.
+        assert outputs[0].splitlines()[0].startswith("['alpha padding")
 
 
 class TestHistory:
