@@ -28,12 +28,7 @@ class SystemMonitor:
     @property
     def commit_count(self) -> int:
         family = self._obs.metrics.get("storage_commits_total")
-        if family is None:
-            return 0
-        # Sharded deployments label the family with {shard=...}; the
-        # monitor reports the whole deployment, so sum every child
-        # (an unlabelled family has exactly one).
-        return int(sum(child.value for _labels, child in family.samples()))
+        return 0 if family is None else int(family.value)
 
     def operation_counts(self) -> dict[str, dict[str, int]]:
         """``{table: {op: count}}`` for all observed activity."""
@@ -67,32 +62,17 @@ class SystemMonitor:
             family = self._obs.metrics.get(name)
             if family is None:
                 continue
-            if not family.labelnames:
-                summary = family.summary()
-                if summary["count"]:
-                    report[name] = summary
-                continue
-            # Sharded deployments: one summary per shard, keyed in
-            # Prometheus exposition style.
-            for labels, child in family.samples():
-                summary = child.summary()
-                if summary["count"]:
-                    rendered = ",".join(
-                        f'{k}="{v}"' for k, v in sorted(labels.items())
-                    )
-                    report[f"{name}{{{rendered}}}"] = summary
+            summary = family.summary()
+            if summary["count"]:
+                report[name] = summary
         return report
 
     def snapshot(self) -> dict:
         """One dict for the admin dashboard."""
-        report = {
+        return {
             "commits": self.commit_count,
             "operations": self.operation_counts(),
             "storage": self._db.statistics(),
             "latency": self.latency_summary(),
             "observability": self._obs.statistics(),
         }
-        shard_status = getattr(self._db, "shard_status", None)
-        if shard_status is not None:
-            report["shards"] = shard_status()
-        return report

@@ -19,12 +19,6 @@ Measures the paths the performance work targets:
 * **replication** (PR5) — WAL-shipping end-to-end apply throughput,
   aggregate snapshot-read QPS fanned out across 1/2/4 replicas, and
   the p95 replica lag under concurrent writes;
-* **sharded commits** (PR7) — always-mode throughput at 1/2/4 shards
-  with a 20% cross-shard (two-phase) transaction mix: one shard is a
-  plain :class:`~repro.storage.database.Database`, more go through the
-  :class:`~repro.storage.sharding.ShardedDatabase` coordinator.
-  Single-shard transactions fsync only their owning shard's WAL, so
-  throughput scales with the shard count;
 * **queue ingest** (PR8) — file-import jobs drained through the durable
   job queue by a :class:`~repro.tasks.workers.WorkerPool` at 1/4/8
   workers: end-to-end jobs/s and the p95 enqueue-to-claim delay from
@@ -104,11 +98,9 @@ def _commit_schema() -> TableSchema:
 
 
 def _fsync_count(db) -> int:
-    """Total WAL fsyncs — sums per-shard children on labelled families."""
+    """Total WAL fsyncs."""
     family = db.obs.metrics.get("storage_wal_fsync_seconds")
-    if family is None:
-        return 0
-    return int(sum(child.count for _labels, child in family.samples()))
+    return 0 if family is None else family.labels().count
 
 
 def bench_commit_mode(
@@ -179,196 +171,6 @@ def bench_commit_throughput(
         modes[mode] = best
     speedup = modes["group"]["tx_per_sec"] / modes["always"]["tx_per_sec"]
     return {"modes": modes, "group_speedup_vs_always": round(speedup, 2)}
-
-
-#: Every Nth transaction in the sharded workload is a two-row
-#: cross-shard transaction (~9% of commits pay the 2PC protocol, inside
-#: the acceptance mix "cross-shard ≤ 20%").  Cross-shard transactions
-#: cost far more than their own fsyncs: one holds its first shard's
-#: writer lock while it queues behind that many single-writers for the
-#: second shard's lock (a lock convoy), so each point of cross-shard
-#: mix erases several points of aggregate throughput.
-SHARDED_CROSS_EVERY = 10
-#: Shard counts measured by the scaling sweep.
-SHARDED_COUNTS = (1, 2, 4)
-
-
-def _sharded_plan(
-    db, nshards: int, worker_id: int, per_thread: int
-) -> list[tuple[int, ...]]:
-    """Pre-compute each worker's transactions (outside the timed window).
-
-    Workers draw primary keys from disjoint ranges; keys are bucketed by
-    owning shard so singles rotate across shards and cross-shard pairs
-    really do span two shards (at one shard the pair is just a two-row
-    transaction, which keeps the row mix identical across cells).
-    """
-    import itertools
-
-    ids = itertools.count(1 + worker_id * 10_000_000)
-    buckets: list[list[int]] = [[] for _ in range(nshards)]
-
-    def take(shard: int) -> int:
-        while not buckets[shard]:
-            i = next(ids)
-            buckets[db.shard_index(i) if nshards > 1 else 0].append(i)
-        return buckets[shard].pop()
-
-    plan: list[tuple[int, ...]] = []
-    for k in range(per_thread):
-        if k % SHARDED_CROSS_EVERY == SHARDED_CROSS_EVERY - 1:
-            # Acquire participants in ascending shard order — the
-            # coordinator's documented lock-ordering discipline; writers
-            # that ignore it deadlock against each other and pay the
-            # lock timeout instead.
-            first, second = sorted((k % nshards, (k + 1) % nshards))
-            plan.append((take(first), take(second)))
-        else:
-            plan.append((take(k % nshards),))
-    return plan
-
-
-def bench_sharded_commit_cell(
-    shards: int,
-    *,
-    txns: int,
-    threads: int,
-    base_dir: "str | Path | None" = None,
-) -> dict[str, Any]:
-    """Always-mode commit throughput at *shards* shards.
-
-    Same barrier/disjoint-key pattern as :func:`bench_commit_mode`.  At
-    one shard the writers use a plain :class:`Database`, which is what a
-    one-shard deployment is; above that they go through
-    :class:`ShardedDatabase`, so single-shard transactions route
-    directly (one WAL fsync, on the owning shard's writer lock) while
-    every ``SHARDED_CROSS_EVERY``-th transaction is a two-row cross-shard
-    commit paying the full two-phase protocol.
-    """
-    from repro.storage.sharding import ShardedDatabase
-
-    per_thread = max(SHARDED_CROSS_EVERY, txns // threads)
-    total = per_thread * threads
-    cross = threads * (per_thread // SHARDED_CROSS_EVERY)
-    rows = total + cross  # cross-shard transactions insert two rows
-    with tempfile.TemporaryDirectory(
-        prefix=f"bench-shard{shards}-", dir=base_dir
-    ) as tmp:
-        db = (
-            Database(tmp, durability="always")
-            if shards == 1
-            else ShardedDatabase(tmp, shards=shards, durability="always")
-        )
-        db.create_table(_commit_schema())
-        plans = [
-            _sharded_plan(db, shards, w, per_thread) for w in range(threads)
-        ]
-        barrier = threading.Barrier(threads + 1)
-
-        def worker(plan: list[tuple[int, ...]]) -> None:
-            barrier.wait()
-            for pks in plan:
-                if len(pks) == 1:
-                    db.insert("bench_commit", {"id": pks[0], "n": pks[0] % 97})
-                else:
-                    with db.transaction() as txn:
-                        for pk in pks:
-                            txn.insert(
-                                "bench_commit", {"id": pk, "n": pk % 97}
-                            )
-
-        pool = [
-            threading.Thread(target=worker, args=(plan,), daemon=True)
-            for plan in plans
-        ]
-        for thread in pool:
-            thread.start()
-        barrier.wait()
-        started = time.perf_counter()
-        for thread in pool:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        fsyncs = _fsync_count(db)
-        committed = db.count("bench_commit")
-        two_pc = 0
-        family = db.obs.metrics.get("storage_2pc_total")
-        if family is not None:
-            two_pc = int(
-                sum(
-                    child.value
-                    for labels, child in family.samples()
-                    if labels.get("outcome") == "commit"
-                )
-            )
-        db.close()
-    return {
-        "shards": shards,
-        "transactions": total,
-        "cross_shard_txns": cross,
-        "rows": rows,
-        "committed": committed,
-        "threads": threads,
-        "seconds": round(elapsed, 6),
-        "tx_per_sec": round(total / elapsed, 1),
-        "fsyncs": fsyncs,
-        "two_phase_commits": two_pc,
-    }
-
-
-def bench_sharded_commit(
-    *,
-    txns: int,
-    threads: int,
-    shard_counts: Sequence[int] = SHARDED_COUNTS,
-    repeats: int = 3,
-    base_dir: "str | Path | None" = None,
-) -> dict[str, Any]:
-    """Shard-count scaling sweep, best of *repeats* per cell.
-
-    Every cell runs the identical always-mode workload — only the shard
-    count changes — so ``scaling_4x_vs_1`` isolates what partitioning
-    the write path buys: independent WAL fsyncs (which release the GIL)
-    on independent writer locks.
-    """
-    cells: dict[str, dict[str, Any]] = {}
-    for count in shard_counts:
-        runs = [
-            bench_sharded_commit_cell(
-                count, txns=txns, threads=threads, base_dir=base_dir
-            )
-            for _ in range(repeats)
-        ]
-        best = max(runs, key=lambda r: r["tx_per_sec"])
-        best["runs"] = [r["tx_per_sec"] for r in runs]
-        cells[str(count)] = best
-    low, high = str(shard_counts[0]), str(shard_counts[-1])
-    scaling = (
-        round(cells[high]["tx_per_sec"] / cells[low]["tx_per_sec"], 2)
-        if cells[low]["tx_per_sec"]
-        else None
-    )
-    first = cells[low]
-    return {
-        "mode": "always",
-        "shard_counts": list(shard_counts),
-        "threads": first["threads"],
-        "transactions": first["transactions"],
-        "cross_shard_fraction": round(
-            first["cross_shard_txns"] / first["transactions"], 4
-        ),
-        "shards": cells,
-        "scaling_4x_vs_1": scaling,
-        # Honest context for the scaling number on a single-disk,
-        # single-interpreter host; DESIGN §14 has the full analysis.
-        "notes": (
-            "Shard WAL fsyncs overlap but share one block device's flush "
-            "queue, per-commit Python shares one interpreter lock, and "
-            "each cross-shard transaction convoys two shard writer locks; "
-            "all three cap always-mode scaling well below shard count on "
-            "one host. Partitioning pays off proportionally to "
-            "independent fsync streams (separate devices/hosts)."
-        ),
-    }
 
 
 def _query_db(rows: int) -> Database:
@@ -1312,7 +1114,6 @@ def run_benchmarks(
     *,
     scale: float = 1.0,
     threads: int = COMMIT_THREADS,
-    max_shards: int = 4,
     data_dir: "str | Path | None" = None,
 ) -> dict[str, Any]:
     """Run every benchmark and return the report dict."""
@@ -1327,17 +1128,8 @@ def run_benchmarks(
     window = max(0.12, CONCURRENCY_WINDOW * scale)
     replication_commits = max(64, int(REPLICATION_COMMITS * scale))
     replication_window = max(0.2, REPLICATION_WINDOW * scale)
-    shard_counts = tuple(
-        c for c in SHARDED_COUNTS if c <= max(1, max_shards)
-    ) or (1,)
     commit = bench_commit_throughput(
         txns=txns, threads=threads, base_dir=base_dir
-    )
-    sharded = bench_sharded_commit(
-        txns=txns,
-        threads=threads,
-        shard_counts=shard_counts,
-        base_dir=base_dir,
     )
     latency, cache = bench_query_latency(rows)
     search = bench_search(docs, queries)
@@ -1365,7 +1157,6 @@ def run_benchmarks(
             "concurrency_window_seconds": window,
             "replication_commits": replication_commits,
             "replication_window_seconds": replication_window,
-            "shard_counts": list(shard_counts),
             "queue_jobs": queue_jobs,
             "queue_worker_counts": list(QUEUE_WORKER_COUNTS),
             "portal_client_counts": list(PORTAL_CLIENT_COUNTS),
@@ -1373,7 +1164,6 @@ def run_benchmarks(
         },
         "benchmarks": {
             "commit_throughput": commit,
-            "sharded_commit_throughput": sharded,
             "query_latency": latency,
             "query_cache": cache,
             "search": search,
@@ -1411,37 +1201,6 @@ def validate_report(report: dict[str, Any]) -> list[str]:
         problems.append("group mode did not batch fsyncs")
     if not isinstance(commit.get("group_speedup_vs_always"), (int, float)):
         problems.append("missing group_speedup_vs_always")
-    sharded = benchmarks.get("sharded_commit_throughput")
-    if not isinstance(sharded, dict):
-        # Reports generated before the write path was sharded (PR7)
-        # legitimately lack the section; anything newer must have it.
-        if report.get("generated_by") not in ("PR5", "PR6"):
-            problems.append("missing sharded_commit_throughput section")
-    else:
-        counts = [str(c) for c in sharded.get("shard_counts", [])]
-        if not counts:
-            problems.append("sharded_commit_throughput reports no shard counts")
-        cells = sharded.get("shards", {})
-        for count in counts:
-            cell = cells.get(count)
-            if not isinstance(cell, dict):
-                problems.append(f"sharded commit missing {count}-shard cell")
-                continue
-            if not cell.get("tx_per_sec", 0) > 0:
-                problems.append(f"sharded commit@{count} reports no throughput")
-            if cell.get("committed") != cell.get("rows"):
-                problems.append(f"sharded commit@{count} lost rows")
-            if int(count) > 1 and not cell.get("two_phase_commits", 0) > 0:
-                problems.append(
-                    f"sharded commit@{count} recorded no 2PC commits"
-                )
-        fraction = sharded.get("cross_shard_fraction")
-        if not isinstance(fraction, (int, float)) or not 0 < fraction <= 0.2:
-            problems.append(
-                "cross_shard_fraction missing or outside (0, 0.2]"
-            )
-        if not isinstance(sharded.get("scaling_4x_vs_1"), (int, float)):
-            problems.append("missing scaling_4x_vs_1")
     latency = benchmarks.get("query_latency", {})
     for key in ("pk_seconds", "indexed_seconds", "cached_seconds", "scan_seconds"):
         if not latency.get(key, 0) > 0:
@@ -1608,10 +1367,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--threads", type=int, default=COMMIT_THREADS)
     parser.add_argument(
-        "--shards", type=int, default=4,
-        help="largest shard count in the sharded-commit scaling sweep",
-    )
-    parser.add_argument(
         "--data", default=None,
         help="scratch parent directory for the WAL workloads "
         "(defaults to the system temp dir)",
@@ -1634,7 +1389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = run_benchmarks(
         scale=args.scale,
         threads=args.threads,
-        max_shards=args.shards,
         data_dir=args.data,
     )
     write_report(report, args.out)
@@ -1645,16 +1399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"fsyncs={entry['fsyncs']}"
         )
     print(f"group speedup vs always: {commit['group_speedup_vs_always']}x")
-    sharded = report["benchmarks"]["sharded_commit_throughput"]
-    cells = "  ".join(
-        f"{k}sh={cell['tx_per_sec']:.0f}tx/s"
-        for k, cell in sharded["shards"].items()
-    )
-    print(
-        f"sharded(always) {cells}  "
-        f"scaling={sharded['scaling_4x_vs_1']}x  "
-        f"cross_shard={sharded['cross_shard_fraction']:.0%}"
-    )
     concurrency = report["benchmarks"]["concurrency"]
     for name, cells in concurrency["workloads"].items():
         rates = "  ".join(

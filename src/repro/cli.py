@@ -29,10 +29,7 @@ subcommand takes via ``--data``).  Subcommands:
   per-state/per-type counts, ``retry`` re-queues dead jobs, ``drain``
   runs workers until the backlog is empty;
 * ``maintenance`` — housekeeping (``prune`` sweeps MVCC version
-  chains);
-* ``shard`` — sharded-deployment administration: ``status`` prints the
-  shard map, table placements, and per-shard commit seq / WAL size /
-  open snapshots (``init --shards N`` creates a sharded deployment).
+  chains).
 
 Usage::
 
@@ -64,11 +61,7 @@ def _principal(system: BFabric, login: str):
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    system = BFabric(
-        args.data,
-        durability=getattr(args, "durability", None),
-        shards=getattr(args, "shards", None),
-    )
+    system = _open(args, recover=False)
     try:
         system.recover()
     except Exception:
@@ -78,37 +71,9 @@ def cmd_init(args: argparse.Namespace) -> int:
     )
     system.db.checkpoint()
     print(f"initialized deployment at {args.data}")
-    shard_count = getattr(system.db, "shard_count", None)
-    if shard_count is not None:
-        print(f"sharded: {shard_count} shard(s)")
     print(f"admin user: {principal.login}")
     system.close()
     return 0
-
-
-def cmd_shard(args: argparse.Namespace) -> int:
-    system = _open(args)
-    try:
-        status = getattr(system.db, "shard_status", None)
-        if status is None:
-            print("deployment is not sharded (single database)")
-            return 0
-        sharding = system.db.statistics()["sharding"]
-        print(f"shards: {sharding['shards']}")
-        print(f"open snapshot vectors: {sharding['open_snapshot_vectors']}")
-        print("placements:")
-        for name, kind in sorted(sharding["placements"].items()):
-            print(f"  {name:<20s} {kind}")
-        print(f"{'shard':>5s} {'seq':>8s} {'wal_bytes':>10s} "
-              f"{'snapshots':>9s} {'horizon':>8s} {'rows':>8s} {'txns':>8s}")
-        for row in sharding["per_shard"]:
-            print(f"{row['shard']:>5d} {row['committed_seq']:>8d} "
-                  f"{row['wal_bytes']:>10d} {row['open_snapshots']:>9d} "
-                  f"{row['version_horizon']:>8d} {row['rows']:>8d} "
-                  f"{row['transactions']:>8d}")
-        return 0
-    finally:
-        system.close()
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -329,8 +294,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import run_benchmarks, write_report
 
     report = run_benchmarks(
-        scale=args.scale, threads=args.threads, data_dir=args.data,
-        max_shards=args.shards,
+        scale=args.scale, threads=args.threads, data_dir=args.data
     )
     write_report(report, args.out)
     print(f"benchmark report written: {args.out}")
@@ -444,14 +408,6 @@ def cmd_torture(args: argparse.Namespace) -> int:
         )
         print(report.summary())
         return 0 if report.ok else 1
-    if args.shards:
-        from repro.resilience.torture import run_shard_torture
-
-        report = run_shard_torture(
-            base / "sharded", shards=args.shards, seed=args.seed
-        )
-        print(report.summary())
-        return 0 if report.ok else 1
     if args.replication:
         report = run_replication_torture(
             base / "replication",
@@ -475,12 +431,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     if args.replicate_command == "status":
         system = _open(args)
-        databases = list(getattr(system.db, "shards", None) or [system.db])
-        for i, db in enumerate(databases):
-            label = f"shard {i} " if len(databases) > 1 else ""
-            seq, offset = db.replication_start_point()
-            print(f"{label}committed seq:    {seq}")
-            print(f"{label}WAL tail offset:  {offset} bytes")
+        seq, offset = system.db.replication_start_point()
+        print(f"committed seq:    {seq}")
+        print(f"WAL tail offset:  {offset} bytes")
         mvcc = system.db.statistics()["mvcc"]
         print(f"open snapshots:   {mvcc['open_snapshots']}")
         print(f"version horizon:  {mvcc['version_horizon']}")
@@ -516,20 +469,11 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         system = _open(args)
         system.reindex_all()
         system.obs.history.start()  # windowed lag/frame rates for stats
-        # A sharded deployment ships each shard's WAL independently: one
-        # publisher per shard on consecutive ports (port, port+1, ...),
-        # each reusing the unchanged single-database protocol.
-        databases = list(getattr(system.db, "shards", None) or [system.db])
-        publishers = [
-            ReplicationPublisher(
-                db, host=args.host, port=args.port + i, obs=system.obs
-            ).start()
-            for i, db in enumerate(databases)
-        ]
-        for i, publisher in enumerate(publishers):
-            label = f" (shard {i})" if len(publishers) > 1 else ""
-            print(f"publishing WAL of {args.data}{label} "
-                  f"on {publisher.host}:{publisher.port}")
+        publisher = ReplicationPublisher(
+            system.db, host=args.host, port=args.port, obs=system.obs
+        ).start()
+        print(f"publishing WAL of {args.data} "
+              f"on {publisher.host}:{publisher.port}")
         deadline = (
             time.monotonic() + args.duration if args.duration else None
         )
@@ -538,15 +482,12 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                 time.sleep(0.2)
         except KeyboardInterrupt:  # pragma: no cover - interactive
             pass
-        statuses = [publisher.status() for publisher in publishers]
-        for publisher in publishers:
-            publisher.stop()
+        status = publisher.status()
+        publisher.stop()
         system.obs.history.stop()
         system.close()
-        for i, status in enumerate(statuses):
-            label = f"shard {i}: " if len(statuses) > 1 else ""
-            print(f"{label}served seq {status['last_seq']} to "
-                  f"{len(status['replicas'])} replica(s)")
+        print(f"served seq {status['last_seq']} to "
+              f"{len(status['replicas'])} replica(s)")
         return 0
 
     if args.replicate_command == "join":
@@ -655,23 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_init = sub.add_parser("init", help="create deployment + admin user")
     p_init.add_argument("--admin-login", default="admin")
     p_init.add_argument("--admin-password", default="admin")
-    p_init.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the write path across N >= 2 single-writer shards "
-        "(persisted in the shard map; reopens keep the count); 1 is a "
-        "plain database",
-    )
     p_init.set_defaults(func=cmd_init)
-
-    p_shard = sub.add_parser(
-        "shard", help="sharded-deployment administration"
-    )
-    shard_sub = p_shard.add_subparsers(dest="shard_command", required=True)
-    p_shard_status = shard_sub.add_parser(
-        "status",
-        help="shard map, placements, per-shard seq / WAL size / snapshots",
-    )
-    p_shard_status.set_defaults(func=cmd_shard)
 
     p_stats = sub.add_parser("stats", help="deployment statistics table")
     p_stats.add_argument(
@@ -762,10 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=48,
         help="concurrent committers for the group-commit comparison",
     )
-    p_bench.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="largest shard count in the sharded-commit scaling section",
-    )
     p_bench.add_argument("--out", default="BENCH_PR8.json")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -845,12 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the replication scenario instead: kill the primary "
         "mid-stream, promote the most-caught-up replica, verify no "
         "confirmed commit is lost",
-    )
-    p_torture.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the cross-shard scenario instead: kill a 2PC commit "
-        "at every crash point across N shards, verify deterministic "
-        "in-doubt resolution",
     )
     p_torture.set_defaults(func=cmd_torture)
 

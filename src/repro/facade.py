@@ -41,6 +41,7 @@ from repro.core.services.samples import SampleService
 from repro.core.services.workunits import WorkunitService
 from repro.dataimport.importer import DataImportService, ProviderConfig
 from repro.dataimport.store import ManagedStore
+from repro.errors import SchemaError
 from repro.graphview.links import LinkGraph
 from repro.graphview.provenance import ProvenanceTracer
 from repro.admin.reports import UsageReports
@@ -54,11 +55,6 @@ from repro.security.acl import AccessControl
 from repro.security.auth import Authenticator, hash_password
 from repro.security.principals import Principal, Role, SYSTEM
 from repro.storage.database import Database
-from repro.storage.sharding import (
-    ShardedDatabase,
-    ShardRouter,
-    resolve_shard_count,
-)
 from repro.tasks.queue import JobQueue, queue_models
 from repro.tasks.rules import install_standard_rules
 from repro.tasks.service import Task, TaskService
@@ -66,23 +62,6 @@ from repro.tasks.workers import WorkerPool
 from repro.util.clock import Clock, SystemClock
 from repro.util.events import EventBus
 from repro.workflow.engine import WorkflowEngine, workflow_models
-
-#: Reference tables replicated to every shard of a sharded deployment.
-#: These are the FK targets of project-scoped data (users, institutes,
-#: applications, annotation vocabulary) — keeping a copy on each shard
-#: makes per-shard foreign-key checks complete, at the cost of one
-#: cross-shard 2PC per (rare) reference-data write.
-GLOBAL_TABLES = frozenset(
-    {
-        "organization",
-        "institute",
-        "user",
-        "application",
-        "attribute_def",
-        "annotation",
-        "data_provider",
-    }
-)
 
 
 class BFabric:
@@ -95,19 +74,20 @@ class BFabric:
         clock: Clock | None = None,
         durable: bool = True,
         durability: "str | None" = None,
-        shards: "int | None" = None,
         index_on_events: bool = True,
         span_sample_rate: float = 1.0,
         queue_max_depth: "int | None" = None,
     ):
-        """*shards* >= 2 partitions the write path across N independent
-        single-writer databases behind a :class:`ShardedDatabase`
-        coordinator (see ``repro init --shards``); one shard is a plain
-        :class:`Database`.  The data directory decides: ``None`` opens
-        whatever it holds (one shard when empty), and an explicit count
-        that disagrees with it is refused with a ``SchemaError``."""
         self.clock = clock or SystemClock()
         self.path = Path(path) if path is not None else None
+        db_dir = self.path / "db" if self.path else None
+        if db_dir is not None and (db_dir / "shard_map.json").exists():
+            # Refused before anything touches the directory.
+            raise SchemaError(
+                f"{db_dir / 'shard_map.json'}: this data directory holds a "
+                "sharded deployment; sharding was removed and there is no "
+                "migration to a single database"
+            )
 
         # One observability hub shared by every subsystem, so a portal
         # request traces through search, storage, and the WAL, and all
@@ -117,21 +97,9 @@ class BFabric:
         self.obs = Observability(
             clock=self.clock, span_sample_rate=span_sample_rate
         )
-        db_dir = self.path / "db" if self.path else None
-        shards = resolve_shard_count(db_dir, shards)
-        if shards == 1:
-            self.db = Database(
-                db_dir, durable=durable, durability=durability, obs=self.obs
-            )
-        else:
-            self.db = ShardedDatabase(
-                db_dir,
-                shards=shards,
-                durable=durable,
-                durability=durability,
-                obs=self.obs,
-                router=ShardRouter(global_tables=GLOBAL_TABLES),
-            )
+        self.db = Database(
+            db_dir, durable=durable, durability=durability, obs=self.obs
+        )
         self.registry = Registry(self.db)
         self.events = EventBus(obs=self.obs)
         self.monitor = SystemMonitor(self.db)
@@ -158,7 +126,7 @@ class BFabric:
 
         # The durable job queue lives in the same database as the domain
         # rows, so background work inherits WAL durability, MVCC
-        # introspection, sharding and replication.  Exhausted jobs
+        # introspection and replication.  Exhausted jobs
         # dead-letter with their durable job id, which is what makes
         # `repro dlq retry` work from a fresh process.  *queue_max_depth*
         # bounds the runnable backlog: enqueues past it shed with

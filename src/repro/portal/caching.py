@@ -39,9 +39,7 @@ a handful of dict reads and one small hash.
 Validation always runs against the **primary** database.  Views render
 from the primary's live services (the request snapshot only feeds
 search), so deriving validators from a lagged replica's vector would
-let a stale 304 vouch for a fresh body.  Sharded databases are handled
-by shard-qualified vector keys (``"<shard>:<table>"``); the probe notes
-bare table names and :meth:`_project` matches either form.
+let a stale 304 vouch for a fresh body.
 """
 
 from __future__ import annotations
@@ -118,18 +116,8 @@ class RouteCoverage:
 
 
 def _project(vector: dict[str, int], names: "frozenset[str]") -> dict[str, int]:
-    """Restrict a version vector to the named tables.
-
-    Vector keys are bare table names (single database) or
-    ``"<shard>:<table>"`` (sharded); *names* always holds bare names as
-    noted by the read probe, so qualified keys match on their suffix.
-    """
-    projected: dict[str, int] = {}
-    for key, version in vector.items():
-        name = key.partition(":")[2] if ":" in key else key
-        if name in names:
-            projected[key] = version
-    return projected
+    """Restrict a version vector to the named tables."""
+    return {name: version for name, version in vector.items() if name in names}
 
 
 def compute_etag(
@@ -241,10 +229,10 @@ class _CacheContext:
             return
         touched = frozenset(self.sink)
         db = self.policy.db
-        post = _project(db.version_vector(touched), touched)
+        post = db.version_vector(touched)
         if post != _project(self._pre, touched):
             return
-        epochs = _project(db.mutation_vector(touched), touched)
+        epochs = db.mutation_vector(touched)
         if None in epochs.values() or epochs != _project(
             self._pre_epochs, touched
         ):

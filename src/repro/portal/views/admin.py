@@ -166,32 +166,6 @@ def register(router, portal) -> None:
                 ("retained versions", mvcc["retained_versions"]),
             ]
         )
-        shard_status = getattr(system.db, "shard_status", None)
-        if shard_status is not None:
-            sharding = system.db.statistics()["sharding"]
-            body += "<h2>Shards</h2>" + definition_list(
-                [
-                    ("shards", sharding["shards"]),
-                    ("open snapshot vectors",
-                     sharding["open_snapshot_vectors"]),
-                    ("placements", ", ".join(
-                        f"{name}:{kind}"
-                        for name, kind in sorted(
-                            sharding["placements"].items()
-                        )
-                    )),
-                ]
-            )
-            body += table(
-                ["shard", "committed seq", "WAL bytes", "open snapshots",
-                 "version horizon", "rows", "transactions"],
-                [
-                    (s["shard"], s["committed_seq"], s["wal_bytes"],
-                     s["open_snapshots"], s["version_horizon"], s["rows"],
-                     s["transactions"])
-                    for s in sharding["per_shard"]
-                ],
-            )
         replication_rows = _replication_rows(registry)
         if replication_rows:
             body += "<h2>Replication</h2>" + table(

@@ -62,18 +62,6 @@ REGISTERED_SITES: dict[str, str] = {
         "replica-side frame receive (error, latency, drop, duplicate)"
     ),
     "replication.apply": "replica-side apply of one shipped commit (error)",
-    "2pc.prepare": (
-        "before one participant's prepare append in a cross-shard commit"
-        " (error)"
-    ),
-    "2pc.decide": (
-        "after every prepare, before the coordinator decision append"
-        " (error)"
-    ),
-    "2pc.commit": (
-        "after the decision is durable, before one participant's phase-2"
-        " commit (error)"
-    ),
     "queue.claim": (
         "job-queue claim after candidate selection, before any lease is"
         " written — fires only when the claim would return work, so"
@@ -95,9 +83,6 @@ REGISTERED_SITES: dict[str, str] = {
 
 #: The WAL crash sites the torture driver kills the database at.
 WAL_SITES = ("wal.append", "wal.write", "wal.after_write", "wal.after_fsync")
-
-#: The cross-shard crash sites `repro torture --shards` kills at.
-TWO_PC_SITES = ("2pc.prepare", "2pc.decide", "2pc.commit")
 
 #: The worker-kill sites `repro torture --ingest` kills at: every point
 #: of the lease protocol plus the import work running under it.

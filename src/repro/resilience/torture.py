@@ -276,184 +276,6 @@ def run_case(
     )
 
 
-#: The cross-shard crash cases `repro torture --shards` runs.  Each is
-#: (name, fault site, at_call, expectation after recovery) — ``absent``
-#: while the coordinator decision is not yet durable (presumed abort),
-#: ``present`` once it is (roll forward), always atomically.
-SHARD_CASES = (
-    ("prepare-partial", "2pc.prepare", 2, "absent"),
-    ("decide-lost", "2pc.decide", 1, "absent"),
-    ("decide-torn-tail", "2pc.decide", 1, "absent"),
-    ("commit-none-published", "2pc.commit", 1, "present"),
-    ("commit-half-published", "2pc.commit", 2, "present"),
-)
-
-
-def run_shard_torture(
-    base_dir: "str | Path",
-    *,
-    shards: int = 2,
-    seed: int = 2010,
-) -> TortureReport:
-    """Kill a cross-shard commit at every 2PC crash point.
-
-    Each case runs a two-participant transaction (one row per shard)
-    into an injected :class:`CrashPoint` at one 2PC site, abandons the
-    coordinator without closing it, reopens the directory and recovers.
-    The recovery invariants are sharper than the single-WAL ones because
-    2PC resolution is *deterministic*, not merely uncertain:
-
-    * **atomicity** — the transaction's rows are present on all of its
-      shards or on none of them, never a subset;
-    * **determinism** — a crash before the coordinator's decision record
-      is durable recovers to *absent* (presumed abort); a crash after it
-      recovers to *present* (roll forward), including when only some
-      participants had published;
-    * the coordinator decision log heals a torn tail like any WAL;
-    * ``committed ⊆ present ⊆ committed ∪ uncertain`` still holds for
-      the surrounding single-shard traffic;
-    * a second recovery over the same directory reproduces the same
-      rows without consulting the decision log (resolutions are made
-      durable in the shard WALs themselves).
-    """
-    from repro.storage.sharding import ShardedDatabase
-
-    if shards < 2:
-        raise ValueError("shard torture needs >= 2 shards for cross-shard txns")
-    base = Path(base_dir)
-    cases: list[CaseResult] = []
-
-    def open_sharded(directory: Path) -> ShardedDatabase:
-        sdb = ShardedDatabase(directory, shards=shards, durability="always")
-        sdb.create_table(_schema())
-        return sdb
-
-    for offset, (name, site, at_call, expectation) in enumerate(SHARD_CASES):
-        directory = base / name
-        committed: list[int] = []
-        uncertain: list[int] = []
-        aborted: list[int] = []
-        problems: list[str] = []
-
-        sdb = open_sharded(directory)
-        # Two pks that land on different shards — the cross-shard pair.
-        pk_a = next(i for i in range(1, 1000) if sdb.shard_index(i) == 0)
-        pk_b = next(i for i in range(1, 1000) if sdb.shard_index(i) == 1)
-        # Warm-up: durable single-shard commits on both shards, plus a
-        # deliberate rollback that must never resurrect.
-        for pk in (pk_a + 100, pk_b + 100):
-            sdb.insert(TABLE, {"id": pk, "value": f"commit-{pk}"})
-            committed.append(pk)
-        txn = sdb.transaction()
-        txn.insert(TABLE, {"id": 5000 + offset, "value": "aborted"})
-        txn.rollback()
-        aborted.append(5000 + offset)
-
-        plan = FaultPlan(
-            [Fault(site, kind="error", at_call=at_call, error=CrashPoint)],
-            seed=seed,
-        )
-        fired = False
-        with inject(plan):
-            txn = sdb.transaction()
-            txn.insert(TABLE, {"id": pk_a, "value": f"xs-{pk_a}"})
-            txn.insert(TABLE, {"id": pk_b, "value": f"xs-{pk_b}"})
-            try:
-                txn.commit()
-                committed.extend([pk_a, pk_b])
-            except FaultInjected:
-                fired = True
-                uncertain.extend([pk_a, pk_b])
-        if name == "decide-torn-tail":
-            # A torn coordinator record on top of the crash: the log
-            # must heal its tail exactly like a shard WAL does.
-            log_path = directory / "coordinator.log"
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write('deadbeef {"kind": "decision", "gt')
-        # Crash simulation: abandon without close().
-        del txn
-        del sdb
-
-        recovered = open_sharded(directory)
-        recovered.recover()
-        present = sorted(
-            row["id"] for row in recovered.rows(TABLE)
-        )
-        present_set = set(present)
-
-        pair_present = [pk in present_set for pk in (pk_a, pk_b)]
-        if pair_present[0] != pair_present[1]:
-            problems.append(
-                f"atomicity violated: pk {pk_a} on shard 0 "
-                f"{'present' if pair_present[0] else 'absent'} but pk "
-                f"{pk_b} on shard 1 "
-                f"{'present' if pair_present[1] else 'absent'}"
-            )
-        if fired:
-            if expectation == "absent" and any(pair_present):
-                problems.append(
-                    "presumed-abort violated: cross-shard rows recovered "
-                    "without a durable decision"
-                )
-            if expectation == "present" and not all(pair_present):
-                problems.append(
-                    "roll-forward violated: decision was durable but "
-                    "cross-shard rows are missing"
-                )
-        lost = [i for i in committed if i not in present_set]
-        if lost:
-            problems.append(f"lost committed rows {lost}")
-        allowed = set(committed) | set(uncertain)
-        invented = [i for i in present if i not in allowed]
-        if invented:
-            problems.append(f"recovered rows never committed {invented}")
-        resurrected = [i for i in aborted if i in present_set]
-        if resurrected:
-            problems.append(f"resurrected aborted rows {resurrected}")
-        integrity = recovered.verify_integrity()
-        if integrity:
-            problems.append(f"integrity violations {integrity}")
-        # The healed deployment must accept new cross-shard commits.
-        try:
-            with recovered.transaction() as epilogue:
-                epilogue.insert(
-                    TABLE, {"id": pk_a + 200, "value": "post-recovery"}
-                )
-                epilogue.insert(
-                    TABLE, {"id": pk_b + 200, "value": "post-recovery"}
-                )
-        except Exception as exc:
-            problems.append(f"post-recovery cross-shard commit failed: {exc}")
-        recovered.close()
-
-        # Second recovery: resolutions were made durable in the shard
-        # WALs, so the same rows come back even though the decision log
-        # was reset after the first recovery.
-        again = open_sharded(directory)
-        again.recover()
-        expected = sorted(present_set | {pk_a + 200, pk_b + 200})
-        second = sorted(row["id"] for row in again.rows(TABLE))
-        if second != expected:
-            problems.append(
-                f"second recovery diverged: expected {expected}, got {second}"
-            )
-        again.close()
-
-        cases.append(
-            CaseResult(
-                mode=f"sharded:{shards}",
-                site=name,
-                fired=fired,
-                committed=committed,
-                uncertain=uncertain,
-                aborted=aborted,
-                present=present,
-                problems=problems,
-            )
-        )
-    return TortureReport(seed=seed, commits=len(SHARD_CASES), cases=cases)
-
-
 def run_replication_torture(
     base_dir: "str | Path",
     *,

@@ -38,13 +38,6 @@ from repro.storage.snapshot import Snapshot
 from repro.storage.database import Database
 from repro.storage.transaction import Transaction
 from repro.storage.wal import WriteAheadLog
-from repro.storage.sharding import (
-    ShardedDatabase,
-    ShardedQuery,
-    ShardedSnapshot,
-    ShardedTransaction,
-    ShardRouter,
-)
 
 __all__ = [
     "ColumnType",
@@ -62,9 +55,4 @@ __all__ = [
     "Snapshot",
     "F",
     "WriteAheadLog",
-    "ShardedDatabase",
-    "ShardedQuery",
-    "ShardedSnapshot",
-    "ShardedTransaction",
-    "ShardRouter",
 ]

@@ -18,12 +18,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import (
-    SchemaError,
-    TransactionError,
-    WalCorruption,
-    WalWriteError,
-)
+from repro.errors import SchemaError, WalWriteError
 from repro.obs import Observability, TraceContext
 from repro.storage.durability import Durability
 from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Query, QueryCache
@@ -54,7 +49,6 @@ class Database:
         durability: "Durability | str | None" = None,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         obs: Observability | None = None,
-        shard: str | None = None,
     ):
         """Create a database.
 
@@ -71,31 +65,18 @@ class Database:
             (entries); ``0`` disables result caching.
         :param obs: observability hub shared with the rest of the
             deployment; a private one is created when omitted.
-        :param shard: shard label for this database's per-instance
-            metrics.  ``None`` (standalone databases) keeps the
-            historical unlabelled families; a sharded deployment labels
-            every shard's commit/fsync/MVCC instruments with
-            ``{shard=...}`` in the *shared* registry so the per-shard
-            series stay distinguishable instead of clobbering each
-            other.  All databases sharing one registry must agree on
-            whether the label is used.
         """
         self.obs = obs if obs is not None else Observability()
-        self.shard_label = shard
         # Hot-path instruments are resolved to their child once, so each
-        # commit records without a family lookup.  Standalone databases
-        # use the unlabelled child; shards resolve their {shard=...} one.
-        _names = ("shard",) if shard is not None else ()
-        _vals: dict[str, str] = {"shard": shard} if shard is not None else {}
+        # commit records without a family lookup.
         metrics = self.obs.metrics
         self._m_commit_seconds = metrics.histogram(
             "storage_commit_seconds",
             "Transaction latency, begin to durable commit",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         self._m_commits = metrics.counter(
-            "storage_commits_total", "Committed transactions", labels=_names
-        ).labels(**_vals)
+            "storage_commits_total", "Committed transactions"
+        ).labels()
         self._m_ops = metrics.counter(
             "storage_ops_total",
             "Committed row operations",
@@ -105,18 +86,15 @@ class Database:
         self._m_wal_append = metrics.histogram(
             "storage_wal_append_seconds",
             "WAL append (serialize + write + fsync) per commit",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         self._m_checkpoint = metrics.histogram(
             "storage_checkpoint_seconds",
             "Snapshot + WAL reset duration",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         self._m_recover = metrics.histogram(
             "storage_recover_seconds",
             "Snapshot load + WAL replay duration",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         # MVCC bookkeeping gauges: snapshot opens/closes keep the first
         # two current (O(1) updates); the retained-version count is only
         # refreshed where chains are already being walked (statistics,
@@ -124,18 +102,15 @@ class Database:
         self._g_open_snapshots = metrics.gauge(
             "storage_open_snapshots",
             "Currently open MVCC snapshots",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         self._g_version_horizon = metrics.gauge(
             "storage_version_horizon",
             "Oldest commit sequence a live snapshot may still read",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         self._g_retained_versions = metrics.gauge(
             "storage_retained_versions",
             "Row-version nodes retained across all version chains",
-            labels=_names,
-        ).labels(**_vals)
+        ).labels()
         self._tables: dict[str, Table] = {}
         # referenced table -> list of (referencing table, column, on_delete)
         self._referencing: dict[str, list[tuple[str, str, str]]] = {}
@@ -186,7 +161,6 @@ class Database:
                 obs=self.obs,
                 durability=self.durability,
                 pending_writers=lambda: self._write_intents,
-                shard=shard,
             )
 
     # -- schema -----------------------------------------------------------------
@@ -230,9 +204,7 @@ class Database:
         """Whether *name* has uncommitted (in-transaction) changes.
 
         The ORM session uses this to decide between a pinned snapshot
-        read and a live read-your-writes read without reaching for the
-        raw :class:`Table` — which a sharded coordinator cannot hand
-        out for partitioned tables.
+        read and a live read-your-writes read.
         """
         return self.table(name).dirty
 
@@ -278,27 +250,11 @@ class Database:
 
     # -- transactions --------------------------------------------------------------
 
-    def transaction(self, *, timeout: float | None = None) -> Transaction:
-        """Begin a transaction; the single-writer lock is held until it ends.
-
-        *timeout* bounds the wait for the writer lock.  ``None`` (the
-        default) blocks indefinitely — the historical behaviour.  A
-        cross-shard coordinator passes a finite timeout so two
-        transactions acquiring shard locks in different orders resolve
-        as a :class:`~repro.errors.TransactionError` (and a full
-        rollback) instead of a deadlock.
-        """
+    def transaction(self) -> Transaction:
+        """Begin a transaction; the single-writer lock is held until it ends."""
         with self._intent_lock:
             self._write_intents += 1
-        if timeout is None:
-            self._lock.acquire()
-        elif not self._lock.acquire(timeout=timeout):
-            with self._intent_lock:
-                self._write_intents -= 1
-            raise TransactionError(
-                f"writer lock not acquired within {timeout:.3f}s "
-                "(possible cross-shard lock conflict)"
-            )
+        self._lock.acquire()
         self._txn_counter += 1
         return Transaction(self, self._txn_counter, timer=self.obs.timer())
 
@@ -354,7 +310,6 @@ class Database:
                     operations,
                     self._encode_row_for_wal,
                     seq=seq,
-                    gtid=getattr(txn, "gtid", None),
                 )
             except Exception as exc:
                 raise WalWriteError(
@@ -428,153 +383,6 @@ class Database:
         with self._intent_lock:
             self._write_intents -= 1
         self._lock.release()
-
-    # -- two-phase commit (participant side) --------------------------------------------
-
-    def prepare_commit(self, txn: Transaction, gtid: str) -> None:
-        """Phase 1 of a cross-shard commit: force the redo log to disk.
-
-        Appends a ``prepare`` record carrying the global transaction id
-        *gtid* and the transaction's full operation list, fsynced before
-        return (prepares never ride a group batch — a prepared vote must
-        survive a crash unconditionally).  The caller still holds this
-        database's writer lock through the transaction object; the lock
-        stays held until :meth:`commit_prepared` or
-        :meth:`abort_prepared` completes phase 2, so no local commit or
-        checkpoint can interleave with an in-flight prepare.
-        """
-        if self._wal is not None and txn.operations:
-            try:
-                self._wal.append_prepare(
-                    txn.txn_id,
-                    txn.operations,
-                    self._encode_row_for_wal,
-                    gtid=gtid,
-                )
-            except Exception as exc:
-                raise WalWriteError(
-                    f"transaction #{txn.txn_id}: prepare append failed "
-                    f"(gtid={gtid})"
-                ) from exc
-
-    def commit_prepared(self, txn: Transaction, gtid: str) -> None:
-        """Phase 2 (commit): publish a prepared transaction.
-
-        The commit record is a *normal* commit record with a ``gtid``
-        field, so replication publishers ship it unchanged and replay
-        treats it like any other commit; the gtid's only recovery role
-        is terminating the matching ``prepare``.
-        """
-        txn.gtid = gtid
-        txn.commit()
-
-    def commit_prepared_durable(self, txn: Transaction, gtid: str) -> "int | None":
-        """Phase 2a of a split prepared commit: append the record.
-
-        Appends the same commit record :meth:`commit_prepared` would
-        (normal commit record plus gtid) but does **not** publish the
-        transaction — the coordinator publishes all participants
-        together under its publish lock.  Returns the reserved commit
-        sequence (``None`` for an empty transaction).  The writer lock
-        reserved the sequence, so nothing else can take it before
-        :meth:`commit_prepared_publish`.
-
-        The append is *lazy* under ``always`` durability: the
-        coordinator's fsynced decision record is the transaction's
-        commit point, and recovery rolls the prepare forward from the
-        decision log if this record is lost, so no per-participant fsync
-        is needed in phase 2 — the record becomes durable with the next
-        sync on this shard's WAL.  Under ``group`` durability the record
-        rides a batch and the ticket is honoured here so replication
-        tailers never outrun the file.
-
-        A WAL failure here happens *after* the coordinator's decision is
-        durable: the transaction is committed come what may (recovery
-        rolls the prepare forward), so the error propagates with the
-        writer lock still held rather than pretending to roll back.
-        """
-        operations = txn.operations
-        seq = self._committed_seq + 1 if operations else None
-        if self._wal is not None and operations:
-            try:
-                ticket = self._wal.append_commit(
-                    txn.txn_id,
-                    operations,
-                    self._encode_row_for_wal,
-                    seq=seq,
-                    gtid=gtid,
-                    lazy=True,
-                )
-            except Exception as exc:
-                raise WalWriteError(
-                    f"transaction #{txn.txn_id}: prepared-commit append "
-                    f"failed (gtid={gtid})"
-                ) from exc
-            if ticket is not None:
-                # Group durability: the record must be in the file before
-                # the coordinator may publish, so the batch wait happens
-                # here.
-                ticket()
-        txn.gtid = gtid
-        return seq
-
-    def commit_prepared_publish(self, txn: Transaction, seq: "int | None") -> None:
-        """Phase 2b: make a durably-logged prepared commit visible.
-
-        Memory-only — stamps the touched tables' versions, bumps the
-        committed sequence, and releases the writer lock.  Cheap enough
-        to run under the coordinator's publish lock.  Follow with
-        :meth:`commit_prepared_finish` outside that lock.
-        """
-        operations = txn.operations
-        txn._mark_committed()
-        if seq is not None:
-            for name in {op.table for op in operations}:
-                self._tables[name].commit_version(seq)
-            self._committed_seq = seq
-        with self._intent_lock:
-            self._write_intents -= 1
-        self._lock.release()
-
-    def commit_prepared_finish(self, txn: Transaction, seq: "int | None") -> None:
-        """Phase 2c: post-publish bookkeeping, outside every lock.
-
-        Commit listeners (audit, search indexing), sequence listeners
-        (replication publishers) and the commit metrics — the same tail
-        :meth:`_commit_locked` runs after its lock release.
-        """
-        operations = txn.operations
-        for listener in self._commit_listeners:
-            listener(operations)
-        if seq is not None:
-            for seq_listener in self._commit_seq_listeners:
-                seq_listener(seq)
-        self._m_commits.inc()
-        for op in operations:
-            key = (op.table, op.op)
-            child = self._m_ops_children.get(key)
-            if child is None:
-                child = self._m_ops.labels(table=op.table, op=op.op)
-                self._m_ops_children[key] = child
-            child.inc()
-        elapsed = txn.timer.elapsed() if txn.timer is not None else 0.0
-        self._m_commit_seconds.observe(elapsed)
-
-    def abort_prepared(self, txn: Transaction, gtid: str) -> None:
-        """Phase 2 (abort): roll back a prepared transaction.
-
-        Best-effort appends an ``abort`` record so future recoveries of
-        this shard resolve the prepare locally without consulting the
-        coordinator log; if the append fails the rollback proceeds
-        anyway — presumed abort covers an unterminated prepare whose
-        gtid has no coordinator decision.
-        """
-        if self._wal is not None and txn.operations:
-            try:
-                self._wal.append_abort(gtid)
-            except Exception:
-                pass
-        txn.rollback()
 
     def on_commit(self, listener: Callable[[list[UndoEntry]], None]) -> None:
         """Register an observer invoked after each durable commit.
@@ -865,36 +673,20 @@ class Database:
             )
             return target
 
-    def recover(
-        self,
-        *,
-        resolve_prepared: "Callable[[str], str] | None" = None,
-    ) -> dict[str, int]:
+    def recover(self) -> dict[str, int]:
         """Load the latest snapshot, replay the WAL, heal a torn tail.
 
         Must be called after every table has been declared (schemas live
-        in code).  Returns ``{"snapshot_rows": n, "wal_txns": m, ...}``.
+        in code).  Returns ``{"snapshot_rows": n, "wal_txns": m}``.
 
-        ``prepare`` records left by a crashed two-phase commit are
-        *in-doubt*: the shard voted yes but never saw the outcome.  A
-        prepare terminated later in the log — by a commit record with
-        the same gtid, or an ``abort`` record — is settled; the
-        terminator decides.  Leftover prepares are resolved through
-        *resolve_prepared*, the coordinator's decision log: it maps a
-        gtid to ``"commit"`` or ``"abort"``.  With no resolver (a shard
-        opened standalone) the presumed-abort rule applies.  Either way
-        the resolution is made durable by appending the corresponding
-        commit/abort record, so a future recovery of the same log
-        reaches the same answer without the resolver.
+        Only commit records replay.  Logs written while the engine still
+        had a two-phase commit may also hold ``prepare``, ``abort`` and
+        ``decision`` records; a prepare is presumed aborted, so its
+        operations never reach the tables.
         """
         if self._path is None:
             raise SchemaError("recover requires a database directory")
-        stats = {
-            "snapshot_rows": 0,
-            "wal_txns": 0,
-            "resolved_commits": 0,
-            "resolved_aborts": 0,
-        }
+        stats = {"snapshot_rows": 0, "wal_txns": 0}
         timer = self.obs.timer()
         checkpoint_seq = 0
         with self._lock:
@@ -928,46 +720,23 @@ class Database:
                         if name in self._tables and isinstance(state, dict):
                             self._tables[name].restore_stats(state)
             replayed_seq = 0
-            # gtid -> prepare record, in log order.  A later commit
-            # record with the same gtid (phase 2 ran) or an abort record
-            # terminates the prepare; survivors are in-doubt.
-            in_doubt: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
             if self._wal is not None:
-                try:
-                    for record in self._wal.records():
-                        kind = record.get("kind")
-                        record_seq = record.get("seq")
-                        if kind == "checkpoint":
-                            # The marker re-states the snapshot's seq so
-                            # the counter survives even if the snapshot
-                            # file predates the meta block.
-                            if isinstance(record_seq, int):
-                                checkpoint_seq = max(
-                                    checkpoint_seq, record_seq
-                                )
-                            continue
-                        if kind == "prepare":
-                            gtid = record.get("gtid")
-                            if isinstance(gtid, str):
-                                in_doubt[gtid] = record
-                            continue
-                        if kind == "abort":
-                            in_doubt.pop(record.get("gtid"), None)
-                            continue
-                        if kind != "commit":
-                            continue
-                        gtid = record.get("gtid")
-                        if gtid is not None:
-                            # Phase 2 reached the log: the prepare is
-                            # settled and the commit record itself (not
-                            # the prepare) carries the replayed ops.
-                            in_doubt.pop(gtid, None)
-                        self._replay_commit(record)
+                for record in self._wal.records():
+                    kind = record.get("kind")
+                    record_seq = record.get("seq")
+                    if kind == "checkpoint":
+                        # The marker re-states the snapshot's seq so the
+                        # counter survives even if the snapshot file
+                        # predates the meta block.
                         if isinstance(record_seq, int):
-                            replayed_seq = max(replayed_seq, record_seq)
-                        stats["wal_txns"] += 1
-                except WalCorruption:
-                    raise
+                            checkpoint_seq = max(checkpoint_seq, record_seq)
+                        continue
+                    if kind != "commit":
+                        continue
+                    self._replay_commit(record)
+                    if isinstance(record_seq, int):
+                        replayed_seq = max(replayed_seq, record_seq)
+                    stats["wal_txns"] += 1
                 self._wal.truncate_torn_tail()
             # Replay applied rows outside any transaction; settle them
             # into one committed version per table (a single fresh
@@ -992,31 +761,6 @@ class Database:
             self._committed_seq = max(
                 self._committed_seq, replayed_seq, checkpoint_seq
             )
-            # Resolve in-doubt prepares, in log order.  The torn tail is
-            # already healed, so the resolution records appended here
-            # land on a clean log; re-appending the decision (a commit
-            # record with the gtid, or an abort record) makes the
-            # resolution durable — the next recovery of this log finds a
-            # terminated prepare and never consults a resolver.
-            for gtid, record in in_doubt.items():
-                outcome = "abort"
-                if resolve_prepared is not None:
-                    outcome = resolve_prepared(gtid)
-                if outcome == "commit":
-                    self._replay_commit(record)
-                    seq = self._committed_seq + 1
-                    for name in {op["table"] for op in record["ops"]}:
-                        self._tables[name].commit_version(seq)
-                    self._committed_seq = seq
-                    stats["resolved_commits"] += 1
-                    if self._wal is not None:
-                        ticket = self._wal.append_resolution(record, seq=seq)
-                        if ticket is not None:
-                            ticket()
-                else:
-                    stats["resolved_aborts"] += 1
-                    if self._wal is not None:
-                        self._wal.append_abort(gtid)
             # No snapshot can be open during recovery, so the replayed
             # history (one version per replayed op, tombstones for
             # replayed deletes) is pure garbage: cut every chain down to

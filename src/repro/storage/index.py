@@ -6,8 +6,7 @@ Two flavours:
   secondary indexes and for unique constraints.
 * :class:`OrderedIndex` — equality, prefix, and range lookups over one
   or more columns, kept as a sorted list of composite keys (binary
-  search via :mod:`bisect`).  :class:`SortedIndex` is its single-column
-  specialisation with the historical scalar API.
+  search via :mod:`bisect`).
 
 Indexes map a key (tuple of column values) to the set of primary keys of
 rows carrying that key.  They are maintained synchronously by the table
@@ -374,31 +373,3 @@ class OrderedIndex:
         keys = reversed(self._sorted_keys) if descending else self._sorted_keys
         for wrapped in keys:
             yield from self._by_key[wrapped][1]
-
-
-class SortedIndex(OrderedIndex):
-    """Single-column ordered index with the historical scalar API."""
-
-    def __init__(self, table: str, column: str):
-        super().__init__(table, (column,))
-        self.column = column
-
-    def lookup(self, value: Any) -> set[Any]:
-        return self.lookup_key((value,))
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        *,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> set[Any]:
-        """Materialized pk set for a scalar range (compat shim; the
-        planner itself iterates :meth:`range_pks`)."""
-        result: set[Any] = set()
-        for pk in self.range_pks(
-            (), low, high, include_low=include_low, include_high=include_high
-        ):
-            result.add(pk)
-        return result

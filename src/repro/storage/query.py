@@ -419,7 +419,7 @@ class Query:
         if cond.op in _RANGE_OPS:
             if cond.value is None:
                 return 0.0
-            sx = tbl.sorted_index_for(cond.column)
+            sx = tbl.ordered_index_for((cond.column,))
             if sx is not None and len(sx) > 0:
                 if cond.op in (">", ">="):
                     _keys, est = sx.estimate_range(

@@ -182,14 +182,14 @@ class Snapshot:
         if epoch & 1 or tbl.dirty or tbl.version > self._seq:
             return None
         index = tbl.hash_index_for(columns) or tbl.unique_index_for(columns)
-        if index is None and len(columns) == 1:
-            sorted_index = tbl.sorted_index_for(columns[0])
-            pks = None if sorted_index is None else sorted_index.lookup(key[0])
-        elif index is None:
-            return None
-        else:
+        if index is not None:
             pks = index.lookup(key)
-        if pks is None or tbl.mutation_epoch != epoch:
+        else:
+            ordered = tbl.ordered_index_for(columns)
+            if ordered is None:
+                return None
+            pks = ordered.lookup_key(key)
+        if tbl.mutation_epoch != epoch:
             return None
         return pks
 

@@ -48,7 +48,7 @@ from repro.errors import (
     RowNotFound,
     SchemaError,
 )
-from repro.storage.index import HashIndex, OrderedIndex, SortedIndex
+from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.schema import TableSchema
 from repro.storage.stats import TableStatistics
 from repro.storage.types import ColumnType, coerce
@@ -193,15 +193,16 @@ class Table:
 
         # Unique constraints become unique hash indexes (PK handled by the
         # row dict itself).  Plain/composite indexes become hash indexes;
-        # every single-column plain index also gets a sorted twin so range
-        # predicates and ORDER BY can use it, and ``schema.ordered``
+        # every single-column plain index also gets an ordered twin so
+        # range predicates and ORDER BY can use it, and ``schema.ordered``
         # declares further ordered indexes (composites give the planner
-        # prefix seeks and covering reads).  Indexes always reflect the
-        # *latest* (possibly uncommitted) state; snapshot reads may only
-        # use them when the table has not moved past the snapshot.
+        # prefix seeks and covering reads).  Ordered indexes are keyed by
+        # their column tuple, single-column ones by a 1-tuple.  Indexes
+        # always reflect the *latest* (possibly uncommitted) state;
+        # snapshot reads may only use them when the table has not moved
+        # past the snapshot.
         self._unique_indexes: list[HashIndex] = []
         self._hash_indexes: dict[tuple[str, ...], HashIndex] = {}
-        self._sorted_indexes: dict[str, SortedIndex] = {}
         self._ordered_indexes: dict[tuple[str, ...], OrderedIndex] = {}
 
         for col in schema.columns:
@@ -216,15 +217,10 @@ class Table:
         for spec in schema.index_specs():
             if spec not in self._hash_indexes:
                 self._hash_indexes[spec] = HashIndex(schema.name, spec)
-            if len(spec) == 1 and spec[0] not in self._sorted_indexes:
-                self._sorted_indexes[spec[0]] = SortedIndex(schema.name, spec[0])
+            if len(spec) == 1 and spec not in self._ordered_indexes:
+                self._ordered_indexes[spec] = OrderedIndex(schema.name, spec)
         for spec in schema.ordered_index_specs():
-            if len(spec) == 1:
-                if spec[0] not in self._sorted_indexes:
-                    self._sorted_indexes[spec[0]] = SortedIndex(
-                        schema.name, spec[0]
-                    )
-            elif spec not in self._ordered_indexes:
+            if spec not in self._ordered_indexes:
                 self._ordered_indexes[spec] = OrderedIndex(schema.name, spec)
 
         # Planner statistics: reservoir samples per column; fed by the
@@ -612,7 +608,6 @@ class Table:
         return (
             len(self._unique_indexes)
             + len(self._hash_indexes)
-            + len(self._sorted_indexes)
             + len(self._ordered_indexes)
         )
 
@@ -620,8 +615,6 @@ class Table:
         for index in self._unique_indexes:
             index.add(row, pk)
         for index in self._hash_indexes.values():
-            index.add(row, pk)
-        for index in self._sorted_indexes.values():
             index.add(row, pk)
         for index in self._ordered_indexes.values():
             index.add(row, pk)
@@ -631,8 +624,6 @@ class Table:
         for index in self._unique_indexes:
             index.remove(row, pk)
         for index in self._hash_indexes.values():
-            index.remove(row, pk)
-        for index in self._sorted_indexes.values():
             index.remove(row, pk)
         for index in self._ordered_indexes.values():
             index.remove(row, pk)
@@ -792,20 +783,17 @@ class Table:
     def hash_index_for(self, columns: tuple[str, ...]) -> HashIndex | None:
         return self._hash_indexes.get(columns)
 
-    def sorted_index_for(self, column: str) -> SortedIndex | None:
-        return self._sorted_indexes.get(column)
-
     def ordered_index_for(self, columns: tuple[str, ...]) -> OrderedIndex | None:
         """The ordered index over exactly *columns*, if one exists."""
-        if len(columns) == 1:
-            return self._sorted_indexes.get(columns[0])
         return self._ordered_indexes.get(columns)
 
     def ordered_indexes(self) -> "list[OrderedIndex]":
-        """Every ordered index (single-column twins + declared composites)."""
-        return list(self._sorted_indexes.values()) + list(
-            self._ordered_indexes.values()
-        )
+        """Every ordered index, single-column ones before composites (the
+        planner enumerates candidates in this order)."""
+        indexes = self._ordered_indexes.values()
+        return [ix for ix in indexes if len(ix.columns) == 1] + [
+            ix for ix in indexes if len(ix.columns) > 1
+        ]
 
     def hash_indexes(self) -> "list[HashIndex]":
         """Every non-unique hash index (planner candidate enumeration)."""
@@ -841,9 +829,9 @@ class Table:
         index = self._hash_indexes.get((column,))
         if index is not None:
             return index.distinct_keys()
-        sorted_index = self._sorted_indexes.get(column)
-        if sorted_index is not None:
-            return sorted_index.distinct_keys()
+        ordered = self._ordered_indexes.get((column,))
+        if ordered is not None:
+            return ordered.distinct_keys()
         for unique in self._unique_indexes:
             if unique.columns == (column,):
                 return unique.distinct_keys()
@@ -851,7 +839,7 @@ class Table:
 
     def column_min_max(self, column: str) -> "tuple[Any, Any] | None":
         """O(1) (min, max) for *column* via its ordered index, if any."""
-        index = self._sorted_indexes.get(column)
+        index = self._ordered_indexes.get((column,))
         if index is None or len(index) == 0:
             return None
         low = index.min_key()
@@ -976,12 +964,12 @@ class Table:
             if head.row is not None:
                 index.add(head.row, pk)
         self._hash_indexes[columns] = index
-        if len(columns) == 1 and columns[0] not in self._sorted_indexes:
-            sorted_index = SortedIndex(self.name, columns[0])
+        if len(columns) == 1 and columns not in self._ordered_indexes:
+            ordered_index = OrderedIndex(self.name, columns)
             for pk, head in self._rows.items():
                 if head.row is not None:
-                    sorted_index.add(head.row, pk)
-            self._sorted_indexes[columns[0]] = sorted_index
+                    ordered_index.add(head.row, pk)
+            self._ordered_indexes[columns] = ordered_index
         self.schema.indexes = list(self.schema.indexes) + [columns]
         self._db._publish_commit_seq(self._publish_out_of_band())
         self._mutation_epoch += 1
@@ -996,8 +984,6 @@ class Table:
         for index in self._unique_indexes:
             index.clear()
         for index in self._hash_indexes.values():
-            index.clear()
-        for index in self._sorted_indexes.values():
             index.clear()
         for index in self._ordered_indexes.values():
             index.clear()

@@ -188,17 +188,6 @@ class Transaction:
         # memory and cannot be unwound here, so the error propagates
         # with the committed state intact.
 
-    def _mark_committed(self) -> None:
-        """Flip to committed without running the commit path.
-
-        Only the split phase-2 of a cross-shard commit uses this: the
-        database has already made the commit record durable via
-        :meth:`Database.commit_prepared_durable` and publishes /
-        releases the writer lock itself.
-        """
-        self._require_active()
-        self._state = _COMMITTED
-
     def rollback(self) -> None:
         """Undo every mutation of this transaction and release the lock."""
         self._require_active()

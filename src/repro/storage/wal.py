@@ -93,17 +93,12 @@ class WriteAheadLog:
         obs: "Observability | None" = None,
         durability: "Durability | str | None" = None,
         pending_writers=None,
-        shard: str | None = None,
     ):
         """*pending_writers*: optional zero-argument callable reporting
         how many transactions are currently applying changes and will
         enqueue a record soon.  A group-commit leader keeps its window
         open only while this is positive — when nobody else can join
-        the batch, waiting is pure latency.
-
-        *shard* labels the fsync/batch instruments with ``{shard=...}``
-        when several shard WALs share one metrics registry; standalone
-        logs keep the historical unlabelled families."""
+        the batch, waiting is pure latency."""
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "a", encoding="utf-8")
@@ -113,19 +108,15 @@ class WriteAheadLog:
         self._m_fsync = None
         self._m_batch = None
         if obs is not None:
-            _names = ("shard",) if shard is not None else ()
-            _vals: dict[str, str] = {"shard": shard} if shard is not None else {}
             self._m_fsync = obs.metrics.histogram(
                 "storage_wal_fsync_seconds",
                 "fsync of one WAL write (batch)",
-                labels=_names,
-            ).labels(**_vals)
+            ).labels()
             self._m_batch = obs.metrics.histogram(
                 "storage_wal_batch_records",
                 "Records made durable per WAL fsync",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-                labels=_names,
-            ).labels(**_vals)
+            ).labels()
         # Group-commit state: one open batch fills while (at most) one
         # leader flushes a closed batch.  Both conditions share one
         # mutex; the split keeps enqueues from waking every waiter:
@@ -159,8 +150,6 @@ class WriteAheadLog:
         encode_value,
         *,
         seq: int | None = None,
-        gtid: str | None = None,
-        lazy: bool = False,
     ):
         """Record one committed transaction; returns a *durability ticket*.
 
@@ -176,15 +165,6 @@ class WriteAheadLog:
         durability the record is only *enqueued*: the caller must invoke
         the returned zero-argument ticket — after releasing any locks —
         to block until the batch fsync makes the record durable.
-
-        *lazy* skips the per-record fsync under ``always`` durability.
-        Only the phase-2 half of a cross-shard commit may use it: by the
-        time the participant's commit record is appended, the
-        coordinator's fsynced decision record already anchors the
-        transaction's durability, and recovery rolls the prepare forward
-        from the decision log if this record never reaches the platter.
-        The bytes still land in the file (tailers see them); they become
-        durable with the next fsync on this WAL.
         """
         payload: dict[str, Any] = {
             "txn": txn_id,
@@ -192,9 +172,7 @@ class WriteAheadLog:
         }
         if seq is not None:
             payload["seq"] = seq
-        if gtid is not None:
-            payload["gtid"] = gtid
-        return self._append_record("commit", payload, lazy=lazy)
+        return self._append_record("commit", payload)
 
     @staticmethod
     def _encode_ops(
@@ -225,90 +203,6 @@ class WriteAheadLog:
             ops.append(op)
         return ops
 
-    def append_prepare(
-        self,
-        txn_id: int,
-        operations: list[UndoEntry],
-        encode_value,
-        *,
-        gtid: str,
-    ) -> None:
-        """Phase-1 vote of a cross-shard commit: force the redo log down.
-
-        The record carries the transaction's complete operation list —
-        enough to replay it if the coordinator later rules ``commit`` —
-        plus the global transaction id that ties it to the coordinator's
-        decision record.  Prepares are written synchronously and fsynced
-        even under ``group`` durability: a vote that could evaporate in
-        a crash is no vote.  Pending group batches are drained first so
-        file order never reorders this shard's redo stream.
-        """
-        if self.durability.grouped:
-            self.sync()
-        payload: dict[str, Any] = {
-            "txn": txn_id,
-            "gtid": gtid,
-            "ops": self._encode_ops(operations, encode_value),
-        }
-        self._append_record("prepare", payload)
-
-    def append_abort(self, gtid: str) -> None:
-        """Terminate a prepared transaction with an abort outcome."""
-        self._append_record("abort", {"gtid": gtid})
-
-    def append_resolution(self, prepare_record: dict[str, Any], *, seq: int):
-        """Commit a recovered in-doubt prepare durably.
-
-        Rewrites *prepare_record* (as read back from this log) as a
-        normal commit record at sequence *seq*, so the next recovery
-        sees a terminated prepare and the replication publisher ships
-        the transaction like any other commit.  Returns a durability
-        ticket under ``group`` mode.
-        """
-        payload: dict[str, Any] = {
-            "txn": prepare_record.get("txn", 0),
-            "ops": prepare_record["ops"],
-            "seq": seq,
-            "gtid": prepare_record.get("gtid"),
-        }
-        return self._append_record("commit", payload)
-
-    def append_decision(
-        self, gtid: str, outcome: str, shards: list[int]
-    ) -> None:
-        """Coordinator-side 2PC commit point.
-
-        Appended (and fsynced — decision logs run in ``always`` mode) to
-        the coordinator's own log, never to a shard WAL.  A prepare whose
-        gtid has a ``commit`` decision here rolls forward on recovery;
-        one without any decision is presumed aborted.
-        """
-        self.append_decisions([(gtid, outcome, shards)])
-
-    def append_decisions(
-        self, decisions: "list[tuple[str, str, list[int]]]"
-    ) -> None:
-        """Batch form of :meth:`append_decision` — one write, one fsync.
-
-        The coordinator group-commits concurrent decisions through here;
-        each tuple is ``(gtid, outcome, shards)`` and every record in
-        the batch is durable on return.
-        """
-        fault_point("wal.append")
-        lines = []
-        for gtid, outcome, shards in decisions:
-            body = _encode_payload(
-                {
-                    "kind": "decision",
-                    "gtid": gtid,
-                    "outcome": outcome,
-                    "shards": shards,
-                }
-            )
-            crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-            lines.append(f"{crc:08x} {body}\n")
-        self._write_lines(lines, fsync=self.durability.mode != "buffered")
-
     def append_replicated(self, record: dict[str, Any]):
         """Re-log a commit record shipped from another node, verbatim.
 
@@ -337,7 +231,7 @@ class WriteAheadLog:
             payload["seq"] = seq
         self._append_record("checkpoint", payload)
 
-    def _append_record(self, kind: str, payload: dict[str, Any], *, lazy: bool = False):
+    def _append_record(self, kind: str, payload: dict[str, Any]):
         # Crash site: the record exists only in memory — a fault here
         # must leave no trace of the transaction on disk.
         fault_point("wal.append")
@@ -353,9 +247,7 @@ class WriteAheadLog:
             )
             batch = self._enqueue(line, ctx)
             return lambda: self._await_batch(batch)
-        self._write_lines(
-            [line], fsync=self.durability.mode != "buffered" and not lazy
-        )
+        self._write_lines([line], fsync=self.durability.mode != "buffered")
         return None
 
     def _write_lines(self, lines: list[str], *, fsync: bool) -> None:

@@ -3,7 +3,7 @@
 Imports and application runs used to execute inline in the caller's
 thread, so a crash mid-import relied entirely on call-site compensation.
 The queue moves that work onto a ``job`` table **in the database
-itself** — it inherits WAL durability, MVCC introspection, sharding and
+itself** — it inherits WAL durability, MVCC introspection and
 replication for free — and re-expresses the resilience policies as
 queue state transitions::
 

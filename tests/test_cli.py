@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.errors import SchemaError
+from repro.facade import BFabric
 
 
 @pytest.fixture
@@ -114,6 +116,34 @@ class TestCli:
     def test_missing_command_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--data", str(tmp_path)])
+
+    def test_sharded_data_directory_is_refused_untouched(self, tmp_path):
+        # The layout a sharded deployment left behind: a shard map and
+        # one directory (with its own WAL) per shard.
+        db_dir = tmp_path / "d" / "db"
+        (db_dir / "shard-0").mkdir(parents=True)
+        (db_dir / "shard_map.json").write_text(
+            '{"shards": 2, "placements": {}}', encoding="utf-8"
+        )
+        (db_dir / "shard-0" / "wal.log").write_bytes(b"")
+
+        def listing():
+            return {
+                path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")
+            }
+
+        before = listing()
+        with pytest.raises(SchemaError) as refused:
+            BFabric(tmp_path / "d")
+        message = str(refused.value)
+        assert str(db_dir / "shard_map.json") in message
+        assert "sharding was removed" in message
+        assert "no migration" in message
+        for verb in (["init"], ["stats"], ["replicate", "status"]):
+            with pytest.raises(SchemaError):
+                main(["--data", str(tmp_path / "d"), *verb])
+        assert listing() == before
 
 
 class TestCliReports:

@@ -1,5 +1,14 @@
-"""Sharded write path: routing, scatter-gather reads, 2PC, and the
-contract that one shard is a plain Database."""
+"""One engine: writes, queries, transactions and the on-disk layout of a
+single ``Database``, and the refusal of a sharded data directory.
+
+This suite once tested a sharded coordinator.  Sharding was removed;
+the test names stay, and each test now pins on the one ``Database`` the
+behaviour its sharded counterpart checked on the coordinator: writes
+land where reads find them, a unique table holds one copy, queries
+merge nothing and lose nothing, a multi-row transaction commits or
+rolls back as one, and a directory a sharded deployment left behind is
+refused rather than opened.
+"""
 
 import os
 import random
@@ -7,8 +16,9 @@ import random
 import pytest
 
 from repro.errors import (
-    CrashPoint,
     FaultInjected,
+    ForeignKeyViolation,
+    PrimaryKeyViolation,
     RowNotFound,
     SchemaError,
     TransactionError,
@@ -17,17 +27,12 @@ from repro import cli
 from repro.facade import BFabric
 from repro.resilience.faults import Fault, FaultPlan, inject
 from repro.storage import Column, ColumnType, Database, TableSchema
-from repro.storage.sharding import (
-    ShardedDatabase,
-    ShardRouter,
-    stable_hash,
-    stored_shard_count,
-)
+from repro.storage.table import Table
 
 
 def _schemas() -> list[TableSchema]:
-    """A B-Fabric-shaped slice: projects, project-scoped samples, a
-    global reference table, and a plain hash-routed table."""
+    """A B-Fabric-shaped slice: users with unique logins, projects,
+    project-scoped samples, and a plain table."""
     return [
         TableSchema(
             name="app_user",
@@ -63,52 +68,47 @@ def _schemas() -> list[TableSchema]:
     ]
 
 
-def _make(tmp_path=None, shards=4, **kwargs):
-    kwargs.setdefault("router", ShardRouter(global_tables={"app_user"}))
-    sdb = ShardedDatabase(tmp_path, shards=shards, **kwargs)
+def _make(path=None, **kwargs) -> Database:
+    database = Database(path, **kwargs)
     for schema in _schemas():
-        sdb.create_table(schema)
-    return sdb
+        database.create_table(schema)
+    return database
 
 
 @pytest.fixture
-def sdb():
-    database = _make(shards=4)
+def database():
+    database = _make()
     yield database
     database.close()
 
 
-def pk_on_shard(sdb, shard, *, start=1):
-    """A pk (from *start*) that stable-hashes onto *shard*."""
-    return next(
-        i for i in range(start, start + 10_000) if sdb.shard_index(i) == shard
+def _commits(database) -> float:
+    family = database.obs.metrics.get("storage_commits_total")
+    return sum(child.value for _labels, child in family.samples())
+
+
+def _sharded_layout(db_dir, shards=2):
+    """The files a sharded deployment left in ``db/``: a shard map and
+    one directory with its own WAL per shard."""
+    db_dir.mkdir(parents=True)
+    (db_dir / "shard_map.json").write_text(
+        f'{{"shards": {shards}, "placements": {{}}}}', encoding="utf-8"
     )
+    for sid in range(shards):
+        (db_dir / f"shard-{sid}").mkdir()
+        (db_dir / f"shard-{sid}" / "wal.log").write_bytes(b"")
+
+
+def _listing(root):
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
 
 
 class TestRouter:
-    def test_stable_hash_is_deterministic_and_type_tagged(self):
-        assert stable_hash(42) == stable_hash(42)
-        assert stable_hash("42") != stable_hash(42)
-        assert stable_hash(True) != stable_hash(1)
-        spread = {stable_hash(i) % 4 for i in range(64)}
-        assert spread == {0, 1, 2, 3}
-
-    def test_placements(self, sdb):
-        placements = {
-            name: sdb.placement(name)[0] for name in sdb.table_names()
-        }
-        assert placements == {
-            "app_user": "global",
-            "project": "project",
-            "sample": "project",
-            "note": "hash",
-        }
-        # The project table routes by its own pk; children by project_id.
-        assert sdb.placement("project")[1] == "id"
-        assert sdb.placement("sample")[1] == "project_id"
-
-    def test_parent_placement_follows_fk(self, sdb):
-        sdb.create_table(
+    def test_parent_placement_follows_fk(self, database):
+        database.create_table(
             TableSchema(
                 name="sample_note",
                 columns=[
@@ -121,109 +121,133 @@ class TestRouter:
                 ],
             )
         )
-        assert sdb.placement("sample_note") == (
-            "parent",
-            "sample_id",
-            "sample",
-        )
-        project = sdb.insert("project", {"name": "p"})
-        sample = sdb.insert(
+        assert [ref[:2] for ref in database.referencing("sample")] == [
+            ("sample_note", "sample_id")
+        ]
+        project = database.insert("project", {"name": "p"})
+        sample = database.insert(
             "sample", {"project_id": project["id"], "kind": "dna"}
         )
-        note = sdb.insert("sample_note", {"sample_id": sample["id"]})
-        home = sdb.shard_index(project["id"])
-        assert note["id"] in sdb.shard(home).table("sample_note")
+        note = database.insert("sample_note", {"sample_id": sample["id"]})
+        assert database.get("sample_note", note["id"])["sample_id"] == (
+            sample["id"]
+        )
+        with pytest.raises(ForeignKeyViolation):
+            database.insert("sample_note", {"sample_id": sample["id"] + 99})
+        assert database.count("sample_note") == 1
 
-    def test_unknown_table_raises_early(self, sdb):
+    def test_unknown_table_raises_early(self, database):
         with pytest.raises(SchemaError):
-            sdb.placement("nope")
+            database.table("nope")
         with pytest.raises(SchemaError):
-            sdb.query("nope")
+            database.query("nope")
+        with pytest.raises(SchemaError):
+            database.insert("nope", {"id": 1})
 
 
 class TestRoutedWrites:
-    def test_project_and_children_colocate(self, sdb):
+    def test_project_and_children_colocate(self, database):
         for _ in range(8):
-            project = sdb.insert("project", {"name": "p"})
-            sample = sdb.insert(
+            project = database.insert("project", {"name": "p"})
+            sample = database.insert(
                 "sample", {"project_id": project["id"], "kind": "dna"}
             )
-            home = sdb.shard_index(project["id"])
-            assert project["id"] in sdb.shard(home).table("project")
-            assert sample["id"] in sdb.shard(home).table("sample")
+            children = database.query("sample").where(
+                "project_id", "=", project["id"]
+            )
+            assert children.pks() == [sample["id"]]
+            assert children.explain()["strategy"] == "index:ix_sample_project_id"
 
-    def test_autoincrement_pks_unique_across_shards(self, sdb):
-        ids = [sdb.insert("note", {"body": "x"})["id"] for _ in range(24)]
+    def test_autoincrement_pks_unique_across_shards(self, database):
+        ids = [database.insert("note", {"body": "x"})["id"] for _ in range(24)]
         assert len(set(ids)) == 24
-        used = {sid for sid in range(4) if sdb.shard(sid).count("note")}
-        assert len(used) > 1  # the workload really is spread out
+        assert ids == sorted(ids)
+        assert database.count("note") == 24
 
-    def test_update_delete_route_to_owner(self, sdb):
-        note = sdb.insert("note", {"body": "before"})
-        assert sdb.update("note", note["id"], {"body": "after"})["body"] == (
-            "after"
-        )
-        assert sdb.get("note", note["id"])["body"] == "after"
-        sdb.delete("note", note["id"])
-        assert sdb.get_or_none("note", note["id"]) is None
+    def test_update_delete_route_to_owner(self, database):
+        note = database.insert("note", {"body": "before"})
+        assert database.update("note", note["id"], {"body": "after"})[
+            "body"
+        ] == "after"
+        assert database.get("note", note["id"])["body"] == "after"
+        database.delete("note", note["id"])
+        assert database.get_or_none("note", note["id"]) is None
         with pytest.raises(RowNotFound):
-            sdb.update("note", note["id"], {"body": "gone"})
+            database.update("note", note["id"], {"body": "gone"})
 
-    def test_routing_column_update_cannot_migrate_rows(self, sdb):
-        project = sdb.insert("project", {"name": "p"})
-        sample = sdb.insert(
+    def test_routing_column_update_cannot_migrate_rows(self, database):
+        # In one database a row never migrates: changing its project
+        # only moves it between index buckets.
+        project = database.insert("project", {"name": "p"})
+        other = database.insert("project", {"name": "q"})
+        sample = database.insert(
             "sample", {"project_id": project["id"], "kind": "dna"}
         )
-        home = sdb.shard_index(project["id"])
-        other_project = pk_on_shard(sdb, (home + 1) % 4)
-        with pytest.raises(TransactionError, match="migration"):
-            sdb.update("sample", sample["id"], {"project_id": other_project})
-        # A same-shard routing value is fine.
-        same = pk_on_shard(sdb, home, start=project["id"] + 1)
-        updated = sdb.update("sample", sample["id"], {"project_id": same})
-        assert updated["project_id"] == same
+        updated = database.update(
+            "sample", sample["id"], {"project_id": other["id"]}
+        )
+        assert updated["project_id"] == other["id"]
+
+        def by_project(pk):
+            return database.query("sample").where("project_id", "=", pk).pks()
+
+        assert by_project(project["id"]) == []
+        assert by_project(other["id"]) == [sample["id"]]
+        assert database.verify_integrity() == []
 
 
 class TestGlobalTables:
-    def test_global_writes_fan_out_to_every_shard(self, sdb):
-        user = sdb.insert("app_user", {"login": "ada"})
-        for sid in range(4):
-            assert user["id"] in sdb.shard(sid).table("app_user")
-        sdb.update("app_user", user["id"], {"login": "ada2"})
-        for sid in range(4):
-            row = sdb.shard(sid).get("app_user", user["id"])
-            assert row["login"] == "ada2"
-        sdb.delete("app_user", user["id"])
-        for sid in range(4):
-            assert user["id"] not in sdb.shard(sid).table("app_user")
+    def test_global_writes_fan_out_to_every_shard(self, database):
+        user = database.insert("app_user", {"login": "ada"})
+        assert database.count("app_user") == 1
+        database.update("app_user", user["id"], {"login": "ada2"})
+        assert database.get("app_user", user["id"])["login"] == "ada2"
+        assert database.query("app_user").where(
+            "login", "=", "ada2"
+        ).pks() == [user["id"]]
+        database.delete("app_user", user["id"])
+        assert database.count("app_user") == 0
+        assert database.query("app_user").where(
+            "login", "=", "ada2"
+        ).pks() == []
 
-    def test_global_reads_hit_shard_zero(self, sdb):
-        sdb.insert("app_user", {"login": "ada"})
-        plan = sdb.query("app_user").explain()
-        assert plan["routing"] == "global"
-        assert plan["shards_consulted"] == [0]
-        assert sdb.count("app_user") == 1  # not 4
+    def test_global_reads_hit_shard_zero(self, database):
+        database.insert("app_user", {"login": "ada"})
+        plan = database.query("app_user").explain()
+        assert plan["table"] == "app_user"
+        assert plan["strategy"] == "scan"
+        assert "routing" not in plan and "shards_consulted" not in plan
+        assert database.count("app_user") == 1
 
-    def test_verify_integrity_flags_global_divergence(self, sdb):
-        sdb.insert("app_user", {"login": "ada"})
-        assert sdb.verify_integrity() == []
-        sdb.shard(2).insert("app_user", {"id": 99, "login": "rogue"})
-        problems = sdb.verify_integrity()
-        assert any("app_user" in p and "shard 2" in p for p in problems)
+    def test_verify_integrity_flags_global_divergence(self, database):
+        user = database.insert("app_user", {"login": "ada"})
+        assert database.verify_integrity() == []
+        # Sabotage: drop the row from its unique index behind the
+        # engine's back.
+        (logins,) = database.table("app_user")._unique_indexes
+        logins.remove(user, user["id"])
+        problems = database.verify_integrity()
+        assert any(
+            "app_user" in p and "missing from unique index" in p
+            for p in problems
+        )
+        database.rebuild_indexes()
+        assert database.verify_integrity() == []
 
-    def test_verify_integrity_flags_duplicate_partitioned_pk(self, sdb):
-        note = sdb.insert("note", {"body": "x"})
-        wrong = (sdb.shard_index(note["id"]) + 1) % 4
-        sdb.shard(wrong).insert("note", {"id": note["id"], "body": "dup"})
-        problems = sdb.verify_integrity()
-        assert any("present on shards" in p for p in problems)
+    def test_verify_integrity_flags_duplicate_partitioned_pk(self, database):
+        note = database.insert("note", {"body": "x"})
+        with pytest.raises(PrimaryKeyViolation):
+            database.insert("note", {"id": note["id"], "body": "dup"})
+        assert database.count("note") == 1
+        assert database.get("note", note["id"])["body"] == "x"
+        assert database.verify_integrity() == []
 
 
 class TestScatterGatherQueries:
     @pytest.fixture
-    def loaded(self, sdb):
+    def loaded(self, database):
         for i in range(1, 41):
-            sdb.insert(
+            database.insert(
                 "sample",
                 {
                     "id": i,
@@ -232,7 +256,7 @@ class TestScatterGatherQueries:
                     "mass": float(i),
                 },
             )
-        return sdb
+        return database
 
     def test_scatter_merges_order_limit_offset(self, loaded):
         rows = (
@@ -255,17 +279,19 @@ class TestScatterGatherQueries:
         }
 
     def test_eq_on_routing_column_goes_direct(self, loaded):
-        plan = loaded.query("sample").where("project_id", "=", 3).explain()
-        assert plan["routing"] == "direct"
-        assert plan["shards_consulted"] == [loaded.shard_index(3)]
+        query = loaded.query("sample").where("project_id", "=", 3)
+        plan = query.explain()
+        assert plan["strategy"] == "index:ix_sample_project_id"
+        assert plan["candidates"] == 8
         rows = loaded.query("sample").where("project_id", "=", 3).all()
         assert sorted(row["id"] for row in rows) == [3, 8, 13, 18, 23, 28, 33, 38]
 
     def test_scatter_explain_reports_fanout(self, loaded):
         plan = loaded.query("sample").where("kind", "=", "dna").explain()
-        assert plan["routing"] == "scatter"
-        assert plan["shards_consulted"] == [0, 1, 2, 3]
-        assert set(plan["shards"]) == {0, 1, 2, 3}
+        assert plan["strategy"] == "scan"
+        assert plan["candidates"] == 40
+        assert plan["residual_predicates"] == 1
+        assert "shards" not in plan and "shards_consulted" not in plan
 
     def test_aggregates_merge_across_shards(self, loaded):
         q = loaded.query("sample")
@@ -295,174 +321,184 @@ class TestScatterGatherQueries:
 
 
 class TestCrossShardTransactions:
-    def test_cross_shard_commit_is_atomic_and_counted(self, sdb):
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        with sdb.transaction() as txn:
-            txn.insert("note", {"id": a, "body": "a"})
-            txn.insert("note", {"id": b, "body": "b"})
-        assert a in sdb.shard(0).table("note")
-        assert b in sdb.shard(1).table("note")
-        samples = dict(
-            (labels["outcome"], child.value)
-            for labels, child in sdb.obs.metrics.get(
-                "storage_2pc_total"
-            ).samples()
-        )
-        assert samples.get("commit") == 1
+    def test_cross_shard_commit_is_atomic_and_counted(self, database):
+        before = _commits(database)
+        with database.transaction() as txn:
+            txn.insert("note", {"id": 1, "body": "a"})
+            txn.insert("project", {"id": 1, "name": "b"})
+        assert database.get("note", 1)["body"] == "a"
+        assert database.get("project", 1)["name"] == "b"
+        assert _commits(database) == before + 1
 
-    def test_cross_shard_rollback_undoes_every_shard(self, sdb):
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        txn = sdb.transaction()
-        txn.insert("note", {"id": a, "body": "a"})
-        txn.insert("note", {"id": b, "body": "b"})
+    def test_cross_shard_rollback_undoes_every_shard(self, database):
+        txn = database.transaction()
+        txn.insert("note", {"id": 1, "body": "a"})
+        txn.insert("project", {"id": 1, "name": "b"})
         txn.rollback()
-        assert sdb.count("note") == 0
+        assert database.count("note") == 0
+        assert database.count("project") == 0
         with pytest.raises(TransactionError):
-            txn.insert("note", {"id": a, "body": "again"})
+            txn.insert("note", {"id": 1, "body": "again"})
 
-    def test_commit_records_carry_gtid(self, sdb):
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        with sdb.transaction() as txn:
-            txn.insert("note", {"id": a, "body": "a"})
-            txn.insert("note", {"id": b, "body": "b"})
-        # In-memory deployment: WALs are None, protocol not exercised.
-        assert sdb.shard(0).wal is None
+    def test_commit_records_carry_gtid(self, tmp_path):
+        # One commit record per transaction, holding every operation,
+        # and no two-phase fields.
+        durable = _make(tmp_path / "d", durability="always")
+        with durable.transaction() as txn:
+            txn.insert("note", {"id": 1, "body": "a"})
+            txn.insert("note", {"id": 2, "body": "b"})
+        records = [r for r in durable.wal.records() if r["kind"] == "commit"]
+        assert len(records) == 1
+        (record,) = records
+        assert [op["pk"] for op in record["ops"]] == [1, 2]
+        assert record["seq"] == durable.committed_seq
+        assert "gtid" not in record
+        kinds = {r["kind"] for r in durable.wal.records()}
+        assert not kinds & {"prepare", "abort", "decision"}
+        durable.close()
 
-    def test_single_shard_wrapper_txn_routes_direct(self, sdb):
-        a = pk_on_shard(sdb, 2)
-        with sdb.transaction() as txn:
-            txn.insert("note", {"id": a, "body": "a"})
-            txn.update("note", a, {"body": "b"})
-        family = sdb.obs.metrics.get("storage_2pc_total")
-        assert all(child.value == 0 for _l, child in family.samples())
-        assert sdb.get("note", a)["body"] == "b"
+    def test_single_shard_wrapper_txn_routes_direct(self, database):
+        before = _commits(database)
+        with database.transaction() as txn:
+            txn.insert("note", {"id": 2, "body": "a"})
+            txn.update("note", 2, {"body": "b"})
+        assert _commits(database) == before + 1
+        assert database.get("note", 2)["body"] == "b"
 
-    def test_failure_before_decision_presumes_abort(self, sdb):
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        plan = FaultPlan([Fault("2pc.decide", kind="error", at_call=1)])
+    def test_failure_before_decision_presumes_abort(self, tmp_path):
+        durable = _make(tmp_path / "d", durability="always")
+        plan = FaultPlan([Fault("wal.append", kind="error", at_call=1)])
         with inject(plan):
             with pytest.raises(FaultInjected):
-                with sdb.transaction() as txn:
-                    txn.insert("note", {"id": a, "body": "a"})
-                    txn.insert("note", {"id": b, "body": "b"})
-        assert sdb.count("note") == 0
-        samples = dict(
-            (labels["outcome"], child.value)
-            for labels, child in sdb.obs.metrics.get(
-                "storage_2pc_total"
-            ).samples()
-        )
-        assert samples.get("abort") == 1
-        # The deployment stays writable afterwards.
-        with sdb.transaction() as txn:
-            txn.insert("note", {"id": a, "body": "retry"})
-            txn.insert("note", {"id": b, "body": "retry"})
-        assert sdb.count("note") == 2
+                with durable.transaction() as txn:
+                    txn.insert("note", {"id": 1, "body": "a"})
+                    txn.insert("note", {"id": 2, "body": "b"})
+        assert plan.fired() == 1
+        assert durable.count("note") == 0
+        # The database stays writable afterwards, and the failed commit
+        # never reached the log.
+        with durable.transaction() as txn:
+            txn.insert("note", {"id": 1, "body": "retry"})
+            txn.insert("note", {"id": 2, "body": "retry"})
+        assert durable.count("note") == 2
+        durable.close()
+        again = _make(tmp_path / "d", durability="always")
+        assert again.recover()["wal_txns"] == 1
+        assert {row["body"] for row in again.rows("note")} == {"retry"}
+        again.close()
 
-    def test_savepoint_rolls_back_later_touched_shard(self, sdb):
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        with sdb.transaction() as txn:
-            txn.insert("note", {"id": a, "body": "keep"})
+    def test_savepoint_rolls_back_later_touched_shard(self, database):
+        with database.transaction() as txn:
+            txn.insert("note", {"id": 1, "body": "keep"})
             txn.savepoint("sp")
-            txn.insert("note", {"id": b, "body": "drop"})
+            txn.insert("project", {"id": 1, "name": "drop"})
             txn.rollback_to("sp")
-        assert sdb.get("note", a)["body"] == "keep"
-        assert sdb.get_or_none("note", b) is None
+        assert database.get("note", 1)["body"] == "keep"
+        assert database.get_or_none("project", 1) is None
 
-    def test_snapshot_vector_never_sees_half_a_2pc(self, sdb):
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        before = sdb.snapshot()
-        with sdb.transaction() as txn:
-            txn.insert("note", {"id": a, "body": "a"})
-            txn.insert("note", {"id": b, "body": "b"})
-        after = sdb.snapshot()
-        assert before.count("note") == 0
-        assert after.count("note") == 2
-        assert len(after.vector) == 4
+    def test_snapshot_vector_never_sees_half_a_2pc(self, database):
+        before = database.snapshot()
+        with database.transaction() as txn:
+            txn.insert("note", {"id": 1, "body": "a"})
+            txn.insert("project", {"id": 1, "name": "b"})
+        after = database.snapshot()
+        assert before.count("note") == 0 and before.count("project") == 0
+        assert after.count("note") == 1 and after.count("project") == 1
+        # One transaction is one commit sequence number.
+        assert after.seq == before.seq + 1
         before.close()
         after.close()
 
 
 class TestCoordinatorAggregation:
-    def test_statistics_and_shard_status(self, sdb):
-        sdb.insert("project", {"name": "p"})
-        sdb.insert("app_user", {"login": "ada"})
-        stats = sdb.statistics()
+    def test_statistics_and_shard_status(self, database):
+        database.insert("project", {"name": "p"})
+        database.insert("app_user", {"login": "ada"})
+        stats = database.statistics()
         assert stats["tables"] == {
             "project": 1,
             "app_user": 1,
             "sample": 0,
             "note": 0,
         }
-        sharding = stats["sharding"]
-        assert sharding["shards"] == 4
-        assert sharding["placements"]["app_user"] == "global"
-        assert len(sharding["per_shard"]) == 4
-        assert {row["shard"] for row in sharding["per_shard"]} == {0, 1, 2, 3}
+        assert stats["total_rows"] == 2
+        assert stats["mvcc"]["committed_seq"] == database.committed_seq
+        assert "sharding" not in stats
 
-    def test_mvcc_gauges_aggregate_across_shards(self, sdb):
-        snaps = [sdb.shard(sid).snapshot() for sid in range(3)]
-        assert sdb.open_snapshots() == 3
-        vector = sdb.snapshot()
-        assert sdb.open_snapshot_vectors() == 1
-        assert sdb.open_snapshots() == 7  # 3 + one per shard
+    def test_mvcc_gauges_aggregate_across_shards(self, database):
+        gauge = database.obs.metrics.get("storage_open_snapshots")
+
+        def gauge_value():
+            return sum(child.value for _labels, child in gauge.samples())
+
+        snaps = [database.snapshot() for _ in range(3)]
+        assert database.open_snapshots() == 3
+        assert gauge_value() == 3
         for snap in snaps:
             snap.close()
-        vector.close()
-        assert sdb.open_snapshot_vectors() == 0
-        assert sdb.open_snapshots() == 0
+        assert database.open_snapshots() == 0
+        assert gauge_value() == 0
 
-    def test_prune_versions_sums_per_table_across_shards(self, sdb):
-        pks = [sdb.insert("note", {"body": "x"})["id"] for _ in range(12)]
+    def test_prune_versions_sums_per_table_across_shards(self, database):
+        pks = [database.insert("note", {"body": "x"})["id"] for _ in range(12)]
         for pk in pks:
-            sdb.update("note", pk, {"body": "y"})
-        reclaimed = sdb.prune_versions()
+            database.update("note", pk, {"body": "y"})
+        reclaimed = database.prune_versions()
         assert reclaimed.get("note", 0) >= 12
 
-    def test_version_horizon_is_most_conservative_shard(self, sdb):
-        sdb.insert("note", {"body": "x"})
-        assert sdb.version_horizon() == min(
-            sdb.shard(sid).version_horizon() for sid in range(4)
-        )
+    def test_version_horizon_is_most_conservative_shard(self, database):
+        database.insert("note", {"body": "x"})
+        old = database.snapshot()
+        database.insert("note", {"body": "y"})
+        young = database.snapshot()
+        database.insert("note", {"body": "z"})
+        # The oldest open snapshot pins the horizon.
+        assert database.version_horizon() == old.seq < young.seq
+        old.close()
+        assert database.version_horizon() == young.seq
+        young.close()
+        assert database.version_horizon() == database.committed_seq
 
 
 class TestDropInSingleShard:
-    """One shard is not a coordinator: it is a plain Database."""
+    """The facade's engine is a plain Database."""
 
     def test_database_shaped_surface(self, tmp_path):
-        assert type(BFabric(shards=1).db) is Database
-        system = BFabric(tmp_path / "d", shards=1)
+        assert type(BFabric().db) is Database
+        system = BFabric(tmp_path / "d")
         assert type(system.db) is Database
         system.close()
         assert not (tmp_path / "d" / "db" / "shard_map.json").exists()
         reopened = BFabric(tmp_path / "d")
         assert type(reopened.db) is Database
         reopened.close()
-        with pytest.raises(SchemaError, match=">= 2 shards"):
-            ShardedDatabase(shards=1)
+        with pytest.raises(TypeError):
+            BFabric(shards=1)
 
     def test_init_with_one_shard_creates_a_plain_database(self, tmp_path, capsys):
         data = str(tmp_path / "d")
-        assert cli.main(["--data", data, "init", "--shards", "1"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["--data", data, "init", "--shards", "1"])
+        capsys.readouterr()
+        assert cli.main(["--data", data, "init"]) == 0
         assert "sharded" not in capsys.readouterr().out
-        assert stored_shard_count(tmp_path / "d" / "db") == 1
+        db_dir = tmp_path / "d" / "db"
+        assert not (db_dir / "shard_map.json").exists()
+        assert not any(p.name.startswith("shard-") for p in db_dir.iterdir())
         system = BFabric(data)
         system.recover()
         assert type(system.db) is Database
         assert system.directory.user_by_login("admin") is not None
         system.close()
 
-    def test_partitioned_table_access_raises_at_n_gt_1(self, sdb):
-        with pytest.raises(SchemaError, match="partitioned"):
-            sdb.table("note")
-        # Global tables still expose a single authoritative Table.
-        assert sdb.table("app_user").schema.name == "app_user"
+    def test_partitioned_table_access_raises_at_n_gt_1(self, database):
+        # Every table is one authoritative Table.
+        for name in ("note", "app_user"):
+            table = database.table(name)
+            assert isinstance(table, Table)
+            assert table.schema.name == name
+        with pytest.raises(SchemaError):
+            database.table("nope")
 
 
 class TestShardMapPersistence:
@@ -471,7 +507,7 @@ class TestShardMapPersistence:
         plain.bootstrap(password="pw")
         plain.close()
         before = sorted(os.listdir(tmp_path / "d" / "db"))
-        with pytest.raises(SchemaError, match=r"holds 1 shard.* with 2"):
+        with pytest.raises(TypeError):
             BFabric(tmp_path / "d", shards=2)
         assert sorted(os.listdir(tmp_path / "d" / "db")) == before
         again = BFabric(tmp_path / "d")
@@ -479,51 +515,49 @@ class TestShardMapPersistence:
         assert type(again.db) is Database
         assert again.directory.user_by_login("admin") is not None
         again.close()
+        assert "shard_map.json" not in os.listdir(tmp_path / "d" / "db")
 
     def test_two_shard_directory_refuses_one_shard(self, tmp_path):
-        sharded = BFabric(tmp_path / "d", shards=2)
-        sharded.bootstrap(password="pw")
-        sharded.close()
-        before = sorted(os.listdir(tmp_path / "d" / "db"))
-        with pytest.raises(SchemaError, match=r"holds 2 shard.* with 1"):
-            BFabric(tmp_path / "d", shards=1)
-        assert sorted(os.listdir(tmp_path / "d" / "db")) == before
-        again = BFabric(tmp_path / "d")
-        again.recover()
-        assert type(again.db) is ShardedDatabase
-        assert again.db.shard_count == 2
-        assert again.directory.user_by_login("admin") is not None
-        again.close()
+        db_dir = tmp_path / "d" / "db"
+        _sharded_layout(db_dir, shards=2)
+        before = _listing(tmp_path)
+        with pytest.raises(SchemaError, match="sharding was removed") as refused:
+            BFabric(tmp_path / "d")
+        assert str(db_dir / "shard_map.json") in str(refused.value)
+        assert _listing(tmp_path) == before
 
     def test_reopen_with_other_count_refuses(self, tmp_path):
-        sdb = _make(tmp_path / "d", shards=2)
-        sdb.insert("note", {"body": "x"})
-        sdb.close()
-        assert stored_shard_count(tmp_path / "d") == 2
-        with pytest.raises(SchemaError, match="resharding"):
-            _make(tmp_path / "d", shards=4)
+        # Whatever count the map records, and even with no shard
+        # directories beside it, the directory is refused.
+        for shards in (2, 4):
+            db_dir = tmp_path / str(shards) / "db"
+            _sharded_layout(db_dir, shards=shards)
+            for sid in range(shards):
+                (db_dir / f"shard-{sid}" / "wal.log").unlink()
+                (db_dir / f"shard-{sid}").rmdir()
+            before = _listing(tmp_path)
+            with pytest.raises(SchemaError, match="no migration"):
+                BFabric(tmp_path / str(shards))
+            assert _listing(tmp_path) == before
 
     def test_shards_get_independent_directories_and_wals(self, tmp_path):
-        sdb = _make(tmp_path / "d", shards=2, durability="always")
-        a = pk_on_shard(sdb, 0)
-        b = pk_on_shard(sdb, 1)
-        sdb.insert("note", {"id": a, "body": "a"})
-        sdb.insert("note", {"id": b, "body": "b"})
-        assert (tmp_path / "d" / "shard-0").is_dir()
-        assert (tmp_path / "d" / "shard-1").is_dir()
-        wal0 = sdb.shard(0).wal
-        wal1 = sdb.shard(1).wal
-        assert wal0 is not None and wal1 is not None
-        assert wal0.path != wal1.path
-        kinds0 = [r["kind"] for r in wal0.records()]
-        assert "commit" in kinds0
-        sdb.close()
+        durable = _make(tmp_path / "d", durability="always")
+        durable.insert("note", {"id": 1, "body": "a"})
+        durable.insert("note", {"id": 2, "body": "b"})
+        assert durable.wal is not None
+        assert durable.wal.path.parent == tmp_path / "d"
+        assert not any(
+            p.name.startswith("shard") for p in (tmp_path / "d").iterdir()
+        )
+        kinds = [r["kind"] for r in durable.wal.records()]
+        assert kinds == ["commit", "commit"]
+        durable.close()
 
     def test_reopen_recover_restores_rows_and_allocator(self, tmp_path):
-        sdb = _make(tmp_path / "d", shards=2, durability="always")
-        ids = [sdb.insert("note", {"body": "x"})["id"] for _ in range(6)]
-        sdb.close()
-        again = _make(tmp_path / "d", shards=2, durability="always")
+        durable = _make(tmp_path / "d", durability="always")
+        ids = [durable.insert("note", {"body": "x"})["id"] for _ in range(6)]
+        durable.close()
+        again = _make(tmp_path / "d", durability="always")
         again.recover()
         assert again.count("note") == 6
         fresh = again.insert("note", {"body": "new"})["id"]
@@ -531,14 +565,15 @@ class TestShardMapPersistence:
         again.close()
 
 
-# -- conformance: a sharded query answers exactly what a Database does -------
+# -- conformance: an indexed query answers exactly what a scan does ----------
 
-#: Conformance tables and the column an equality predicate routes on:
-#: ``lab`` is global, ``sample`` routes by project, ``note`` hashes its pk.
+#: Conformance tables and the column an equality predicate selects on:
+#: ``lab`` indexes ``grp``; ``sample`` indexes ``project_id`` and ``grp``
+#: and orders ``val``; ``note`` only orders ``val``.
 ROUTE_COLUMNS = {"lab": "id", "sample": "project_id", "note": "id"}
 
 
-def _conformance_schemas() -> list[TableSchema]:
+def _conformance_schemas(*, indexed: bool) -> list[TableSchema]:
     def columns(*extra):
         return [
             Column("id", ColumnType.INT, primary_key=True),
@@ -547,15 +582,22 @@ def _conformance_schemas() -> list[TableSchema]:
             Column("val", ColumnType.FLOAT),
         ]
 
+    def schema(name, cols, indexes=(), ordered=()):
+        if not indexed:
+            indexes, ordered = (), ()
+        return TableSchema(
+            name, cols, indexes=list(indexes), ordered=list(ordered)
+        )
+
     return [
-        TableSchema("lab", columns(), indexes=["grp"]),
-        TableSchema(
+        schema("lab", columns(), indexes=["grp"]),
+        schema(
             "sample",
             columns(Column("project_id", ColumnType.INT, nullable=False)),
             indexes=["project_id", "grp"],
             ordered=["val"],
         ),
-        TableSchema("note", columns(), ordered=["val"]),
+        schema("note", columns(), ordered=["val"]),
     ]
 
 
@@ -563,7 +605,7 @@ def _conformance_row(rng, table, pk):
     row = {
         "id": pk,
         "grp": rng.choice(["a", "b", "c", None]),
-        # Integral floats: sums are exact whatever order shards add in.
+        # Integral floats: sums are exact whatever order rows add in.
         "val": rng.choice([None, *map(float, range(8))]),
     }
     if table == "sample":
@@ -573,10 +615,10 @@ def _conformance_row(rng, table, pk):
 
 @pytest.fixture(scope="module")
 def conformance():
-    """The same seeded rows in a Database and a 2-shard coordinator,
-    each with a snapshot taken before an identical batch of writes."""
-    router = ShardRouter(global_tables={"lab"})
-    plain, sharded = Database(), ShardedDatabase(shards=2, router=router)
+    """The same seeded rows in an indexed Database and in one whose
+    tables carry no secondary index (every read a scan), each with a
+    snapshot taken before an identical batch of writes."""
+    indexed, scanned = Database(), Database()
     rng = random.Random(2010)
     seeded = {
         table: [_conformance_row(rng, table, pk) for pk in range(1, 41)]
@@ -586,26 +628,25 @@ def conformance():
         table: [_conformance_row(rng, table, pk) for pk in range(41, 46)]
         for table in ROUTE_COLUMNS
     }
-    for db in (plain, sharded):
-        for schema in _conformance_schemas():
+    for db, flag in ((scanned, False), (indexed, True)):
+        for schema in _conformance_schemas(indexed=flag):
             db.create_table(schema)
         for table, rows in seeded.items():
             for row in rows:
                 db.insert(table, row)
-    snaps = [plain.snapshot(), sharded.snapshot()]
-    for db in (plain, sharded):
+    snaps = [scanned.snapshot(), indexed.snapshot()]
+    for db in (scanned, indexed):
         for table, rows in later.items():
             for row in rows:
                 db.insert(table, row)
             db.update(table, 5, {"grp": "c", "val": 6.0})
             db.delete(table, 11)
     yield {
-        "live": (plain.query, sharded.query),
+        "live": (scanned.query, indexed.query),
         "snapshot": (snaps[0].query, snaps[1].query),
     }
     for snap in snaps:
         snap.close()
-    sharded.close()
 
 
 AGGREGATES = ("count", "sum", "min", "max", "avg")
@@ -682,10 +723,10 @@ def _unordered(result):
 @pytest.mark.parametrize("mode", ["live", "snapshot"])
 @pytest.mark.parametrize("table", sorted(ROUTE_COLUMNS))
 def test_sharded_terminal_matches_database(conformance, table, mode, op):
-    plain_query, sharded_query = conformance[mode]
+    scan_query, indexed_query = conformance[mode]
     terminal, total = _conformance_ops(ROUTE_COLUMNS[table])[op]
-    expected = terminal(plain_query(table))
-    actual = terminal(sharded_query(table))
+    expected = terminal(scan_query(table))
+    actual = terminal(indexed_query(table))
     if not total:
         expected, actual = _unordered(expected), _unordered(actual)
     assert actual == expected

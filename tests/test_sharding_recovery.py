@@ -1,12 +1,20 @@
-"""2PC crash recovery: presumed abort, roll-forward, torn decision logs."""
+"""Crash recovery of multi-row commits: all or nothing, torn tails,
+allocator continuity, and the torture driver.
+
+This suite once tested the sharded two-phase commit.  Sharding was
+removed; the test names stay, and each test now pins the single-WAL
+behaviour that its two-phase counterpart checked: a commit that never
+reached the log is absent after recovery, one that did is present in
+full, and a torn record heals as an abort.
+"""
 
 import pytest
 
 from repro.errors import CrashPoint, FaultInjected
-from repro.resilience.faults import Fault, FaultPlan, inject
-from repro.resilience.torture import run_shard_torture
-from repro.storage import Column, ColumnType, TableSchema
-from repro.storage.sharding import ShardedDatabase
+from repro.resilience.faults import WAL_SITES, Fault, FaultPlan, inject
+from repro.resilience.torture import run_torture
+from repro.storage import Column, ColumnType, Database, TableSchema
+from repro.storage.database import WAL_NAME
 
 
 def _schema() -> TableSchema:
@@ -19,136 +27,149 @@ def _schema() -> TableSchema:
     )
 
 
-def _open(path, shards=2) -> ShardedDatabase:
-    sdb = ShardedDatabase(path, shards=shards, durability="always")
-    sdb.create_table(_schema())
-    return sdb
+def _open(path) -> Database:
+    db = Database(path, durability="always")
+    db.create_table(_schema())
+    return db
 
 
-def _pks(sdb):
-    """One pk per shard so a two-row transaction is truly cross-shard."""
-    a = next(i for i in range(1, 2000) if sdb.shard_index(i) == 0)
-    b = next(i for i in range(1, 2000) if sdb.shard_index(i) == 1)
-    return a, b
+#: The two rows of the transaction each crash interrupts.
+A, B = 7, 8
 
 
-def _crash_cross_shard(tmp_path, site, at_call):
-    """Run a cross-shard commit into a crash at *site*; abandon; reopen."""
+def _crash_multi_row(tmp_path, fault):
+    """Run a two-row commit into *fault*; abandon; reopen and recover."""
     directory = tmp_path / "deploy"
-    sdb = _open(directory)
-    a, b = _pks(sdb)
-    sdb.insert("row", {"id": a + 500, "value": "baseline"})
-    plan = FaultPlan(
-        [Fault(site, kind="error", at_call=at_call, error=CrashPoint)]
-    )
+    db = _open(directory)
+    db.insert("row", {"id": A + 500, "value": "baseline"})
+    plan = FaultPlan([fault])
     with inject(plan):
-        txn = sdb.transaction()
-        txn.insert("row", {"id": a, "value": "xa"})
-        txn.insert("row", {"id": b, "value": "xb"})
+        txn = db.transaction()
+        txn.insert("row", {"id": A, "value": "xa"})
+        txn.insert("row", {"id": B, "value": "xb"})
         with pytest.raises(FaultInjected):
             txn.commit()
+    assert plan.fired() == 1
     del txn
-    del sdb  # crash: no close(), no rollback
+    del db  # crash: no close(), no rollback
     recovered = _open(directory)
     stats = recovered.recover()
-    return recovered, (a, b), stats
+    return recovered, stats
+
+
+def _crash(site):
+    return Fault(site, kind="error", at_call=1, error=CrashPoint)
+
+
+def _present(db):
+    return {row["id"] for row in db.rows("row")}
 
 
 class TestCrashPoints:
     def test_crash_between_prepare_and_decision_aborts(self, tmp_path):
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.prepare", 2)
-        present = {row["id"] for row in recovered.rows("row")}
-        assert a not in present and b not in present
-        assert a + 500 in present  # surrounding durable commit survives
+        # Killed before a byte of the record was written.
+        recovered, _ = _crash_multi_row(tmp_path, _crash("wal.append"))
+        present = _present(recovered)
+        assert A not in present and B not in present
+        assert A + 500 in present  # surrounding durable commit survives
         assert recovered.verify_integrity() == []
         recovered.close()
 
     def test_crash_before_decision_record_aborts(self, tmp_path):
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.decide", 1)
-        present = {row["id"] for row in recovered.rows("row")}
-        assert a not in present and b not in present
+        # Killed while writing: a torn record, which recovery drops.
+        torn = Fault("wal.write", kind="torn_write", at_call=1, fraction=0.5)
+        recovered, stats = _crash_multi_row(tmp_path, torn)
+        present = _present(recovered)
+        assert A not in present and B not in present
+        assert stats["wal_txns"] == 1
         recovered.close()
 
     def test_crash_after_decision_rolls_forward(self, tmp_path):
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.commit", 1)
-        present = {row["id"] for row in recovered.rows("row")}
-        assert a in present and b in present
-        assert recovered.get("row", a)["value"] == "xa"
+        # Killed after the fsync returned: the commit is durable.
+        recovered, _ = _crash_multi_row(tmp_path, _crash("wal.after_fsync"))
+        present = _present(recovered)
+        assert A in present and B in present
+        assert recovered.get("row", A)["value"] == "xa"
         assert recovered.verify_integrity() == []
         recovered.close()
 
     def test_partial_phase_two_is_completed_not_halved(self, tmp_path):
-        # Second fault call: shard 0's commit record was dispatched,
-        # shard 1's never was — recovery must finish the job.
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.commit", 2)
-        present = {row["id"] for row in recovered.rows("row")}
-        assert a in present and b in present
+        # Killed between write and fsync: the one record holds both
+        # rows, so recovery brings back both, never one.
+        recovered, stats = _crash_multi_row(
+            tmp_path, _crash("wal.after_write")
+        )
+        present = _present(recovered)
+        assert A in present and B in present
+        assert stats["wal_txns"] == 2
         recovered.close()
 
     def test_resolution_is_durable_without_decision_log(self, tmp_path):
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.commit", 1)
+        recovered, _ = _crash_multi_row(tmp_path, _crash("wal.after_fsync"))
         recovered.close()
-        # The first recovery reset the decision log; the answer must be
-        # baked into the shard WALs now.
-        assert (tmp_path / "deploy" / "coordinator.log").stat().st_size == 0
+        # The outcome lives in the WAL alone: there is no side log.
+        names = {p.name for p in (tmp_path / "deploy").iterdir()}
+        assert WAL_NAME in names and "coordinator.log" not in names
+        # A second recovery over the same directory agrees.
         again = _open(tmp_path / "deploy")
         again.recover()
-        present = {row["id"] for row in again.rows("row")}
-        assert a in present and b in present
+        assert _present(again) == {A, B, A + 500}
         again.close()
 
 
 class TestDecisionLog:
     def test_torn_decision_tail_heals_as_presumed_abort(self, tmp_path):
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.decide", 1)
+        recovered, _ = _crash_multi_row(tmp_path, _crash("wal.append"))
         recovered.close()
-        log = tmp_path / "deploy" / "coordinator.log"
+        log = tmp_path / "deploy" / WAL_NAME
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write('deadbeef {"kind": "decision", "gt')
+            fh.write('deadbeef {"kind": "commit", "ops": [{"op": "ins')
         again = _open(tmp_path / "deploy")
         again.recover()  # must not choke on the torn record
-        present = {row["id"] for row in again.rows("row")}
-        assert a not in present and b not in present
+        assert _present(again) == {A + 500}
         again.close()
 
     def test_recover_resets_decision_log(self, tmp_path):
+        # Recovery cuts a torn tail back to the last whole record, so
+        # the next commit appends after it and replays.
         directory = tmp_path / "deploy"
-        sdb = _open(directory)
-        a, b = _pks(sdb)
-        with sdb.transaction() as txn:
-            txn.insert("row", {"id": a, "value": "xa"})
-            txn.insert("row", {"id": b, "value": "xb"})
-        assert (directory / "coordinator.log").stat().st_size > 0
-        sdb.close()
+        db = _open(directory)
+        with db.transaction() as txn:
+            txn.insert("row", {"id": A, "value": "xa"})
+            txn.insert("row", {"id": B, "value": "xb"})
+        db.close()
+        log = directory / WAL_NAME
+        whole = log.stat().st_size
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write('deadbeef {"kind": "commit", "gt')
         again = _open(directory)
         again.recover()
-        assert (directory / "coordinator.log").stat().st_size == 0
-        assert again.count("row") == 2
+        assert log.stat().st_size == whole
+        again.insert("row", {"id": 99, "value": "after"})
         again.close()
+        third = _open(directory)
+        assert third.recover()["wal_txns"] == 2
+        assert third.count("row") == 3
+        third.close()
 
 
 class TestAllocatorContinuity:
     def test_pk_allocation_resumes_past_recovered_rows(self, tmp_path):
-        recovered, (a, b), _ = _crash_cross_shard(tmp_path, "2pc.commit", 1)
+        recovered, _ = _crash_multi_row(tmp_path, _crash("wal.after_fsync"))
         fresh = recovered.insert("row", {"value": "new"})["id"]
-        assert fresh > max(a, b, a + 500)
+        assert fresh > max(A, B, A + 500)
         recovered.close()
 
 
 class TestTortureDriver:
     def test_shard_torture_passes_every_crash_point(self, tmp_path):
-        report = run_shard_torture(tmp_path, shards=2, seed=7)
+        report = run_torture(tmp_path, modes=("always",), seed=7)
         problems = [p for case in report.cases for p in case.problems]
         assert problems == []
         assert all(case.fired for case in report.cases)
-        assert {case.site for case in report.cases} == {
-            "prepare-partial",
-            "decide-lost",
-            "decide-torn-tail",
-            "commit-none-published",
-            "commit-half-published",
-        }
+        assert tuple(case.site for case in report.cases) == WAL_SITES
 
     def test_shard_torture_requires_two_shards(self, tmp_path):
+        # A workload too short to reach the fault step is refused.
         with pytest.raises(ValueError):
-            run_shard_torture(tmp_path, shards=1)
+            run_torture(tmp_path, commits=2)

@@ -11,8 +11,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.storage import Column, ColumnType, Database, TableSchema
-from repro.storage.index import HashIndex, OrderedIndex, SortedIndex
-from repro.storage.sharding import ShardedDatabase
+from repro.storage.index import HashIndex, OrderedIndex
 
 
 def _events_schema() -> TableSchema:
@@ -69,7 +68,7 @@ class TestIndexCounters:
         assert index.distinct_keys() == 2
 
     def test_sorted_len_counts_entries(self):
-        index = SortedIndex("t", "c")
+        index = OrderedIndex("t", ("c",))
         for pk in range(6):
             index.add({"c": pk % 3}, pk)
         assert len(index) == 6
@@ -81,18 +80,18 @@ class TestIndexCounters:
     def test_remove_then_range_sees_consistent_state(self):
         # Regression: remove() must drop the sorted key and the pk
         # bucket under the same bisect position — a torn remove left a
-        # stale key behind that a following range() resurrected.
-        index = SortedIndex("t", "c")
+        # stale key behind that a following range read resurrected.
+        index = OrderedIndex("t", ("c",))
         for pk in range(4):
             index.add({"c": 10}, pk)
         index.add({"c": 20}, 99)
         index.remove({"c": 10}, 2)
-        assert index.range(low=10, high=10) == {0, 1, 3}
+        assert set(index.range_pks(low=10, high=10)) == {0, 1, 3}
         for pk in (0, 1, 3):
             index.remove({"c": 10}, pk)
         # Key 10 fully gone: neither ranges nor ordered iteration may
         # see it.
-        assert index.range(low=5, high=15) == set()
+        assert set(index.range_pks(low=5, high=15)) == set()
         assert list(index.ordered_pks()) == [99]
         assert index.min_key() == (20,)
 
@@ -357,28 +356,26 @@ class TestStatistics:
 
 
 class TestExplainProvenance:
-    def test_live_snapshot_and_sharded_explain(self, tmp_path):
-        sdb = ShardedDatabase(tmp_path / "shards", shards=2)
-        sdb.create_table(_events_schema())
-        for i in range(60):
-            sdb.insert(
-                "event",
-                {"id": i, "project": i % 5, "kind": "import",
-                 "batch": i % 5, "score": i, "payload": "p"},
+    def test_live_snapshot_and_sharded_explain(self, events_db):
+        # A range explain reports one costed plan over the one table,
+        # the same whether asked live or from a fresh snapshot.
+        def explain(source):
+            return (
+                source.query("event")
+                .where("score", ">=", 10)
+                .where("score", "<", 30)
+                .explain()
             )
-        plan = (
-            sdb.query("event")
-            .where("score", ">=", 10)
-            .where("score", "<", 30)
-            .explain()
-        )
-        assert plan["shards_consulted"] == [0, 1]
-        assert plan["strategy"] == "range:sx_event_score"
-        assert set(plan["shards"]) == {0, 1}
-        # Scatter explain aggregates the per-shard costed plans.
-        assert plan["estimated_rows"] > 0
-        assert plan["estimated_cost"] > 0
-        sdb.close()
+
+        live = explain(events_db)
+        assert live["strategy"] == "range:sx_event_score"
+        assert live["estimated_rows"] > 0
+        assert live["estimated_cost"] > 0
+        assert "shards" not in live and "shards_consulted" not in live
+        with events_db.snapshot() as snap:
+            pinned = explain(snap)
+            assert pinned["strategy"] == live["strategy"]
+            assert pinned["estimated_rows"] == live["estimated_rows"]
 
     def test_snapshot_pins_costed_plan(self, events_db):
         with events_db.snapshot() as snap:

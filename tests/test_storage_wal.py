@@ -1,6 +1,8 @@
 """Durability: WAL append, checkpointing, recovery, torn-tail healing."""
 
 import datetime as dt
+import json
+import zlib
 
 import pytest
 
@@ -85,6 +87,40 @@ class TestRecovery:
         db2.recover()
         row = db2.insert("item", {"name": "c"})
         assert row["id"] == 3
+
+    def test_stray_two_phase_records_replay_as_presumed_abort(self, tmp_path):
+        # Logs written while the engine had a two-phase commit can hold
+        # prepare/abort/decision records.  Only commit records replay:
+        # the unterminated prepare is presumed aborted, even though a
+        # decision record in the same log says "commit".
+        def insert(pk, name):
+            return {"op": "insert", "table": "item", "pk": pk,
+                    "after": {"id": pk, "name": name}}
+
+        records = [
+            {"kind": "commit", "txn": 1, "seq": 1, "ops": [insert(1, "a")]},
+            {"kind": "prepare", "txn": 2, "gtid": "g-1",
+             "ops": [insert(2, "prepared")]},
+            {"kind": "abort", "gtid": "g-0"},
+            {"kind": "decision", "gtid": "g-1", "outcome": "commit",
+             "shards": [0, 1]},
+            {"kind": "commit", "txn": 3, "seq": 4,
+             "ops": [insert(3, "b"),
+                     {"op": "update", "table": "item", "pk": 1,
+                      "after": {"name": "a2"}}]},
+        ]
+        with open(tmp_path / "wal.log", "w", encoding="utf-8") as fh:
+            for record in records:
+                body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+                fh.write(f"{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x} {body}\n")
+
+        db = open_db(tmp_path)
+        stats = db.recover()
+        assert stats["wal_txns"] == 2
+        assert db.query("item").order_by("id").values("name") == ["a2", "b"]
+        assert db.get_or_none("item", 2) is None
+        assert db.committed_seq == 4
+        assert db.verify_integrity() == []
 
     def test_indexes_rebuilt_after_recovery(self, tmp_path):
         db = open_db(tmp_path)
