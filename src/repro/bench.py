@@ -811,8 +811,17 @@ def bench_queue_ingest(
     }
 
 
-def _read_http_response(sock, buffer: bytes) -> "tuple[int, bytes, bool]":
-    """Read one framed response; returns (status, leftover, closed).
+def _header_value(lowered_head: bytes, name: bytes) -> "bytes | None":
+    marker = lowered_head.find(name)
+    if marker == -1:
+        return None
+    end = lowered_head.find(b"\r\n", marker)
+    return lowered_head[marker + len(name) : end if end != -1 else None].strip()
+
+
+def _read_http_response(sock, buffer: bytes) -> "tuple[int, bytes, bool, str]":
+    """Read one framed response; returns (status, leftover, closed,
+    retry_after), the last a 503's ``Retry-After`` value ('' otherwise).
 
     Minimal by design: the hammer client must cost as little Python as
     possible so the cell measures the *server* (client and server share
@@ -829,26 +838,25 @@ def _read_http_response(sock, buffer: bytes) -> "tuple[int, bytes, bool]":
     status = int(head[9:12])
     lowered = head.lower()
     closing = b"connection: close" in lowered
-    length = None
-    marker = lowered.find(b"content-length:")
-    if marker != -1:
-        line_end = lowered.find(b"\r\n", marker)
-        end = line_end if line_end != -1 else len(lowered)
-        length = int(lowered[marker + 15 : end])
+    retry_after = ""
+    if status == 503:
+        retry_after = (_header_value(lowered, b"retry-after:") or b"").decode()
+    length = _header_value(lowered, b"content-length:")
+    length = None if length is None else int(length)
     if status == 304 or length == 0:
-        return status, buffer, closing
+        return status, buffer, closing, retry_after
     if length is not None:
         while len(buffer) < length:
             chunk = sock.recv(65536)
             if not chunk:
                 raise ConnectionResetError("eof in body")
             buffer += chunk
-        return status, buffer[length:], closing
+        return status, buffer[length:], closing, retry_after
     # No length: the peer frames by closing (HTTP/1.0 style).
     while True:
         chunk = sock.recv(65536)
         if not chunk:
-            return status, b"", True
+            return status, b"", True, retry_after
         buffer += chunk
 
 
@@ -868,6 +876,7 @@ def _portal_hammer(
     request = ("\r\n".join(request_lines) + "\r\n\r\n").encode("latin-1")
 
     counts: dict[int, int] = {}
+    retry_afters: list[str] = []
     mu = threading.Lock()
     # The window only starts once every client thread is up: spawning
     # 16 threads on a loaded box can take longer than a smoke-scale
@@ -879,6 +888,7 @@ def _portal_hammer(
         sock = None
         buffer = b""
         local: dict[int, int] = {}
+        retry_after = ""
         go.wait()
         clock = time.perf_counter
         while True:
@@ -892,8 +902,11 @@ def _portal_hammer(
                     )
                     buffer = b""
                 sock.sendall(request)
-                status, buffer, closed = _read_http_response(sock, buffer)
+                status, buffer, closed, shed_after = _read_http_response(
+                    sock, buffer
+                )
                 local[status] = local.get(status, 0) + 1
+                retry_after = shed_after or retry_after
                 if closed:
                     sock.close()
                     sock = None
@@ -908,6 +921,8 @@ def _portal_hammer(
         with mu:
             for status, count in local.items():
                 counts[status] = counts.get(status, 0) + count
+            if retry_after:
+                retry_afters.append(retry_after)
 
     threads = [threading.Thread(target=run) for _ in range(clients)]
     for thread in threads:
@@ -925,6 +940,7 @@ def _portal_hammer(
         "statuses": {str(k): v for k, v in sorted(counts.items())},
         "seconds": round(elapsed, 6),
         "qps": round(total_ok / elapsed, 3) if elapsed else 0.0,
+        "retry_after": retry_afters[0] if retry_afters else "",
     }
 
 
@@ -1047,41 +1063,14 @@ def bench_portal_qps(
         app, "127.0.0.1", 0, workers=4, max_inflight=1, queue_depth=2,
         keep_alive=5.0,
     ).start()
-    retry_after: dict[str, str] = {}
     try:
         cookie = _portal_login(shed_server.port)
-
-        def probe_retry_after() -> None:
-            import http.client
-
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", shed_server.port, timeout=10
-            )
-            for _ in range(500):
-                if retry_after:
-                    break
-                try:
-                    conn.request("GET", page_path, headers={"Cookie": cookie})
-                    response = conn.getresponse()
-                    response.read()
-                    if response.status == 503:
-                        retry_after["value"] = (
-                            response.getheader("Retry-After") or ""
-                        )
-                        break
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection(
-                        "127.0.0.1", shed_server.port, timeout=10
-                    )
-            conn.close()
-
-        prober = threading.Thread(target=probe_retry_after)
-        prober.start()
+        # The hammer's own 503s carry the Retry-After checked below.  A
+        # separate prober connection could lose the race for the gate
+        # for the whole window, however long it probed.
         shed_cell = _portal_hammer(
             shed_server.port, page_path, {"Cookie": cookie}, top, window
         )
-        prober.join(timeout=10)
     finally:
         shed_server.shutdown()
     system.close()
@@ -1101,7 +1090,7 @@ def bench_portal_qps(
             "clients": top,
             "served_200": shed_cell["statuses"].get("200", 0),
             "shed_503": shed_cell["statuses"].get("503", 0),
-            "retry_after": retry_after.get("value", ""),
+            "retry_after": shed_cell["retry_after"],
         },
         "not_modified_speedup_vs_cold": round(hit / cold, 3) if cold else None,
         "json_speedup_vs_wsgiref": (

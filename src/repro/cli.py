@@ -238,7 +238,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     system = _open(args)
-    system.reindex_all()
     principal = _principal(system, args.as_user)
     results = system.search.search(
         principal, " ".join(args.query), limit=args.limit
@@ -467,7 +466,6 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     if args.replicate_command == "serve":
         system = _open(args)
-        system.reindex_all()
         system.obs.history.start()  # windowed lag/frame rates for stats
         publisher = ReplicationPublisher(
             system.db, host=args.host, port=args.port, obs=system.obs
@@ -551,6 +549,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.portal.server import PortalServer
 
     system = _open(args)
+    # Warm-up: build the index now, not on the first visitor's search.
     system.reindex_all()
     # Periodic registry sampling makes `repro stats --window` and
     # /admin/metrics/history meaningful for this portal session.

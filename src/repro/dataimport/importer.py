@@ -629,7 +629,6 @@ class DataImportService:
             self._events.publish(
                 "import.rolled_back",
                 workunit=workunit,
-                resources=list(resources),
                 principal=principal,
                 error=str(error),
             )

@@ -50,6 +50,7 @@ from repro.orm import Registry
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue
 from repro.resilience.policies import BreakerRegistry
 from repro.search.engine import SearchEngine
+from repro.search.indexer import SearchIndexer
 from repro.search.history import SavedQuery, SavedQueryStore
 from repro.security.acl import AccessControl
 from repro.security.auth import Authenticator, hash_password
@@ -74,7 +75,6 @@ class BFabric:
         clock: Clock | None = None,
         durable: bool = True,
         durability: "str | None" = None,
-        index_on_events: bool = True,
         span_sample_rate: float = 1.0,
         queue_max_depth: "int | None" = None,
     ):
@@ -215,6 +215,9 @@ class BFabric:
         )
         self.results = ResultPackager(self.workunits, self.store)
         self.search = SearchEngine(acl=self.acl, obs=self.obs)
+        # The one row -> document mapping; it follows the commit feed and
+        # builds the index on first use.
+        self.indexer = SearchIndexer(self.db, self.search, self.store)
         self.saved_queries = SavedQueryStore(self.registry, clock=self.clock)
         self.links = LinkGraph(self.db)
         self.provenance = ProvenanceTracer(self.db)
@@ -225,8 +228,6 @@ class BFabric:
         )
 
         install_standard_rules(self.events, self.tasks)
-        if index_on_events:
-            self._install_index_hooks()
         self._install_default_connectors()
 
     # -- bootstrap --------------------------------------------------------------------
@@ -368,197 +369,15 @@ class BFabric:
             "Workunits": self.db.count("workunit"),
         }
 
-    # -- search wiring ----------------------------------------------------------------------
-
-    def _install_index_hooks(self) -> None:
-        """Keep the full-text index in sync with domain events."""
-
-        def index_project(project, **_):
-            self.search.index_document(
-                "project", project.id,
-                {"name": project.name, "description": project.description},
-                project_id=project.id,
-            )
-
-        def index_sample(sample, **_):
-            self.search.index_document(
-                "sample", sample.id,
-                {
-                    "name": sample.name,
-                    "species": sample.species,
-                    "description": sample.description,
-                    "attributes": " ".join(
-                        f"{k} {v}" for k, v in sample.attributes.items()
-                    ),
-                },
-                project_id=sample.project_id,
-            )
-
-        def index_extract(extract, **_):
-            sample_row = self.db.get_or_none("sample", extract.sample_id) or {}
-            self.search.index_document(
-                "extract", extract.id,
-                {
-                    "name": extract.name,
-                    "procedure": extract.procedure,
-                    "description": extract.description,
-                },
-                project_id=sample_row.get("project_id"),
-            )
-
-        def index_workunit(workunit, **_):
-            self.search.index_document(
-                "workunit", workunit.id,
-                {"name": workunit.name, "description": workunit.description},
-                project_id=workunit.project_id,
-            )
-
-        def index_resource(resource, workunit, **_):
-            fields = {"name": resource.name, "uri": resource.uri}
-            content = self._readable_resource_content(resource.uri)
-            if content:
-                fields["content"] = content
-            self.search.index_document(
-                "data_resource", resource.id, fields,
-                project_id=workunit.project_id,
-            )
-
-        def index_annotation(annotation, **_):
-            self.search.index_document(
-                "annotation", annotation.id,
-                {"value": annotation.value},
-                label=annotation.value,
-            )
-
-        def on_annotation_merged(keep, merged, **_):
-            self.search.index_document(
-                "annotation", keep.id, {"value": keep.value}, label=keep.value
-            )
-            self.search.remove_document("annotation", merged.id)
-
-        def index_application(application, **_):
-            self.search.index_document(
-                "application", application.id,
-                {"name": application.name, "description": application.description},
-            )
-
-        def on_import_rolled_back(workunit, resources=(), **_):
-            # The compensation deleted the rows; drop their index docs
-            # (they were indexed by workunit.created / resource.added
-            # before the import failed).
-            self.search.remove_document("workunit", workunit.id)
-            for resource in resources:
-                self.search.remove_document("data_resource", resource.id)
-
-        self.events.subscribe("project.created", index_project)
-        self.events.subscribe("import.rolled_back", on_import_rolled_back)
-        self.events.subscribe("sample.registered", index_sample)
-        self.events.subscribe("extract.registered", index_extract)
-        self.events.subscribe("workunit.created", index_workunit)
-        self.events.subscribe("resource.added", index_resource)
-        self.events.subscribe("annotation.created", index_annotation)
-        self.events.subscribe("annotation.released", index_annotation)
-        self.events.subscribe("annotation.merged", on_annotation_merged)
-        self.events.subscribe("application.registered", index_application)
+    # -- search -------------------------------------------------------------------------
 
     def reindex_all(self) -> int:
-        """Rebuild the full-text index from the database (maintenance)."""
-        with self.obs.tracer.span("search.reindex") as span:
-            timer = self.obs.timer()
-            count = self._reindex_all()
-            self.obs.metrics.histogram(
-                "search_index_build_seconds",
-                "Full-text index rebuild duration",
-            ).observe(timer.elapsed())
-            span.set(documents=count)
-            return count
+        """Rebuild the full-text index from the database (maintenance).
 
-    def _reindex_all(self) -> int:
-        self.search.index.clear()
-        count = 0
-        for row in self.db.rows("project"):
-            self.search.index_document(
-                "project", row["id"],
-                {"name": row["name"], "description": row["description"]},
-                project_id=row["id"],
-            )
-            count += 1
-        for row in self.db.rows("sample"):
-            self.search.index_document(
-                "sample", row["id"],
-                {
-                    "name": row["name"],
-                    "species": row["species"],
-                    "description": row["description"],
-                },
-                project_id=row["project_id"],
-            )
-            count += 1
-        sample_projects = {
-            row["id"]: row["project_id"] for row in self.db.rows("sample")
-        }
-        for row in self.db.rows("extract"):
-            self.search.index_document(
-                "extract", row["id"],
-                {"name": row["name"], "procedure": row["procedure"]},
-                project_id=sample_projects.get(row["sample_id"]),
-            )
-            count += 1
-        workunit_projects = {}
-        for row in self.db.rows("workunit"):
-            workunit_projects[row["id"]] = row["project_id"]
-            self.search.index_document(
-                "workunit", row["id"],
-                {"name": row["name"], "description": row["description"]},
-                project_id=row["project_id"],
-            )
-            count += 1
-        for row in self.db.rows("data_resource"):
-            fields = {"name": row["name"], "uri": row["uri"]}
-            content = self._readable_resource_content(row["uri"])
-            if content:
-                fields["content"] = content
-            self.search.index_document(
-                "data_resource", row["id"], fields,
-                project_id=workunit_projects.get(row["workunit_id"]),
-            )
-            count += 1
-        for row in self.db.rows("annotation"):
-            if row["status"] in ("pending", "released"):
-                self.search.index_document(
-                    "annotation", row["id"], {"value": row["value"]},
-                    label=row["value"],
-                )
-                count += 1
-        for row in self.db.rows("application"):
-            self.search.index_document(
-                "application", row["id"],
-                {"name": row["name"], "description": row["description"]},
-            )
-            count += 1
-        return count
-
-    #: Extensions whose stored bytes are full-text indexed (paper: "the
-    #: content of readable attachments and data resources").
-    READABLE_EXTENSIONS = (".txt", ".csv", ".tsv", ".md", ".log")
-    #: Cap on indexed content per file; enough for reports, bounded for
-    #: accidental large text files.
-    _CONTENT_INDEX_LIMIT = 64 * 1024
-
-    def _readable_resource_content(self, uri: str) -> str:
-        """Text content of a stored, readable resource ('' otherwise)."""
-        if not uri.startswith("store://"):
-            return ""
-        if not uri.lower().endswith(self.READABLE_EXTENSIONS):
-            return ""
-        try:
-            path = self.store.path_for(uri)
-            if not path.is_file():
-                return ""
-            raw = path.read_bytes()[: self._CONTENT_INDEX_LIMIT]
-            return raw.decode("utf-8", errors="ignore")
-        except (OSError, ValueError):
-            return ""
+        Never needed for correctness: the index follows the commit feed
+        and builds itself on first use.  Returns the document count.
+        """
+        return self.indexer.rebuild()
 
     # -- default connectors ------------------------------------------------------------------
 

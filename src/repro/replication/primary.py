@@ -3,9 +3,9 @@
 The publisher owns one listening TCP socket and three kinds of thread:
 
 * a *tail* thread that re-scans the live WAL whenever a commit publishes
-  (poked through :meth:`Database.on_commit_seq`, which fires after the
-  record's durability ticket) and turns each new record into a buffered
-  stream entry ``(seq, prev, record, nbytes)``;
+  (poked by the commit feed, :meth:`Database.on_commit`, which fires
+  after the record's durability ticket) and turns each new record into
+  a buffered stream entry ``(seq, prev, record, nbytes)``;
 * an *accept* thread that takes replica connections and hands each one
   to a serve thread;
 * per-connection *serve* / *ack* threads — the serve thread replays the
@@ -145,7 +145,7 @@ class ReplicationPublisher:
         self._last_seq, self._offset = self.db.replication_start_point()
         assert self.db.wal is not None
         self._wal_generation = self.db.wal.generation()
-        self.db.on_commit_seq(self._poke)
+        self.db.on_commit(self._poke)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))
@@ -165,7 +165,7 @@ class ReplicationPublisher:
         )
         return self
 
-    def _poke(self, seq: int) -> None:
+    def _poke(self, seq: int, ops: Any) -> None:
         self._wake.set()
 
     def stop(self) -> None:

@@ -66,10 +66,10 @@ class Replica:
         retry: RetryPolicy | None = None,
         recv_timeout: float = 0.2,
         reconnect_delay: float = 0.1,
-        sync_search: bool = True,
     ):
-        """*system* is a facade (``.db`` + optionally ``.search`` /
-        ``.reindex_all``) or a bare :class:`Database`.  *max_lag* bounds
+        """*system* is a facade (anything with a ``.db``; its search
+        index follows the applied commits through the commit feed) or a
+        bare :class:`Database`.  *max_lag* bounds
         staleness in commit sequences: :meth:`snapshot` refuses to serve
         (raising :class:`ReplicaLagExceeded`) when the replica trails
         the primary by more, which is the signal the routing facade uses
@@ -82,7 +82,6 @@ class Replica:
         self.max_lag = max_lag
         self.recv_timeout = recv_timeout
         self.reconnect_delay = reconnect_delay
-        self._sync_search = sync_search and hasattr(system, "search")
         self._mu = threading.Lock()
         self._applied_cv = threading.Condition(self._mu)
         self._applied_seq = 0
@@ -113,8 +112,6 @@ class Replica:
             policy, site="replication.stream", obs=self.obs
         )(self._connect_and_stream)
         metrics = self.obs.metrics
-        if self._sync_search:
-            self._install_search_sync()
         self._m_applied = metrics.counter(
             "replication_applied_total", "Commit frames applied by this replica"
         ).labels()
@@ -215,8 +212,6 @@ class Replica:
             )
             self._note_applied(seq, primary_seq=seq)
             self._bootstraps += 1
-            if self._sync_search and hasattr(self.system, "reindex_all"):
-                self.system.reindex_all()
             conn.send(protocol.ack(seq))
             return
         if kind == "heartbeat":
@@ -442,123 +437,6 @@ class Replica:
         self._drain_cap = float("inf")
         self._thread = None
         self.start()
-
-    # -- search sync -------------------------------------------------------
-
-    #: Tables whose rows feed the full-text index.
-    _INDEXED_TABLES = frozenset(
-        (
-            "project",
-            "sample",
-            "extract",
-            "workunit",
-            "data_resource",
-            "annotation",
-            "application",
-        )
-    )
-
-    def _install_search_sync(self) -> None:
-        """Keep the replica's full-text index converged with applied ops.
-
-        The primary indexes through domain events, which do not fire
-        here — replicas see raw row operations instead, so the mapping
-        from row to document is replayed from those.  The listener also
-        covers post-promotion local commits, keeping a promoted replica
-        searchable without re-wiring.
-        """
-
-        def on_ops(ops: list) -> None:
-            for op in ops:
-                if op.table not in self._INDEXED_TABLES:
-                    continue
-                try:
-                    if op.op == "delete":
-                        self.system.search.remove_document(op.table, op.pk)
-                    else:
-                        self._index_row(op.table, op.pk, op.after or {})
-                except Exception:
-                    # Indexing must never wedge the apply path; a full
-                    # reindex_all() heals any miss.
-                    pass
-
-        self.db.on_commit(on_ops)
-
-    def _index_row(self, table: str, pk: Any, row: dict[str, Any]) -> None:
-        search = self.system.search
-        if table == "project":
-            search.index_document(
-                "project", pk,
-                {
-                    "name": row.get("name", ""),
-                    "description": row.get("description", ""),
-                },
-                project_id=pk,
-            )
-        elif table == "sample":
-            attributes = row.get("attributes") or {}
-            search.index_document(
-                "sample", pk,
-                {
-                    "name": row.get("name", ""),
-                    "species": row.get("species", ""),
-                    "description": row.get("description", ""),
-                    "attributes": " ".join(
-                        f"{k} {v}" for k, v in attributes.items()
-                    )
-                    if isinstance(attributes, dict)
-                    else "",
-                },
-                project_id=row.get("project_id"),
-            )
-        elif table == "extract":
-            sample = self.db.get_or_none("sample", row.get("sample_id")) or {}
-            search.index_document(
-                "extract", pk,
-                {
-                    "name": row.get("name", ""),
-                    "procedure": row.get("procedure", ""),
-                    "description": row.get("description", ""),
-                },
-                project_id=sample.get("project_id"),
-            )
-        elif table == "workunit":
-            search.index_document(
-                "workunit", pk,
-                {
-                    "name": row.get("name", ""),
-                    "description": row.get("description", ""),
-                },
-                project_id=row.get("project_id"),
-            )
-        elif table == "data_resource":
-            workunit = (
-                self.db.get_or_none("workunit", row.get("workunit_id")) or {}
-            )
-            # Stored file bytes live on the primary; replicas index the
-            # searchable metadata only.
-            search.index_document(
-                "data_resource", pk,
-                {"name": row.get("name", ""), "uri": row.get("uri", "")},
-                project_id=workunit.get("project_id"),
-            )
-        elif table == "annotation":
-            if row.get("status") in ("pending", "released"):
-                search.index_document(
-                    "annotation", pk,
-                    {"value": row.get("value", "")},
-                    label=row.get("value", ""),
-                )
-            else:
-                search.remove_document("annotation", pk)
-        elif table == "application":
-            search.index_document(
-                "application", pk,
-                {
-                    "name": row.get("name", ""),
-                    "description": row.get("description", ""),
-                },
-            )
 
     # -- introspection -----------------------------------------------------
 

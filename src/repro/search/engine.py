@@ -8,7 +8,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from repro.obs import Observability
 from repro.search.index import DocKey, Document, InvertedIndex
@@ -31,8 +31,10 @@ class SearchResult:
 
 
 #: Bound on cached ranked answers (distinct query shapes per index
-#: generation); small because one index mutation invalidates them all.
-SEARCH_CACHE_SIZE = 128
+#: generation).  An entry is key pointers plus per-project position
+#: arrays: the 210 shapes of the T1 search vocabulary take 3.8 MB on
+#: half the T1 corpus.  At 128 that working set thrashed the LRU.
+SEARCH_CACHE_SIZE = 256
 
 
 class _Ranked(NamedTuple):
@@ -76,7 +78,11 @@ class SearchEngine:
         acl: AccessControl | None = None,
         obs: Observability | None = None,
     ):
-        self.index = InvertedIndex()
+        self._index = InvertedIndex()
+        #: Called before every public read or write of the index; a
+        #: :class:`~repro.search.indexer.SearchIndexer` sets it to build
+        #: the index on first use.
+        self.before_use: Callable[[], None] = lambda: None
         self._acl = acl
         self.obs = obs if obs is not None else Observability()
         self._m_query_seconds = self.obs.metrics.histogram(
@@ -112,6 +118,16 @@ class SearchEngine:
 
     # -- indexing -----------------------------------------------------------------
 
+    @property
+    def index(self) -> InvertedIndex:
+        """The inverted index (built first, if it is built on first use)."""
+        self.before_use()
+        return self._index
+
+    @index.setter
+    def index(self, index: InvertedIndex) -> None:
+        self._index = index
+
     def index_document(
         self,
         entity_type: str,
@@ -127,10 +143,29 @@ class SearchEngine:
         ``project_id`` drives access-control filtering at query time;
         objects without one (e.g. vocabulary values) are public.
         """
-        meta = dict(metadata)
+        self.before_use()
+        self._put(entity_type, entity_id, fields, project_id, label, metadata)
+
+    def remove_document(self, entity_type: str, entity_id: int) -> bool:
+        self.before_use()
+        return self._drop(entity_type, entity_id)
+
+    # The indexer writes through these two: they skip ``before_use``,
+    # which is what builds the index in the first place.
+
+    def _put(
+        self,
+        entity_type: str,
+        entity_id: int,
+        fields: dict[str, str],
+        project_id: int | None = None,
+        label: str = "",
+        metadata: "dict[str, Any] | None" = None,
+    ) -> None:
+        meta = dict(metadata or ())
         meta["project_id"] = project_id
         meta["label"] = label or fields.get("name", f"{entity_type} {entity_id}")
-        self.index.add(
+        self._index.add(
             Document(
                 entity_type=entity_type,
                 entity_id=entity_id,
@@ -140,8 +175,8 @@ class SearchEngine:
         )
         self._m_index_ops.labels(action="index").inc()
 
-    def remove_document(self, entity_type: str, entity_id: int) -> bool:
-        removed = self.index.remove(entity_type, entity_id)
+    def _drop(self, entity_type: str, entity_id: int) -> bool:
+        removed = self._index.remove(entity_type, entity_id)
         if removed:
             self._m_index_ops.labels(action="remove").inc()
         return removed
@@ -165,6 +200,7 @@ class SearchEngine:
         with every other read of that request — and never blocks on a
         concurrent membership write.
         """
+        self.before_use()
         with self.obs.tracer.span("search.query", user=principal.login) as span:
             timer = self.obs.timer()
             results = self._evaluate(
@@ -218,14 +254,14 @@ class SearchEngine:
         terms = [term for term, _ in positive]
         results = []
         for key in chosen:
-            document = self.index.document(*key)
+            document = self._index.document(*key)
             if document is None:
                 continue
             results.append(
                 SearchResult(
                     entity_type=key[0],
                     entity_id=key[1],
-                    score=round(self.index.score(key, positive), 6),
+                    score=round(self._index.score(key, positive), 6),
                     label=document.metadata.get("label", ""),
                     snippet=_snippet(document, terms),
                     metadata=dict(document.metadata),
@@ -246,7 +282,7 @@ class SearchEngine:
         if not query.required and not query.any_of:
             return None
         shape = (
-            self.index.generation,
+            self._index.generation,
             tuple((c.term, c.field) for c in query.required),
             tuple(
                 tuple((c.term, c.field) for c in group)
@@ -266,10 +302,10 @@ class SearchEngine:
 
         keys = []
         by_project: dict[int | None, array] = {}
-        for key in self.index.rank(
+        for key in self._index.rank(
             self._matches(query, effective_types), query.positive_terms
         ):
-            document = self.index.document(*key)
+            document = self._index.document(*key)
             if document is None:
                 continue
             project_id = document.metadata.get("project_id")
@@ -296,7 +332,7 @@ class SearchEngine:
         membership test against its posting dict, so a common term's
         posting list is never copied.
         """
-        posting = self.index.posting
+        posting = self._index.posting
         requirements = [[(posting(c.term), c.field)] for c in query.required]
         requirements += [
             [(posting(c.term), c.field) for c in group] for group in query.any_of
@@ -338,9 +374,10 @@ class SearchEngine:
     # -- stats -----------------------------------------------------------------------
 
     def statistics(self) -> dict[str, int]:
+        self.before_use()
         return {
-            "documents": len(self.index),
-            "terms": self.index.term_count(),
-            "generation": self.index.generation,
+            "documents": len(self._index),
+            "terms": self._index.term_count(),
+            "generation": self._index.generation,
             "candidate_cache_entries": len(self._ranked_cache),
         }

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import os
 import threading
+import traceback
 import uuid
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import SchemaError, WalWriteError
 from repro.obs import Observability, TraceContext
@@ -25,7 +26,7 @@ from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Query, QueryCache
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
 from repro.storage.table import Table, UndoEntry
-from repro.storage.transaction import Transaction
+from repro.storage.transaction import CommitListener, Transaction
 from repro.storage.types import from_jsonable, to_jsonable
 from repro.storage.wal import WriteAheadLog
 
@@ -95,6 +96,10 @@ class Database:
             "storage_recover_seconds",
             "Snapshot load + WAL replay duration",
         ).labels()
+        self._m_listener_errors = metrics.counter(
+            "storage_commit_listener_errors_total",
+            "Exceptions raised by commit-feed listeners (never fail a commit)",
+        ).labels()
         # MVCC bookkeeping gauges: snapshot opens/closes keep the first
         # two current (O(1) updates); the retained-version count is only
         # refreshed where chains are already being walked (statistics,
@@ -138,8 +143,12 @@ class Database:
         self._snapshot_lock = threading.Lock()
         self._snapshots: dict[int, int] = {}
         self._snapshot_counter = 0
-        self._commit_listeners: list[Callable[[list[UndoEntry]], None]] = []
-        self._commit_seq_listeners: list[Callable[[int], None]] = []
+        # The commit feed (see on_commit).  Entries are appended under
+        # the writer lock, so the deque is in seq order; each committer
+        # delivers its own entry once it reaches the head.
+        self._commit_listeners: list[CommitListener] = []
+        self._feed_cv = threading.Condition()
+        self._feed_pending: deque = deque()
         # Trace context of recent traced commits, by sequence number.
         # The replication publisher reads it when building commit frames
         # so a replica's apply span can join the originating trace; the
@@ -326,29 +335,29 @@ class Database:
             self._committed_seq = seq
             if span is not None:
                 self._register_trace(seq, span.context())
+        entry = self._feed_enqueue(seq, operations) if seq is not None else None
         with self._intent_lock:
             self._write_intents -= 1
         self._lock.release()
-        if ticket is not None:
-            # Block until the group leader's fsync covers our record.
-            # The in-memory state is already committed; a failure here is
-            # a durability failure, not a consistency one.
-            leader_ctx = ticket()
-            if span is not None and leader_ctx is not None:
-                # The fsync ran on the group leader's thread; link it so
-                # the trace shows which flush made this commit durable.
-                span.set(
-                    fsync_trace_id=leader_ctx.trace_id,
-                    fsync_span_id=leader_ctx.span_id,
-                )
-        for listener in self._commit_listeners:
-            listener(operations)
-        if seq is not None:
-            # Sequence listeners fire after the durability ticket, so by
-            # the time a replication publisher is poked the record is in
-            # the log file (modulo `buffered` mode's OS cache).
-            for seq_listener in self._commit_seq_listeners:
-                seq_listener(seq)
+        try:
+            if ticket is not None:
+                # Block until the group leader's fsync covers our record.
+                # The in-memory state is already committed; a failure here
+                # is a durability failure, not a consistency one.
+                leader_ctx = ticket()
+                if span is not None and leader_ctx is not None:
+                    # The fsync ran on the group leader's thread; link it
+                    # so the trace shows which flush made this commit
+                    # durable.
+                    span.set(
+                        fsync_trace_id=leader_ctx.trace_id,
+                        fsync_span_id=leader_ctx.span_id,
+                    )
+        finally:
+            # After the ticket, so by the time a replication publisher is
+            # poked the record is in the log file (modulo `buffered`
+            # mode's OS cache).
+            self._feed_deliver(entry)
         self._m_commits.inc()
         for op in operations:
             key = (op.table, op.op)
@@ -384,23 +393,59 @@ class Database:
             self._write_intents -= 1
         self._lock.release()
 
-    def on_commit(self, listener: Callable[[list[UndoEntry]], None]) -> None:
-        """Register an observer invoked after each durable commit.
+    def on_commit(self, listener: CommitListener) -> None:
+        """Subscribe *listener* to the commit feed: ``listener(seq, ops)``.
 
-        Listeners receive the operation list; the audit log and the
-        full-text indexer subscribe here.
+        The feed is the one source every derived structure (the
+        full-text index, the replication publisher) is kept from.  It
+        fires for each local commit that changed rows and for each
+        replicated apply, with the commit's :class:`UndoEntry` list
+        (full before/after images).  ``ops is None`` means the state
+        was replaced wholesale — by :meth:`recover` or a replica
+        bootstrap — and derived state must be re-derived from the rows.
+
+        Listeners run synchronously in the committing thread, after the
+        commit's durability ticket and before ``commit()`` returns, one
+        commit at a time and in strictly increasing seq order (a
+        ``None`` delivery may restart the sequence).  What a listener
+        raises is logged and counted, never raised to the committer.
+        A listener must not commit.
         """
         self._commit_listeners.append(listener)
 
-    def on_commit_seq(self, listener: Callable[[int], None]) -> None:
-        """Register an observer invoked with each published commit seq.
+    def _feed_enqueue(self, seq: int, ops: "list[UndoEntry] | None"):
+        """Reserve *seq*'s place in the feed (writer lock held).  An
+        append never moves the head waiters watch: no condition lock."""
+        if not self._commit_listeners:
+            return None
+        entry = (seq, ops)
+        self._feed_pending.append(entry)
+        return entry
 
-        Fires after the commit's durability ticket has been honoured —
-        the WAL record is in the file by then — which makes it the right
-        hook for a replication publisher to poke its tailer.  Also fires
-        for replicated applies, so cascading topologies work.
-        """
-        self._commit_seq_listeners.append(listener)
+    def _feed_deliver(self, entry) -> None:
+        """Run the listeners for *entry* once every earlier one has run."""
+        if entry is None:
+            return
+        cv = self._feed_cv
+        with cv:
+            while self._feed_pending[0] is not entry:
+                cv.wait()
+        try:
+            for listener in self._commit_listeners:
+                try:
+                    listener(*entry)
+                except Exception as exc:
+                    self._m_listener_errors.inc()
+                    self.obs.log.log(
+                        "storage.commit_listener_error",
+                        seq=entry[0],
+                        error=f"{type(exc).__name__}: {exc}",
+                        traceback=traceback.format_exc(),
+                    )
+        finally:
+            with cv:
+                self._feed_pending.popleft()
+                cv.notify_all()
 
     # -- trace propagation --------------------------------------------------------
 
@@ -767,6 +812,8 @@ class Database:
             # its current version.
             for table in self._tables.values():
                 table.prune_versions(self._committed_seq)
+            entry = self._feed_enqueue(self._committed_seq, None)
+        self._feed_deliver(entry)
         elapsed = timer.elapsed()
         self._m_recover.observe(elapsed)
         self.obs.log.log("storage.recover", duration=elapsed, **stats)
@@ -926,6 +973,7 @@ class Database:
             self._write_intents += 1
         self._lock.acquire()
         ticket = None
+        entry = None
         try:
             if seq <= self._committed_seq:
                 return False
@@ -943,16 +991,16 @@ class Database:
             self._committed_seq = seq
             if trace is not None:
                 self._register_trace(seq, trace)
+            entry = self._feed_enqueue(seq, applied)
         finally:
             with self._intent_lock:
                 self._write_intents -= 1
             self._lock.release()
-        if ticket is not None:
-            ticket()
-        for listener in self._commit_listeners:
-            listener(applied)
-        for seq_listener in self._commit_seq_listeners:
-            seq_listener(seq)
+        try:
+            if ticket is not None:
+                ticket()
+        finally:
+            self._feed_deliver(entry)
         return True
 
     def load_replicated_snapshot(
@@ -987,6 +1035,7 @@ class Database:
         with self._intent_lock:
             self._write_intents += 1
         self._lock.acquire()
+        entry = None
         try:
             for name in reversed(list(self._tables)):
                 table = self._tables[name]
@@ -1015,6 +1064,7 @@ class Database:
                 elif versions is not None and name in versions:
                     table.adopt_version(stamp)
             self._committed_seq = seq
+            entry = self._feed_enqueue(seq, None)
             if history:
                 self._history_id = history
                 self._persist_history(history)
@@ -1029,8 +1079,7 @@ class Database:
             with self._intent_lock:
                 self._write_intents -= 1
             self._lock.release()
-        for seq_listener in self._commit_seq_listeners:
-            seq_listener(seq)
+            self._feed_deliver(entry)
 
     # -- maintenance -------------------------------------------------------------------
 

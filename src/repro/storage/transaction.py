@@ -28,8 +28,9 @@ from repro.storage.table import UndoEntry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
-#: Signature of post-commit observers registered on the database.
-CommitListener = Callable[[list[UndoEntry]], None]
+#: Signature of commit-feed listeners registered on the database:
+#: ``(seq, ops)``, where ``ops is None`` means "state replaced".
+CommitListener = Callable[[int, "list[UndoEntry] | None"], None]
 
 _ACTIVE = "active"
 _COMMITTED = "committed"
@@ -183,10 +184,11 @@ class Transaction:
             self._state = _ROLLED_BACK
             self._db._finish_abort(self)
             raise (exc.__cause__ or exc) from None
-        # Any other failure happens after the lock release (post-commit
-        # listeners, group-fsync wait): the transaction is committed in
-        # memory and cannot be unwound here, so the error propagates
-        # with the committed state intact.
+        # Any other failure happens after the lock release (the
+        # group-fsync wait): the transaction is committed in memory and
+        # cannot be unwound here, so the error propagates with the
+        # committed state intact.  Commit-feed listeners never fail a
+        # commit; the database logs and counts what they raise.
 
     def rollback(self) -> None:
         """Undo every mutation of this transaction and release the lock."""

@@ -31,9 +31,7 @@ VALUES = ["hopeless", "hopeles", "hoopless", "healthy", "healty", "diabetic"]
 class AnnotationMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        self.system = BFabric(
-            clock=ManualClock(dt.datetime(2010, 1, 15)), index_on_events=False
-        )
+        self.system = BFabric(clock=ManualClock(dt.datetime(2010, 1, 15)))
         admin = self.system.bootstrap()
         self.scientist = self.system.add_user(
             admin, login="sci", full_name="Sci"
@@ -138,9 +136,7 @@ TestAnnotationStateMachine = AnnotationMachine.TestCase
 @settings(max_examples=20, deadline=None)
 def test_merging_everything_into_one_keeps_all_links(values):
     """Chain-merge N values into the first: every link lands there."""
-    system = BFabric(
-        clock=ManualClock(dt.datetime(2010, 1, 15)), index_on_events=False
-    )
+    system = BFabric(clock=ManualClock(dt.datetime(2010, 1, 15)))
     admin = system.bootstrap()
     scientist = system.add_user(admin, login="sci", full_name="Sci")
     expert = system.add_user(admin, login="exp", full_name="Exp", role="employee")

@@ -56,9 +56,7 @@ structure_strategy = st.lists(
 @given(structure=structure_strategy, choices=st.lists(st.integers(0, 10), max_size=20))
 @settings(max_examples=60, deadline=None)
 def test_random_walk_preserves_invariants(structure, choices):
-    system = BFabric(
-        clock=ManualClock(dt.datetime(2010, 1, 15)), index_on_events=False
-    )
+    system = BFabric(clock=ManualClock(dt.datetime(2010, 1, 15)))
     admin = system.bootstrap()
     definition = build_definition(structure)
     system.workflow.register_definition(definition)
@@ -120,9 +118,7 @@ def test_all_auto_definitions_run_to_completion(structure):
         )
     definition = WorkflowDefinition(f"auto_{next(_counter)}", steps=steps)
 
-    system = BFabric(
-        clock=ManualClock(dt.datetime(2010, 1, 15)), index_on_events=False
-    )
+    system = BFabric(clock=ManualClock(dt.datetime(2010, 1, 15)))
     admin = system.bootstrap()
     system.workflow.register_definition(definition)
     instance = system.workflow.start(admin, definition.name)
