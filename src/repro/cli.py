@@ -46,10 +46,9 @@ from typing import Sequence
 from repro.facade import BFabric
 
 
-def _open(args: argparse.Namespace, *, recover: bool = True) -> BFabric:
+def _open(args: argparse.Namespace) -> BFabric:
     system = BFabric(args.data, durability=getattr(args, "durability", None))
-    if recover:
-        system.recover()
+    system.recover()
     return system
 
 
@@ -61,11 +60,9 @@ def _principal(system: BFabric, login: str):
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    system = _open(args, recover=False)
-    try:
-        system.recover()
-    except Exception:
-        pass  # brand-new directory
+    # A brand-new directory recovers as empty; a deployment that cannot
+    # be read fails here, before bootstrap and checkpoint write over it.
+    system = _open(args)
     principal = system.bootstrap(
         login=args.admin_login, password=args.admin_password
     )

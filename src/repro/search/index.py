@@ -63,17 +63,26 @@ class InvertedIndex:
 
     def add(self, document: Document) -> None:
         """Index *document*, replacing any previous version."""
-        if document.key in self._documents:
-            self.remove(*document.key)
+        key = document.key
+        if key in self._documents:
+            self.remove(*key)
         term_fields: dict[str, dict[str, int]] = {}
         for field_name, value in document.fields.items():
             for token in tokenize(str(value)):
-                term_fields.setdefault(token, {}).setdefault(field_name, 0)
-                term_fields[token][field_name] += 1
+                per_field = term_fields.get(token)
+                if per_field is None:
+                    term_fields[token] = {field_name: 1}
+                else:
+                    per_field[field_name] = per_field.get(field_name, 0) + 1
+        postings = self._postings
         for term, per_field in term_fields.items():
-            self._postings.setdefault(term, {})[document.key] = per_field
-        self._documents[document.key] = document
-        self._lengths[document.key] = self._length_of(term_fields)
+            docs = postings.get(term)
+            if docs is None:
+                postings[term] = {key: per_field}
+            else:
+                docs[key] = per_field
+        self._documents[key] = document
+        self._lengths[key] = self._length_of(term_fields)
         self._generation += 1
 
     def _length_of(self, term_fields: dict[str, dict[str, int]]) -> float:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.util.heap import collector_paused
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataimport.store import ManagedStore
     from repro.search.engine import SearchEngine
@@ -106,7 +108,9 @@ class SearchIndexer:
             self._seq = _BUILDING
             try:
                 self._engine._index.clear()
-                with self._db.snapshot() as snap:
+                # Every posting built here lives on: a collection during
+                # the build would walk the growing heap and free nothing.
+                with collector_paused(), self._db.snapshot() as snap:
                     for table in _MAPPING:
                         for pk, row in self._db.table(table).items_at(snap.seq):
                             self._put_row(table, pk, row, lambda: snap)

@@ -29,6 +29,7 @@ from repro.storage.table import Table, UndoEntry
 from repro.storage.transaction import CommitListener, Transaction
 from repro.storage.types import from_jsonable, to_jsonable
 from repro.storage.wal import WriteAheadLog
+from repro.util.heap import collector_paused
 
 SNAPSHOT_NAME = "snapshot.json"
 WAL_NAME = "wal.log"
@@ -704,7 +705,9 @@ class Database:
             target = self._path / SNAPSHOT_NAME
             tmp = target.with_suffix(".json.tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(snapshot, fh, separators=(",", ":"), default=str)
+                # json.dumps runs the C encoder; json.dump would stream
+                # the same bytes through the pure-Python one, 3-4× slower.
+                fh.write(json.dumps(snapshot, separators=(",", ":"), default=str))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, target)
@@ -737,33 +740,13 @@ class Database:
         with self._lock:
             snapshot_path = self._path / SNAPSHOT_NAME
             if snapshot_path.exists():
-                with open(snapshot_path, "r", encoding="utf-8") as fh:
-                    snapshot = json.load(fh)
-                meta = snapshot.pop(SNAPSHOT_META_KEY, None)
-                if isinstance(meta, dict) and isinstance(meta.get("seq"), int):
-                    checkpoint_seq = meta["seq"]
-                for name, rows in snapshot.items():
-                    if name not in self._tables:
-                        raise SchemaError(
-                            f"snapshot contains unknown table {name!r}; "
-                            "declare schemas before recover()"
-                        )
-                    table = self._tables[name]
-                    for encoded in rows:
-                        decoded = self._decode_row_from_wal(name, encoded)
-                        assert decoded is not None
-                        table.apply_insert(decoded)
-                        stats["snapshot_rows"] += 1
-                # Restore the checkpoint-time sampler state, replacing
-                # the reservoirs the snapshot load just re-sampled; WAL
-                # replay below then feeds its increments on top — the
-                # same stream the pre-crash process saw.
-                if isinstance(meta, dict) and isinstance(
-                    meta.get("stats"), dict
-                ):
-                    for name, state in meta["stats"].items():
-                        if name in self._tables and isinstance(state, dict):
-                            self._tables[name].restore_stats(state)
+                # Everything the load allocates lives on (parsed rows
+                # until their table is loaded), so a collection during it
+                # would walk the growing heap and free nothing.
+                with collector_paused():
+                    stats["snapshot_rows"], checkpoint_seq = (
+                        self._load_snapshot(snapshot_path)
+                    )
             replayed_seq = 0
             if self._wal is not None:
                 for record in self._wal.records():
@@ -818,6 +801,38 @@ class Database:
         self._m_recover.observe(elapsed)
         self.obs.log.log("storage.recover", duration=elapsed, **stats)
         return stats
+
+    def _load_snapshot(self, path: Path) -> tuple[int, int]:
+        """Load a checkpoint file into the tables; returns ``(rows,
+        checkpoint_seq)`` (``0`` when the file predates the meta block)."""
+        with open(path, "r", encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        meta = snapshot.pop(SNAPSHOT_META_KEY, None)
+        if not isinstance(meta, dict):
+            meta = {}
+        seq = meta["seq"] if isinstance(meta.get("seq"), int) else 0
+        unknown = [name for name in snapshot if name not in self._tables]
+        if unknown:
+            raise SchemaError(
+                f"snapshot contains unknown table(s) {unknown!r}; "
+                "declare schemas before recover()"
+            )
+        # The checkpoint-time sampler state replaces each table's
+        # reservoirs; WAL replay then feeds its increments on top — the
+        # same stream the pre-crash process saw.
+        saved = meta.get("stats")
+        if not isinstance(saved, dict):
+            saved = {}
+        rows = 0
+        # Creation order is FK-topological; each table's encoded rows
+        # are dropped as soon as it is loaded.
+        for name, table in self._tables.items():
+            state = saved.get(name)
+            rows += table.load_rows(
+                snapshot.pop(name, None) or [],
+                stats=state if isinstance(state, dict) else None,
+            )
+        return rows, seq
 
     def _replay_commit(self, record: dict[str, Any]) -> list[UndoEntry]:
         applied: list[UndoEntry] = []
@@ -1015,8 +1030,9 @@ class Database:
 
         Used when a joining replica is too far behind for incremental
         tailing.  Existing rows are deleted in reverse creation order
-        and the snapshot's rows inserted in creation order, so foreign
-        keys hold at every step; open local snapshots keep reading their
+        and the snapshot's rows loaded (:meth:`Table.load_rows`, the
+        loader recovery uses) in creation order, so foreign keys hold at
+        every step; open local snapshots keep reading their
         pinned versions (the wipe writes tombstones, it does not cut
         chains below the horizon).  The published sequence is set to
         *exactly* ``seq`` — not ``max(...)`` — because the replica must
@@ -1047,14 +1063,11 @@ class Database:
                     f"bootstrap snapshot contains unknown table(s) "
                     f"{unknown!r}; replica schemas must match the primary"
                 )
-            # Insert in *this* database's creation order, not the wire
+            # Load in *this* database's creation order, not the wire
             # map's order — the frame codec sorts keys, but creation
             # order is the FK-topological one.
             for name, table in self._tables.items():
-                for encoded in tables.get(name, ()):
-                    decoded = self._decode_row_from_wal(name, encoded)
-                    assert decoded is not None
-                    table.apply_insert(decoded)
+                table.load_rows(tables.get(name) or [])
             for name, table in self._tables.items():
                 stamp = seq
                 if versions is not None:

@@ -18,14 +18,17 @@ values ever inserted remains a usable NDV basis, and removal from a
 reservoir is not well-defined).  Rollback symmetry is preserved because
 the table routes undo through the same add/remove hooks.
 
-**Persistence / recovery.**  Statistics are derived state, and both
-recovery paths rebuild them for free: snapshot load and WAL replay
-re-run every row through the normal insert hooks.  On top of that,
-:meth:`TableStatistics.state` / :meth:`TableStatistics.restore` let the
-database checkpoint embed the sampler state in the snapshot's meta
-block, so a restart restores the *same* reservoirs (and therefore the
-same NDV estimates and plan choices) instead of re-sampling in replay
-order.
+**Persistence / recovery.**  :meth:`TableStatistics.state` /
+:meth:`TableStatistics.restore` let the database checkpoint embed the
+sampler state in the snapshot's meta block, so a restart restores the
+*same* reservoirs (and therefore the same NDV estimates and plan
+choices) instead of re-sampling: the snapshot loader does not feed a
+table whose state it restores, and WAL replay feeds its rows through
+the normal insert hooks on top.  Only a snapshot without saved state
+(written before the meta block, or a table new since the checkpoint)
+is re-sampled row by row, in snapshot order.  The per-column RNG is
+not persisted, so once a reservoir is full, replayed inserts may
+replace other slots than they did before the restart.
 """
 
 from __future__ import annotations

@@ -51,11 +51,20 @@ from repro.errors import (
 from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.schema import TableSchema
 from repro.storage.stats import TableStatistics
-from repro.storage.types import ColumnType, coerce
+from repro.storage.types import ColumnType, coerce, decode_datetime
 from repro.util.ids import IdAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
+
+#: Python type a decoded value of each scalar column type already has;
+#: :meth:`Table.load_rows` calls :func:`coerce` only for other values.
+_PLAIN_TYPES = {
+    ColumnType.INT: int,
+    ColumnType.FLOAT: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOL: bool,
+}
 
 
 # -- read tracking ------------------------------------------------------------
@@ -777,6 +786,115 @@ class Table:
         else:  # pragma: no cover - defensive
             raise SchemaError(f"unknown undo op {entry.op!r}")
         self._end_undo()
+
+    # -- bulk load (recovery, replica bootstrap) ---------------------------------
+
+    def load_rows(
+        self,
+        rows: "list[dict[str, Any]]",
+        *,
+        stats: "dict[str, Any] | None" = None,
+    ) -> int:
+        """Install *rows*, a snapshot's encoded state of this table.
+
+        The one loader behind checkpoint recovery and replica bootstrap.
+        Each row is decoded and normalized in one pass: datetimes through
+        :func:`decode_datetime`, JSON values taken as they are (they come
+        fresh from ``json.load`` or a wire frame), columns this schema
+        lacks dropped, defaults applied once.  Every check of
+        :meth:`apply_insert` still runs per row, in the same order and
+        with the same exception types: primary key present and not
+        duplicated, NOT NULL, column and table checks, unique
+        constraints, foreign keys (against the rows loaded so far).  What
+        the loader skips is bookkeeping nobody reads here: undo entries,
+        row copies, per-row metrics, and per-row index maintenance — the
+        non-unique hash and ordered indexes are built once from the
+        loaded rows.
+
+        *stats* is this table's checkpointed sampler state; it replaces
+        the statistics wholesale, so the reservoirs are not fed row by
+        row.  Without it (old snapshots, tables new since the checkpoint,
+        replica bootstrap) every row is fed as an insert would.
+
+        Loaded versions are uncommitted, like inserts: the caller settles
+        them with :meth:`commit_version`.  Returns the number of rows.
+        """
+        loaded: list[tuple[dict[str, Any], Any]] = []
+        if rows:
+            columns = [
+                (col.name, col.type, col) for col in self.schema.columns
+            ]
+            pk_name = self._pk
+            auto_pk = self._auto_pk
+            heads = self._rows
+            uncommitted = self._uncommitted
+            feed = self._stats.on_insert if stats is None else None
+            max_id = 0
+            self._begin_change()
+            try:
+                for encoded in rows:
+                    row: dict[str, Any] = {}
+                    for name, kind, col in columns:
+                        if name in encoded:
+                            value = encoded[name]
+                            if value is None or kind is ColumnType.JSON:
+                                pass
+                            elif kind is ColumnType.DATETIME:
+                                value = decode_datetime(value)
+                            elif type(value) is not _PLAIN_TYPES[kind]:
+                                value = coerce(value, kind, column=name)
+                            row[name] = value
+                        elif not (auto_pk and name == pk_name):
+                            row[name] = coerce(
+                                col.default_value(), kind, column=name
+                            )
+                    pk = row.get(pk_name)
+                    if pk is None:
+                        if not auto_pk:
+                            raise NotNullViolation(
+                                f"table {self.name!r}: TEXT primary key must "
+                                "be supplied",
+                                table=self.name,
+                                constraint=f"nn_{self.name}_{pk_name}",
+                            )
+                        pk = row[pk_name] = self._ids.allocate()
+                    head = heads.get(pk)
+                    if head is not None and head.row is not None:
+                        raise PrimaryKeyViolation(
+                            f"table {self.name!r}: primary key {pk!r} "
+                            "already exists",
+                            table=self.name,
+                            constraint=f"pk_{self.name}",
+                        )
+                    self._validate_row(row)
+                    self._check_unique(row, pk)
+                    self._check_foreign_keys(row)
+                    for index in self._unique_indexes:
+                        index.add(row, pk)
+                    node = RowVersion(row, None, head)
+                    heads[pk] = node
+                    uncommitted.append(node)
+                    loaded.append((row, pk))
+                    if feed is not None:
+                        feed(row)
+                    if auto_pk and isinstance(pk, int) and pk > max_id:
+                        max_id = pk
+            finally:
+                # Even a load cut short by a violation leaves every
+                # installed row indexed and the seqlock even.
+                for index in self._hash_indexes.values():
+                    index.add_many(loaded)
+                for index in self._ordered_indexes.values():
+                    index.add_many(loaded)
+                if max_id:
+                    self._ids.observe(max_id)
+                self._live += len(loaded)
+                self._pending_ops += len(loaded)
+                self._mutation_epoch += 1
+                self._m_index_add.inc(len(loaded) * self._index_count())
+        if stats is not None:
+            self.restore_stats(stats)
+        return len(loaded)
 
     # -- planner hooks --------------------------------------------------------
 

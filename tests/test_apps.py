@@ -2,6 +2,9 @@
 
 import datetime as dt
 import io
+import os
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -292,6 +295,21 @@ class TestTwoGroupAnalysis:
             two_group_analysis(
                 RunRequest("a", "t", [], {"reference_group": "r"}, {}, workdir)
             )
+
+    def test_analysis_stack_imported_only_by_a_run(self):
+        # Every `repro` verb and `repro serve` start imports the facade
+        # and the portal; neither may pull in numpy or scipy (~0.9 s).
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys, repro.facade, repro.portal.server\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestApplicationRegistry:

@@ -1,10 +1,17 @@
 """The bfabric command-line tool."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.errors import SchemaError
 from repro.facade import BFabric
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -30,6 +37,28 @@ class TestCli:
     def test_init_is_idempotent(self, deployment, capsys):
         code, out = run(capsys, "--data", str(deployment), "init")
         assert code == 0
+
+    def test_init_refuses_a_deployment_it_cannot_read(self, deployment):
+        # A torn snapshot must fail init, not be checkpointed over with
+        # a fresh admin (which silently dropped every other user).
+        snapshot = deployment / "db" / "snapshot.json"
+        snapshot.write_bytes(snapshot.read_bytes()[:-40])
+
+        def files():
+            return {
+                p.relative_to(deployment): p.read_bytes()
+                for p in sorted((deployment / "db").rglob("*")) if p.is_file()
+            }
+
+        before = files()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--data", str(deployment),
+             "init", "--admin-login", "root"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True,
+        )
+        assert done.returncode != 0
+        assert files() == before
 
     def test_stats_table(self, deployment, capsys):
         code, out = run(capsys, "--data", str(deployment), "stats")

@@ -2,8 +2,10 @@
 
 import datetime as dt
 import os
+import re
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,17 @@ class TestTokenizer:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("!!!") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127))))
+    def test_ascii_fast_path_matches_nfkd_fold(self, text):
+        # The reference fold: NFKD, drop combining marks, lowercase.
+        folded = "".join(
+            ch for ch in unicodedata.normalize("NFKD", text)
+            if not unicodedata.combining(ch)
+        ).lower()
+        expected = re.findall(r"[a-z0-9]+", folded)
+        assert tokenize(text, keep_stopwords=True) == expected
 
 
 def doc(entity_id, name, description="", entity_type="sample", **metadata):
