@@ -114,6 +114,12 @@ class HashIndex:
         """Return the pks of rows whose indexed columns equal *key*."""
         return set(self._buckets.get(key, ()))
 
+    def members(self, key: tuple) -> "set[Any] | tuple":
+        """The live pk set under *key*, uncopied.  Read-only: a caller
+        that holds it across a write copies it first (one ``sorted``
+        or ``set`` call does)."""
+        return self._buckets.get(key, ())
+
     def bucket_size(self, key: tuple) -> int:
         """Exact row count under *key* without copying the bucket (O(1)).
 
@@ -328,11 +334,15 @@ class OrderedIndex:
     ) -> tuple[int, float]:
         """``(distinct_keys, estimated_rows)`` for a seek, in O(log n).
 
-        Row estimate = matching keys × average bucket size; exact when
-        every key holds one pk (unique-ish columns), an upper-ish bound
-        otherwise.  This is the planner's costing probe — nothing is
-        materialized.
+        Equality on the whole key is exact and one dict hit, as
+        :meth:`HashIndex.bucket_size` is.  Otherwise the row estimate is
+        matching keys × average bucket size: exact when every key holds
+        one pk (unique-ish columns), a guess on skewed columns.  This is
+        the planner's costing probe — nothing is materialized.
         """
+        if len(prefix) == len(self.columns) and low is None and high is None:
+            entry = self._by_key.get(self._wrap(prefix))
+            return (0, 0.0) if entry is None else (1, float(len(entry[1])))
         lo_pos, hi_pos = self._bounds(
             prefix, low, high, include_low, include_high, exclude_null
         )

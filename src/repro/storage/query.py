@@ -52,16 +52,18 @@ an older state bypasses the cache (historical versions are not keyed).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from itertools import chain, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import SchemaError
 from repro.storage.table import note_table_read
-from repro.storage.types import sort_key
+from repro.storage.types import PLAIN_TYPES, sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -92,9 +94,37 @@ _RANGE_OPS = {"<", "<=", ">", ">="}
 def _pk_order(bucket: "set[Any]") -> Any:
     """The pks under one index key, in pk order — which keeps ordered
     output and LIMIT row selection deterministic across plan
-    strategies.  Copies either way (one atomic call): *bucket* is the
-    index's live set and a writer may be resizing it."""
-    return tuple(bucket) if len(bucket) < 2 else sorted(bucket, key=sort_key)
+    strategies.  Primary keys are INT or TEXT (the schema insists), so
+    plain ``sorted`` is :func:`sort_key` order.  Copies either way (one
+    atomic call): *bucket* may be an index's live set, which a writer
+    may be resizing."""
+    return tuple(bucket) if len(bucket) < 2 else sorted(bucket)
+
+
+def _sort_rows(
+    rows: "list[dict[str, Any]]", column: str, descending: bool, native: bool
+) -> "list[dict[str, Any]]":
+    """*rows* stably sorted on *column* in :func:`sort_key` order, NULLs
+    first (last when *descending*, as ``reverse`` puts them).
+
+    A *native* column (one of ``PLAIN_TYPES``) sorts on its values in C.
+    NULLs, and rows without the column at all (a snapshot pinned before
+    ``add_column``), do not compare with values; they are set apart in
+    their input order instead.
+    """
+    if not native:
+        return sorted(
+            rows, key=lambda r: sort_key(r.get(column)), reverse=descending
+        )
+    value = itemgetter(column)
+    try:
+        return sorted(rows, key=value, reverse=descending)
+    except (KeyError, TypeError):
+        pass
+    nulls = [r for r in rows if r.get(column) is None]
+    present = [r for r in rows if r.get(column) is not None]
+    present.sort(key=value, reverse=descending)
+    return present + nulls if descending else nulls + present
 
 
 @dataclass(frozen=True)
@@ -721,21 +751,6 @@ class Query:
             if for_snapshot or not self._order or self._limit is None:
                 return None
 
-        used = {id(c) for c in prefix_conds} | {id(c) for c in bound_conds}
-        residual = [c for c in self._conditions if id(c) not in used]
-        prefix_key = tuple(c.value for c in prefix_conds)
-        # A seek bounded only from above must structurally skip NULL
-        # keys: range predicates never match NULL.
-        exclude_null = bounded and low is None
-        _keys, examined = index.estimate_range(
-            prefix_key,
-            low,
-            high,
-            include_low=include_low,
-            include_high=include_high,
-            exclude_null=exclude_null,
-        )
-
         free = cols[k:]
         descending = False
         satisfies_order = False
@@ -750,8 +765,23 @@ class Query:
         if k == 0 and not bounded and not satisfies_order:
             # A bare ride earns its keep only by producing the
             # requested order; an unhelpful one is just a scan in
-            # index order.
+            # index order, so the index is not even probed.
             return None
+
+        used = {id(c) for c in prefix_conds} | {id(c) for c in bound_conds}
+        residual = [c for c in self._conditions if id(c) not in used]
+        prefix_key = tuple(c.value for c in prefix_conds)
+        # A seek bounded only from above must structurally skip NULL
+        # keys: range predicates never match NULL.
+        exclude_null = bounded and low is None
+        _keys, examined = index.estimate_range(
+            prefix_key,
+            low,
+            high,
+            include_low=include_low,
+            include_high=include_high,
+            exclude_null=exclude_null,
+        )
         ordered = tuple((c, descending) for c in free)
         early_exit = self._limit is not None and (
             not self._order or satisfies_order
@@ -1020,8 +1050,12 @@ class Query:
                 # Index candidates were pinned against the snapshot by
                 # the planner (kind "pks"); rows are still resolved
                 # through the chains so a commit racing this loop
-                # cannot leak newer versions into the result.
-                rows = (tbl.row_at(pk, seq) for pk in plan.pks or ())
+                # cannot leak newer versions into the result.  Pk
+                # order, as the live index plans yield them.
+                rows = (tbl.row_at(pk, seq) for pk in _pk_order(plan.pks or ()))
+            # Drop the pks that resolved to no row; a payload always
+            # holds at least its pk, so it is never falsy.
+            rows = filter(None, rows)
         elif plan.kind in ("seek", "covering"):
             entries = plan.index.seek(
                 plan.prefix,
@@ -1034,15 +1068,14 @@ class Query:
             )
             if plan.kind == "covering":
                 return self._covering_rows(plan.index.columns, entries, keep)
-            rows = map(
-                tbl.raw_row,
-                chain.from_iterable(_pk_order(b) for _raw, b in entries),
+            rows = tbl.raw_rows(
+                chain.from_iterable(_pk_order(b) for _raw, b in entries)
             )
         else:
             if plan.kind == "scan":
                 pks: Any = tbl.pks()
             elif plan.kind == "hash":
-                pks = plan.index.lookup(plan.key)
+                pks = _pk_order(plan.index.members(plan.key))
             elif plan.kind == "intersect":
                 assert plan.indexes is not None and plan.keys is not None
                 sets = sorted(
@@ -1052,13 +1085,10 @@ class Query:
                     ),
                     key=len,
                 )
-                pks = set(sets[0]).intersection(*sets[1:]) if sets else ()
+                pks = _pk_order(sets[0].intersection(*sets[1:]))
             else:  # "pks"
                 pks = plan.pks or ()
-            rows = map(tbl.raw_row, pks)
-        # Drop the pks that resolved to no row; a payload always holds
-        # at least its pk, so it is never falsy.
-        rows = filter(None, rows)
+            rows = tbl.raw_rows(pks)
         return rows if keep is None else filter(keep, rows)
 
     def _covering_rows(
@@ -1098,11 +1128,11 @@ class Query:
         rows_iter = self._iter_plan_rows(plan)
         if self._order and not self._order_satisfied(plan):
             rows = list(rows_iter)
+            schema = self._table.schema
             # Stable multi-key sort: apply keys in reverse priority order.
             for column, descending in reversed(self._order):
-                rows.sort(
-                    key=lambda r: sort_key(r.get(column)), reverse=descending
-                )
+                native = schema.column(column).type in PLAIN_TYPES
+                rows = _sort_rows(rows, column, descending, native)
             if self._offset:
                 rows = rows[self._offset:]
             if self._limit is not None:
@@ -1158,16 +1188,17 @@ class Query:
     def all(self) -> list[dict[str, Any]]:
         """Execute and return row copies (shallow: one ``dict`` per
         row, whether the rows were cached or just read)."""
-        return [dict(r) for r in self._through_cache("rows", self._result_rows)]
+        return list(map(dict, self._through_cache("rows", self._result_rows)))
 
     def first(self) -> dict[str, Any] | None:
         """Return the first matching row or ``None``."""
-        rows = self.limit(1).all() if self._limit is None else self.all()
+        # On a copy: the caller's query keeps its own limit.
+        rows = copy.copy(self).limit(1).all() if self._limit is None else self.all()
         return rows[0] if rows else None
 
     def one(self) -> dict[str, Any]:
         """Return exactly one row; raise if zero or several match."""
-        rows = self.limit(2).all()
+        rows = copy.copy(self).limit(2).all()
         if not rows:
             raise SchemaError(
                 f"query on {self._table.name!r} matched no rows"

@@ -38,7 +38,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import (
     CheckViolation,
@@ -51,20 +53,31 @@ from repro.errors import (
 from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.schema import TableSchema
 from repro.storage.stats import TableStatistics
-from repro.storage.types import ColumnType, coerce, decode_datetime
+from repro.storage.types import PLAIN_TYPES, ColumnType, coerce, decode_datetime
 from repro.util.ids import IdAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
-#: Python type a decoded value of each scalar column type already has;
-#: :meth:`Table.load_rows` calls :func:`coerce` only for other values.
-_PLAIN_TYPES = {
-    ColumnType.INT: int,
-    ColumnType.FLOAT: float,
-    ColumnType.TEXT: str,
-    ColumnType.BOOL: bool,
-}
+_PLAIN_TYPE_SET = frozenset(PLAIN_TYPES.values())
+
+
+def _refiles(old: Any, new: Any) -> bool:
+    """Whether a column going from *old* to *new* may move an index key.
+
+    Not when it holds the very same object (every column an update did
+    not name), nor an equal value of the same plain type: those share
+    a hash bucket and a :func:`~repro.storage.types.sort_key`.  Equal
+    values of other types need not (two equal aware datetimes can
+    differ in ``isoformat()``), so they count as moved.
+    """
+    if old is new:
+        return False
+    return (
+        type(old) is not type(new)
+        or type(new) not in _PLAIN_TYPE_SET
+        or old != new
+    )
 
 
 # -- read tracking ------------------------------------------------------------
@@ -143,6 +156,10 @@ class RowVersion:
         kind = "tombstone" if self.row is None else "row"
         state = "uncommitted" if self.seq is None else f"seq={self.seq}"
         return f"<RowVersion {kind} {state} chained={self.older is not None}>"
+
+
+#: A version's payload (``None`` for a tombstone), resolved in C.
+_payload = attrgetter("row")
 
 
 @dataclass(frozen=True)
@@ -309,27 +326,29 @@ class Table:
             note_table_read(self.schema.name)
         return [pk for pk, head in list(self._rows.items()) if head.row is not None]
 
-    def raw_row(self, pk: Any) -> dict[str, Any] | None:
-        """Zero-copy access to the *latest* version's payload.
+    def raw_rows(self, pks: Iterable[Any]) -> Iterator[dict[str, Any]]:
+        """Zero-copy access to the *latest* versions' payloads of *pks*,
+        lazily and in *pks* order; pks without a live row are skipped.
 
-        Contract: the returned dict is an immutable version payload —
-        writers never mutate it in place (an update publishes a new
-        dict), so holding a reference across a concurrent commit is
-        safe.  Callers must treat it as read-only and must not assume it
-        reflects committed state (the latest version may belong to an
-        open transaction); isolation-sensitive callers read through a
-        pinned :class:`~repro.storage.snapshot.Snapshot` / :meth:`row_at`
-        instead.
+        Contract: each dict is an immutable version payload — writers
+        never mutate it in place (an update publishes a new dict), so
+        holding a reference across a concurrent commit is safe.  Callers
+        must treat it as read-only and must not assume it reflects
+        committed state (the latest version may belong to an open
+        transaction); isolation-sensitive callers read through a pinned
+        :class:`~repro.storage.snapshot.Snapshot` / :meth:`row_at`
+        instead.  The read is noted once and heads resolve without a
+        Python call per pk; a consumer that stops early (``LIMIT``)
+        resolves no further pks.
         """
         if _probe_users:
             note_table_read(self.schema.name)
-        head = self._rows.get(pk)
-        return head.row if head is not None else None
+        return filter(None, map(_payload, filter(None, map(self._rows.get, pks))))
 
     def raw_items(self) -> list[tuple[Any, dict[str, Any]]]:
         """Zero-copy ``(pk, row)`` pairs of the latest live versions.
 
-        Same contract as :meth:`raw_row`: payloads are immutable version
+        Same contract as :meth:`raw_rows`: payloads are immutable version
         dicts (never mutated after publication, safe to hold without
         copying, must not be written to), and the view is the *latest*
         state, which may include uncommitted changes of an open
@@ -359,7 +378,7 @@ class Table:
     def row_at(self, pk: Any, seq: int) -> dict[str, Any] | None:
         """The payload of row *pk* as of commit sequence *seq*.
 
-        Zero-copy (same immutability contract as :meth:`raw_row`);
+        Zero-copy (same immutability contract as :meth:`raw_rows`);
         returns ``None`` for rows that did not exist — or were deleted —
         at that point.  Never takes any lock.
         """
@@ -638,6 +657,30 @@ class Table:
             index.remove(row, pk)
         self._m_index_remove.inc(self._index_count())
 
+    def _index_move(
+        self, before: dict[str, Any], after: dict[str, Any], pk: Any
+    ) -> None:
+        """Re-file *pk* from *before* to *after*, touching only the
+        indexes whose key differs between the two versions."""
+        changed = {
+            c for c, new in after.items() if _refiles(before.get(c), new)
+        }
+        if not changed:
+            return
+        moved = 0
+        for index in chain(
+            self._unique_indexes,
+            self._hash_indexes.values(),
+            self._ordered_indexes.values(),
+        ):
+            if not changed.isdisjoint(index.columns):
+                index.remove(before, pk)
+                index.add(after, pk)
+                moved += 1
+        if moved:
+            self._m_index_remove.inc(moved)
+            self._m_index_add.inc(moved)
+
     # -- mutations (called by Transaction) ------------------------------------
 
     def apply_insert(self, values: dict[str, Any]) -> tuple[dict[str, Any], UndoEntry]:
@@ -693,13 +736,12 @@ class Table:
         self._check_unique(candidate, pk)
         self._check_foreign_keys(candidate)
         self._begin_change()
-        self._index_remove(before, pk)
         node = RowVersion(candidate, None, head)
         self._rows[pk] = node
         self._uncommitted.append(node)
         self._reclaimable += 1
         self._lazy_truncate(node)
-        self._index_add(candidate, pk)
+        self._index_move(before, candidate, pk)
         self._stats.on_remove(before)
         self._stats.on_insert(candidate)
         self._end_change()
@@ -777,9 +819,8 @@ class Table:
             older = head.older
             assert older is not None and older.row is not None
             assert head.row is not None
-            self._index_remove(head.row, entry.pk)
             self._rows[entry.pk] = older
-            self._index_add(older.row, entry.pk)
+            self._index_move(head.row, older.row, entry.pk)
             self._stats.on_remove(head.row)
             self._stats.on_insert(older.row)
             self._reclaimable = max(0, self._reclaimable - 1)
@@ -841,7 +882,7 @@ class Table:
                                 pass
                             elif kind is ColumnType.DATETIME:
                                 value = decode_datetime(value)
-                            elif type(value) is not _PLAIN_TYPES[kind]:
+                            elif type(value) is not PLAIN_TYPES[kind]:
                                 value = coerce(value, kind, column=name)
                             row[name] = value
                         elif not (auto_pk and name == pk_name):

@@ -30,6 +30,17 @@ class ColumnType(enum.Enum):
         return f"ColumnType.{self.name}"
 
 
+#: The Python type every non-null value of each plain column type has
+#: once coerced (:meth:`Table.load_rows` calls :func:`coerce` only for
+#: other values).  Such values already compare in :func:`sort_key`
+#: order, and equal ones share a hash and a sort key.
+PLAIN_TYPES = {
+    ColumnType.INT: int,
+    ColumnType.FLOAT: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOL: bool,
+}
+
 _DATETIME_FORMATS = (
     "%Y-%m-%dT%H:%M:%S",
     "%Y-%m-%dT%H:%M:%S.%f",

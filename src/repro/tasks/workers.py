@@ -22,13 +22,16 @@ Crash safety is the whole point of the design:
 Concurrency limits (``type_limits`` per job type, ``channel_limits`` per
 channel — e.g. per instrument provider) are enforced at claim time: a
 worker excludes saturated types/channels from its claim, so limits hold
-across the whole pool without a central dispatcher.
+across the whole pool without a central dispatcher.  In a limited pool
+one worker at a time checks headroom, claims, and registers the job as
+in flight.
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -94,6 +97,8 @@ class WorkerPool:
         self._clock = clock or SystemClock()
         self._obs = obs
         self._lock = threading.Lock()
+        #: Serializes claims of limited pools (see ``_claim_and_run``).
+        self._claim_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._heartbeat_thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -232,21 +237,24 @@ class WorkerPool:
 
     def _claim_and_run(self, worker: str) -> bool:
         """Claim up to a batch and run it; ``False`` when nothing was due."""
-        exclude_types, exclude_channels = self._saturated()
         # Concurrency limits need headroom accounting per claimed job, so
-        # limited pools claim one at a time; unlimited pools batch.
-        limit = (
-            1
-            if (self._type_limits or self._channel_limits)
-            else self._claim_batch
-        )
-        jobs = self._queue.claim(
-            worker,
-            limit=limit,
-            lease_seconds=self._lease_seconds,
-            exclude_job_types=exclude_types,
-            exclude_channels=exclude_channels,
-        )
+        # limited pools claim one at a time, and the headroom check, the
+        # claim and the in-flight registration are one step under the
+        # claim lock: otherwise two workers could both see room for the
+        # last slot and both take it.  Unlimited pools batch, unserialized.
+        limited = bool(self._type_limits or self._channel_limits)
+        with self._claim_lock if limited else nullcontext():
+            exclude_types, exclude_channels = self._saturated()
+            jobs = self._queue.claim(
+                worker,
+                limit=1 if limited else self._claim_batch,
+                lease_seconds=self._lease_seconds,
+                exclude_job_types=exclude_types,
+                exclude_channels=exclude_channels,
+            )
+            if jobs:
+                with self._lock:
+                    self._in_flight[worker] = jobs[0]
         ran = False
         for job in jobs:
             self._run_job(worker, job)

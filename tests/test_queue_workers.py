@@ -185,6 +185,44 @@ class TestConcurrencyLimits:
             assert queue.wait(job.id, timeout=10.0).state == "done"
         assert peak == 1
 
+    def test_type_limit_holds_when_claims_are_slow(self, queue, stop_pools):
+        """Headroom check, claim and in-flight registration are one
+        step: workers whose claims overlap cannot both take the last
+        slot, however wide the gap around the claim."""
+        lock = threading.Lock()
+        running = 0
+        peak = 0
+
+        def tracked(job):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.1)
+            with lock:
+                running -= 1
+            return {}
+
+        real_claim = queue.claim
+
+        def slow_claim(*args, **kwargs):
+            time.sleep(0.03)  # after the headroom check
+            jobs = real_claim(*args, **kwargs)
+            time.sleep(0.03)  # before the job counts as in flight
+            return jobs
+
+        queue.claim = slow_claim
+        queue.register_handler("capped", tracked)
+        jobs = [queue.enqueue("capped") for _ in range(4)]
+        pool = WorkerPool(
+            queue, workers=4, lease_seconds=5.0, type_limits={"capped": 1}
+        ).start()
+        stop_pools(pool)
+
+        for job in jobs:
+            assert queue.wait(job.id, timeout=10.0).state == "done"
+        assert peak == 1
+
 
 class TestGracefulDrain:
     def test_drain_finishes_backlog_under_concurrent_enqueue(self, queue):

@@ -254,7 +254,7 @@ class TestSharedPayloads:
             assert {"id": 1, "project": 1, "title": "doc 1"} in (
                 snap.query("doc").where("project", "=", 1).all()
             )
-        assert db.table("doc").raw_row(1)["title"] == "doc 1"
+        assert next(db.table("doc").raw_rows([1]))["title"] == "doc 1"
 
     def test_entry_outlives_the_versions_it_shares(self):
         """An entry for version *v* holds references to the *v* payloads:

@@ -204,6 +204,19 @@ class TestTerminalOperations:
         row = loaded.query("person").where("name", "=", "ada").one()
         assert row["age"] == 36
 
+    def test_first_and_one_leave_the_query_unlimited(self, loaded):
+        query = loaded.query("person").order_by("id")
+        assert query.first()["name"] == "ada"
+        assert len(query.all()) == 5
+        with pytest.raises(SchemaError):
+            query.one()
+        assert query.pks() == [1, 2, 3, 4, 5]
+        paged = loaded.query("person").order_by("id").limit(3)
+        assert paged.first()["name"] == "ada"
+        with pytest.raises(SchemaError):
+            paged.one()
+        assert paged.pks() == [1, 2, 3]
+
     def test_exists(self, loaded):
         assert loaded.query("person").where("name", "=", "ada").exists()
         assert not loaded.query("person").where("name", "=", "x").exists()
