@@ -544,10 +544,14 @@ def cmd_maintenance(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.portal import PortalApplication
     from repro.portal.server import PortalServer
+    from repro.util.heap import freeze_survivors
 
     system = _open(args)
     # Warm-up: build the index now, not on the first visitor's search.
     system.reindex_all()
+    # The recovered corpus and the index live as long as the process:
+    # keep full collections from walking them on every serving pause.
+    freeze_survivors()
     # Periodic registry sampling makes `repro stats --window` and
     # /admin/metrics/history meaningful for this portal session.
     system.obs.history.start()

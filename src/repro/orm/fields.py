@@ -1,9 +1,11 @@
 """Field descriptors for declarative models.
 
 Each field knows how to render itself as a storage
-:class:`~repro.storage.schema.Column`.  Fields are plain descriptors:
-model instances keep values in ``__dict__`` so ``vars(instance)`` and
-``dataclass``-style reprs stay unsurprising.
+:class:`~repro.storage.schema.Column`.  Fields are *non-data*
+descriptors (no ``__set__``): model instances keep values in
+``__dict__``, which then answers every read of a set field in C —
+``vars(instance)`` and ``dataclass``-style reprs stay unsurprising, and
+``Field.__get__`` runs only for a field that was never set.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ class Field:
             raise AttributeError(
                 f"{owner.__name__ if owner else '?'}.{self.name} is unset"
             ) from None
-
-    def __set__(self, instance: Any, value: Any) -> None:
-        instance.__dict__[self.name] = value
 
     def to_column(self) -> Column:
         """Render this field as a storage column."""

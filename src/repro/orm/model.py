@@ -9,7 +9,7 @@ via ``__indexes__``, ``__unique_together__``, and ``__checks__``.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Iterator
+from typing import Any, ClassVar, Iterable, Iterator
 
 from repro.errors import SchemaError
 from repro.orm.fields import Field
@@ -109,12 +109,42 @@ class Model(metaclass=ModelMeta):
     # -- conversion ---------------------------------------------------------------
 
     @classmethod
+    def from_rows(
+        cls, rows: Iterable[dict[str, Any]], columns: Iterable[str]
+    ) -> list[Any]:
+        """One model per row of *rows*, in one loop.
+
+        *rows* may be shared — the immutable version payloads the
+        storage layer and its query cache hand out — so they are never
+        aliased: each model's ``__dict__`` is one C-level copy of its
+        row.  *columns* names every key the rows may carry (their
+        table's schema columns).  Only when it holds a column this
+        model does not declare (added by a migration's ``add_column``)
+        are rows filtered field by field.  A row lacking a field (a
+        snapshot pinned before ``add_column``) leaves it unset.
+        """
+        new = cls.__new__
+        models = []
+        append = models.append
+        if cls.__fields__.keys() >= set(columns):
+            for row in rows:
+                model = new(cls)
+                model.__dict__ = dict(row)
+                append(model)
+        else:
+            fields = cls.__fields__
+            for row in rows:
+                model = new(cls)
+                model.__dict__ = {
+                    name: row[name] for name in fields if name in row
+                }
+                append(model)
+        return models
+
+    @classmethod
     def from_row(cls, row: dict[str, Any]) -> "Model":
-        instance = cls.__new__(cls)
-        for name in cls.__fields__:
-            if name in row:
-                instance.__dict__[name] = row[name]
-        return instance
+        """One model from *row*, which is copied (see :meth:`from_rows`)."""
+        return cls.from_rows((row,), row.keys())[0]
 
     def to_row(self, *, include_unset: bool = False) -> dict[str, Any]:
         row: dict[str, Any] = {}

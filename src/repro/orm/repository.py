@@ -46,7 +46,10 @@ class ModelQuery(Generic[M]):
         return self
 
     def all(self) -> list[M]:
-        return [self._model.from_row(row) for row in self._query.all()]
+        # The schema is read after the rows: columns are only ever
+        # added, so it covers every key the rows can carry.
+        rows = self._query.shared_rows()
+        return self._model.from_rows(rows, self._query.columns)
 
     def first(self) -> M | None:
         row = self._query.first()
@@ -83,14 +86,19 @@ class Repository(Generic[M]):
     # -- reads -------------------------------------------------------------------
 
     def get(self, pk: Any) -> M:
-        row = self.database.get_or_none(self.table, pk)
-        if row is None:
+        instance = self.get_or_none(pk)
+        if instance is None:
             raise EntityNotFound(self.model.__name__, pk)
-        return self.model.from_row(row)
+        return instance
 
     def get_or_none(self, pk: Any) -> M | None:
-        row = self.database.get_or_none(self.table, pk)
-        return self.model.from_row(row) if row is not None else None
+        # The latest version's payload, as Database.get_or_none reads
+        # it; from_rows makes the only copy.  Resolved before the
+        # schema is read (see ModelQuery.all).
+        table = self.database.table(self.table)
+        rows = tuple(table.raw_rows((pk,)))
+        models = self.model.from_rows(rows, table.schema.column_names)
+        return models[0] if models else None
 
     def exists(self, pk: Any) -> bool:
         return self.database.get_or_none(self.table, pk) is not None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.portal.http import Request, Response
-from repro.portal.render import definition_list, esc, page, table
+from repro.portal.render import Html, definition_list, page, table
 
 
 def _fmt(value) -> str:
@@ -24,7 +24,7 @@ def _replication_rows(registry) -> list[tuple]:
             if value is None:
                 continue
             detail = ", ".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            rows.append((esc(family.name), esc(detail), int(value)))
+            rows.append((family.name, detail, int(value)))
     return sorted(rows)
 
 
@@ -33,7 +33,7 @@ def _http_rows(registry) -> list[tuple]:
     if family is None:
         return []
     rows = [
-        (esc(labels["route"]), labels["method"], labels["status"],
+        (labels["route"], labels["method"], labels["status"],
          int(child.value))
         for labels, child in family.samples()
     ]
@@ -86,7 +86,7 @@ def register(router, portal) -> None:
             ["operation", "count", "mean", "p50", "p95", "p99", "max"],
             [
                 (
-                    esc(name),
+                    name,
                     s["count"],
                     _fmt(s["mean"]), _fmt(s["p50"]),
                     _fmt(s["p95"]), _fmt(s["p99"]), _fmt(s["max"]),
@@ -101,7 +101,7 @@ def register(router, portal) -> None:
         body += "<h2>Committed operations</h2>" + table(
             ["table", "operation", "count"],
             [
-                (esc(tbl), op, count)
+                (tbl, op, count)
                 for tbl, ops in sorted(monitor.operation_counts().items())
                 for op, count in sorted(ops.items())
             ],
@@ -112,7 +112,7 @@ def register(router, portal) -> None:
         body += "<h2>Resilience</h2>" + table(
             ["circuit breaker", "state"],
             [
-                (esc(endpoint), state)
+                (endpoint, state)
                 for endpoint, state in sorted(system.breakers.states().items())
             ],
         )
@@ -122,7 +122,7 @@ def register(router, portal) -> None:
             if family is None:
                 continue
             resilience_counts.extend(
-                (esc(metric), esc(labels.get("site", "")), int(child.value))
+                (metric, labels.get("site", ""), int(child.value))
                 for labels, child in family.samples()
             )
         body += table(
@@ -152,7 +152,7 @@ def register(router, portal) -> None:
                 ["job type", "pending", "leased", "done", "retry_wait",
                  "dead"],
                 [
-                    (esc(job_type), counts["pending"], counts["leased"],
+                    (job_type, counts["pending"], counts["leased"],
                      counts["done"], counts["retry_wait"], counts["dead"])
                     for job_type, counts in sorted(queue["per_type"].items())
                 ],
@@ -193,14 +193,14 @@ def register(router, portal) -> None:
             explain = entry.get("explain")
             rows.append(
                 (
-                    esc(entry["ts"]),
-                    esc(entry["name"]),
+                    entry["ts"],
+                    entry["name"],
                     _fmt(entry["duration"]),
                     _fmt(entry["threshold"]),
-                    esc(entry.get("status", "")),
-                    esc(entry.get("trace_id", "")),
-                    esc(detail),
-                    esc(json.dumps(explain, sort_keys=True, default=str))
+                    entry.get("status", ""),
+                    entry.get("trace_id", ""),
+                    detail,
+                    json.dumps(explain, sort_keys=True, default=str)
                     if explain is not None
                     else "—",
                 )
@@ -212,7 +212,7 @@ def register(router, portal) -> None:
         )
         body += "<h2>Budgets</h2>" + table(
             ["operation", "seconds"],
-            [(esc(op), _fmt(sec))
+            [(op, _fmt(sec))
              for op, sec in sorted(slowlog.thresholds().items())],
         )
         body += definition_list([("total promotions", slowlog.promoted)])
@@ -230,12 +230,12 @@ def register(router, portal) -> None:
             if "rate" in info:
                 rate = info["rate"]
                 rows.append(
-                    (esc(key), "counter",
+                    (key, "counter",
                      f"{rate:.3f}/s" if rate is not None else "—",
                      _fmt(info["last"])))
             else:
                 rows.append(
-                    (esc(key), "gauge",
+                    (key, "gauge",
                      f"{_fmt(info['min'])} … {_fmt(info['max'])}",
                      _fmt(info["last"])))
         body = definition_list(
@@ -270,7 +270,7 @@ def register(router, portal) -> None:
         body = "<h2>Busiest projects</h2>" + table(
             ["project", "workunits", "samples"],
             [
-                (esc(r["project"]), r["workunits"], r["samples"])
+                (r["project"], r["workunits"], r["samples"])
                 for r in reports.objects_per_project(principal)
             ],
         )
@@ -286,14 +286,14 @@ def register(router, portal) -> None:
         body += "<h2>Activity by user</h2>" + table(
             ["user", "operations"],
             [
-                (esc(r["user"]), r["operations"])
+                (r["user"], r["operations"])
                 for r in reports.activity_by_user(principal)
             ],
         )
         body += "<h2>Application popularity</h2>" + table(
             ["application", "runs"],
             [
-                (esc(r["application"]), r["runs"])
+                (r["application"], r["runs"])
                 for r in reports.application_popularity(principal)
             ],
         )
@@ -321,8 +321,8 @@ def register(router, portal) -> None:
         else:
             entries = system.audit.recent(limit=100)
         rows = [
-            (e.at, esc(e.user_login), e.action,
-             f"{e.entity_type}:{e.entity_id}", esc(e.summary))
+            (e.at, e.user_login, e.action,
+             f"{e.entity_type}:{e.entity_id}", e.summary)
             for e in entries
         ]
         body = table(["at", "user", "action", "object", "summary"], rows)
@@ -333,12 +333,12 @@ def register(router, portal) -> None:
         principal = portal.principal(request)
         rows = []
         for record in system.errors.open_errors():
-            resolve = (
+            resolve = Html(
                 f'<form method="post" action="/admin/errors/{record.id}/resolve">'
                 "<button>resolve</button></form>"
             )
-            rows.append((record.id, record.at, esc(record.source),
-                         esc(record.message), resolve))
+            rows.append((record.id, record.at, record.source,
+                         record.message, resolve))
         body = table(["id", "at", "source", "message", "action"], rows)
         return Response(page("Errors", body, user=principal.login))
 

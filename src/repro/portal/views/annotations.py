@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.portal.http import Request, Response
-from repro.portal.render import esc, form, link, page, table
+from repro.portal.render import Html, esc, form, link, page, table
 
 
 def register(router, portal) -> None:
@@ -24,8 +24,8 @@ def register(router, portal) -> None:
                 f'style="display:inline"><button>reject</button></form>'
             )
             rows.append(
-                (annotation.id, esc(annotation.value), annotation.status,
-                 release + " " + reject)
+                (annotation.id, annotation.value, annotation.status,
+                 Html(release + " " + reject))
             )
         body = "<h2>Pending review</h2>" + table(
             ["id", "value", "status", "actions"], rows
@@ -39,7 +39,7 @@ def register(router, portal) -> None:
                 submit="merge",
             )
             rec_rows.append(
-                (esc(rec.keep_value), esc(rec.merge_value),
+                (rec.keep_value, rec.merge_value,
                  f"{rec.score:.0%}", merge_form)
             )
         body += "<h2>Similar annotations (merge recommendations)</h2>" + table(

@@ -25,7 +25,7 @@ def register(router, portal) -> None:
     def application_list(request: Request) -> Response:
         principal = portal.principal(request)
         rows = [
-            (app.id, esc(app.name), app.connector, esc(app.description))
+            (app.id, app.name, app.connector, app.description)
             for app in system.applications.active_applications()
         ]
         body = table(["id", "application", "connector", "description"], rows)
@@ -72,7 +72,7 @@ def register(router, portal) -> None:
                 e.id,
                 link(f"/experiments/{e.id}", e.name),
                 len(e.resource_ids),
-                esc(json.dumps(e.attributes)),
+                json.dumps(e.attributes),
             )
             for e in experiments
         ]

@@ -78,7 +78,7 @@ def register(router, portal) -> None:
         for resource in resources:
             rows.append(
                 (
-                    esc(resource.name),
+                    resource.name,
                     dropdown(
                         f"extract_{resource.id}",
                         extract_options,

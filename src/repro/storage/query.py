@@ -90,6 +90,9 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 
 _RANGE_OPS = {"<", "<=", ">", ">="}
 
+#: Value types of a pk ``IN`` the planner answers with dict hits.
+_PK_SETS = (list, tuple, set, frozenset)
+
 
 def _pk_order(bucket: "set[Any]") -> Any:
     """The pks under one index key, in pk order — which keeps ordered
@@ -575,17 +578,33 @@ class Query:
         return best
 
     def _pk_plan(self) -> "Plan | None":
-        """Primary-key equality: a direct dict hit."""
+        """Primary-key equality, or a pk ``IN`` list: a dict hit per
+        value, yielding pk order like every other index plan.  A list
+        with an unhashable member is left to the other plans."""
         tbl = self._table
         pk_col = tbl.pk_column
         cond = None
         for c in self._conditions:
+            if c.column != pk_col:
+                continue
             # `= NULL` never matches (SQL semantics): it stays residual.
-            if c.column == pk_col and c.op == "=" and c.value is not None:
+            if c.op == "=" and c.value is not None:
+                cond = c
+            elif (
+                c.op == "in"
+                and isinstance(c.value, _PK_SETS)
+                and (cond is None or cond.op == "in")
+            ):
                 cond = c
         if cond is None:
             return None
-        pks = {cond.value} if cond.value in tbl else set()
+        if cond.op == "=":
+            pks = {cond.value} if cond.value in tbl else set()
+        else:
+            try:
+                pks = {v for v in cond.value if v in tbl}
+            except TypeError:  # an unhashable member
+                return None
         residual = [c for c in self._conditions if c is not cond]
         cost = SEEK_COST + len(pks) * (
             ROW_FETCH_COST + len(residual) * RESIDUAL_COST
@@ -1087,7 +1106,7 @@ class Query:
                 )
                 pks = _pk_order(sets[0].intersection(*sets[1:]))
             else:  # "pks"
-                pks = plan.pks or ()
+                pks = _pk_order(plan.pks or ())
             rows = tbl.raw_rows(pks)
         return rows if keep is None else filter(keep, rows)
 
@@ -1185,10 +1204,24 @@ class Query:
             cache.put(key, result)
         return result
 
+    @property
+    def columns(self) -> list[str]:
+        """The table's column names: every key a result row can carry
+        (a row pinned before ``add_column`` carries fewer)."""
+        return self._table.schema.column_names
+
+    def shared_rows(self) -> "tuple[dict[str, Any], ...]":
+        """Execute and return the result rows *without* copying them:
+        the immutable version payloads the result cache also holds (or,
+        under :meth:`select`, dicts private to the cached result).
+        Strictly read-only — for callers that copy every row anyway, as
+        the ORM does when it hydrates models."""
+        return self._through_cache("rows", self._result_rows)
+
     def all(self) -> list[dict[str, Any]]:
         """Execute and return row copies (shallow: one ``dict`` per
         row, whether the rows were cached or just read)."""
-        return list(map(dict, self._through_cache("rows", self._result_rows)))
+        return list(map(dict, self.shared_rows()))
 
     def first(self) -> dict[str, Any] | None:
         """Return the first matching row or ``None``."""

@@ -23,3 +23,17 @@ def collector_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+
+
+def freeze_survivors() -> None:
+    """Collect once, then move every surviving object into the
+    collector's permanent generation (``gc.freeze``).
+
+    Meant for a long-running process right after it has loaded its
+    long-lived state — a server after recovery and warm-up: full
+    collections then walk only what was allocated since, instead of a
+    corpus that never dies.  The freeze is process-wide, so a library
+    that may share its process with other systems must not call it.
+    """
+    gc.collect()
+    gc.freeze()

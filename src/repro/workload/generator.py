@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from repro.facade import BFabric
+from repro.util.heap import collector_paused
 
 _SPECIES = (
     "Arabidopsis Thaliana",
@@ -105,8 +106,15 @@ class DeploymentGenerator:
     def generate(self, spec: DeploymentSpec = FGCZ_JANUARY_2010) -> dict[str, int]:
         """Build the deployment; returns the achieved counts.
 
-        Idempotence is not attempted — call on a fresh system.
+        Idempotence is not attempted — call on a fresh system.  Every
+        row built here outlives the call, so it runs with the cyclic
+        collector paused: a full collection mid-build would walk the
+        growing corpus and free nothing.
         """
+        with collector_paused():
+            return self._generate(spec)
+
+    def _generate(self, spec: DeploymentSpec) -> dict[str, int]:
         system = self._system
         rng = self._rng
         db = system.db
