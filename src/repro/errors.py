@@ -159,18 +159,6 @@ class CircuitOpenError(ResilienceError):
         self.endpoint = endpoint
 
 
-class RetryExhausted(ResilienceError):
-    """Every attempt allowed by a :class:`RetryPolicy` failed.
-
-    ``attempts`` carries one message per attempt (the error chain);
-    ``__cause__`` is the final attempt's exception.
-    """
-
-    def __init__(self, message: str, *, attempts: "list[str] | None" = None):
-        super().__init__(message)
-        self.attempts = list(attempts or [])
-
-
 class QueueError(ResilienceError):
     """Base class for durable job-queue failures."""
 

@@ -126,19 +126,17 @@ class BFabric:
 
         # The durable job queue lives in the same database as the domain
         # rows, so background work inherits WAL durability, MVCC
-        # introspection and replication.  Exhausted jobs
-        # dead-letter with their durable job id, which is what makes
-        # `repro dlq retry` work from a fresh process.  *queue_max_depth*
-        # bounds the runnable backlog: enqueues past it shed with
-        # QueueSaturated instead of queueing silently.
+        # introspection and replication.  Exhausted jobs stay in the
+        # job table as `dead` with their durable payload, which is what
+        # makes `repro queue retry` work from a fresh process.
+        # *queue_max_depth* bounds the runnable backlog: enqueues past it
+        # shed with QueueSaturated instead of queueing silently.
         self.queue = JobQueue(
             self.registry,
             clock=self.clock,
             obs=self.obs,
-            dlq=self.dlq,
             max_depth=queue_max_depth,
         )
-        self.dlq.attach_queue(self.queue)
         self._pools: list[WorkerPool] = []
 
         self.acl = AccessControl(self.db)

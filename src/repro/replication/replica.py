@@ -39,7 +39,7 @@ from repro.obs.tracing import TraceContext
 from repro.replication import protocol
 from repro.resilience.faults import fault_point
 from repro.resilience.policies import (
-    BreakerRegistry,
+    CircuitBreaker,
     ResiliencePolicy,
     RetryPolicy,
     resilient,
@@ -62,8 +62,6 @@ class Replica:
         name: str = "",
         max_lag: int | None = None,
         obs: "Observability | None" = None,
-        breakers: BreakerRegistry | None = None,
-        retry: RetryPolicy | None = None,
         recv_timeout: float = 0.2,
         reconnect_delay: float = 0.1,
     ):
@@ -98,19 +96,7 @@ class Replica:
         self._promoted = False
         self._applied_frames = 0
         self._bootstraps = 0
-        endpoint = f"replication:{primary_address[0]}:{primary_address[1]}"
-        registry = breakers if breakers is not None else BreakerRegistry(
-            obs=self.obs, failure_threshold=5, cooldown=1.0
-        )
-        policy = ResiliencePolicy(
-            retry=retry
-            or RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.5, seed=7),
-            breaker=registry.breaker(endpoint),
-            give_up_on=(),
-        )
-        self._guarded_stream = resilient(
-            policy, site="replication.stream", obs=self.obs
-        )(self._connect_and_stream)
+        self._guard_stream()
         metrics = self.obs.metrics
         self._m_applied = metrics.counter(
             "replication_applied_total", "Commit frames applied by this replica"
@@ -130,6 +116,24 @@ class Replica:
             "replication_replica_lag_seqs",
             "This replica's view of its own lag (primary seq - applied)",
         ).labels()
+
+    def _guard_stream(self) -> None:
+        """Retries and a fresh breaker for the current primary."""
+        host, port = self.primary_address
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(
+                max_attempts=3, base_delay=0.05, max_delay=0.5, seed=7
+            ),
+            breaker=CircuitBreaker(
+                f"replication:{host}:{port}",
+                failure_threshold=5,
+                cooldown=1.0,
+                obs=self.obs,
+            ),
+        )
+        self._guarded_stream = resilient(
+            policy, site="replication.stream", obs=self.obs
+        )(self._connect_and_stream)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -418,19 +422,7 @@ class Replica:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
         self.primary_address = primary_address
-        endpoint = f"replication:{primary_address[0]}:{primary_address[1]}"
-        registry = BreakerRegistry(
-            obs=self.obs, failure_threshold=5, cooldown=1.0
-        )
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(
-                max_attempts=3, base_delay=0.05, max_delay=0.5, seed=7
-            ),
-            breaker=registry.breaker(endpoint),
-        )
-        self._guarded_stream = resilient(
-            policy, site="replication.stream", obs=self.obs
-        )(self._connect_and_stream)
+        self._guard_stream()
         self._stop = threading.Event()
         self._draining = threading.Event()
         self._drain_deadline = 0.0

@@ -18,6 +18,11 @@ persistent queue cannot store verbatim.  Two layers keep retries exact:
   ``{"__principal__": ...}``, JSON-native values pass through, anything
   else degrades to a ``repr`` string — so a retry from a fresh process
   (the CLI) still reconstructs a faithful payload.
+
+Dead *jobs* are parked in the ``job`` table, not here (``repro queue
+retry``).  A ``source="queue"`` letter left by an older data directory
+names no current subscriber, so ``repro dlq retry`` refuses it: discard
+it and retry the job instead.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from repro.util.clock import Clock, SystemClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-    from repro.tasks.queue import JobQueue
     from repro.util.events import EventBus
 
 DEAD_LETTER_STATES = ("dead", "retried", "discarded")
@@ -88,8 +92,6 @@ class DeadLetterQueue:
         self._obs = obs
         #: Live payloads for same-process retries (letter id → kwargs).
         self._live: dict[int, dict[str, Any]] = {}
-        #: Job queue for ``source="queue"`` letters (see attach_queue).
-        self._queue: "JobQueue | None" = None
         self._m_dead = None
         if obs is not None:
             self._m_dead = obs.metrics.counter(
@@ -102,32 +104,19 @@ class DeadLetterQueue:
                 "Dead letters awaiting retry or discard",
             )
 
-    def attach_queue(self, queue: "JobQueue") -> None:
-        """Route ``source="queue"`` letters through the durable job table.
-
-        A dead *job's* payload lives in its ``job`` row, not in any
-        process-local cache, so retrying it is a state transition
-        (``dead → pending``) that works from a fresh process — unlike
-        event letters, whose live payloads only survive same-process.
-        """
-        self._queue = queue
-
     # -- enqueue -----------------------------------------------------------------
 
     def add(
         self,
         event: str,
-        handler: Callable[..., Any] | str,
+        handler: Callable[..., Any],
         payload: dict[str, Any],
         error: BaseException,
-        *,
-        source: str = "events",
     ) -> DeadLetter:
         """Record one failed delivery; returns the persisted letter."""
-        name = handler if isinstance(handler, str) else handler_name(handler)
+        name = handler_name(handler)
         now = self._clock.now()
         letter = self._letters.create(
-            source=source,
             event=event,
             handler=name,
             payload=self._encode_payload(payload),
@@ -182,8 +171,6 @@ class DeadLetterQueue:
             raise StateError(
                 f"dead letter {letter_id} is {letter.status}, not dead"
             )
-        if letter.source == "queue":
-            return self._retry_queue_job(letter)
         handler = self._find_handler(bus, letter.event, letter.handler)
         if handler is None:
             raise StateError(
@@ -201,46 +188,7 @@ class DeadLetterQueue:
                 updated_at=self._clock.now(),
             )
             raise
-        updated = self._letters.update(
-            letter_id, status="retried", updated_at=self._clock.now()
-        )
-        self._live.pop(letter_id, None)
-        self._update_pending_gauge()
-        return updated
-
-    def _retry_queue_job(self, letter: DeadLetter) -> DeadLetter:
-        """Replay a dead *job*: flip its durable row back to pending.
-
-        No live payload needed — the job table has everything — so this
-        path works identically from the process that dead-lettered it
-        and from a fresh CLI after a restart.
-        """
-        if self._queue is None:
-            raise StateError(
-                f"dead letter {letter.id} came from the job queue but no "
-                "queue is attached"
-            )
-        job_id = (letter.payload or {}).get("job_id")
-        if not isinstance(job_id, int):
-            raise StateError(
-                f"dead letter {letter.id} has no job_id in its payload"
-            )
-        try:
-            self._queue.retry_dead(job_id)
-        except Exception as exc:
-            self._letters.update(
-                letter.id,
-                attempts=letter.attempts + 1,
-                error=f"{type(exc).__name__}: {exc}",
-                updated_at=self._clock.now(),
-            )
-            raise
-        updated = self._letters.update(
-            letter.id, status="retried", updated_at=self._clock.now()
-        )
-        self._live.pop(letter.id, None)
-        self._update_pending_gauge()
-        return updated
+        return self._close(letter_id, "retried")
 
     def retry_all(self, bus: "EventBus") -> tuple[int, int]:
         """Retry every dead letter; returns ``(succeeded, failed)``."""
@@ -259,8 +207,11 @@ class DeadLetterQueue:
             raise StateError(
                 f"dead letter {letter_id} is {letter.status}, not dead"
             )
+        return self._close(letter_id, "discarded")
+
+    def _close(self, letter_id: int, status: str) -> DeadLetter:
         updated = self._letters.update(
-            letter_id, status="discarded", updated_at=self._clock.now()
+            letter_id, status=status, updated_at=self._clock.now()
         )
         self._live.pop(letter_id, None)
         self._update_pending_gauge()

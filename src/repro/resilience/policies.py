@@ -58,12 +58,12 @@ class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 
     ``max_attempts`` counts the first call too, so ``1`` means "no
-    retries".  The delay before retry *n* (1-based) is::
+    retries".  The delay after failed attempt *n* (1-based) is::
 
         min(max_delay, base_delay * multiplier**(n-1)) * (1 ± jitter)
 
-    where the jitter factor comes from ``random.Random(seed)`` — fully
-    deterministic for a given seed.  Only exceptions matching
+    with the jitter drawn from ``random.Random(f"{seed}:{key}:{n}")`` —
+    deterministic per (seed, key, attempt).  Only exceptions matching
     ``retry_on`` are retried; everything else propagates immediately.
     """
 
@@ -86,14 +86,20 @@ class RetryPolicy:
     def retryable(self, error: BaseException) -> bool:
         return isinstance(error, self.retry_on)
 
+    def delay(self, attempt: int, key: Any = None) -> float:
+        """Seconds to wait after failed *attempt* (1-based) of *key*."""
+        delay = min(
+            self.max_delay, self.base_delay * self.multiplier ** (attempt - 1)
+        )
+        if self.jitter:
+            rng = random.Random(f"{self.seed}:{key}:{attempt}")
+            delay *= 1 + self.jitter * (2 * rng.random() - 1)
+        return max(0.0, delay)
+
     def delays(self) -> Iterator[float]:
         """The backoff schedule (``max_attempts - 1`` delays, seconds)."""
-        rng = random.Random(self.seed)
-        for attempt in range(self.max_attempts - 1):
-            delay = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-            if self.jitter:
-                delay *= 1 + self.jitter * (2 * rng.random() - 1)
-            yield max(0.0, delay)
+        for attempt in range(1, self.max_attempts):
+            yield self.delay(attempt)
 
 
 @dataclass(frozen=True)
@@ -237,6 +243,12 @@ class CircuitBreaker:
                 self._opened_at = self._clock.monotonic()
                 self._set_state(OPEN)
 
+    def release(self) -> None:
+        """Free a half-open probe slot; state and failure count stay."""
+        with self._lock:
+            if self._state == HALF_OPEN and self._probes_in_flight:
+                self._probes_in_flight -= 1
+
     def reset(self) -> None:
         """Force-close (admin action)."""
         self.record_success()
@@ -334,7 +346,8 @@ def resilient(
 
     Exceptions listed in ``policy.give_up_on`` are never retried even if
     ``retry_on`` matches, and are **not** counted against the breaker —
-    they indicate a bad request, not a bad endpoint.
+    they indicate a bad request, not a bad endpoint — though a half-open
+    probe they land on gives its slot back.
     """
     timeout = policy.timeout or Timeout(None)
     retry = policy.retry
@@ -356,13 +369,14 @@ def resilient(
             labels=("site",),
         ).labels(site=site)
 
-    def count(outcome: str) -> None:
+    def finish(span: Any, attempts: int, outcome: str) -> None:
         if m_calls is not None:
             m_calls.labels(site=site, outcome=outcome).inc()
+        if span is not None:
+            span.set(attempts=attempts, outcome=outcome)
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         def attempt_loop(span: Any, *args: Any, **kwargs: Any) -> Any:
-            delays = retry.delays() if retry is not None else iter(())
             attempt = 0
             while True:
                 attempt += 1
@@ -370,9 +384,7 @@ def resilient(
                     try:
                         policy.breaker.allow()
                     except CircuitOpenError:
-                        count("rejected")
-                        if span is not None:
-                            span.set(attempts=attempt, outcome="rejected")
+                        finish(span, attempt, "rejected")
                         raise
                 try:
                     result = timeout.call(fn, *args, **kwargs)
@@ -380,21 +392,23 @@ def resilient(
                     fatal = bool(policy.give_up_on) and isinstance(
                         exc, policy.give_up_on
                     )
-                    if not fatal and policy.breaker is not None:
-                        policy.breaker.record_failure()
+                    if policy.breaker is not None:
+                        if fatal:
+                            policy.breaker.release()
+                        else:
+                            policy.breaker.record_failure()
                     retryable = (
                         not fatal
                         and retry is not None
+                        and attempt < retry.max_attempts
                         and retry.retryable(exc)
                     )
-                    delay = next(delays, None) if retryable else None
-                    if delay is None:
+                    if not retryable:
                         if m_gave_up is not None and attempt > 1:
                             m_gave_up.inc()
-                        count("error")
-                        if span is not None:
-                            span.set(attempts=attempt, outcome="error")
+                        finish(span, attempt, "error")
                         raise
+                    delay = retry.delay(attempt)
                     if m_retries is not None:
                         m_retries.inc()
                     if obs is not None:
@@ -410,9 +424,7 @@ def resilient(
                     continue
                 if policy.breaker is not None:
                     policy.breaker.record_success()
-                count("ok")
-                if span is not None:
-                    span.set(attempts=attempt, outcome="ok")
+                finish(span, attempt, "ok")
                 return result
 
         def wrapped(*args: Any, **kwargs: Any) -> Any:

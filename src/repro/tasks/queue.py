@@ -11,7 +11,7 @@ queue state transitions::
        ▲                 │
        │ lease expired   ├──nack (attempts left)──▶ retry_wait ──due──▶ pending
        └─────────────────┘                │
-                                          └──nack (exhausted)──▶ dead ──▶ DLQ
+                                          └──nack (exhausted)──▶ dead ──retry_dead──▶ pending
 
 Semantics:
 
@@ -25,12 +25,12 @@ Semantics:
   the same key to make redelivered work effects-once.
 * **Backoff as schedule.**  A failed attempt does not sleep anywhere —
   the job parks in ``retry_wait`` with a deterministic, jittered wake
-  time (:class:`~repro.resilience.policies.RetryPolicy` semantics) and
-  the next claim after ``available_at`` redelivers it.
-* **Dead-lettering.**  Exhausted jobs flip to ``dead`` and are filed in
-  the :class:`~repro.resilience.dlq.DeadLetterQueue` referencing the
-  durable job row, so ``repro dlq retry`` works after a restart — the
-  payload lives in the database, not in a process-local cache.
+  time (:meth:`~repro.resilience.policies.RetryPolicy.delay`, keyed by
+  job id) and the next claim after ``available_at`` redelivers it.
+* **Dead jobs stay in the job table.**  Exhausted jobs flip to ``dead``
+  with their payload intact, so ``repro queue retry`` revives them after
+  a restart — the payload lives in the database, not in a process-local
+  cache.  The dead-letter queue is for event deliveries only.
 * **Backpressure.**  ``max_depth`` bounds the runnable backlog;
   :meth:`enqueue` sheds with :class:`~repro.errors.QueueSaturated` once
   producers outrun the workers.
@@ -43,12 +43,11 @@ the torture driver kill a worker at every point of the lease protocol
 from __future__ import annotations
 
 import datetime as _dt
-import random
 import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import LeaseLost, QueueError, QueueSaturated, StateError
+from repro.errors import LeaseLost, QueueSaturated, StateError
 from repro.orm import (
     DateTimeField,
     IntField,
@@ -63,7 +62,6 @@ from repro.util.clock import Clock, SystemClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-    from repro.resilience.dlq import DeadLetterQueue
 
 JOB_STATES = ("pending", "leased", "done", "retry_wait", "dead")
 
@@ -162,7 +160,6 @@ class JobQueue:
         *,
         clock: Clock | None = None,
         obs: "Observability | None" = None,
-        dlq: "DeadLetterQueue | None" = None,
         retry: RetryPolicy = DEFAULT_RETRY,
         max_depth: int | None = None,
     ):
@@ -171,7 +168,6 @@ class JobQueue:
         self._attempts = registry.register(JobAttempt)
         self._clock = clock or SystemClock()
         self._obs = obs
-        self._dlq = dlq
         self._retry = retry
         self._max_depth = max_depth
         self._cond = threading.Condition(threading.RLock())
@@ -514,14 +510,14 @@ class JobQueue:
         """Record a failed attempt.
 
         Attempts remaining → ``retry_wait`` with a deterministic
-        backoff wake time; exhausted (or not *retryable*) → ``dead`` and
-        a dead letter referencing the durable job row.
+        backoff wake time; exhausted (or not *retryable*) → ``dead``,
+        where :meth:`retry_dead` can revive it.
         """
         with self._cond:
             job = self._owned(job_id, worker)
             now = self._clock.now()
             if retryable and job.attempts < job.max_attempts:
-                delay = self._backoff_delay(job)
+                delay = self._retry.delay(job.attempts, key=job.id)
                 updated = self._jobs.update(
                     job_id,
                     state="retry_wait",
@@ -544,32 +540,8 @@ class JobQueue:
                 )
                 self._finish_attempts(job_id, now, "dead", error)
                 self._count_completion(job.job_type, "dead")
-                self._dead_letter(updated, error)
             self._cond.notify_all()
             return updated
-
-    def _backoff_delay(self, job: Job) -> float:
-        """RetryPolicy backoff, seeded per (job, attempt) — deterministic."""
-        policy = self._retry
-        attempt = max(1, job.attempts)
-        delay = min(
-            policy.max_delay, policy.base_delay * policy.multiplier ** (attempt - 1)
-        )
-        if policy.jitter:
-            rng = random.Random(f"{policy.seed}:{job.id}:{attempt}")
-            delay *= 1 + policy.jitter * (2 * rng.random() - 1)
-        return max(0.0, delay)
-
-    def _dead_letter(self, job: Job, error: str) -> None:
-        if self._dlq is None:
-            return
-        self._dlq.add(
-            f"job.{job.job_type}",
-            "job_queue",
-            {"job_id": job.id, "job_type": job.job_type},
-            QueueError(error or "job exhausted its attempts"),
-            source="queue",
-        )
 
     def _owned(self, job_id: int, worker: str) -> Job:
         job = self._jobs.get_or_none(job_id)
@@ -634,11 +606,10 @@ class JobQueue:
             return updated
 
     def retry_all_dead(self) -> int:
-        revived = 0
-        for job in self.list(state="dead"):
+        dead = self.list(state="dead")
+        for job in dead:
             self.retry_dead(job.id)
-            revived += 1
-        return revived
+        return len(dead)
 
     def wait(self, job_id: int, *, timeout: float | None = None) -> Job:
         """Block until the job is terminal (``done`` or ``dead``).

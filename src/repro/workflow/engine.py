@@ -9,7 +9,6 @@ report" workflow runs to completion by itself).
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.audit.log import AuditLog
@@ -23,7 +22,7 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.resilience.faults import fault_point
-from repro.resilience.policies import RetryPolicy
+from repro.resilience.policies import ResiliencePolicy, RetryPolicy, resilient
 from repro.orm import (
     DateTimeField,
     IntField,
@@ -86,6 +85,20 @@ def workflow_models() -> list[type[Model]]:
     return [WorkflowInstance, WorkflowEvent]
 
 
+def _attempt_pre_functions(
+    action, context: dict[str, Any], error_chain: list[str]
+) -> None:
+    """One attempt at a transition's pre-functions; failures are
+    appended to *error_chain* before they propagate to the retry."""
+    try:
+        fault_point("workflow.transition")
+        for function in action.pre_functions:
+            function(context)
+    except Exception as exc:
+        error_chain.append(f"{type(exc).__name__}: {exc}")
+        raise
+
+
 class WorkflowEngine:
     """Runs definitions; owns the definition registry."""
 
@@ -97,18 +110,17 @@ class WorkflowEngine:
         events: EventBus,
         clock: Clock | None = None,
         obs: Observability | None = None,
-        transition_retry: RetryPolicy | None = None,
     ):
         self._registry = registry
         self._audit = audit
         self._events = events
         self._clock = clock or SystemClock()
-        self._transition_retry = (
-            transition_retry
-            if transition_retry is not None
-            else DEFAULT_TRANSITION_RETRY
-        )
         self.obs = obs if obs is not None else Observability()
+        self._guarded_pre_functions = resilient(
+            ResiliencePolicy(retry=DEFAULT_TRANSITION_RETRY),
+            site="workflow.transition",
+            obs=self.obs,
+        )(_attempt_pre_functions)
         self._definitions: dict[str, WorkflowDefinition] = {}
         self._instances = registry.repository(WorkflowInstance)
         self._history = registry.repository(WorkflowEvent)
@@ -127,11 +139,6 @@ class WorkflowEngine:
         )
         self._m_started = self.obs.metrics.counter(
             "workflow_started_total", "Instances started", labels=("definition",)
-        )
-        self._m_transition_retries = self.obs.metrics.counter(
-            "workflow_transition_retries_total",
-            "Transition pre-function attempts that were retried",
-            labels=("definition",),
         )
         self._m_transition_failures = self.obs.metrics.counter(
             "workflow_transition_failures_total",
@@ -263,7 +270,7 @@ class WorkflowEngine:
             raise WorkflowConditionFailed(
                 f"condition of {step.name}.{action_name} not satisfied"
             )
-        self._execute_pre_functions(principal, instance, step.name, action, context)
+        self._run_pre_functions(principal, instance, step.name, action, context)
 
         to_step = action.target
         now = self._clock.now()
@@ -315,7 +322,7 @@ class WorkflowEngine:
         )
         return self._run_auto_actions(principal, updated)
 
-    def _execute_pre_functions(
+    def _run_pre_functions(
         self,
         principal: Principal,
         instance: WorkflowInstance,
@@ -332,37 +339,13 @@ class WorkflowEngine:
         whole error chain in its context, and
         :class:`~repro.errors.WorkflowTransitionFailed` is raised.
         """
-        retry = self._transition_retry
-        delays = retry.delays() if retry is not None else iter(())
-        attempts: list[str] = []
-        while True:
-            try:
-                fault_point("workflow.transition")
-                for function in action.pre_functions:
-                    function(context)
-                return
-            except Exception as exc:
-                attempts.append(f"{type(exc).__name__}: {exc}")
-                retryable = retry is not None and retry.retryable(exc)
-                delay = next(delays, None) if retryable else None
-                if delay is None:
-                    self._fail_transition(
-                        principal, instance, step_name, action.name,
-                        attempts, exc,
-                    )
-                self._m_transition_retries.labels(
-                    definition=instance.definition
-                ).inc()
-                self.obs.log.log(
-                    "workflow.transition_retry",
-                    instance=instance.id,
-                    action=action.name,
-                    attempt=len(attempts),
-                    delay=delay,
-                    error=str(exc),
-                )
-                if delay > 0:
-                    time.sleep(delay)
+        error_chain: list[str] = []
+        try:
+            self._guarded_pre_functions(action, context, error_chain)
+        except Exception as exc:
+            self._fail_transition(
+                principal, instance, step_name, action.name, error_chain, exc
+            )
 
     def _fail_transition(
         self,

@@ -5,6 +5,8 @@ These tests drive :class:`~repro.tasks.queue.JobQueue` directly on a
 deterministic ``clock.advance`` instead of a sleep.
 """
 
+import datetime as dt
+
 import pytest
 
 from repro.errors import LeaseLost, QueueSaturated, StateError
@@ -180,6 +182,15 @@ class TestRetryAndDead:
         assert (
             first.get(1).available_at == second.get(1).available_at
         )
+        # The wake time is the policy's one formula, keyed by job id.
+        def wake(attempt):
+            return clock.now() + dt.timedelta(seconds=policy.delay(attempt, key=1))
+
+        assert first.get(1).available_at == wake(1)
+        clock.advance(seconds=60)
+        first.claim("w1")
+        first.nack(1, "w1", "boom")
+        assert first.get(1).available_at == wake(2)
 
     def test_retry_dead_revives_from_durable_payload(self, queue):
         job = queue.enqueue("t", {"file": "a.raw"}, max_attempts=1)

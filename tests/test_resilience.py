@@ -31,10 +31,12 @@ from repro.util.clock import ManualClock
 
 class TestRetryPolicy:
     def test_delays_are_deterministic_for_a_seed(self):
-        a = list(RetryPolicy(max_attempts=5, seed=7).delays())
+        policy = RetryPolicy(max_attempts=5, seed=7)
+        a = list(policy.delays())
         b = list(RetryPolicy(max_attempts=5, seed=7).delays())
         assert a == b
         assert len(a) == 4
+        assert a == [policy.delay(n) for n in range(1, policy.max_attempts)]
 
     def test_different_seeds_differ(self):
         a = list(RetryPolicy(max_attempts=6, seed=1).delays())
@@ -214,6 +216,32 @@ class TestResilientWrapper:
             resilient(policy, sleep=lambda _s: None)(fails)()
         assert len(calls) == 1
         assert breaker.state == "closed"  # fatal errors don't trip it
+
+    def test_fatal_error_frees_a_half_open_probe_slot(self):
+        clock = ManualClock()
+        breaker = CircuitBreaker(
+            "ep", failure_threshold=1, cooldown=5.0, clock=clock
+        )
+        policy = ResiliencePolicy(breaker=breaker, give_up_on=(ValueError,))
+
+        def call(error=None):
+            if error is not None:
+                raise error
+            return "ok"
+
+        guarded = resilient(policy)(call)
+        with pytest.raises(OSError):
+            guarded(OSError("endpoint down"))
+        clock.advance(seconds=6)
+        # A bad request lands on the half-open probe: it neither closes
+        # nor re-opens the breaker, but it gives the probe slot back.
+        with pytest.raises(ValueError):
+            guarded(ValueError("bad request"))
+        assert breaker.state == "half_open"
+        assert breaker.failures == 1
+        clock.advance(seconds=600)
+        assert guarded() == "ok"
+        assert breaker.state == "closed"
 
     def test_open_breaker_fails_fast_without_calling(self):
         clock = ManualClock()

@@ -272,6 +272,26 @@ class TestDlqCli:
         assert "discarded" in capsys.readouterr().out
 
 
+class TestDeadJobsParkOnce:
+    def test_revived_job_that_dies_again_is_parked_once(self, tmp_path, capsys):
+        data = tmp_path / "deploy"
+        assert main(["--data", str(data), "init"]) == 0
+        system = BFabric(data, clock=ManualClock(dt.datetime(2010, 1, 15, 9, 0)))
+        system.recover()
+        queue = system.queue
+        job = queue.enqueue("t", max_attempts=1)
+        queue.claim("w1")
+        queue.nack(job.id, "w1", "boom")
+        queue.retry_dead(job.id)
+        queue.claim("w1")
+        queue.nack(job.id, "w1", "boom again")
+        assert system.dlq.list(status=None) == []
+        assert [j.id for j in queue.list(state="dead")] == [job.id]
+        system.close()
+        capsys.readouterr()
+        assert main(["--data", str(data), "dlq", "retry"]) == 0
+
+
 class TestTortureCli:
     def test_torture_run_passes(self, tmp_path, capsys):
         data = tmp_path / "deploy"

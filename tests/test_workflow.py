@@ -251,6 +251,11 @@ class TestConditionsAndFunctions:
         assert failed.current_step == "a"
         assert failed.context["error_chain"] == excinfo.value.attempts
         assert "pre failed" in failed.context["failure_reason"]
+        # The retries ran in the shared resilient() loop.
+        metrics = system.obs.metrics
+        site = {"site": "workflow.transition"}
+        assert metrics.get("resilience_retries_total").labels(**site).value == 2
+        assert metrics.get("resilience_gave_up_total").labels(**site).value == 1
         # An operator retry clears the error chain and resumes.
         broken[0] = False
         resumed = system.workflow.retry(admin, instance.id)
