@@ -2,9 +2,9 @@
 
 "Users can simply browse bidirectionally through all objects linked
 together" and "all data manipulation operations are logged".  Measured
-over the FGCZ-scale deployment: building the 71k-node link graph,
-neighborhood queries, paths; audit write throughput and per-user
-history reads.
+over the FGCZ-scale deployment: the 71k-node link graph read from the
+foreign-key indexes, the busiest project's one-hop browse, neighborhood
+queries, paths; audit write throughput and per-user history reads.
 """
 
 from repro.graphview.links import LinkGraph, ObjectRef
@@ -12,22 +12,27 @@ from repro.security.principals import SYSTEM
 
 
 def test_s2_graph_covers_deployment(fgcz_deployment):
-    graph = LinkGraph(fgcz_deployment.db).rebuild()
+    graph = LinkGraph(fgcz_deployment.db)
     stats = graph.statistics()
     # Every sample/extract/resource/workunit/project node is present.
     assert stats["nodes"] > 70_000
     assert stats["edges"] > 70_000
 
 
-def test_s2_bench_graph_rebuild(benchmark, fgcz_deployment):
+def test_s2_bench_busiest_project_neighbors(benchmark, fgcz_deployment):
+    """The browse page's worst case: one hop from the project with the
+    most linked objects."""
     graph = LinkGraph(fgcz_deployment.db)
+    busiest = max(
+        graph.nodes_of_type("project"), key=lambda ref: len(graph.neighbors(ref))
+    )
 
-    built = benchmark.pedantic(graph.rebuild, rounds=2, iterations=1)
-    assert built.statistics()["nodes"] > 70_000
+    neighbors = benchmark(graph.neighbors, busiest)
+    assert len(neighbors) > 1_000
 
 
 def test_s2_bench_neighborhood(benchmark, fgcz_deployment):
-    graph = LinkGraph(fgcz_deployment.db).rebuild()
+    graph = LinkGraph(fgcz_deployment.db)
     ref = ObjectRef("project", 1)
 
     neighborhood = benchmark(graph.neighborhood, ref, 2)
@@ -35,7 +40,7 @@ def test_s2_bench_neighborhood(benchmark, fgcz_deployment):
 
 
 def test_s2_bench_path_query(benchmark, fgcz_deployment):
-    graph = LinkGraph(fgcz_deployment.db).rebuild()
+    graph = LinkGraph(fgcz_deployment.db)
     resource = next(iter(graph.nodes_of_type("data_resource")))
     project = ObjectRef("project", 1)
 

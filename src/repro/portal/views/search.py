@@ -5,10 +5,12 @@ from __future__ import annotations
 from functools import lru_cache
 from urllib.parse import urlencode
 
-from repro.errors import QuerySyntaxError
+from repro.errors import EntityNotFound, QuerySyntaxError
+from repro.graphview.links import ObjectRef
 from repro.portal.http import Request, Response
 from repro.portal.render import esc, form, link, page, table, text_input
 from repro.search.export import export_csv
+from repro.security.acl import Permission, project_of
 
 
 def _run_search(portal, request, principal, query: str, limit: int = 25):
@@ -118,12 +120,27 @@ def register(router, portal) -> None:
 
     @router.get("/browse/<str:entity_type>/<int:entity_id>")
     def browse(request: Request) -> Response:
-        from repro.graphview.links import ObjectRef
-
+        """One hop of the object network at the request's snapshot,
+        limited to objects in projects the principal may read."""
         principal = portal.principal(request)
-        ref = ObjectRef(request.params["entity_type"], request.params["entity_id"])
-        system.links.rebuild()
-        neighbors = system.links.neighbors(ref)
+        snap = request.snapshot
+        kind, pk = request.params["entity_type"], request.params["entity_id"]
+        if not system.db.has_table(kind) or not snap.contains(kind, pk):
+            raise EntityNotFound(kind, pk)
+
+        def project(ref: ObjectRef) -> int | None:
+            table, key = ref.entity_type, ref.entity_id
+            row = snap.get_or_none(table, key) if system.db.has_table(table) else None
+            return None if row is None else project_of(table, key, row, lambda: snap)
+
+        ref = ObjectRef(kind, pk)
+        if (root := project(ref)) is not None:
+            system.acl.require(principal, Permission.READ, root)
+        neighbors = system.links.neighbors(ref, snapshot=snap)
+        if not principal.is_expert:
+            readable = {None, *system.acl.visible_project_ids(principal, snapshot=snap)}
+            neighbors = [(other, label) for other, label in neighbors
+                         if project(other) in readable]
         rows = [
             (
                 neighbor.entity_type,

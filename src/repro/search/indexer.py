@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.security.acl import PROJECT_PARENT, project_of
 from repro.util.heap import collector_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,10 +46,9 @@ _MAPPING = {
 }
 #: An update that changes none of its table's columns here is a no-op.
 _READS = {table: frozenset(text + other) for table, (text, other) in _MAPPING.items()}
-#: child table -> (parent table, FK column): the parent's project is
-#: the child document's project.
-_PARENT = {"extract": ("sample", "sample_id"), "data_resource": ("workunit", "workunit_id")}
-_CHILDREN = {parent: (child, fk) for child, (parent, fk) in _PARENT.items()}
+#: parent table -> (child table, FK column): children whose documents
+#: carry the parent's project.
+_CHILDREN = {parent: (child, fk) for child, (parent, fk) in PROJECT_PARENT.items()}
 #: Annotation states that are searchable.
 SEARCHABLE_ANNOTATIONS = ("pending", "released")
 #: Extensions whose stored bytes are full-text indexed (paper: "the
@@ -199,14 +199,7 @@ class SearchIndexer:
             content = self._readable_content(fields["uri"])
             if content:
                 fields["content"] = content
-        if table == "project":
-            project_id = pk
-        elif table in _PARENT:
-            parent, fk = _PARENT[table]
-            parent_row = snapshot().get_or_none(parent, row.get(fk))
-            project_id = None if parent_row is None else parent_row["project_id"]
-        else:
-            project_id = row.get("project_id")
+        project_id = project_of(table, pk, row, snapshot)
         label = fields["value"] if table == "annotation" else ""
         self._engine._put(table, pk, fields, project_id, label)
 

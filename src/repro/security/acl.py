@@ -11,10 +11,33 @@ Experts (FGCZ employees) and admins operate across projects.  The
 from __future__ import annotations
 
 import enum
+from typing import Any, Callable
 
 from repro.errors import AccessDenied
 from repro.security.principals import Principal
 from repro.storage.database import Database
+from repro.storage.snapshot import Snapshot
+
+#: child table -> (parent table, FK column): the parent's project is
+#: the child's project.
+PROJECT_PARENT = {
+    "extract": ("sample", "sample_id"), "data_resource": ("workunit", "workunit_id")
+}
+
+
+def project_of(
+    table: str, pk: Any, row: dict[str, Any], snapshot: Callable[[], Snapshot]
+) -> int | None:
+    """The project *row* of *table* belongs to (``None``: no project).
+    A project is its own; a child (:data:`PROJECT_PARENT`) takes its
+    parent's, read through *snapshot*; others carry ``project_id``."""
+    if table == "project":
+        return pk
+    if table in PROJECT_PARENT:
+        parent, fk = PROJECT_PARENT[table]
+        parent_row = snapshot().get_or_none(parent, row.get(fk))
+        return None if parent_row is None else parent_row["project_id"]
+    return row.get("project_id")
 
 
 class Permission(enum.Enum):

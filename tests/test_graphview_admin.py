@@ -1,13 +1,16 @@
 """Linked-object browsing (networked view) and administrative functions."""
 
 import datetime as dt
+from collections import defaultdict
 
 import pytest
 
 from repro.errors import AccessDenied
 from repro.facade import BFabric
-from repro.graphview.links import ObjectRef
+from repro.graphview.links import _BROWSE_EDGES, ObjectRef
 from repro.util.clock import ManualClock
+from repro.workload import FGCZ_JANUARY_2010, DeploymentGenerator
+from repro.workload.scenario import BusinessSimulator
 
 
 @pytest.fixture
@@ -34,7 +37,7 @@ def world(system):
 class TestLinkGraph:
     def test_neighbors_bidirectional(self, system, world):
         _, _, _, project, sample, extract, workunit, resource = world
-        graph = system.links.rebuild()
+        graph = system.links
         sample_ref = ObjectRef("sample", sample.id)
         neighbor_types = {
             ref.entity_type for ref, _ in graph.neighbors(sample_ref)
@@ -46,7 +49,7 @@ class TestLinkGraph:
 
     def test_edge_labels(self, system, world):
         _, _, _, project, sample, extract, workunit, resource = world
-        graph = system.links.rebuild()
+        graph = system.links
         labels = dict(
             (ref.entity_type, label)
             for ref, label in graph.neighbors(ObjectRef("data_resource", resource.id))
@@ -56,7 +59,7 @@ class TestLinkGraph:
 
     def test_path_resource_to_project(self, system, world):
         _, _, _, project, sample, extract, workunit, resource = world
-        graph = system.links.rebuild()
+        graph = system.links
         path = graph.path(
             ObjectRef("data_resource", resource.id), ObjectRef("project", project.id)
         )
@@ -66,7 +69,7 @@ class TestLinkGraph:
 
     def test_neighborhood_radius(self, system, world):
         _, _, _, project, sample, extract, workunit, resource = world
-        graph = system.links.rebuild()
+        graph = system.links
         one_hop = graph.neighborhood(ObjectRef("project", project.id), radius=1)
         two_hop = graph.neighborhood(ObjectRef("project", project.id), radius=2)
         assert set(one_hop) <= set(two_hop)
@@ -80,14 +83,14 @@ class TestLinkGraph:
             scientist, attribute.id, "leaf"
         )
         system.annotations.annotate(scientist, annotation.id, "sample", sample.id)
-        graph = system.links.rebuild()
+        graph = system.links
         neighbors = [
             ref for ref, _ in graph.neighbors(ObjectRef("sample", sample.id))
         ]
         assert ObjectRef("annotation", annotation.id) in neighbors
 
     def test_unknown_node(self, system, world):
-        graph = system.links.rebuild()
+        graph = system.links
         assert graph.neighbors(ObjectRef("sample", 999)) == []
         assert graph.path(
             ObjectRef("sample", 999), ObjectRef("project", 1)
@@ -96,7 +99,7 @@ class TestLinkGraph:
     def test_connected_and_component(self, system, world):
         _, scientist, _, project, sample, extract, workunit, resource = world
         other_project = system.projects.create(scientist, "Island")
-        graph = system.links.rebuild()
+        graph = system.links
         assert graph.connected(
             ObjectRef("sample", sample.id), ObjectRef("workunit", workunit.id)
         )
@@ -107,11 +110,93 @@ class TestLinkGraph:
         assert ObjectRef("data_resource", resource.id) in component
 
     def test_statistics(self, system, world):
-        graph = system.links.rebuild()
+        graph = system.links
         stats = graph.statistics()
         assert stats["nodes"] >= 5
         assert stats["edges"] >= 4
         assert stats["components"] >= 1
+
+    def test_pinned_snapshot_hides_later_commits(self, system, world):
+        _, scientist, _, project, *_ = world
+        project_ref = ObjectRef("project", project.id)
+        with system.db.snapshot() as pinned:
+            late = system.samples.register_sample(scientist, project.id, "late")
+            late_ref = ObjectRef("sample", late.id)
+            pinned_refs = [ref for ref, _ in system.links.neighbors(
+                project_ref, snapshot=pinned)]
+            assert late_ref not in pinned_refs
+        assert late_ref in [ref for ref, _ in system.links.neighbors(project_ref)]
+
+
+def _scanned_edges(db) -> dict[ObjectRef, dict[ObjectRef, str]]:
+    """The object network by scanning every browse-edge table and
+    ``annotation_link``: node -> {neighbour: link label}."""
+    adjacency: dict[ObjectRef, dict[ObjectRef, str]] = defaultdict(dict)
+    for table, edges in _BROWSE_EDGES.items():
+        for row in db.rows(table):
+            node = ObjectRef(table, row["id"])
+            adjacency[node]  # a row is a node, linked or not
+            for column, target_type, label in edges:
+                if row.get(column) is not None:
+                    target = ObjectRef(target_type, row[column])
+                    adjacency[node][target] = adjacency[target][node] = label
+    for row in db.rows("annotation_link"):
+        annotation = ObjectRef("annotation", row["annotation_id"])
+        entity = ObjectRef(row["entity_type"], row["entity_id"])
+        adjacency[annotation][entity] = adjacency[entity][annotation] = "annotates"
+    return adjacency
+
+
+class TestLinkGraphOracle:
+    """The index-backed view against a full scan of a generated deployment."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self, tmp_path_factory):
+        system = BFabric(
+            tmp_path_factory.mktemp("oracle"),
+            clock=ManualClock(dt.datetime(2010, 1, 15, 9, 0)),
+        )
+        admin = system.bootstrap()
+        DeploymentGenerator(system, seed=11).generate(FGCZ_JANUARY_2010.scaled(0.02))
+        # Annotations, merges and experiments on top of the bulk load.
+        BusinessSimulator(system, seed=11).simulate_days(3)
+        # A component that no FK-table row reaches: an annotation on an
+        # empty project.
+        lonely = system.projects.create(admin, "Unlinked")
+        attribute = system.annotations.define_attribute(admin, "Oracle")
+        annotation, _ = system.annotations.create_annotation(admin, attribute.id, "x")
+        system.annotations.annotate(admin, annotation.id, "project", lonely.id)
+        return system, _scanned_edges(system.db)
+
+    def test_neighbors_match_scan_for_every_node(self, deployment):
+        system, adjacency = deployment
+        assert len(adjacency) > 1_000
+        assert {"annotation", "experiment"} <= {node.entity_type for node in adjacency}
+        for node, edges in adjacency.items():
+            assert system.links.neighbors(node) == sorted(edges.items()), node
+        for pk in system.db.query("project").pks():
+            ref = ObjectRef("project", pk)
+            if ref not in adjacency:
+                assert system.links.neighbors(ref) == []
+
+    def test_statistics_match_scan(self, deployment):
+        system, adjacency = deployment
+        seen: set[ObjectRef] = set()
+        components = 0
+        for start in adjacency:
+            if start not in seen:
+                components += 1
+                stack = [start]
+                seen.add(start)
+                while stack:
+                    for other in adjacency[stack.pop()]:
+                        if other not in seen:
+                            seen.add(other)
+                            stack.append(other)
+        edges = sum(len(out) for out in adjacency.values()) // 2
+        assert system.links.statistics() == {
+            "nodes": len(adjacency), "edges": edges, "components": components,
+        }
 
 
 class TestErrorRegistry:

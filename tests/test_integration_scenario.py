@@ -248,7 +248,7 @@ class TestDemonstrationScenario:
         system, scientist = demo["system"], demo["scientist"]
         from repro.graphview.links import ObjectRef
 
-        graph = system.links.rebuild()
+        graph = system.links
         run_ref = ObjectRef("workunit", demo["state"]["run_workunit"].id)
         project_ref = ObjectRef("project", demo["project"].id)
         assert graph.connected(run_ref, project_ref)

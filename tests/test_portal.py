@@ -11,6 +11,7 @@ from repro.portal.http import Request, Response
 from repro.portal.routing import Router
 from repro.portal.testing import PortalClient
 from repro.util.clock import ManualClock
+from repro.workload.scenario import TWO_GROUP_INTERFACE
 
 
 @pytest.fixture
@@ -230,6 +231,44 @@ class TestScreens:
                                          "description": ""})
         response = sci.get("/browse/sample/1")
         assert "project" in response.text
+
+    def test_browse_obeys_project_acls(self, system, client):
+        """A non-member browses neither a project's objects nor, through a
+        shared application or annotation, its neighbours."""
+        admin = system.directory.principal_for(system.directory.user_by_login("admin"))
+        sci = system.directory.principal_for(system.directory.user_by_login("sci"))
+        other = system.add_user(admin, login="other", full_name="Other",
+                                password="otherpw")
+        expert = system.directory.principal_for(system.directory.user_by_login("exp"))
+        mine, theirs = system.projects.create(sci, "P"), system.projects.create(other, "Q")
+        sample = system.samples.register_sample(sci, mine.id, "secret sample")
+        own_sample = system.samples.register_sample(other, theirs.id, "own sample")
+        app = system.applications.register_application(
+            admin, name="shared", connector="rserve",
+            executable="two_group_analysis", interface=TWO_GROUP_INTERFACE,
+        )
+        hidden = system.workunits.create(sci, mine.id, "hidden", application_id=app.id)
+        shown = system.workunits.create(other, theirs.id, "shown", application_id=app.id)
+        attribute = system.annotations.define_attribute(expert, "Tissue")
+        annotation, _ = system.annotations.create_annotation(sci, attribute.id, "leaf")
+        system.annotations.annotate(sci, annotation.id, "sample", sample.id)
+        system.annotations.annotate(other, annotation.id, "sample", own_sample.id)
+        client.login("other", "otherpw")
+        assert client.get(f"/samples/{sample.id}").status == 403
+        assert client.get(f"/browse/project/{mine.id}").status == 403
+        assert client.get(f"/browse/sample/{sample.id}").status == 403
+        assert client.get(f"/browse/workunit/{hidden.id}").status == 403
+        assert client.get("/browse/sample/999").status == 404
+        assert client.get("/browse/nosuchtype/1").status == 404
+        shared = client.get(f"/browse/application/{app.id}")
+        assert shared.status == 200
+        assert f"workunit:{shown.id}" in shared.text
+        assert f"workunit:{hidden.id}" not in shared.text
+        annotated = client.get(f"/browse/annotation/{annotation.id}")
+        assert f"sample:{own_sample.id}" in annotated.text
+        assert f"sample:{sample.id}<" not in annotated.text
+        client.login("sci", "sciencepw")
+        assert f"workunit:{hidden.id}" in client.get(f"/browse/application/{app.id}").text
 
     def test_admin_requires_admin_role(self, sci):
         assert sci.get("/admin").status == 403
