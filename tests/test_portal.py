@@ -240,7 +240,8 @@ class TestScreens:
         other = system.add_user(admin, login="other", full_name="Other",
                                 password="otherpw")
         expert = system.directory.principal_for(system.directory.user_by_login("exp"))
-        mine, theirs = system.projects.create(sci, "P"), system.projects.create(other, "Q")
+        mine = system.projects.create(sci, "P")
+        theirs = system.projects.create(other, "Q")
         sample = system.samples.register_sample(sci, mine.id, "secret sample")
         own_sample = system.samples.register_sample(other, theirs.id, "own sample")
         app = system.applications.register_application(
@@ -268,7 +269,8 @@ class TestScreens:
         assert f"sample:{own_sample.id}" in annotated.text
         assert f"sample:{sample.id}<" not in annotated.text
         client.login("sci", "sciencepw")
-        assert f"workunit:{hidden.id}" in client.get(f"/browse/application/{app.id}").text
+        member_view = client.get(f"/browse/application/{app.id}")
+        assert f"workunit:{hidden.id}" in member_view.text
 
     def test_admin_requires_admin_role(self, sci):
         assert sci.get("/admin").status == 403
