@@ -1,26 +1,29 @@
 """Secondary indexes.
 
-Two flavours:
+Two flavours, one structure per declared index:
 
-* :class:`HashIndex` — equality lookups; used for plain and composite
-  secondary indexes and for unique constraints.
+* :class:`HashIndex` — equality lookups; used for composite secondary
+  indexes and for unique constraints.
 * :class:`OrderedIndex` — equality, prefix, and range lookups over one
   or more columns, kept as a sorted list of composite keys (binary
-  search via :mod:`bisect`).
+  search via :mod:`bisect`).  It is the only index on a single-column
+  plain spec: equality is one dict probe on the wrapped key.
 
-Indexes map a key (tuple of column values) to the set of primary keys of
-rows carrying that key.  They are maintained synchronously by the table
-on every insert/update/delete so reads never rebuild anything.
+Indexes map a key (tuple of column values) to the **bucket** of primary
+keys of rows carrying that key: a 1-tuple while the key holds one pk, a
+``set`` from the second pk on (a one-row bucket costs 48 bytes instead
+of 216, and is not tracked by the garbage collector).  They are
+maintained synchronously by the table on every insert/update/delete so
+reads never rebuild anything.
 
 Planner support: both flavours maintain an O(1) entry counter
 (``len(index)`` is a hot path for metrics and cost estimation) and
-expose cheap cardinality probes — :meth:`HashIndex.bucket_size` is an
-O(1) dict hit, :meth:`OrderedIndex.estimate_range` is two binary
-searches — so the cost-based planner can price candidate plans without
-executing them.  Range reads are **iterator-based**:
-:meth:`OrderedIndex.seek` walks the sorted keys lazily instead of
-materializing a pk set, which is what makes LIMIT-aware early exit
-worth planning.
+expose cheap cardinality probes — ``bucket_size`` is an O(1) dict hit,
+:meth:`OrderedIndex.estimate_range` is two binary searches — so the
+cost-based planner can price candidate plans without executing them.
+Range reads are **iterator-based**: :meth:`OrderedIndex.seek` walks
+the sorted keys lazily instead of materializing a pk set, which is
+what makes LIMIT-aware early exit worth planning.
 """
 
 from __future__ import annotations
@@ -37,7 +40,65 @@ from repro.storage.types import sort_key
 _KEY_INFINITY = (6,)
 
 
-class HashIndex:
+def _with(bucket: "tuple | set | None", pk: Any) -> "tuple | set | None":
+    """The bucket to file under a key once *pk* joins *bucket*, or
+    ``None`` when *pk* is already there.  A new key gets a 1-tuple; a
+    second pk replaces it with a new set, which later pks grow in place."""
+    if bucket is None:
+        return (pk,)
+    if pk in bucket:
+        return None
+    if type(bucket) is tuple:
+        return {bucket[0], pk}
+    bucket.add(pk)
+    return bucket
+
+
+def _without(bucket: "tuple | set", pk: Any) -> "tuple | set | None":
+    """The bucket left once *pk* (a member) leaves *bucket*: ``None``
+    when it empties, a new 1-tuple when one pk is left.  Only sets of
+    three or more shrink in place, so a reader holding a bucket across
+    a promotion or demotion keeps a consistent old object."""
+    if len(bucket) == 1:
+        return None
+    if len(bucket) == 2:
+        first, second = bucket
+        return (second,) if first == pk else (first,)
+    bucket.discard(pk)
+    return bucket
+
+
+class _Index:
+    """Read surface shared by both flavours, over ``members``."""
+
+    def lookup(self, key: tuple) -> set[Any]:
+        """Return the pks of rows whose indexed columns equal *key*."""
+        return set(self.members(key))
+
+    def bucket_size(self, key: tuple) -> int:
+        """Exact row count under *key*, uncopied (O(1)): the planner's
+        price of an equality probe."""
+        return len(self.members(key))
+
+    def structure_problems(self) -> list[str]:
+        """Faults of the index itself (integrity checks): a bucket not
+        in its compact shape, or an entry count out of step with them."""
+        problems = []
+        filed = 0
+        for _key, bucket in self.entries():
+            filed += len(bucket)
+            # One pk is a 1-tuple, two or more a set; none is no key.
+            if not bucket or type(bucket) is not (tuple if len(bucket) == 1 else set):
+                problems.append(f"malformed bucket {bucket!r}")
+        if filed != self._entries:
+            problems.append(f"counts {self._entries} entries, holds {filed}")
+        return problems
+
+    def __len__(self) -> int:
+        return self._entries
+
+
+class HashIndex(_Index):
     """Equality index over one or more columns.
 
     Keys are tuples of the indexed column values.  With ``unique=True``
@@ -49,7 +110,7 @@ class HashIndex:
         self.table = table
         self.columns = columns
         self.unique = unique
-        self._buckets: dict[tuple, set[Any]] = {}
+        self._buckets: dict[tuple, "tuple | set[Any]"] = {}
         #: Total pk entries across buckets; kept current on add/remove
         #: so ``len(index)`` is O(1) (it feeds metrics and plan costs).
         self._entries = 0
@@ -80,10 +141,11 @@ class HashIndex:
                 )
 
     def add(self, row: dict[str, Any], pk: Any) -> None:
-        bucket = self._buckets.setdefault(self.key_for(row), set())
-        before = len(bucket)
-        bucket.add(pk)
-        self._entries += len(bucket) - before
+        key = self.key_for(row)
+        bucket = _with(self._buckets.get(key), pk)
+        if bucket is not None:
+            self._buckets[key] = bucket
+            self._entries += 1
 
     def add_many(self, entries: "Iterable[tuple[dict[str, Any], Any]]") -> None:
         """:meth:`add` every ``(row, pk)`` pair (bulk load; no checks)."""
@@ -91,60 +153,44 @@ class HashIndex:
         added = 0
         for row, pk in entries:
             key = self.key_for(row)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {pk}
-                added += 1
-            elif pk not in bucket:
-                bucket.add(pk)
+            bucket = _with(buckets.get(key), pk)
+            if bucket is not None:
+                buckets[key] = bucket
                 added += 1
         self._entries += added
 
     def remove(self, row: dict[str, Any], pk: Any) -> None:
         key = self.key_for(row)
         bucket = self._buckets.get(key)
-        if bucket is not None:
-            before = len(bucket)
-            bucket.discard(pk)
-            self._entries -= before - len(bucket)
-            if not bucket:
-                del self._buckets[key]
+        if bucket is None or pk not in bucket:
+            return
+        self._entries -= 1
+        rest = _without(bucket, pk)
+        if rest is None:
+            del self._buckets[key]
+        elif rest is not bucket:
+            self._buckets[key] = rest
 
-    def lookup(self, key: tuple) -> set[Any]:
-        """Return the pks of rows whose indexed columns equal *key*."""
-        return set(self._buckets.get(key, ()))
-
-    def members(self, key: tuple) -> "set[Any] | tuple":
-        """The live pk set under *key*, uncopied.  Read-only: a caller
+    def members(self, key: tuple) -> "tuple | set[Any]":
+        """The live bucket under *key*, uncopied.  Read-only: a caller
         that holds it across a write copies it first (one ``sorted``
         or ``set`` call does)."""
         return self._buckets.get(key, ())
-
-    def bucket_size(self, key: tuple) -> int:
-        """Exact row count under *key* without copying the bucket (O(1)).
-
-        The planner prices candidate equality plans with this, so plan
-        selection never materializes pk sets it may discard.
-        """
-        bucket = self._buckets.get(key)
-        return 0 if bucket is None else len(bucket)
 
     def distinct_keys(self) -> int:
         """Number of distinct key tuples currently indexed (O(1))."""
         return len(self._buckets)
 
-    def keys(self) -> Iterator[tuple]:
-        return iter(self._buckets)
-
-    def __len__(self) -> int:
-        return self._entries
+    def entries(self) -> "Iterable[tuple[tuple, tuple | set[Any]]]":
+        """``(key, bucket)`` per distinct key, unordered (integrity checks)."""
+        return self._buckets.items()
 
     def clear(self) -> None:
         self._buckets.clear()
         self._entries = 0
 
 
-class OrderedIndex:
+class OrderedIndex(_Index):
     """Ordered (range-capable) index over one or more columns.
 
     Maintains a sorted list of distinct composite keys alongside a hash
@@ -166,8 +212,8 @@ class OrderedIndex:
         self.table = table
         self.columns = tuple(columns)
         self._sorted_keys: list[tuple] = []   # sort_key-wrapped composites
-        #: wrapped key -> (raw value tuple, pk set)
-        self._by_key: dict[tuple, tuple[tuple, set[Any]]] = {}
+        #: wrapped key -> (raw value tuple, bucket)
+        self._by_key: dict[tuple, "tuple[tuple, tuple | set[Any]]"] = {}
         #: Total pk entries; O(1) ``len`` for metrics and plan costing.
         self._entries = 0
 
@@ -200,12 +246,14 @@ class OrderedIndex:
         entry = self._by_key.get(wrapped)
         if entry is None:
             bisect.insort(self._sorted_keys, wrapped)
-            self._by_key[wrapped] = (raw, {pk})
+            self._by_key[wrapped] = (raw, (pk,))
             self._entries += 1
-        else:
-            before = len(entry[1])
-            entry[1].add(pk)
-            self._entries += len(entry[1]) - before
+            return
+        bucket = _with(entry[1], pk)
+        if bucket is not None:
+            if bucket is not entry[1]:
+                self._by_key[wrapped] = (entry[0], bucket)
+            self._entries += 1
 
     def add_many(self, entries: "Iterable[tuple[dict[str, Any], Any]]") -> None:
         """:meth:`add` every ``(row, pk)`` pair, then sort the keys once.
@@ -220,27 +268,30 @@ class OrderedIndex:
             wrapped = self._wrap(raw)
             entry = by_key.get(wrapped)
             if entry is None:
-                by_key[wrapped] = (raw, {pk})
-                added += 1
-            elif pk not in entry[1]:
-                entry[1].add(pk)
-                added += 1
+                by_key[wrapped] = (raw, (pk,))
+            else:
+                bucket = _with(entry[1], pk)
+                if bucket is None:
+                    continue
+                if bucket is not entry[1]:
+                    by_key[wrapped] = (entry[0], bucket)
+            added += 1
         self._entries += added
         self._sorted_keys = sorted(by_key)
 
     def remove(self, row: dict[str, Any], pk: Any) -> None:
         wrapped = self._wrap(self.key_for(row))
         entry = self._by_key.get(wrapped)
-        if entry is None:
+        if entry is None or pk not in entry[1]:
             return
-        before = len(entry[1])
-        entry[1].discard(pk)
-        self._entries -= before - len(entry[1])
-        if not entry[1]:
+        self._entries -= 1
+        rest = _without(entry[1], pk)
+        if rest is not None:
+            if rest is not entry[1]:
+                self._by_key[wrapped] = (entry[0], rest)
+        else:
             del self._by_key[wrapped]
-            # The key was present in _by_key, so it is present in the
-            # sorted list at exactly bisect_left — a single probe, no
-            # re-check needed (the old code bisected and then compared).
+            # It was in _by_key, so it sits at exactly bisect_left.
             del self._sorted_keys[bisect.bisect_left(self._sorted_keys, wrapped)]
 
     def clear(self) -> None:
@@ -248,19 +299,29 @@ class OrderedIndex:
         self._by_key.clear()
         self._entries = 0
 
-    def __len__(self) -> int:
-        return self._entries
-
     # -- point lookups -----------------------------------------------------
 
-    def lookup_key(self, values: tuple) -> set[Any]:
-        """Pks of rows whose indexed columns equal *values* (full key)."""
-        entry = self._by_key.get(self._wrap(values))
-        return set(entry[1]) if entry else set()
+    def members(self, key: tuple) -> "tuple | set[Any]":
+        """The live bucket under the full *key*, uncopied and read-only:
+        one dict probe.  Equal values (``1``, ``1.0``, ``True``) share a
+        :func:`sort_key`, so a bucket."""
+        entry = self._by_key.get(self._wrap(key))
+        return () if entry is None else entry[1]
 
     def distinct_keys(self) -> int:
         """Number of distinct composite keys currently indexed (O(1))."""
         return len(self._by_key)
+
+    def entries(self) -> "Iterable[tuple[tuple, tuple | set[Any]]]":
+        """``(raw_key, bucket)`` per distinct key, unordered (integrity checks)."""
+        return self._by_key.values()
+
+    def structure_problems(self) -> list[str]:
+        """Also: the sorted key list holds exactly the bucket keys, in order."""
+        problems = super().structure_problems()
+        if self._sorted_keys != sorted(self._by_key):
+            problems.append("sorted keys out of step")
+        return problems
 
     def min_key(self) -> "tuple | None":
         """Smallest raw key tuple, or ``None`` when empty (O(1))."""
@@ -334,15 +395,15 @@ class OrderedIndex:
     ) -> tuple[int, float]:
         """``(distinct_keys, estimated_rows)`` for a seek, in O(log n).
 
-        Equality on the whole key is exact and one dict hit, as
-        :meth:`HashIndex.bucket_size` is.  Otherwise the row estimate is
+        Equality on the whole key is exact and one dict hit
+        (:meth:`bucket_size`).  Otherwise the row estimate is
         matching keys × average bucket size: exact when every key holds
         one pk (unique-ish columns), a guess on skewed columns.  This is
         the planner's costing probe — nothing is materialized.
         """
         if len(prefix) == len(self.columns) and low is None and high is None:
-            entry = self._by_key.get(self._wrap(prefix))
-            return (0, 0.0) if entry is None else (1, float(len(entry[1])))
+            rows = self.bucket_size(prefix)
+            return (1 if rows else 0), float(rows)
         lo_pos, hi_pos = self._bounds(
             prefix, low, high, include_low, include_high, exclude_null
         )
@@ -362,13 +423,13 @@ class OrderedIndex:
         include_high: bool = True,
         descending: bool = False,
         exclude_null: bool = False,
-    ) -> Iterator[tuple[tuple, set[Any]]]:
-        """Lazily yield ``(raw_key, pk_set)`` entries in key order.
+    ) -> "Iterator[tuple[tuple, tuple | set[Any]]]":
+        """Lazily yield ``(raw_key, bucket)`` entries in key order.
 
         Equality on *prefix* (possibly empty), optional range bounds on
         the column right after the prefix.  Non-materializing: the
         caller can stop after LIMIT rows and the remaining key range is
-        never touched.  The yielded pk set is the live set — callers
+        never touched.  The yielded bucket is the live one — callers
         must not mutate it and should copy if they hold it across a
         write.
         """
@@ -413,9 +474,3 @@ class OrderedIndex:
             exclude_null=exclude_null,
         ):
             yield from pks
-
-    def ordered_pks(self, *, descending: bool = False) -> Iterable[Any]:
-        """Yield pks in indexed-key order (ties in arbitrary order)."""
-        keys = reversed(self._sorted_keys) if descending else self._sorted_keys
-        for wrapped in keys:
-            yield from self._by_key[wrapped][1]

@@ -94,13 +94,13 @@ _RANGE_OPS = {"<", "<=", ">", ">="}
 _PK_SETS = (list, tuple, set, frozenset)
 
 
-def _pk_order(bucket: "set[Any]") -> Any:
+def _pk_order(bucket: "tuple | set[Any]") -> Any:
     """The pks under one index key, in pk order — which keeps ordered
     output and LIMIT row selection deterministic across plan
     strategies.  Primary keys are INT or TEXT (the schema insists), so
     plain ``sorted`` is :func:`sort_key` order.  Copies either way (one
     atomic call): *bucket* may be an index's live set, which a writer
-    may be resizing."""
+    may be resizing; a 1-tuple bucket is immutable."""
     return tuple(bucket) if len(bucket) < 2 else sorted(bucket)
 
 
@@ -315,8 +315,8 @@ class Plan:
     * ``scan`` — full row-store pass;
     * ``pks`` — a pre-materialized candidate pk set (primary-key hits,
       and every index plan once pinned for snapshot execution);
-    * ``hash`` — one hash-index probe at execution time;
-    * ``intersect`` — several single-column hash probes ANDed together;
+    * ``hash`` — one equality probe (hash or ordered index) at execution;
+    * ``intersect`` — several single-column equality probes ANDed together;
     * ``seek`` — lazy ordered-index iteration (range / prefix / ordered
       ride), fetching rows pk by pk;
     * ``covering`` — the same seek, but rows are synthesized from the
@@ -490,6 +490,14 @@ class Query:
         """Estimated result rows: examined rows × residual selectivity."""
         return int(round(examined * self._selectivity_product(residual)))
 
+    def _priced_rows(self, examined: float, residual: list, early_exit: bool) -> float:
+        """Rows a plan pays to fetch: all it examines, or under an early
+        exit only as many as it takes to fill the page."""
+        if not early_exit:
+            return examined
+        page = self._offset + self._limit
+        return min(examined, page / max(self._selectivity_product(residual), 1e-9))
+
     def _scan_plan(self) -> Plan:
         conds = list(self._conditions)
         live = len(self._table)
@@ -636,25 +644,26 @@ class Query:
         if pk_plan is not None:
             plans.append(pk_plan)
 
-        # Hash probes: every (composite or single) hash/unique index whose
-        # columns are all equality-constrained.  Longest specs first so
-        # cost ties resolve to the most specific index.
-        hash_candidates: list[tuple[tuple[str, ...], Any]] = []
-        for spec, index in tbl._hash_indexes.items():
-            if all(col in eq for col in spec):
-                hash_candidates.append((spec, index))
-        for index in tbl._unique_indexes:
-            if all(col in eq for col in index.columns):
-                hash_candidates.append((index.columns, index))
-        hash_candidates.sort(key=lambda entry: -len(entry[0]))
-        for spec, index in hash_candidates:
-            key = tuple(eq[col].value for col in spec)
+        # Equality probes: every plain or unique index whose columns are
+        # all equality-constrained (a single column's ordered index is
+        # priced here, not again as a prefix seek).  Longest specs first
+        # so cost ties resolve to the most specific index.  Without ORDER
+        # BY a probe stops at the page, as a seek does.
+        probes = [
+            index
+            for index in (*tbl.hash_indexes(), *tbl._unique_indexes)
+            if all(col in eq for col in index.columns)
+        ]
+        probes.sort(key=lambda index: -len(index.columns))
+        early_exit = self._limit is not None and not self._order
+        for index in probes:
+            key = tuple(eq[col].value for col in index.columns)
             bucket = index.bucket_size(key)
             # Identity-based filtering: conditions may hold unhashable
             # values (e.g. lists for "in"), so no set membership here.
-            used = {id(eq[col]) for col in spec}
+            used = {id(eq[col]) for col in index.columns}
             residual = [c for c in conds if id(c) not in used]
-            cost = SEEK_COST + bucket * (
+            cost = SEEK_COST + self._priced_rows(bucket, residual, early_exit) * (
                 ROW_FETCH_COST + len(residual) * RESIDUAL_COST
             )
             plans.append(
@@ -666,14 +675,17 @@ class Query:
                     residual,
                     index=index,
                     key=key,
+                    early_exit=early_exit,
                     candidates=bucket,
                 )
             )
 
-        # Index intersection: AND several single-column hash probes.
+        # Index intersection: AND several single-column equality probes.
         singles: list[tuple[Condition, Any]] = []
         for col, cond in eq.items():
-            index = tbl.hash_index_for((col,)) or tbl.unique_index_for((col,))
+            index = tbl.hash_index_for((col,))
+            if index is None:
+                index = tbl.unique_index_for((col,))
             if index is not None:
                 singles.append((cond, index))
         if len(singles) >= 2:
@@ -739,6 +751,8 @@ class Query:
                 break
             prefix_conds.append(cond)
         k = len(prefix_conds)
+        if k == len(cols) == 1:
+            return None  # a single column's equality probe is priced once
 
         # Fold every range predicate on the first free column into the
         # tightest [low, high] bounds; lower bounds subsume looser lower
@@ -805,11 +819,7 @@ class Query:
         early_exit = self._limit is not None and (
             not self._order or satisfies_order
         )
-        priced_examined = examined
-        if early_exit:
-            page = self._offset + self._limit
-            res_sel = max(self._selectivity_product(residual), 1e-9)
-            priced_examined = min(priced_examined, page / res_sel)
+        priced_examined = self._priced_rows(examined, residual, early_exit)
         cost = SEEK_COST + priced_examined * (
             ROW_FETCH_COST + len(residual) * RESIDUAL_COST
         )

@@ -111,12 +111,13 @@ class TableSchema:
     """The full declaration of one table.
 
     ``indexes`` lists non-unique secondary indexes; each entry is either a
-    column name or a tuple of column names for a composite index.
-    ``ordered`` lists ordered (range-capable) indexes the same way —
-    single-column entries duplicate what ``indexes`` already provides
-    automatically, so ``ordered`` is mostly for **composite** ordered
-    indexes, which give the planner prefix seeks (equality on a key
-    prefix + range on the next column) and covering reads.
+    column name or a tuple of column names for a composite (hash) index.
+    ``ordered`` lists ordered (range-capable) indexes the same way.  A
+    single column named in either list gets one ordered index, which
+    answers equality, ranges and ORDER BY alike, so ``ordered`` matters
+    for **composite** ordered indexes, which give the planner prefix
+    seeks (equality on a key prefix + range on the next column) and
+    covering reads.
     ``unique_together`` declares multi-column unique constraints.
     """
 

@@ -181,14 +181,13 @@ class Snapshot:
         epoch = tbl.mutation_epoch
         if epoch & 1 or tbl.dirty or tbl.version > self._seq:
             return None
-        index = tbl.hash_index_for(columns) or tbl.unique_index_for(columns)
-        if index is not None:
-            pks = index.lookup(key)
+        for find in (tbl.hash_index_for, tbl.unique_index_for, tbl.ordered_index_for):
+            index = find(columns)
+            if index is not None:
+                break
         else:
-            ordered = tbl.ordered_index_for(columns)
-            if ordered is None:
-                return None
-            pks = ordered.lookup_key(key)
+            return None
+        pks = index.lookup(key)
         if tbl.mutation_epoch != epoch:
             return None
         return pks

@@ -218,15 +218,15 @@ class Table:
         self._pending_ops = 0
 
         # Unique constraints become unique hash indexes (PK handled by the
-        # row dict itself).  Plain/composite indexes become hash indexes;
-        # every single-column plain index also gets an ordered twin so
-        # range predicates and ORDER BY can use it, and ``schema.ordered``
-        # declares further ordered indexes (composites give the planner
-        # prefix seeks and covering reads).  Ordered indexes are keyed by
-        # their column tuple, single-column ones by a 1-tuple.  Indexes
-        # always reflect the *latest* (possibly uncommitted) state;
-        # snapshot reads may only use them when the table has not moved
-        # past the snapshot.
+        # row dict itself).  Each other spec is one structure: a
+        # single-column plain index is an ordered index, which answers
+        # equality, ranges and ORDER BY alike; a composite plain index is
+        # a hash index; ``schema.ordered`` declares ordered indexes
+        # (composites give the planner prefix seeks and covering reads).
+        # Ordered indexes are keyed by their column tuple, single-column
+        # ones by a 1-tuple.  Indexes always reflect the *latest*
+        # (possibly uncommitted) state; snapshot reads may only use them
+        # when the table has not moved past the snapshot.
         self._unique_indexes: list[HashIndex] = []
         self._hash_indexes: dict[tuple[str, ...], HashIndex] = {}
         self._ordered_indexes: dict[tuple[str, ...], OrderedIndex] = {}
@@ -240,12 +240,11 @@ class Table:
             self._unique_indexes.append(
                 HashIndex(schema.name, tuple(group), unique=True)
             )
-        for spec in schema.index_specs():
-            if spec not in self._hash_indexes:
+        specs = schema.index_specs()
+        for spec in specs:
+            if len(spec) > 1 and spec not in self._hash_indexes:
                 self._hash_indexes[spec] = HashIndex(schema.name, spec)
-            if len(spec) == 1 and spec not in self._ordered_indexes:
-                self._ordered_indexes[spec] = OrderedIndex(schema.name, spec)
-        for spec in schema.ordered_index_specs():
+        for spec in [s for s in specs if len(s) == 1] + schema.ordered_index_specs():
             if spec not in self._ordered_indexes:
                 self._ordered_indexes[spec] = OrderedIndex(schema.name, spec)
 
@@ -939,7 +938,13 @@ class Table:
 
     # -- planner hooks --------------------------------------------------------
 
-    def hash_index_for(self, columns: tuple[str, ...]) -> HashIndex | None:
+    def hash_index_for(
+        self, columns: tuple[str, ...]
+    ) -> "HashIndex | OrderedIndex | None":
+        """The plain equality index over exactly *columns*: a composite's
+        hash index, or a single column's ordered index."""
+        if len(columns) == 1:
+            return self._ordered_indexes.get(columns)
         return self._hash_indexes.get(columns)
 
     def ordered_index_for(self, columns: tuple[str, ...]) -> OrderedIndex | None:
@@ -954,23 +959,18 @@ class Table:
             ix for ix in indexes if len(ix.columns) > 1
         ]
 
-    def hash_indexes(self) -> "list[HashIndex]":
-        """Every non-unique hash index (planner candidate enumeration)."""
-        return list(self._hash_indexes.values())
+    def hash_indexes(self) -> "list[HashIndex | OrderedIndex]":
+        """Every plain equality index — composite hash indexes, then the
+        single-column ordered ones (planner candidate enumeration)."""
+        return [*self._hash_indexes.values()] + [
+            ix for ix in self._ordered_indexes.values() if len(ix.columns) == 1
+        ]
 
     def unique_index_for(self, columns: tuple[str, ...]) -> HashIndex | None:
         for index in self._unique_indexes:
             if index.columns == columns:
                 return index
         return None
-
-    def indexed_columns(self) -> set[str]:
-        """Single columns for which an equality index exists."""
-        cols = {spec[0] for spec in self._hash_indexes if len(spec) == 1}
-        cols |= {
-            idx.columns[0] for idx in self._unique_indexes if len(idx.columns) == 1
-        }
-        return cols
 
     def statistics(self) -> TableStatistics:
         """Per-column reservoir statistics (planner cardinality input)."""
@@ -979,15 +979,12 @@ class Table:
     def distinct_count(self, column: str) -> int:
         """Best-available distinct-value count for *column*.
 
-        Prefers exact O(1) counts off an index over that column (hash or
-        ordered), falling back to the reservoir-sample estimate.  The PK
+        Prefers exact O(1) counts off an index over that column (ordered
+        or unique), falling back to the reservoir-sample estimate.  The PK
         column is exact by construction (one value per live row).
         """
         if column == self._pk:
             return self._live
-        index = self._hash_indexes.get((column,))
-        if index is not None:
-            return index.distinct_keys()
         ordered = self._ordered_indexes.get((column,))
         if ordered is not None:
             return ordered.distinct_keys()
@@ -1088,48 +1085,30 @@ class Table:
     def add_index(self, columns: tuple[str, ...], *, ordered: bool = False) -> None:
         """Create a secondary index over existing data.
 
-        With ``ordered=True`` a composite ordered index is built instead
-        of a hash index, giving the planner prefix seeks and covering
-        reads over *columns* (single-column ordered indexes come for
-        free with plain indexes, so ``ordered`` matters for composites).
+        A single column always gets an ordered index, which answers
+        equality, ranges and ORDER BY.  For a composite, ``ordered=True``
+        builds an ordered index instead of a hash index, giving the
+        planner prefix seeks and covering reads over *columns*.
         """
         for name in columns:
             self.schema.column(name)  # validates existence
-        timer = self._db.obs.timer()
-        if ordered and len(columns) > 1:
-            if columns in self._ordered_indexes:
-                raise SchemaError(
-                    f"table {self.name!r} already has an ordered index on "
-                    f"{columns!r}"
-                )
-            self._begin_change()
-            ordered_index = OrderedIndex(self.name, columns)
-            for pk, head in self._rows.items():
-                if head.row is not None:
-                    ordered_index.add(head.row, pk)
-            self._ordered_indexes[columns] = ordered_index
-            self.schema.ordered = list(self.schema.ordered) + [columns]
-            self._db._publish_commit_seq(self._publish_out_of_band())
-            self._mutation_epoch += 1
-            self._m_index_build.observe(timer.elapsed())
-            return
-        if columns in self._hash_indexes:
+        ordered = ordered or len(columns) == 1
+        indexes: dict = self._ordered_indexes if ordered else self._hash_indexes
+        if columns in indexes:
             raise SchemaError(
                 f"table {self.name!r} already has an index on {columns!r}"
             )
+        timer = self._db.obs.timer()
         self._begin_change()
-        index = HashIndex(self.name, columns)
-        for pk, head in self._rows.items():
-            if head.row is not None:
-                index.add(head.row, pk)
-        self._hash_indexes[columns] = index
-        if len(columns) == 1 and columns not in self._ordered_indexes:
-            ordered_index = OrderedIndex(self.name, columns)
-            for pk, head in self._rows.items():
-                if head.row is not None:
-                    ordered_index.add(head.row, pk)
-            self._ordered_indexes[columns] = ordered_index
-        self.schema.indexes = list(self.schema.indexes) + [columns]
+        index = (OrderedIndex if ordered else HashIndex)(self.name, columns)
+        index.add_many(
+            (head.row, pk) for pk, head in self._rows.items() if head.row is not None
+        )
+        indexes[columns] = index
+        if len(columns) > 1 and ordered:
+            self.schema.ordered = list(self.schema.ordered) + [columns]
+        else:
+            self.schema.indexes = list(self.schema.indexes) + [columns]
         self._db._publish_commit_seq(self._publish_out_of_band())
         self._mutation_epoch += 1
         self._m_index_build.observe(timer.elapsed())
@@ -1153,8 +1132,14 @@ class Table:
         self._m_index_build.observe(timer.elapsed())
 
     def verify_integrity(self) -> list[str]:
-        """Cross-check rows against constraints and indexes; return problems."""
+        """Cross-check rows against constraints, and every index against
+        the rows both ways; return problems."""
         problems: list[str] = []
+        indexes = [
+            *self._unique_indexes,
+            *self._hash_indexes.values(),
+            *self._ordered_indexes.values(),
+        ]
         for pk, head in self._rows.items():
             row = head.row
             if row is None:
@@ -1169,16 +1154,20 @@ class Table:
                 self._check_foreign_keys(row)
             except ForeignKeyViolation as exc:
                 problems.append(f"{self.name}[{pk}]: {exc}")
-            for index in self._unique_indexes:
-                if pk not in index.lookup(index.key_for(row)):
+            for index in indexes:
+                if pk not in index.members(index.key_for(row)):
+                    kind = "unique index" if index in self._unique_indexes else "index"
                     problems.append(
-                        f"{self.name}[{pk}]: missing from unique index {index.name}"
+                        f"{self.name}[{pk}]: missing from {kind} {index.name}"
                     )
-            for index in self._hash_indexes.values():
-                if pk not in index.lookup(index.key_for(row)):
-                    problems.append(
-                        f"{self.name}[{pk}]: missing from index {index.name}"
-                    )
+        for index in indexes:
+            where = f"{self.name}: index {index.name}"
+            problems += [f"{where}: {p}" for p in index.structure_problems()]
+            for key, bucket in index.entries():
+                for pk in bucket:
+                    row = getattr(self._rows.get(pk), "row", None)
+                    if row is None or index.key_for(row) != key:
+                        problems.append(f"{where}: {pk!r} filed under {key!r}")
         return problems
 
     # -- statistics ------------------------------------------------------------

@@ -157,15 +157,18 @@ def sort_key(value: Any) -> tuple:
     """Total-order key over heterogeneous, possibly-None values.
 
     ``None`` sorts before everything (matching SQL ``NULLS FIRST``), then
-    values are grouped by type so comparisons never raise.
+    values are grouped by type so comparisons never raise.  Values that
+    compare equal get equal keys, so an index probe finds what ``==``
+    does: ``bool`` ranks as the number it equals (``True == 1 == 1.0``),
+    and an aware datetime by its UTC instant.
     """
     if value is None:
         return (0, "")
-    if isinstance(value, bool):
-        return (1, value)
     if isinstance(value, (int, float)):
         return (2, value)
     if isinstance(value, _dt.datetime):
+        if value.utcoffset() is not None:
+            value = value.astimezone(_dt.timezone.utc)
         return (3, value.isoformat())
     if isinstance(value, str):
         return (4, value)

@@ -156,7 +156,7 @@ class TestRoutedWrites:
                 "project_id", "=", project["id"]
             )
             assert children.pks() == [sample["id"]]
-            assert children.explain()["strategy"] == "index:ix_sample_project_id"
+            assert children.explain()["strategy"] == "index:sx_sample_project_id"
 
     def test_autoincrement_pks_unique_across_shards(self, database):
         ids = [database.insert("note", {"body": "x"})["id"] for _ in range(24)]
@@ -281,7 +281,7 @@ class TestScatterGatherQueries:
     def test_eq_on_routing_column_goes_direct(self, loaded):
         query = loaded.query("sample").where("project_id", "=", 3)
         plan = query.explain()
-        assert plan["strategy"] == "index:ix_sample_project_id"
+        assert plan["strategy"] == "index:sx_sample_project_id"
         assert plan["candidates"] == 8
         rows = loaded.query("sample").where("project_id", "=", 3).all()
         assert sorted(row["id"] for row in rows) == [3, 8, 13, 18, 23, 28, 33, 38]
