@@ -87,6 +87,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
           f"open snapshots {mvcc['open_snapshots']}, "
           f"version horizon {mvcc['version_horizon']}, "
           f"retained versions {mvcc['retained_versions']}")
+    search = system.search.statistics()
+    print(f"search: {search['documents']} documents, {search['terms']} terms, "
+          f"{search['postings']} postings in {search['posting_shapes']} shapes")
     snapshot = system.monitor.snapshot()
     print(f"commits observed: {snapshot['commits']}")
     queue = system.queue.status()

@@ -264,6 +264,11 @@ class PortalServer:
         """Graceful drain: stop accepting, finish in-flight, close idle."""
         self._stop.set()
         try:
+            # Wakes the acceptor now rather than at its next 0.5 s poll.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -174,6 +174,12 @@ class ReplicationPublisher:
         self._wake.set()
         if self._listener is not None:
             try:
+                # close() alone does not wake a thread blocked in
+                # accept() on Linux; shutdown() does, at once.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # refused on a listener by some platforms
+            try:
                 self._listener.close()
             except OSError:
                 pass

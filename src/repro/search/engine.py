@@ -162,17 +162,13 @@ class SearchEngine:
         label: str = "",
         metadata: "dict[str, Any] | None" = None,
     ) -> None:
-        meta = dict(metadata or ())
-        meta["project_id"] = project_id
-        meta["label"] = label or fields.get("name", f"{entity_type} {entity_id}")
-        self._index.add(
-            Document(
-                entity_type=entity_type,
-                entity_id=entity_id,
-                fields={k: str(v) for k, v in fields.items()},
-                metadata=meta,
-            )
+        document = Document(
+            entity_type, entity_id, {k: str(v) for k, v in fields.items()},
+            metadata,
         )
+        document.project_id = project_id
+        document.label = label or fields.get("name", f"{entity_type} {entity_id}")
+        self._index.add(document)
         self._m_index_ops.labels(action="index").inc()
 
     def _drop(self, entity_type: str, entity_id: int) -> bool:
@@ -262,9 +258,9 @@ class SearchEngine:
                     entity_type=key[0],
                     entity_id=key[1],
                     score=round(self._index.score(key, positive), 6),
-                    label=document.metadata.get("label", ""),
+                    label=document.label,
                     snippet=_snippet(document, terms),
-                    metadata=dict(document.metadata),
+                    metadata=document.metadata,
                 )
             )
         return results
@@ -308,7 +304,7 @@ class SearchEngine:
             document = self._index.document(*key)
             if document is None:
                 continue
-            project_id = document.metadata.get("project_id")
+            project_id = document.project_id
             bucket = by_project.get(project_id)
             if bucket is None:
                 bucket = by_project[project_id] = array("I")
@@ -378,6 +374,8 @@ class SearchEngine:
         return {
             "documents": len(self._index),
             "terms": self._index.term_count(),
+            "postings": self._index.posting_count(),
+            "posting_shapes": self._index.shape_count(),
             "generation": self._index.generation,
             "candidate_cache_entries": len(self._ranked_cache),
         }

@@ -5,12 +5,16 @@ so queries can scope to a field (``name:arabidopsis``).  Postings map
 ``term -> {doc_key -> {field -> tf}}``; scoring is classic TF-IDF with
 cosine-style length normalization and a configurable per-field boost
 (names weigh more than free text).
+
+Each distinct ``{field -> tf}`` value is stored once: postings of the
+same shape (``{"name": 1}``, ``{"name": 1, "uri": 1}``, ...) point at
+one shared dict, which is never mutated.  A corpus has a handful of
+shapes and hundreds of thousands of postings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.search.tokenizer import tokenize
@@ -21,16 +25,46 @@ DEFAULT_FIELD_BOOSTS = {"name": 3.0, "value": 2.0}
 DocKey = tuple[str, int]  # (entity_type, entity_id)
 
 
-@dataclass
 class Document:
-    """One indexed object."""
+    """One indexed object.
 
-    entity_type: str
-    entity_id: int
-    fields: dict[str, str]
-    #: Metadata carried through to results (not searched): project_id
-    #: for access control, display labels, timestamps...
-    metadata: dict[str, Any] = field(default_factory=dict)
+    The index holds one per searchable row, so it is slotted.
+    ``project_id`` (access control) and ``label`` (display) are
+    attributes; other metadata, rare, stays in a dict that is ``None``
+    when empty.  ``length`` is the TF-IDF norm, set by the index that
+    holds the document (``None`` until then).
+    """
+
+    __slots__ = (
+        "entity_type", "entity_id", "fields", "project_id", "label",
+        "_extra", "length",
+    )
+
+    def __init__(
+        self,
+        entity_type: str,
+        entity_id: int,
+        fields: dict[str, str],
+        metadata: dict[str, Any] | None = None,
+    ):
+        self.entity_type = entity_type
+        self.entity_id = entity_id
+        self.fields = fields
+        extra = dict(metadata or ())
+        self.project_id: int | None = extra.pop("project_id", None)
+        self.label: str = extra.pop("label", "")
+        self._extra = extra or None
+        self.length: float | None = None
+
+    @property
+    def metadata(self) -> dict[str, Any]:
+        """Carried through to results, not searched: a fresh dict of the
+        extras plus ``project_id`` and ``label``."""
+        return {
+            **(self._extra or {}),
+            "project_id": self.project_id,
+            "label": self.label,
+        }
 
     @property
     def key(self) -> DocKey:
@@ -46,7 +80,10 @@ class InvertedIndex:
     def __init__(self, *, field_boosts: dict[str, float] | None = None):
         self._postings: dict[str, dict[DocKey, dict[str, int]]] = {}
         self._documents: dict[DocKey, Document] = {}
-        self._lengths: dict[DocKey, float] = {}
+        #: Intern table of posting values, keyed by their items.  Grows
+        #: only with distinct (field, tf) combinations; ``remove`` leaves
+        #: it alone.
+        self._shapes: dict[tuple, dict[str, int]] = {}
         self._boosts = dict(DEFAULT_FIELD_BOOSTS if field_boosts is None else field_boosts)
         # Monotonic generation, bumped on every index mutation.  The
         # search engine keys cached ranked answers on it — the same
@@ -66,6 +103,11 @@ class InvertedIndex:
         key = document.key
         if key in self._documents:
             self.remove(*key)
+        if document.length is not None:  # held by another index: its own copy
+            document = Document(
+                document.entity_type, document.entity_id, document.fields,
+                document.metadata,
+            )
         term_fields: dict[str, dict[str, int]] = {}
         for field_name, value in document.fields.items():
             for token in tokenize(str(value)):
@@ -75,14 +117,21 @@ class InvertedIndex:
                 else:
                     per_field[field_name] = per_field.get(field_name, 0) + 1
         postings = self._postings
+        shapes = self._shapes
         for term, per_field in term_fields.items():
+            shape = tuple(per_field.items())
+            shared = shapes.get(shape)
+            if shared is None:
+                shapes[shape] = per_field
+            else:
+                per_field = shared
             docs = postings.get(term)
             if docs is None:
                 postings[term] = {key: per_field}
             else:
                 docs[key] = per_field
+        document.length = self._length_of(term_fields)
         self._documents[key] = document
-        self._lengths[key] = self._length_of(term_fields)
         self._generation += 1
 
     def _length_of(self, term_fields: dict[str, dict[str, int]]) -> float:
@@ -116,14 +165,13 @@ class InvertedIndex:
             if not docs:
                 del self._postings[term]
         del self._documents[key]
-        del self._lengths[key]
         self._generation += 1
         return True
 
     def clear(self) -> None:
         self._postings.clear()
         self._documents.clear()
-        self._lengths.clear()
+        self._shapes.clear()
         self._generation += 1
 
     # -- introspection -----------------------------------------------------------------
@@ -139,6 +187,14 @@ class InvertedIndex:
 
     def term_count(self) -> int:
         return len(self._postings)
+
+    def posting_count(self) -> int:
+        """(term, document) entries across all posting lists."""
+        return sum(map(len, self._postings.values()))
+
+    def shape_count(self) -> int:
+        """Distinct posting values interned since the last :meth:`clear`."""
+        return len(self._shapes)
 
     def document_frequency(self, term: str) -> int:
         return len(self._postings.get(term, ()))
@@ -198,7 +254,7 @@ class InvertedIndex:
             raw += self._term_score(term, key, scoped)
         if raw == 0.0:
             return 0.0
-        return raw / self._lengths[key]
+        return raw / self._documents[key].length
 
     def rank(
         self,
@@ -229,10 +285,10 @@ class InvertedIndex:
                     weighted = weight(per_field, scoped)
                     if weighted:
                         raw[key] += (1.0 + math.log(weighted)) * idf
-        lengths = self._lengths
+        documents = self._documents
         for key, value in raw.items():
             if value != 0.0:
-                raw[key] = value / lengths[key]
+                raw[key] = value / documents[key].length
         ranked = sorted(raw)
         ranked.sort(key=raw.__getitem__, reverse=True)  # stable: ties keep key order
         return ranked

@@ -1,6 +1,7 @@
 """The bfabric command-line tool."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,9 @@ class TestCli:
         assert code == 0
         assert "Users" in out
         assert "Workunits" in out
+        assert re.search(
+            r"search: \d+ documents, \d+ terms, \d+ postings in \d+ shapes", out
+        )
 
     def test_integrity_clean(self, deployment, capsys):
         code, out = run(capsys, "--data", str(deployment), "integrity")

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -125,6 +126,34 @@ class TestProtocol:
             b.recv()
         a.close()
         b.close()
+
+
+class TestStop:
+    """``stop()`` wakes every publisher thread; it never waits one out."""
+
+    def assert_stops_at_once(self, publisher):
+        started = time.perf_counter()
+        publisher.stop()
+        elapsed = time.perf_counter() - started
+        alive = [t.name for t in publisher._threads if t.is_alive()]
+        assert alive == []
+        assert elapsed < 0.1
+
+    def test_idle_publisher_stops_at_once(self, tmp_path):
+        primary = open_db(tmp_path / "primary")
+        publisher = ReplicationPublisher(primary).start()
+        try:
+            time.sleep(0.05)  # let the acceptor block in accept()
+            self.assert_stops_at_once(publisher)
+        finally:
+            primary.close()
+
+    def test_streaming_publisher_stops_at_once(self, cluster):
+        primary, publisher, replicas = cluster
+        primary.insert("doc", {"id": 1, "body": "x"})
+        for replica in replicas:
+            replica.wait_for(current_seq(primary), timeout=5.0)
+        self.assert_stops_at_once(publisher)
 
 
 class TestConvergence:

@@ -170,7 +170,9 @@ class TestInvertedIndex:
         for entity_id, text in current.items():
             fresh.add(doc(entity_id, text))
         assert index._postings == fresh._postings
-        assert index._lengths == fresh._lengths
+        assert {d.key: d.length for d in index.documents()} == {
+            d.key: d.length for d in fresh.documents()
+        }
 
 
 class TestQueryParser:
