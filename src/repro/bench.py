@@ -549,7 +549,7 @@ def bench_replication(
             return replica
 
         def converge(timeout: float = 15.0) -> None:
-            seq = primary.replication_start_point()[0]
+            seq = primary.committed_seq
             for replica in replicas:
                 replica.wait_for(seq, timeout=timeout)
 
@@ -577,7 +577,7 @@ def bench_replication(
         started = time.perf_counter()
         for thread in pool:
             thread.join()
-        final_seq = primary.replication_start_point()[0]
+        final_seq = primary.committed_seq
         replicas[0].wait_for(final_seq, timeout=60.0)
         apply_elapsed = time.perf_counter() - started
         apply = {

@@ -430,10 +430,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     if args.replicate_command == "status":
         system = _open(args)
-        seq, offset = system.db.replication_start_point()
-        print(f"committed seq:    {seq}")
-        print(f"WAL tail offset:  {offset} bytes")
-        mvcc = system.db.statistics()["mvcc"]
+        stats = system.db.statistics()
+        print(f"committed seq:    {system.db.committed_seq}")
+        print(f"WAL bytes:        {stats['wal_bytes']}")
+        mvcc = stats["mvcc"]
         print(f"open snapshots:   {mvcc['open_snapshots']}")
         print(f"version horizon:  {mvcc['version_horizon']}")
         system.close()
@@ -459,7 +459,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         # resume when they re-join this directory's publisher.
         system.db.new_history()
         system.db.checkpoint()
-        seq = system.db.replication_start_point()[0]
+        seq = system.db.committed_seq
         print(f"promoted: {args.data} is writable at commit seq {seq}")
         system.close()
         return 0

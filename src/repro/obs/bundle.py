@@ -88,7 +88,6 @@ def collect_debug_bundle(
     if db is not None:
         try:
             stats = db.statistics()
-            wal = getattr(db, "wal", None)
             bundle["storage"] = {
                 "history_id": getattr(db, "history_id", ""),
                 "durability": stats.get("durability", ""),
@@ -96,8 +95,6 @@ def collect_debug_bundle(
                 "total_rows": stats.get("total_rows", 0),
                 "transactions": stats.get("transactions", 0),
                 "wal_bytes": stats.get("wal_bytes", 0),
-                "wal_generation": wal.generation() if wal is not None else 0,
-                "wal_tail_offset": wal.tail_offset() if wal is not None else 0,
                 "mvcc": stats.get("mvcc", {}),
                 "query_cache": stats.get("query_cache", {}),
             }

@@ -2,9 +2,10 @@
 
 The subsystem that turns one embedded B-Fabric database into a
 replicated deployment: a :class:`~repro.replication.primary.\
-ReplicationPublisher` tails the primary's write-ahead log and streams
-committed records to :class:`~repro.replication.replica.Replica`
-processes over the CRC-framed TCP protocol in
+ReplicationPublisher` ships the primary's commit feed — each commit's
+write-ahead-log record, as the commit wrote it; it does not tail the
+WAL file — to :class:`~repro.replication.replica.Replica` processes
+over the CRC-framed TCP protocol in
 :mod:`~repro.replication.protocol`; a
 :class:`~repro.replication.manager.ReplicaSet` routes read-only work to
 the least-lagged replica and orchestrates promote-on-failure.
@@ -16,7 +17,7 @@ Quick tour::
                       name="r1", max_lag=64).start()
     rs = ReplicaSet(primary, [replica], publisher=publisher)
 
-    seq = primary.db.replication_start_point()[0]   # after a write
+    seq = primary.db.committed_seq                   # after a write
     replica.wait_for(seq)                            # read-your-writes
     with rs.read_snapshot() as snap:                 # routed read
         snap.query("project").count()

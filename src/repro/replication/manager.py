@@ -9,15 +9,17 @@ staleness bound, so correctness never depends on replication being up.
 Writes always go to the primary; replicas are read-only until promoted.
 
 Failover is explicit (an operator or the torture driver calls it): the
-old publisher is stopped, the most-caught-up replica drains and
-promotes, a new publisher starts on its database, and the surviving
-replicas re-join the new primary.  Because replicas apply a *prefix* of
-the primary's commit history, promoting the maximum-applied replica
-preserves every commit that any replica ever confirmed.
+old publisher is stopped, every replica drains what reached it, the
+most-caught-up one promotes, a new publisher starts on its database,
+and the surviving replicas re-join the new primary.  Because replicas
+apply a *prefix* of the primary's commit history, promoting the
+maximum-applied replica preserves every commit that any replica ever
+confirmed.
 """
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import ReplicaLagExceeded, ReplicationError
@@ -162,10 +164,14 @@ class ReplicaSet:
     def promote(self, *, drain_timeout: float = 1.0) -> Replica:
         """Promote the most-caught-up replica; the caller re-wires.
 
-        Stops the publisher (if this set owns one), drains and promotes
-        the replica with the highest applied sequence, and removes it
-        from the read pool.  Use :meth:`failover` for the full dance
-        including a new publisher and replica re-joins.
+        Stops the publisher (if this set owns one), waits up to
+        *drain_timeout* for every replica to apply what reached its
+        socket and lose its stream, then drains and promotes the replica
+        with the highest applied sequence and removes it from the read
+        pool.  Comparing positions before the others have drained could
+        pick a replica that one of them then overtakes.  Use
+        :meth:`failover` for the full dance including a new publisher
+        and replica re-joins.
         """
         if not self.replicas:
             raise ReplicationError("no replica available to promote")
@@ -174,6 +180,12 @@ class ReplicaSet:
                 self.publisher.stop()
             except Exception:
                 pass  # the primary may already be gone
+        deadline = time.monotonic() + drain_timeout
+        while (
+            any(r.connected for r in self.replicas)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
         best = max(self.replicas, key=lambda r: r.applied_seq)
         best.promote(drain_timeout=drain_timeout)
         self.replicas.remove(best)

@@ -1,23 +1,30 @@
 """Primary side of WAL shipping: the :class:`ReplicationPublisher`.
 
-The publisher owns one listening TCP socket and three kinds of thread:
+The publisher is a commit-feed consumer (:meth:`Database.on_commit`).
+The feed fires after each commit's durability ticket, in seq order, and
+carries the record the commit's WAL line encodes, the line's length and
+the commit's trace context; the publisher appends each as a buffered
+stream entry ``(seq, prev, record, nbytes, trace)``.  It never reads
+the WAL file.
 
-* a *tail* thread that re-scans the live WAL whenever a commit publishes
-  (poked by the commit feed, :meth:`Database.on_commit`, which fires
-  after the record's durability ticket) and turns each new record into
-  a buffered stream entry ``(seq, prev, record, nbytes)``;
+Beside the feed listener the publisher owns one listening TCP socket
+and two kinds of thread:
+
 * an *accept* thread that takes replica connections and hands each one
   to a serve thread;
 * per-connection *serve* / *ack* threads — the serve thread replays the
   buffer (or a bootstrap snapshot when the replica's position is not in
-  the retained chain) and then follows the tail, interleaving
+  the retained chain) and then follows new entries, interleaving
   heartbeats; the ack thread reads the replica's applied sequence and
   keeps the per-replica lag gauges honest.
 
 The entry buffer is bounded (``retain`` entries).  A replica that falls
 behind the buffer is disconnected; on reconnect its ``hello.last_seq``
 no longer matches a chain point and it gets a full snapshot instead —
-bounded memory on the primary, bounded staleness on the replica.
+bounded memory on the primary, bounded staleness on the replica.  When
+the database's state is replaced wholesale (a ``None`` feed delivery:
+recovery, or a bootstrap of this database from an upstream), the buffer
+empties and every connected replica is evicted to re-bootstrap.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from repro.replication import protocol
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
     from repro.storage.database import Database
+    from repro.storage.transaction import CommitEvent
 
 
 class _Entry:
@@ -60,18 +68,23 @@ class _Entry:
 class _Handle:
     """Publisher-side state for one connected replica."""
 
-    __slots__ = ("name", "conn", "acked_seq", "cursor", "alive")
+    __slots__ = ("name", "conn", "acked_seq", "cursor", "epoch", "alive")
 
-    def __init__(self, name: str, conn: protocol.Connection, cursor: int):
+    def __init__(
+        self, name: str, conn: protocol.Connection, cursor: int, epoch: int
+    ):
         self.name = name
         self.conn = conn
         self.acked_seq = cursor
         self.cursor = cursor
+        # The publisher's epoch when the cursor was chosen; a state
+        # replacement since then makes the cursor meaningless.
+        self.epoch = epoch
         self.alive = True
 
 
 class ReplicationPublisher:
-    """Streams committed WAL records to connected replicas."""
+    """Streams the commit feed's records to connected replicas."""
 
     def __init__(
         self,
@@ -92,19 +105,18 @@ class ReplicationPublisher:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
-        self.retain = retain
         self.heartbeat_interval = heartbeat_interval
         self._mu = threading.Lock()
         self._cv = threading.Condition(self._mu)
-        self._entries: deque[_Entry] = deque()
+        self._entries: deque[_Entry] = deque(maxlen=retain)
         self._last_seq = 0
-        self._offset = 0
-        self._wal_generation = 0
+        # Bumped by every state replacement; handles from an older
+        # epoch are evicted.
+        self._epoch = 0
         self._handles: dict[str, _Handle] = {}
         self._stop = threading.Event()
-        self._wake = threading.Event()
         self._listener: socket.socket | None = None
-        # Long-lived threads (tail + accept).  Per-connection serve/ack
+        # Long-lived threads (the acceptor).  Per-connection serve/ack
         # threads register in _conn_threads and remove themselves when
         # they exit, so a primary with reconnecting replicas never
         # accumulates dead Thread objects.
@@ -138,40 +150,34 @@ class ReplicationPublisher:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ReplicationPublisher":
-        """Capture the tail position, bind the listener, start threads."""
+        """Subscribe to the feed, bind the listener, start the acceptor."""
         if self._started:
             raise ReplicationError("publisher already started")
         self._started = True
-        self._last_seq, self._offset = self.db.replication_start_point()
-        assert self.db.wal is not None
-        self._wal_generation = self.db.wal.generation()
-        self.db.on_commit(self._poke)
+        # Subscribing returns the committed seq under the writer lock:
+        # every later commit reaches _on_commit, and any earlier one
+        # still in flight arrives at or below it and is skipped.
+        self._last_seq = self.db.on_commit(self._on_commit)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))
         listener.listen(16)
         self._listener = listener
         self.port = listener.getsockname()[1]
-        for name, target in (
-            ("replication-tail", self._tail_loop),
-            ("replication-accept", self._accept_loop),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        thread = threading.Thread(
+            target=self._accept_loop, name="replication-accept", daemon=True
+        )
+        thread.start()
+        self._threads.append(thread)
         self.obs.log.log(
             "replication.serve", host=self.host, port=self.port,
             seq=self._last_seq,
         )
         return self
 
-    def _poke(self, seq: int, ops: Any) -> None:
-        self._wake.set()
-
     def stop(self) -> None:
         """Stop streaming and close every connection (drains nothing)."""
         self._stop.set()
-        self._wake.set()
         if self._listener is not None:
             try:
                 # close() alone does not wake a thread blocked in
@@ -197,59 +203,28 @@ class ReplicationPublisher:
     # the replicas' benefit) stays explicit at call sites.
     kill = stop
 
-    # -- WAL tailing -------------------------------------------------------
+    # -- the commit feed ----------------------------------------------------
 
-    def _tail_loop(self) -> None:
-        while not self._stop.is_set():
-            self._wake.wait(timeout=0.1)
-            self._wake.clear()
-            if self._stop.is_set():
-                return
-            try:
-                self._scan_new_records()
-            except Exception as exc:  # survive torn concurrent writes
-                self.obs.log.log("replication.tail_error", error=str(exc))
-
-    def _scan_new_records(self) -> None:
-        wal = self.db.wal
-        assert wal is not None
-        # A reset (checkpoint) or in-place rewrite (torn-tail truncate)
-        # invalidates our byte offset: rescan from the start, skipping
-        # records at or below what we already shipped.  The generation
-        # counter is the authoritative signal — post-checkpoint appends
-        # can grow the new file past a stale offset between two polls,
-        # in which case a size comparison alone would start the scan
-        # mid-record and silently stop shipping.  The shrink check stays
-        # as a belt-and-braces fallback.
-        generation = wal.generation()
-        if generation != self._wal_generation or wal.tail_offset() < self._offset:
-            self._wal_generation = generation
-            self._offset = 0
-        fresh: list[tuple[dict[str, Any], int, int]] = []
-        start = self._offset
-        for record, end in wal.records_with_offsets(self._offset):
-            fresh.append((record, end - start, end))
-            start = end
-        if not fresh:
-            return
+    def _on_commit(self, event: "CommitEvent") -> None:
+        """Buffer one commit for the replicas (runs in the committer)."""
         with self._mu:
-            for record, nbytes, end in fresh:
-                self._offset = end
-                if record.get("kind") != "commit":
-                    continue
-                seq = record.get("seq")
-                if not isinstance(seq, int) or seq <= self._last_seq:
-                    continue  # pre-replication record or already shipped
-                ctx = self.db.trace_for_seq(seq)
+            if event.ops is None:
+                # State replaced: no retained entry, and no replica's
+                # position, describes the new state.  Re-base and evict.
+                self._entries.clear()
+                self._last_seq = event.seq
+                self._epoch += 1
+            elif event.seq > self._last_seq:
+                trace = event.trace
                 self._entries.append(
                     _Entry(
-                        seq, self._last_seq, record, nbytes,
-                        trace=ctx.to_dict() if ctx is not None else None,
+                        event.seq, self._last_seq, event.record, event.nbytes,
+                        trace=trace.to_dict() if trace is not None else None,
                     )
                 )
-                self._last_seq = seq
-            while len(self._entries) > self.retain:
-                self._entries.popleft()
+                self._last_seq = event.seq
+            else:
+                return  # committed before start() subscribed
             self._refresh_lag_locked()
             self._cv.notify_all()
 
@@ -284,8 +259,8 @@ class ReplicationPublisher:
             name = str(hello.get("replica") or f"{addr[0]}:{addr[1]}")
             last_seq = int(hello.get("last_seq", 0))
             history = str(hello.get("history") or "")
-            cursor = self._handshake(conn, name, last_seq, history)
-            handle = _Handle(name, conn, cursor)
+            cursor, epoch = self._handshake(conn, name, last_seq, history)
+            handle = _Handle(name, conn, cursor, epoch)
             with self._mu:
                 self._handles[name] = handle
                 self._g_connected.set(len(self._handles))
@@ -314,10 +289,11 @@ class ReplicationPublisher:
 
     def _handshake(
         self, conn: protocol.Connection, name: str, last_seq: int, history: str
-    ) -> int:
+    ) -> tuple[int, int]:
         """Resume from the chain when possible, else serve a bootstrap.
 
-        Returns the cursor the stream starts from.  ``last_seq`` is a
+        Returns the cursor the stream starts from and the epoch it
+        belongs to.  ``last_seq`` is a
         valid resume point only when it is a *chain point* — the ``prev``
         of a retained entry or the newest shipped sequence — because the
         sequence space has gaps and an arbitrary number in range could
@@ -330,6 +306,7 @@ class ReplicationPublisher:
         """
         our_history = self.db.history_id
         with self._mu:
+            epoch = self._epoch
             chain_points = {entry.prev for entry in self._entries}
             chain_points.add(self._last_seq)
             resumable = last_seq in chain_points and history == our_history
@@ -337,7 +314,7 @@ class ReplicationPublisher:
             conn.send(protocol.resume(last_seq, history=our_history))
             self._m_frames.labels(type="resume").inc()
             self.obs.log.log("replication.resume", replica=name, seq=last_seq)
-            return last_seq
+            return last_seq, epoch
         seq, tables = self.db.export_snapshot()
         conn.send(protocol.snapshot_message(
             seq, tables, history=our_history,
@@ -346,15 +323,18 @@ class ReplicationPublisher:
         self._m_frames.labels(type="snapshot").inc()
         self._m_bootstraps.inc()
         self.obs.log.log("replication.bootstrap", replica=name, seq=seq)
-        return seq
+        return seq, epoch
 
     def _stream(self, handle: _Handle) -> None:
-        """Replay the buffer past the cursor, then follow the tail."""
+        """Replay the buffer past the cursor, then follow new entries."""
         while not self._stop.is_set() and handle.alive:
             with self._mu:
-                if self._entries and handle.cursor < self._entries[0].prev:
-                    # Fell behind the retained buffer: force a rejoin
-                    # (the replica's next hello will get a bootstrap).
+                if handle.epoch != self._epoch or (
+                    self._entries and handle.cursor < self._entries[0].prev
+                ):
+                    # The state was replaced, or the replica fell behind
+                    # the retained buffer: force a rejoin (the replica's
+                    # next hello will get a bootstrap).
                     self.obs.log.log(
                         "replication.evict", replica=handle.name,
                         cursor=handle.cursor,
@@ -363,6 +343,8 @@ class ReplicationPublisher:
                 batch = [e for e in self._entries if e.seq > handle.cursor]
                 if not batch:
                     self._cv.wait(timeout=self.heartbeat_interval)
+                    if handle.epoch != self._epoch:
+                        continue  # evicted at the top of the loop
                     batch = [e for e in self._entries if e.seq > handle.cursor]
                 heartbeat_seq = self._last_seq
             if not batch:

@@ -93,6 +93,8 @@ class Replica:
         # promotion forever.
         self._drain_cap = float("inf")
         self._thread: threading.Thread | None = None
+        # The live stream connection, for stop() to close.
+        self._conn: protocol.Connection | None = None
         self._promoted = False
         self._applied_frames = 0
         self._bootstraps = 0
@@ -140,7 +142,7 @@ class Replica:
     def start(self) -> "Replica":
         if self._thread is not None:
             raise ReplicationError(f"replica {self.name!r} already started")
-        self._applied_seq = self.db.replication_start_point()[0]
+        self._applied_seq = self.db.committed_seq
         self._thread = threading.Thread(
             target=self._stream_loop, name=f"replica-{self.name}", daemon=True
         )
@@ -149,6 +151,11 @@ class Replica:
 
     def stop(self) -> None:
         self._stop.set()
+        conn = self._conn
+        if conn is not None:
+            # Closing shuts the socket down, which wakes a blocked recv()
+            # at once instead of after its timeout.
+            conn.close()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
 
@@ -170,9 +177,11 @@ class Replica:
 
     def _connect_and_stream(self) -> None:
         """One connection's lifetime: handshake, then apply until EOF."""
+        if self._stop.is_set():
+            return  # a retry after stop() closed the connection
         sock = socket.create_connection(self.primary_address, timeout=2.0)
         sock.settimeout(self.recv_timeout)
-        conn = protocol.Connection(sock)
+        conn = self._conn = protocol.Connection(sock)
         try:
             with self._mu:
                 applied = self._applied_seq
@@ -192,9 +201,12 @@ class Replica:
                 except socket.timeout:
                     continue
                 if message is None:
+                    if self._stop.is_set():
+                        return  # stop() closed the connection
                     raise ReplicationError("primary closed the stream")
                 self._handle_message(conn, message)
         finally:
+            self._conn = None
             with self._mu:
                 self._connected = False
             conn.close()

@@ -309,7 +309,7 @@ def run_replication_torture(
     integrity is clean, and the promoted database accepts new commits.
     """
     from repro.errors import ReplicaLagExceeded
-    from repro.replication import Replica, ReplicationPublisher
+    from repro.replication import Replica, ReplicaSet, ReplicationPublisher
 
     if commits < 8:
         raise ValueError("commits must be >= 8 so the race window exists")
@@ -335,7 +335,7 @@ def run_replication_torture(
     for step in range(commits):
         row_id = step + 1
         primary.insert(TABLE, {"id": row_id, "value": f"commit-{row_id}"})
-        seq = primary.replication_start_point()[0]
+        seq = primary.committed_seq
         if step >= kill_at:
             # Unconfirmed tail: these race the kill onto the wire.
             uncertain.append(row_id)
@@ -352,11 +352,12 @@ def run_replication_torture(
     publisher.kill()
     # Crash simulation: abandon the primary without close() — a killed
     # process drains and flushes nothing for its replicas' benefit.
+    replica_set = ReplicaSet(primary, followers)
     del primary
 
-    best = max(followers, key=lambda r: r.applied_seq)
-    promoted = best.promote(drain_timeout=2.0)
-    survivors = [f for f in followers if f is not best]
+    best = replica_set.promote(drain_timeout=2.0)
+    promoted = best.db
+    survivors = replica_set.replicas
     for follower in survivors:
         follower.stop()
 

@@ -4,7 +4,7 @@
 documents and keeps a :class:`~repro.search.engine.SearchEngine` in
 step with the database's commit feed (:meth:`Database.on_commit`).
 Live commits, replicated applies and a promoted replica's own commits
-all reach :meth:`apply` as ``(seq, ops)``; :meth:`rebuild` folds the
+all reach :meth:`apply` as a commit event; :meth:`rebuild` folds the
 rows of one snapshot as inserts.  So a primary's index, a restarted
 primary's, a replica's and a ``reindex_all()``'s are the same function
 of the same rows.
@@ -13,7 +13,7 @@ The index is built on first use: until :meth:`rebuild` runs, or the
 engine is first asked to search, index, remove or report, a delivery
 returns at once.  A deployment that never searches (a bulk load, a
 replica that only serves page reads) never pays for the index.  A
-"state replaced" delivery (``ops is None``, after recovery or a
+"state replaced" delivery (``event.ops is None``, after recovery or a
 replica bootstrap), or an exception while applying, drops the index
 back to unbuilt, and the next use rebuilds it.
 """
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
     from repro.storage.snapshot import Snapshot
     from repro.storage.table import UndoEntry
+    from repro.storage.transaction import CommitEvent
 
 #: table -> (text columns, in text order; other columns the document
 #: reads).  Every indexed table's primary key is ``id``.
@@ -123,10 +124,11 @@ class SearchIndexer:
             span.set(documents=count)
             return count
 
-    def apply(self, seq: int, ops: "list[UndoEntry] | None") -> None:
+    def apply(self, event: "CommitEvent") -> None:
         """Commit-feed listener: fold one commit into a built index."""
         if self._seq is None:
             return
+        seq, ops = event.seq, event.ops
         with self._lock:
             if ops is None:
                 self._seq = None

@@ -15,7 +15,7 @@ import os
 import threading
 import traceback
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -26,7 +26,7 @@ from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Query, QueryCache
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
 from repro.storage.table import Table, UndoEntry
-from repro.storage.transaction import CommitListener, Transaction
+from repro.storage.transaction import CommitEvent, CommitListener, Transaction
 from repro.storage.types import from_jsonable, to_jsonable
 from repro.storage.wal import WriteAheadLog
 from repro.util.heap import collector_paused
@@ -149,14 +149,7 @@ class Database:
         # delivers its own entry once it reaches the head.
         self._commit_listeners: list[CommitListener] = []
         self._feed_cv = threading.Condition()
-        self._feed_pending: deque = deque()
-        # Trace context of recent traced commits, by sequence number.
-        # The replication publisher reads it when building commit frames
-        # so a replica's apply span can join the originating trace; the
-        # map is bounded (traces are ephemeral) and deliberately not
-        # persisted.
-        self._trace_lock = threading.Lock()
-        self._trace_by_seq: "OrderedDict[int, TraceContext]" = OrderedDict()
+        self._feed_pending: deque[CommitEvent] = deque()
         self._history_id: str | None = None
         self._path = Path(path) if path is not None else None
         self._durable = durable and self._path is not None
@@ -282,8 +275,8 @@ class Database:
 
         Commits running inside a live trace (a portal request, a traced
         client) get a ``storage.commit`` span — linked, under group
-        durability, to the leader's ``wal.group_fsync`` span — and their
-        trace context is retained by sequence number so the replication
+        durability, to the leader's ``wal.group_fsync`` span — whose
+        context rides on the commit-feed entry, so the replication
         publisher can stamp it into the commit frame.  Standalone
         commits skip span bookkeeping entirely (the histograms already
         measure them, and span setup inside the writer lock would tax
@@ -301,7 +294,7 @@ class Database:
 
     def _commit_locked(self, txn: Transaction, span) -> None:
         operations = txn.operations
-        ticket = None
+        record, nbytes, ticket = None, 0, None
         # The commit sequence number is reserved before the WAL append so
         # the record itself can carry it — replication identifies commits
         # by this number, and the sequence space has gaps (out-of-band
@@ -315,7 +308,7 @@ class Database:
             # record is written synchronously.
             wal_timer = None if self.durability.grouped else self.obs.timer()
             try:
-                ticket = self._wal.append_commit(
+                record, nbytes, ticket = self._wal.append_commit(
                     txn.txn_id,
                     operations,
                     self._encode_row_for_wal,
@@ -334,9 +327,10 @@ class Database:
             for name in {op.table for op in operations}:
                 self._tables[name].commit_version(seq)
             self._committed_seq = seq
-            if span is not None:
-                self._register_trace(seq, span.context())
-        entry = self._feed_enqueue(seq, operations) if seq is not None else None
+        entry = None
+        if seq is not None:
+            trace = span.context() if span is not None else None
+            entry = self._feed_enqueue(seq, operations, record, nbytes, trace)
         with self._intent_lock:
             self._write_intents -= 1
         self._lock.release()
@@ -355,9 +349,8 @@ class Database:
                         fsync_span_id=leader_ctx.span_id,
                     )
         finally:
-            # After the ticket, so by the time a replication publisher is
-            # poked the record is in the log file (modulo `buffered`
-            # mode's OS cache).
+            # After the ticket, so no listener (a replication
+            # publisher) ships a commit before its WAL write.
             self._feed_deliver(entry)
         self._m_commits.inc()
         for op in operations:
@@ -394,16 +387,19 @@ class Database:
             self._write_intents -= 1
         self._lock.release()
 
-    def on_commit(self, listener: CommitListener) -> None:
-        """Subscribe *listener* to the commit feed: ``listener(seq, ops)``.
+    def on_commit(self, listener: CommitListener) -> int:
+        """Subscribe *listener* to the commit feed: ``listener(event)``.
 
         The feed is the one source every derived structure (the
         full-text index, the replication publisher) is kept from.  It
         fires for each local commit that changed rows and for each
-        replicated apply, with the commit's :class:`UndoEntry` list
-        (full before/after images).  ``ops is None`` means the state
-        was replaced wholesale — by :meth:`recover` or a replica
-        bootstrap — and derived state must be re-derived from the rows.
+        replicated apply with a :class:`CommitEvent`: the seq, the
+        commit's :class:`UndoEntry` list (full before/after images), the
+        record its WAL line encodes with that line's length in bytes,
+        and the trace context it ran under.  ``event.ops is None`` means
+        the state was replaced wholesale — by :meth:`recover` or a
+        replica bootstrap — and derived state must be re-derived from
+        the rows.
 
         Listeners run synchronously in the committing thread, after the
         commit's durability ticket and before ``commit()`` returns, one
@@ -411,35 +407,48 @@ class Database:
         ``None`` delivery may restart the sequence).  What a listener
         raises is logged and counted, never raised to the committer.
         A listener must not commit.
-        """
-        self._commit_listeners.append(listener)
 
-    def _feed_enqueue(self, seq: int, ops: "list[UndoEntry] | None"):
+        Returns the committed seq at subscription, taken under the
+        writer lock: every later commit is delivered, and any earlier
+        one still in flight is delivered with a seq at or below it.
+        """
+        with self._lock:
+            self._commit_listeners.append(listener)
+            return self._committed_seq
+
+    def _feed_enqueue(
+        self,
+        seq: int,
+        ops: "list[UndoEntry] | None",
+        record: "dict[str, Any] | None" = None,
+        nbytes: int = 0,
+        trace: "TraceContext | None" = None,
+    ) -> "CommitEvent | None":
         """Reserve *seq*'s place in the feed (writer lock held).  An
         append never moves the head waiters watch: no condition lock."""
         if not self._commit_listeners:
             return None
-        entry = (seq, ops)
-        self._feed_pending.append(entry)
-        return entry
+        event = CommitEvent(seq, ops, record, nbytes, trace)
+        self._feed_pending.append(event)
+        return event
 
-    def _feed_deliver(self, entry) -> None:
-        """Run the listeners for *entry* once every earlier one has run."""
-        if entry is None:
+    def _feed_deliver(self, event: "CommitEvent | None") -> None:
+        """Run the listeners for *event* once every earlier one has run."""
+        if event is None:
             return
         cv = self._feed_cv
         with cv:
-            while self._feed_pending[0] is not entry:
+            while self._feed_pending[0] is not event:
                 cv.wait()
         try:
             for listener in self._commit_listeners:
                 try:
-                    listener(*entry)
+                    listener(event)
                 except Exception as exc:
                     self._m_listener_errors.inc()
                     self.obs.log.log(
                         "storage.commit_listener_error",
-                        seq=entry[0],
+                        seq=event.seq,
                         error=f"{type(exc).__name__}: {exc}",
                         traceback=traceback.format_exc(),
                     )
@@ -447,23 +456,6 @@ class Database:
             with cv:
                 self._feed_pending.popleft()
                 cv.notify_all()
-
-    # -- trace propagation --------------------------------------------------------
-
-    #: Bound on the seq → trace-context map; old entries age out FIFO.
-    _TRACE_MAP_CAPACITY = 2048
-
-    def _register_trace(self, seq: int, ctx: TraceContext) -> None:
-        with self._trace_lock:
-            self._trace_by_seq[seq] = ctx
-            while len(self._trace_by_seq) > self._TRACE_MAP_CAPACITY:
-                self._trace_by_seq.popitem(last=False)
-
-    def trace_for_seq(self, seq: int) -> "TraceContext | None":
-        """The trace context commit *seq* ran under, if it was traced
-        recently enough to still be in the bounded map."""
-        with self._trace_lock:
-            return self._trace_by_seq.get(seq)
 
     # -- autocommit conveniences ------------------------------------------------------
 
@@ -910,21 +902,6 @@ class Database:
         self.adopt_history(fresh)
         return fresh
 
-    def replication_start_point(self) -> tuple[int, int]:
-        """Atomically capture ``(committed_seq, wal_tail_offset)``.
-
-        Takes the writer lock so the pair is consistent: every commit at
-        or below the returned sequence has its record below the returned
-        offset (pending group batches are drained first).  This is where
-        a publisher begins tailing.
-        """
-        with self._lock:
-            offset = 0
-            if self._wal is not None:
-                self._wal.sync()
-                offset = self._wal.tail_offset()
-            return self._committed_seq, offset
-
     def export_snapshot(self) -> tuple[int, dict[str, list[dict[str, Any]]]]:
         """One consistent, JSON-safe copy of every table for bootstrap.
 
@@ -977,8 +954,9 @@ class Database:
         the wire.
 
         *trace* is the originating trace context carried by the commit
-        frame; registering it here keeps cascading topologies traced —
-        this database's own publisher will stamp it onward.
+        frame; the feed entry carries it, along with *record* verbatim,
+        so a publisher on this database ships both onward (cascading
+        topologies stay traced).
 
         Returns ``False`` without touching anything when ``seq`` is not
         ahead of the published sequence (a redelivered frame); the
@@ -987,7 +965,7 @@ class Database:
         with self._intent_lock:
             self._write_intents += 1
         self._lock.acquire()
-        ticket = None
+        nbytes, ticket = 0, None
         entry = None
         try:
             if seq <= self._committed_seq:
@@ -995,7 +973,7 @@ class Database:
             applied = self._replay_commit(record)
             if self._wal is not None:
                 try:
-                    ticket = self._wal.append_replicated(record)
+                    _, nbytes, ticket = self._wal.append_replicated(record)
                 except Exception as exc:
                     raise WalWriteError(
                         f"replicated commit seq={seq}: WAL append failed"
@@ -1004,9 +982,7 @@ class Database:
                 if table.dirty:
                     table.commit_version(seq)
             self._committed_seq = seq
-            if trace is not None:
-                self._register_trace(seq, trace)
-            entry = self._feed_enqueue(seq, applied)
+            entry = self._feed_enqueue(seq, applied, record, nbytes, trace)
         finally:
             with self._intent_lock:
                 self._write_intents -= 1

@@ -26,11 +26,40 @@ from repro.errors import (
 from repro.storage.table import UndoEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracing import TraceContext
     from repro.storage.database import Database
 
-#: Signature of commit-feed listeners registered on the database:
-#: ``(seq, ops)``, where ``ops is None`` means "state replaced".
-CommitListener = Callable[[int, "list[UndoEntry] | None"], None]
+
+class CommitEvent:
+    """One commit-feed entry: what a commit changed and what it logged.
+
+    ``ops`` is the commit's :class:`UndoEntry` list, or ``None`` when
+    the state was replaced wholesale.  ``record`` is the dict the WAL
+    line encodes and ``nbytes`` that line's length; both are empty
+    (``None``, 0) when nothing was logged; listeners share the record
+    and must not mutate it.  ``trace`` is the trace context the commit
+    ran under, if any.
+    """
+
+    __slots__ = ("seq", "ops", "record", "nbytes", "trace")
+
+    def __init__(
+        self,
+        seq: int,
+        ops: "list[UndoEntry] | None",
+        record: "dict[str, Any] | None",
+        nbytes: int,
+        trace: "TraceContext | None",
+    ):
+        self.seq = seq
+        self.ops = ops
+        self.record = record
+        self.nbytes = nbytes
+        self.trace = trace
+
+
+#: Signature of commit-feed listeners registered on the database.
+CommitListener = Callable[[CommitEvent], None]
 
 _ACTIVE = "active"
 _COMMITTED = "committed"

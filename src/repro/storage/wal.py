@@ -134,12 +134,6 @@ class WriteAheadLog:
         # flushing ahead of them would split the stream into half-sized
         # batches with one stray single-record fsync in between.
         self._last_batch_size = 0
-        # Bumped whenever the file is rewritten in place (reset after a
-        # checkpoint, torn-tail truncation), invalidating every byte
-        # offset a tailer may be holding.  A shrinking tail_offset() is
-        # not a reliable signal on its own: post-reset appends can grow
-        # the new file past a stale offset between two polls.
-        self._generation = 0
 
     # -- writing ----------------------------------------------------------------
 
@@ -151,8 +145,10 @@ class WriteAheadLog:
         *,
         seq: int | None = None,
     ):
-        """Record one committed transaction; returns a *durability ticket*.
+        """Record one committed transaction.
 
+        Returns ``(record, nbytes, ticket)``: the record dict the line
+        encodes, the line's length in bytes, and a *durability ticket*.
         *encode_value* maps ``(table, row_dict)`` to a JSON-safe dict;
         the database supplies it so the WAL stays schema-agnostic.
         *seq*, when given, embeds the database-wide commit sequence
@@ -208,9 +204,8 @@ class WriteAheadLog:
 
         The record (including its embedded primary ``seq``) is appended
         exactly as received so a replica restart replays the same
-        history a fresh copy of the primary's log would.  Returns a
-        durability ticket under ``group`` mode, like
-        :meth:`append_commit`.
+        history a fresh copy of the primary's log would.  Returns
+        ``(record, nbytes, ticket)`` like :meth:`append_commit`.
         """
         kind = record.get("kind", "commit")
         payload = {k: v for k, v in record.items() if k != "kind"}
@@ -235,9 +230,13 @@ class WriteAheadLog:
         # Crash site: the record exists only in memory — a fault here
         # must leave no trace of the transaction on disk.
         fault_point("wal.append")
-        body = _encode_payload({"kind": kind, **payload})
+        record = {"kind": kind, **payload}
+        body = _encode_payload(record)
         crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
         line = f"{crc:08x} {body}\n"
+        # json.dumps escapes every non-ASCII character, so the line's
+        # length in characters is its length in bytes.
+        nbytes = len(line)
         if self.durability.grouped and kind == "commit":
             # Capture the committer's trace context *here*, on its own
             # thread — the flush happens on whichever committer becomes
@@ -246,9 +245,9 @@ class WriteAheadLog:
                 self._obs.tracer.context() if self._obs is not None else None
             )
             batch = self._enqueue(line, ctx)
-            return lambda: self._await_batch(batch)
+            return record, nbytes, lambda: self._await_batch(batch)
         self._write_lines([line], fsync=self.durability.mode != "buffered")
-        return None
+        return record, nbytes, None
 
     def _write_lines(self, lines: list[str], *, fsync: bool) -> None:
         data = "".join(lines)
@@ -424,23 +423,17 @@ class WriteAheadLog:
 
     # -- reading -------------------------------------------------------------------
 
-    def records(self, start_offset: int = 0) -> Iterator[dict[str, Any]]:
+    def records(self) -> Iterator[dict[str, Any]]:
         """Yield intact records in order; stop cleanly at a torn tail.
-
-        *start_offset* resumes the scan from a byte position previously
-        returned by :meth:`tail_offset` or observed through
-        :meth:`records_with_offsets`, so repeated reads of a growing log
-        are O(new bytes) rather than O(file) each time.  It must point
-        at a record boundary (0 or a yielded ``end_offset``).
 
         Raises :class:`WalCorruption` if a corrupt record is followed by
         an intact one — a crash can only tear the final append.
         """
         pending_error: str | None = None
-        for record, _end, reason in self._scan(start_offset):
+        for record, reason in self._scan():
             if record is None:
                 if reason == "incomplete":
-                    return  # unterminated tail line: nothing after it yet
+                    return  # unterminated tail line: nothing after it
                 pending_error = reason
                 continue
             if pending_error is not None:
@@ -450,77 +443,31 @@ class WriteAheadLog:
                 )
             yield record
 
-    def records_with_offsets(
-        self, start_offset: int = 0
-    ) -> Iterator[tuple[dict[str, Any], int]]:
-        """Yield ``(record, end_offset)`` pairs; stop at the first bad line.
+    def _scan(self) -> Iterator[tuple[dict[str, Any] | None, str]]:
+        """Walk the file's line-framed records.
 
-        This is the *lenient* scan used for live tailing: a torn,
-        corrupt, or still-being-written final line simply ends the
-        iteration (the returned offsets never straddle it), so a tailer
-        can poll a log that is growing under its feet and resume from
-        the last good ``end_offset`` once more bytes arrive.
-        """
-        for record, end, _reason in self._scan(start_offset):
-            if record is None:
-                return
-            yield record, end
-
-    def _scan(
-        self, start_offset: int
-    ) -> Iterator[tuple[dict[str, Any] | None, int, str]]:
-        """Walk line-framed records from *start_offset*.
-
-        Yields ``(record, end_offset, reason)`` where ``record`` is
-        ``None`` for a bad line (``reason`` says why: ``"incomplete"``
-        for a line missing its newline, else a location string).  Byte
-        offsets are exact because the scan reads in binary mode.
+        Yields ``(record, reason)`` where ``record`` is ``None`` for a
+        bad line (``reason`` says why: ``"incomplete"`` for a line
+        missing its newline, else its line number).
         """
         if not self.path.exists():
             return
-        offset = start_offset
-        line_no = 0
         with open(self.path, "rb") as fh:
-            fh.seek(start_offset)
-            for raw in fh:
-                line_no += 1
-                end = offset + len(raw)
+            for line_no, raw in enumerate(fh, 1):
                 if not raw.endswith(b"\n"):
-                    yield None, offset, "incomplete"
+                    yield None, "incomplete"
                     return
-                offset = end
                 line = raw.decode("utf-8", errors="replace").rstrip("\n")
                 if not line:
                     continue
-                record = self._parse_line(line, line_no)
+                record = self._parse_line(line)
                 if record is None:
-                    yield None, offset, f"line {line_no} (+{start_offset}B)"
+                    yield None, f"line {line_no}"
                     continue
-                yield record, offset, ""
-
-    def generation(self) -> int:
-        """Monotonic counter of in-place rewrites (reset / truncate).
-
-        A tailer holding byte offsets must rescan from 0 whenever this
-        changes: the offsets belong to the previous incarnation of the
-        file, even if the new one has already grown past them.
-        """
-        return self._generation
-
-    def tail_offset(self) -> int:
-        """Byte position past the last record handed to the OS.
-
-        Flushes Python's userspace buffer first so the value is usable
-        as a ``records(start_offset=...)`` resume point for everything
-        appended so far.  Under ``group`` durability, call :meth:`sync`
-        first if enqueued-but-unflushed batches must be included.
-        """
-        if not self._file.closed:
-            self._file.flush()
-        return self.path.stat().st_size if self.path.exists() else 0
+                yield record, ""
 
     @staticmethod
-    def _parse_line(line: str, line_no: int) -> dict[str, Any] | None:
+    def _parse_line(line: str) -> dict[str, Any] | None:
         if len(line) < 10 or line[8] != " ":
             return None
         crc_hex, body = line[:8], line[9:]
@@ -546,7 +493,11 @@ class WriteAheadLog:
         log round-trips unchanged.  Called after recovery (and by
         replica promotion) so the next append lands on a clean file.
         """
-        kept = [record for record, _end in self.records_with_offsets()]
+        kept = []
+        for record, _reason in self._scan():
+            if record is None:
+                break
+            kept.append(record)
         self.close()
         with open(self.path, "w", encoding="utf-8") as fh:
             for record in kept:
@@ -556,7 +507,6 @@ class WriteAheadLog:
             fh.flush()
             os.fsync(fh.fileno())
         self._file = open(self.path, "a", encoding="utf-8")
-        self._generation += 1
         return len(kept)
 
     def reset(self) -> None:
@@ -567,7 +517,6 @@ class WriteAheadLog:
             fh.flush()
             os.fsync(fh.fileno())
         self._file = open(self.path, "a", encoding="utf-8")
-        self._generation += 1
 
     def size_bytes(self) -> int:
         self._file.flush()

@@ -215,7 +215,7 @@ class TestCliReplication:
         )
         assert code == 0
         assert "committed seq" in out
-        assert "WAL tail offset" in out
+        assert "WAL bytes" in out
 
     def test_replicate_promote_heals_torn_wal(self, deployment, capsys):
         # Leave the WAL the way a killed replica process would: torn.

@@ -1,4 +1,4 @@
-"""The commit feed: ``Database.on_commit(listener(seq, ops))``.
+"""The commit feed: ``Database.on_commit(listener(event))``.
 
 Every derived structure is kept from it, so it must deliver each
 commit once, in seq order, before ``commit()`` returns, and a listener
@@ -49,9 +49,9 @@ def test_group_commit_delivers_every_seq_once_in_order(tmp_path):
     delivered: list[int] = []
     delivered_pks: set[int] = set()
 
-    def listener(seq, ops):
-        delivered.append(seq)
-        delivered_pks.add(ops[0].pk)
+    def listener(event):
+        delivered.append(event.seq)
+        delivered_pks.add(event.ops[0].pk)
 
     db.on_commit(listener)
     late: list[int] = []

@@ -453,9 +453,7 @@ class TestCrossProcessTrace:
             # Let the replica finish bootstrapping before the traced
             # request: a commit inside the bootstrap snapshot would ship
             # no frame (and therefore no trace).
-            replica.wait_for(
-                primary.db.replication_start_point()[0], timeout=10.0
-            )
+            replica.wait_for(primary.db.committed_seq, timeout=10.0)
             client = PortalClient(PortalApplication(primary))
             client.login("admin", "pw")
             response = client.post(
@@ -467,7 +465,7 @@ class TestCrossProcessTrace:
             ctx = TraceContext.from_header(header)
             assert ctx is not None
 
-            seq = primary.db.replication_start_point()[0]
+            seq = primary.db.committed_seq
             replica.wait_for(seq, timeout=10.0)
 
             spans = primary.obs.tracer.trace(ctx.trace_id)

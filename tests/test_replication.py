@@ -1,5 +1,6 @@
 """WAL-shipping replication: protocol, convergence, routing, failover."""
 
+import json
 import socket
 import threading
 import time
@@ -11,6 +12,7 @@ from repro.replication import Replica, ReplicaSet, ReplicationPublisher
 from repro.replication import protocol
 from repro.resilience import Fault, FaultPlan, inject
 from repro.storage import Column, ColumnType, Database, TableSchema
+from repro.storage.wal import _encode_payload
 
 
 def make_schema():
@@ -32,7 +34,7 @@ def open_db(path) -> Database:
 
 
 def current_seq(db: Database) -> int:
-    return db.replication_start_point()[0]
+    return db.committed_seq
 
 
 @pytest.fixture
@@ -226,12 +228,27 @@ class TestConvergence:
 
     def test_untraced_commit_ships_no_trace(self, cluster):
         primary, publisher, replicas = cluster
+        # Prime the stream so the next commit arrives as a live frame,
+        # not inside a bootstrap snapshot.
+        primary.insert("doc", {"id": 99, "body": "primer"})
+        replicas[0].wait_for(current_seq(primary), timeout=10.0)
+        frames = []
+        handle_message = replicas[0]._handle_message
+
+        def recording(conn, message):
+            frames.append(message)
+            handle_message(conn, message)
+
+        replicas[0]._handle_message = recording
         primary.insert("doc", {"id": 2, "body": "untraced"})
         seq = current_seq(primary)
         replicas[0].wait_for(seq, timeout=10.0)
-        # No client span was open, so no context was registered for the
-        # seq and the replica applied without opening a span.
-        assert primary.trace_for_seq(seq) is None
+        # No client span was open, so the commit frame carries no trace
+        # and the replica applied without opening a span.
+        [frame] = [
+            f for f in frames if f["type"] == "commit" and f["seq"] == seq
+        ]
+        assert "trace" not in frame
         assert replicas[0].obs.tracer.finished("replication.apply") == []
 
     def test_replicas_converge_on_delta_updates(self, cluster, tmp_path):
@@ -611,6 +628,70 @@ class TestBootstrapAndRestart:
         assert replicas[0].db.history_id == primary.history_id
         replicas[0].wait_for(seq, timeout=10.0)
 
+    def test_rebootstrapped_publisher_evicts_its_replicas(self, cluster):
+        """A publishing database whose state is replaced (as a cascading
+        replica's is by its upstream) must not chain its next commit
+        onto the replicas' stale positions: they re-bootstrap."""
+        primary, publisher, replicas = cluster
+        for i in range(1, 4):
+            primary.insert("doc", {"id": i, "body": f"row {i}"})
+        for replica in replicas:
+            replica.wait_for(current_seq(primary), timeout=10.0)
+        upstream = {"id": 10, "body": "upstream", "note": None, "meta": None}
+        primary.load_replicated_snapshot(
+            {"doc": [upstream]}, seq=current_seq(primary) + 5
+        )
+        primary.insert("doc", {"id": 11, "body": "after"})
+        expected = list(primary.rows("doc"))
+        assert [row["id"] for row in expected] == [10, 11]
+        for replica in replicas:
+            replica.wait_for(current_seq(primary), timeout=10.0)
+            assert list(replica.db.rows("doc")) == expected
+
+
+class TestFrameFidelity:
+    @pytest.mark.parametrize("durability", ["always", "buffered", "group"])
+    def test_commit_frames_carry_the_wal_lines(self, tmp_path, durability):
+        """Each commit frame's record encodes to the body of that seq's
+        WAL line, byte for byte; only the traced commit carries a trace."""
+        primary = Database(tmp_path / "primary", durability=durability)
+        primary.create_table(make_schema())
+        publisher = ReplicationPublisher(primary).start()
+        conn = protocol.Connection(
+            socket.create_connection(("127.0.0.1", publisher.port), timeout=10)
+        )
+        try:
+            conn.send(protocol.hello(0, "raw"))
+            assert conn.recv()["type"] == "snapshot"
+            for i in range(1, 4):
+                primary.insert(
+                    "doc",
+                    {"id": i, "body": f"b{i}", "note": "é", "meta": {"v": i}},
+                )
+            primary.update("doc", 1, {"note": None, "meta": {"v": True}})
+            primary.delete("doc", 2)
+            with primary.obs.tracer.span("client.request"):
+                primary.insert("doc", {"id": 4, "body": "traced"})
+            traced_seq = current_seq(primary)
+            frames = {}
+            while len(frames) < 6:
+                message = conn.recv()
+                if message["type"] == "commit":
+                    frames[message["seq"]] = message
+            wal_bodies = {}
+            wal_path = tmp_path / "primary" / "wal.log"
+            for line in wal_path.read_text(encoding="utf-8").splitlines():
+                body = line[9:]  # past the CRC and its space
+                wal_bodies[json.loads(body)["seq"]] = body
+            assert sorted(frames) == sorted(wal_bodies)
+            for seq, frame in frames.items():
+                assert _encode_payload(frame["record"]) == wal_bodies[seq]
+                assert ("trace" in frame) == (seq == traced_seq)
+        finally:
+            conn.close()
+            publisher.stop()
+            primary.close()
+
 
 class TestMvccObservability:
     def test_snapshot_gauges_track_open_and_horizon(self):
@@ -654,9 +735,7 @@ class TestPortalRouting:
         ).start()
         rs = ReplicaSet(primary, [follower], publisher=publisher)
         try:
-            rs.wait_all(
-                primary.db.replication_start_point()[0], timeout=15.0
-            )
+            rs.wait_all(primary.db.committed_seq, timeout=15.0)
             client = PortalClient(PortalApplication(primary, replicas=rs))
             client.login("admin", "adminpw")
             page = client.get("/admin/metrics")

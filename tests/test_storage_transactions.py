@@ -167,7 +167,9 @@ class TestCascadeInTransactions:
 class TestCommitListeners:
     def test_listener_sees_operations(self, people_db):
         seen = []
-        people_db.on_commit(lambda seq, ops: seen.append([op.op for op in ops]))
+        people_db.on_commit(
+            lambda event: seen.append([op.op for op in event.ops])
+        )
         with people_db.transaction() as txn:
             org = txn.insert("org", {"name": "A"})
             txn.update("org", org["id"], {"name": "B"})
@@ -175,7 +177,7 @@ class TestCommitListeners:
 
     def test_listener_not_called_on_rollback(self, people_db):
         seen = []
-        people_db.on_commit(lambda seq, ops: seen.append(ops))
+        people_db.on_commit(lambda event: seen.append(event.ops))
         txn = people_db.transaction()
         txn.insert("org", {"name": "A"})
         txn.rollback()

@@ -529,74 +529,20 @@ class TestTornTailEdgeCases:
         assert [r["txn"] for r in wal2.records()] == [1, 2]
         wal2.close()
 
-
-class TestGeneration:
-    """generation() — every in-place rewrite invalidates tail offsets."""
-
-    def test_reset_and_truncate_bump_the_generation(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        start = wal.generation()
-        wal._append_record("commit", {"txn": 1, "ops": []})
-        assert wal.generation() == start  # appends keep offsets valid
-        wal.reset()
-        assert wal.generation() == start + 1
-        wal._append_record("commit", {"txn": 2, "ops": []})
-        wal.truncate_torn_tail()
-        assert wal.generation() == start + 2
-        wal.close()
-
-
-class TestResumableRecords:
-    """records(start_offset=...) / records_with_offsets / tail_offset —
-    the tailing primitives the replication publisher is built on."""
-
-    def test_records_resume_from_offset(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal._append_record("commit", {"txn": 1, "ops": []})
-        middle = wal.tail_offset()
-        wal._append_record("commit", {"txn": 2, "ops": []})
-        wal._append_record("commit", {"txn": 3, "ops": []})
-        assert [r["txn"] for r in wal.records(start_offset=middle)] == [2, 3]
-        assert [r["txn"] for r in wal.records()] == [1, 2, 3]
-        wal.close()
-
-    def test_offsets_chain_exactly(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        for txn in (1, 2, 3):
-            wal._append_record("commit", {"txn": txn, "ops": []})
-        pairs = list(wal.records_with_offsets())
-        assert [record["txn"] for record, _end in pairs] == [1, 2, 3]
-        # Every end offset is a valid resume point for the remainder.
-        for index, (_record, end) in enumerate(pairs):
-            rest = [r["txn"] for r, _ in wal.records_with_offsets(end)]
-            assert rest == [2, 3][index:]
-        assert pairs[-1][1] == wal.tail_offset()
-        wal.close()
-
-    def test_tail_offset_tracks_appends(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        assert wal.tail_offset() == 0
-        wal._append_record("commit", {"txn": 1, "ops": []})
-        first = wal.tail_offset()
-        assert first == wal.size_bytes() > 0
-        wal._append_record("commit", {"txn": 2, "ops": []})
-        assert wal.tail_offset() > first
-        wal.close()
-
-    def test_lenient_iteration_stops_at_torn_tail(self, tmp_path):
+    def test_unterminated_final_line_is_dropped(self, tmp_path):
+        # A crash mid-append leaves a last line without its newline;
+        # healing drops it and keeps the intact prefix byte for byte.
         wal = WriteAheadLog(tmp_path / "w.log")
         wal._append_record("commit", {"txn": 1, "ops": []})
         wal._append_record("commit", {"txn": 2, "ops": []})
         wal.close()
         path = tmp_path / "w.log"
-        good_end = path.stat().st_size
+        intact_prefix = path.read_bytes()
         with open(path, "ab") as fh:
-            fh.write(b"deadbeef {half-writ")  # no newline: in-flight append
+            fh.write(b"deadbeef {half-writ")
 
         wal2 = WriteAheadLog(path)
-        pairs = list(wal2.records_with_offsets())
-        assert [record["txn"] for record, _end in pairs] == [1, 2]
-        # The tailer parks exactly at the intact prefix's end, so the
-        # next poll re-reads only the (possibly now completed) tail.
-        assert pairs[-1][1] == good_end
+        assert wal2.truncate_torn_tail() == 2
+        assert path.read_bytes() == intact_prefix
+        assert [r["txn"] for r in wal2.records()] == [1, 2]
         wal2.close()
