@@ -271,8 +271,10 @@ class ReplicationPublisher:
                 daemon=True,
             )
             with self._mu:
+                # Started under the lock: stop() joins what it finds in
+                # the set, and joining an unstarted thread raises.
                 self._conn_threads.add(ack_thread)
-            ack_thread.start()
+                ack_thread.start()
             self._stream(handle)
         except Exception as exc:
             self.obs.log.log("replication.serve_error", error=str(exc))

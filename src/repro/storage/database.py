@@ -16,6 +16,7 @@ import threading
 import traceback
 import uuid
 from collections import deque
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -28,7 +29,7 @@ from repro.storage.snapshot import Snapshot
 from repro.storage.table import Table, UndoEntry
 from repro.storage.transaction import CommitEvent, CommitListener, Transaction
 from repro.storage.types import from_jsonable, to_jsonable
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, commit_record
 from repro.util.heap import collector_paused
 
 SNAPSHOT_NAME = "snapshot.json"
@@ -294,7 +295,7 @@ class Database:
 
     def _commit_locked(self, txn: Transaction, span) -> None:
         operations = txn.operations
-        record, nbytes, ticket = None, 0, None
+        nbytes, ticket, derive = 0, None, None
         # The commit sequence number is reserved before the WAL append so
         # the record itself can carry it — replication identifies commits
         # by this number, and the sequence space has gaps (out-of-band
@@ -308,7 +309,7 @@ class Database:
             # record is written synchronously.
             wal_timer = None if self.durability.grouped else self.obs.timer()
             try:
-                record, nbytes, ticket = self._wal.append_commit(
+                nbytes, ticket = self._wal.append_commit(
                     txn.txn_id,
                     operations,
                     self._encode_row_for_wal,
@@ -320,6 +321,13 @@ class Database:
                 ) from exc
             if wal_timer is not None:
                 self._m_wal_append.observe(wal_timer.elapsed())
+            derive = partial(
+                commit_record,
+                txn.txn_id,
+                operations,
+                self._encode_row_for_wal,
+                seq,
+            )
         if seq is not None:
             # Stamp-then-publish: touched tables stamp their uncommitted
             # versions with the new sequence number first, and only then
@@ -330,7 +338,9 @@ class Database:
         entry = None
         if seq is not None:
             trace = span.context() if span is not None else None
-            entry = self._feed_enqueue(seq, operations, record, nbytes, trace)
+            entry = self._feed_enqueue(
+                seq, operations, nbytes, trace, derive=derive
+            )
         with self._intent_lock:
             self._write_intents -= 1
         self._lock.release()
@@ -395,11 +405,11 @@ class Database:
         fires for each local commit that changed rows and for each
         replicated apply with a :class:`CommitEvent`: the seq, the
         commit's :class:`UndoEntry` list (full before/after images), the
-        record its WAL line encodes with that line's length in bytes,
-        and the trace context it ran under.  ``event.ops is None`` means
-        the state was replaced wholesale — by :meth:`recover` or a
-        replica bootstrap — and derived state must be re-derived from
-        the rows.
+        record its WAL line encodes (derived on first read) with that
+        line's length in bytes, and the trace context it ran under.
+        ``event.ops is None`` means the state was replaced wholesale —
+        by :meth:`recover` or a replica bootstrap — and derived state
+        must be re-derived from the rows.
 
         Listeners run synchronously in the committing thread, after the
         commit's durability ticket and before ``commit()`` returns, one
@@ -420,15 +430,19 @@ class Database:
         self,
         seq: int,
         ops: "list[UndoEntry] | None",
-        record: "dict[str, Any] | None" = None,
         nbytes: int = 0,
         trace: "TraceContext | None" = None,
+        *,
+        record: "dict[str, Any] | None" = None,
+        derive=None,
     ) -> "CommitEvent | None":
         """Reserve *seq*'s place in the feed (writer lock held).  An
         append never moves the head waiters watch: no condition lock."""
         if not self._commit_listeners:
             return None
-        event = CommitEvent(seq, ops, record, nbytes, trace)
+        event = CommitEvent(
+            seq, ops, nbytes, trace, record=record, derive=derive
+        )
         self._feed_pending.append(event)
         return event
 
@@ -973,7 +987,7 @@ class Database:
             applied = self._replay_commit(record)
             if self._wal is not None:
                 try:
-                    _, nbytes, ticket = self._wal.append_replicated(record)
+                    nbytes, ticket = self._wal.append_replicated(record)
                 except Exception as exc:
                     raise WalWriteError(
                         f"replicated commit seq={seq}: WAL append failed"
@@ -982,7 +996,9 @@ class Database:
                 if table.dirty:
                     table.commit_version(seq)
             self._committed_seq = seq
-            entry = self._feed_enqueue(seq, applied, record, nbytes, trace)
+            entry = self._feed_enqueue(
+                seq, applied, nbytes, trace, record=record
+            )
         finally:
             with self._intent_lock:
                 self._write_intents -= 1

@@ -162,7 +162,7 @@ class RowVersion:
 _payload = attrgetter("row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UndoEntry:
     """Inverse of one applied mutation.
 
@@ -170,7 +170,10 @@ class UndoEntry:
     inverse: an ``insert`` is undone by deleting ``pk``, a ``delete`` by
     re-inserting ``before``, an ``update`` by restoring ``before``.
     Under MVCC each of these amounts to popping the uncommitted head of
-    the row's version chain.
+    the row's version chain, so rollback never reads ``before`` or
+    ``after``.  Both are the versions' own payloads, shared and never
+    mutated, not copies: the commit feed and the WAL encoder only read
+    them.
     """
 
     op: str  # "insert" | "update" | "delete"
@@ -715,7 +718,7 @@ class Table:
         self._index_add(row, pk)
         self._stats.on_insert(row)
         self._end_change()
-        return dict(row), UndoEntry("insert", self.name, pk, None, dict(row))
+        return dict(row), UndoEntry("insert", self.name, pk, None, row)
 
     def apply_update(
         self, pk: Any, changes: dict[str, Any]
@@ -745,7 +748,7 @@ class Table:
         self._stats.on_insert(candidate)
         self._end_change()
         return dict(candidate), UndoEntry(
-            "update", self.name, pk, dict(before), dict(candidate)
+            "update", self.name, pk, before, candidate
         )
 
     def apply_delete(self, pk: Any) -> tuple[dict[str, Any], UndoEntry]:
@@ -770,7 +773,7 @@ class Table:
         self._lazy_truncate(node)
         self._stats.on_remove(before)
         self._end_change()
-        return dict(before), UndoEntry("delete", self.name, pk, dict(before), None)
+        return dict(before), UndoEntry("delete", self.name, pk, before, None)
 
     def _lazy_truncate(self, head: RowVersion) -> None:
         """Write-path pruning: cut this chain below the version horizon

@@ -36,26 +36,39 @@ class CommitEvent:
     ``ops`` is the commit's :class:`UndoEntry` list, or ``None`` when
     the state was replaced wholesale.  ``record`` is the dict the WAL
     line encodes and ``nbytes`` that line's length; both are empty
-    (``None``, 0) when nothing was logged; listeners share the record
-    and must not mutate it.  ``trace`` is the trace context the commit
-    ran under, if any.
+    (``None``, 0) when nothing was logged.  A local commit's record is
+    derived from ``ops`` on first read, through the op encoder the WAL
+    line was streamed with, so a feed nobody reads a record from never
+    builds one; a replicated apply's is the received record verbatim.
+    Listeners share the record and must not mutate it.  ``trace`` is
+    the trace context the commit ran under, if any.
     """
 
-    __slots__ = ("seq", "ops", "record", "nbytes", "trace")
+    __slots__ = ("seq", "ops", "nbytes", "trace", "_record", "_derive")
 
     def __init__(
         self,
         seq: int,
         ops: "list[UndoEntry] | None",
-        record: "dict[str, Any] | None",
         nbytes: int,
         trace: "TraceContext | None",
+        *,
+        record: "dict[str, Any] | None" = None,
+        derive: "Callable[[], dict[str, Any]] | None" = None,
     ):
         self.seq = seq
         self.ops = ops
-        self.record = record
         self.nbytes = nbytes
         self.trace = trace
+        self._record = record
+        self._derive = derive
+
+    @property
+    def record(self) -> "dict[str, Any] | None":
+        if self._record is None and self._derive is not None:
+            self._record = self._derive()
+            self._derive = None
+        return self._record
 
 
 #: Signature of commit-feed listeners registered on the database.

@@ -5,15 +5,18 @@ record carries a CRC32 of its payload; recovery replays records until the
 first torn/corrupt line (a crash mid-append) and truncates the tail, or
 raises :class:`~repro.errors.WalCorruption` when corruption appears
 *before* intact records (which indicates tampering, not a crash).
-Records are redo-only (see :meth:`WriteAheadLog._encode_ops`): rollback
-works from the in-memory undo list, never from the log.
+Records are redo-only (see :func:`_op_image`): rollback works from the
+in-memory undo list, never from the log.  A commit line is encoded one
+op at a time (:func:`_commit_chunks`) into bounded frames, its CRC
+accumulated frame by frame, so a bulk commit never holds its record as
+one dict, one body string and one line at once.
 
 A *checkpoint* writes a full snapshot of every table and resets the log;
 recovery loads the most recent snapshot, then replays the WAL on top.
 
 When the log runs under ``group`` durability
 (:class:`~repro.storage.durability.Durability`), committers do not fsync
-individually: they enqueue their encoded record and wait while a single
+individually: they enqueue their encoded line and wait while a single
 *leader* flushes the whole batch with one ``write + fsync``.  Record
 order in the file always matches enqueue order, so recovery semantics
 are identical across modes.
@@ -26,8 +29,9 @@ import os
 import threading
 import time
 import zlib
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import CrashPoint, WalCorruption
 from repro.obs.tracing import TraceContext
@@ -60,17 +64,88 @@ def _changed(old: Any, new: Any) -> bool:
     )
 
 
-def _encode_payload(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+#: The one line encoding, built once: ``json.dumps`` with arguments
+#: builds a new encoder per call, which a bulk commit pays per op.
+_encode_payload = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=str
+).encode
+
+#: A commit line is handed to the file as frames of about this many
+#: bytes: one write for a small commit, a bounded list for a bulk one.
+_FRAME_BYTES = 1 << 16
+
+
+def _op_image(entry: UndoEntry, encode_value) -> dict[str, Any]:
+    """The redo image of one op: an insert logs its row, an update the
+    columns it changed, a delete nothing but the pk.  Replay merges
+    ``after`` onto the current row, so the full ``after`` images (and
+    the ``before`` images nothing ever read) of older logs replay
+    through the same code."""
+    op: dict[str, Any] = {"op": entry.op, "table": entry.table, "pk": entry.pk}
+    after = entry.after
+    if entry.op == "update":
+        before = entry.before
+        after = {
+            name: value
+            for name, value in after.items()
+            if _changed(before.get(name, _ABSENT), value)
+        }
+    if after is not None:
+        op["after"] = encode_value(entry.table, after)
+    return op
+
+
+def commit_record(
+    txn_id: int,
+    operations: list[UndoEntry],
+    encode_value,
+    seq: int | None = None,
+) -> dict[str, Any]:
+    """The record dict a commit line encodes, built from the same op
+    images :func:`_commit_chunks` streams."""
+    record: dict[str, Any] = {
+        "kind": "commit",
+        "ops": [_op_image(entry, encode_value) for entry in operations],
+        "txn": txn_id,
+    }
+    if seq is not None:
+        record["seq"] = seq
+    return record
+
+
+def _commit_chunks(
+    txn_id: int,
+    operations: list[UndoEntry],
+    encode_value,
+    seq: int | None,
+) -> Iterator[bytes]:
+    """Encode a commit record one op at a time, as ASCII chunks whose
+    concatenation is ``_encode_payload(commit_record(...))``.
+
+    ``sort_keys`` orders the record's keys ``kind < ops < seq < txn``
+    and ``json.dumps`` escapes every non-ASCII character, so the
+    record is the fixed prefix, each op's own encoding, and the
+    integer ``seq``/``txn`` pair."""
+    yield b'{"kind":"commit","ops":['
+    for i, entry in enumerate(operations):
+        if i:
+            yield b","
+        yield _encode_payload(_op_image(entry, encode_value)).encode("ascii")
+    if seq is None:
+        yield b'],"txn":%d}' % txn_id
+    else:
+        yield b'],"seq":%d,"txn":%d}' % (seq, txn_id)
 
 
 class _Batch:
-    """One group-commit batch: lines queued for a single write+fsync."""
+    """One group-commit batch: lines queued for a single write+fsync.
+    Each line is the frame list :meth:`WriteAheadLog._append_chunks`
+    built."""
 
     __slots__ = ("lines", "traces", "flushed", "error", "leader_ctx")
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.lines: list[list[bytearray]] = []
         # Per-line trace context of the enqueuing committer (None when
         # the commit ran outside any trace).  The leader parents its
         # fsync span on the first of these and links the rest, and every
@@ -101,7 +176,7 @@ class WriteAheadLog:
         the batch, waiting is pure latency."""
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = open(self.path, "ab")
         self.durability = Durability.parse(durability)
         self._pending_writers = pending_writers
         self._obs = obs
@@ -147,57 +222,26 @@ class WriteAheadLog:
     ):
         """Record one committed transaction.
 
-        Returns ``(record, nbytes, ticket)``: the record dict the line
-        encodes, the line's length in bytes, and a *durability ticket*.
-        *encode_value* maps ``(table, row_dict)`` to a JSON-safe dict;
-        the database supplies it so the WAL stays schema-agnostic.
-        *seq*, when given, embeds the database-wide commit sequence
-        number in the record so downstream consumers (replication) can
-        identify a commit without counting records — the sequence space
-        has gaps the record count cannot reproduce.
+        Returns ``(nbytes, ticket)``: the line's length in bytes and a
+        *durability ticket*.  The line encodes
+        :func:`commit_record` of the same arguments, which a caller
+        derives only if it needs the dict.  *encode_value* maps
+        ``(table, row_dict)`` to a JSON-safe dict; the database supplies
+        it so the WAL stays schema-agnostic.  *seq*, when given, embeds
+        the database-wide commit sequence number in the record so
+        downstream consumers (replication) can identify a commit without
+        counting records — the sequence space has gaps the record count
+        cannot reproduce.
 
-        Under ``always``/``buffered`` durability the record is written
+        Under ``always``/``buffered`` durability the line is written
         before returning and the ticket is ``None``.  Under ``group``
-        durability the record is only *enqueued*: the caller must invoke
+        durability the line is only *enqueued*: the caller must invoke
         the returned zero-argument ticket — after releasing any locks —
         to block until the batch fsync makes the record durable.
         """
-        payload: dict[str, Any] = {
-            "txn": txn_id,
-            "ops": self._encode_ops(operations, encode_value),
-        }
-        if seq is not None:
-            payload["seq"] = seq
-        return self._append_record("commit", payload)
-
-    @staticmethod
-    def _encode_ops(
-        operations: list[UndoEntry], encode_value
-    ) -> list[dict[str, Any]]:
-        """Redo-only images: an insert logs its row, an update the
-        columns it changed, a delete nothing but the pk.  Replay merges
-        ``after`` onto the current row, so the full ``after`` images
-        (and the ``before`` images nothing ever read) of older logs
-        replay through the same code."""
-        ops = []
-        for entry in operations:
-            op: dict[str, Any] = {
-                "op": entry.op,
-                "table": entry.table,
-                "pk": entry.pk,
-            }
-            after = entry.after
-            if entry.op == "update":
-                before = entry.before
-                after = {
-                    name: value
-                    for name, value in after.items()
-                    if _changed(before.get(name, _ABSENT), value)
-                }
-            if after is not None:
-                op["after"] = encode_value(entry.table, after)
-            ops.append(op)
-        return ops
+        return self._append_chunks(
+            "commit", _commit_chunks(txn_id, operations, encode_value, seq)
+        )
 
     def append_replicated(self, record: dict[str, Any]):
         """Re-log a commit record shipped from another node, verbatim.
@@ -205,7 +249,7 @@ class WriteAheadLog:
         The record (including its embedded primary ``seq``) is appended
         exactly as received so a replica restart replays the same
         history a fresh copy of the primary's log would.  Returns
-        ``(record, nbytes, ticket)`` like :meth:`append_commit`.
+        ``(nbytes, ticket)`` like :meth:`append_commit`.
         """
         kind = record.get("kind", "commit")
         payload = {k: v for k, v in record.items() if k != "kind"}
@@ -227,16 +271,36 @@ class WriteAheadLog:
         self._append_record("checkpoint", payload)
 
     def _append_record(self, kind: str, payload: dict[str, Any]):
+        """Append a small record, encoded as a single chunk."""
+        record = {"kind": kind, **payload}
+        body = _encode_payload(record).encode("ascii")
+        return self._append_chunks(kind, [body])
+
+    def _append_chunks(self, kind: str, chunks: Iterable[bytes]):
+        """Frame *chunks* (lazily encoded) as one line and append it;
+        returns ``(nbytes, ticket)``.
+
+        The chunks are packed into frames of about :data:`_FRAME_BYTES`
+        and the CRC is accumulated frame by frame, so the line is never
+        joined: the first frame starts with a placeholder that the CRC
+        header overwrites once the last chunk is in, and the last ends
+        with the newline."""
         # Crash site: the record exists only in memory — a fault here
         # must leave no trace of the transaction on disk.
         fault_point("wal.append")
-        record = {"kind": kind, **payload}
-        body = _encode_payload(record)
-        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        line = f"{crc:08x} {body}\n"
-        # json.dumps escapes every non-ASCII character, so the line's
-        # length in characters is its length in bytes.
-        nbytes = len(line)
+        frame = bytearray(b"00000000 ")
+        line = [frame]
+        crc, start = 0, 9
+        for chunk in chunks:
+            frame += chunk
+            if len(frame) >= _FRAME_BYTES:
+                crc = zlib.crc32(memoryview(frame)[start:], crc)
+                frame, start = bytearray(), 0
+                line.append(frame)
+        crc = zlib.crc32(memoryview(frame)[start:], crc)
+        frame += b"\n"
+        line[0][:8] = b"%08x" % crc
+        nbytes = sum(map(len, line))
         if self.durability.grouped and kind == "commit":
             # Capture the committer's trace context *here*, on its own
             # thread — the flush happens on whichever committer becomes
@@ -245,17 +309,19 @@ class WriteAheadLog:
                 self._obs.tracer.context() if self._obs is not None else None
             )
             batch = self._enqueue(line, ctx)
-            return record, nbytes, lambda: self._await_batch(batch)
+            return nbytes, lambda: self._await_batch(batch)
         self._write_lines([line], fsync=self.durability.mode != "buffered")
-        return record, nbytes, None
+        return nbytes, None
 
-    def _write_lines(self, lines: list[str], *, fsync: bool) -> None:
-        data = "".join(lines)
+    def _write_lines(
+        self, lines: list[list[bytearray]], *, fsync: bool
+    ) -> None:
         # Crash site: a torn_write fault makes a *prefix* of the batch
         # durable — the partial final record is what recovery's
         # torn-tail healing must truncate away.
         action = fault_point("wal.write")
         if action is not None and action.kind == "torn_write":
+            data = b"".join(chain.from_iterable(lines))
             cut = min(max(int(len(data) * action.fraction), 1), len(data) - 1)
             self._file.write(data[:cut])
             self._file.flush()
@@ -263,7 +329,7 @@ class WriteAheadLog:
             raise CrashPoint(
                 f"torn WAL write: {cut}/{len(data)} bytes reached disk"
             )
-        self._file.write(data)
+        self._file.writelines(chain.from_iterable(lines))
         self._file.flush()
         # Crash site: bytes handed to the OS but not yet forced down.
         fault_point("wal.after_write")
@@ -285,7 +351,7 @@ class WriteAheadLog:
     # -- group commit ------------------------------------------------------------
 
     def _enqueue(
-        self, line: str, ctx: "TraceContext | None" = None
+        self, line: list[bytearray], ctx: "TraceContext | None" = None
     ) -> _Batch:
         """Add *line* to the open batch (creating one) and return it."""
         with self._mutex:
@@ -430,7 +496,7 @@ class WriteAheadLog:
         an intact one — a crash can only tear the final append.
         """
         pending_error: str | None = None
-        for record, reason in self._scan():
+        for _offset, record, reason in self._scan():
             if record is None:
                 if reason == "incomplete":
                     return  # unterminated tail line: nothing after it
@@ -443,80 +509,85 @@ class WriteAheadLog:
                 )
             yield record
 
-    def _scan(self) -> Iterator[tuple[dict[str, Any] | None, str]]:
+    def _scan(self) -> Iterator[tuple[int, dict[str, Any] | None, str]]:
         """Walk the file's line-framed records.
 
-        Yields ``(record, reason)`` where ``record`` is ``None`` for a
-        bad line (``reason`` says why: ``"incomplete"`` for a line
-        missing its newline, else its line number).
+        Yields ``(offset, record, reason)``: the byte offset the line
+        starts at, and ``record`` ``None`` for a bad line (``reason``
+        says why: ``"incomplete"`` for a line missing its newline, else
+        its line number).
         """
         if not self.path.exists():
             return
+        offset = 0
         with open(self.path, "rb") as fh:
             for line_no, raw in enumerate(fh, 1):
+                start, offset = offset, offset + len(raw)
                 if not raw.endswith(b"\n"):
-                    yield None, "incomplete"
+                    yield start, None, "incomplete"
                     return
-                line = raw.decode("utf-8", errors="replace").rstrip("\n")
-                if not line:
+                if raw == b"\n":
                     continue
-                record = self._parse_line(line)
+                record = self._parse_line(raw)
                 if record is None:
-                    yield None, f"line {line_no}"
+                    yield start, None, f"line {line_no}"
                     continue
-                yield record, ""
+                yield start, record, ""
 
     @staticmethod
-    def _parse_line(line: str) -> dict[str, Any] | None:
-        if len(line) < 10 or line[8] != " ":
+    def _parse_line(raw: bytes) -> dict[str, Any] | None:
+        """Check and decode one newline-terminated line, as bytes: the
+        CRC covers the body's bytes, and invalid UTF-8 is a bad line."""
+        if len(raw) < 11 or raw[8:9] != b" ":
             return None
-        crc_hex, body = line[:8], line[9:]
         try:
-            expected = int(crc_hex, 16)
+            expected = int(raw[:8], 16)
         except ValueError:
             return None
-        if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
+        body = raw[9:-1]
+        if zlib.crc32(body) != expected:
             return None
         try:
             return json.loads(body)
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError included
             return None
 
     def truncate_torn_tail(self) -> int:
-        """Rewrite the file keeping the intact *prefix*; return kept count.
+        """Cut the file after its intact *prefix*; return kept count.
 
         Everything from the first torn/corrupt line onward is dropped —
         including any valid-looking records after the tear, because a
         record whose predecessor never fully landed cannot be trusted to
         belong to the committed prefix (replication can redeliver frames
-        out of band; replay must stop at the tear).  Idempotent: a clean
-        log round-trips unchanged.  Called after recovery (and by
-        replica promotion) so the next append lands on a clean file.
+        out of band; replay must stop at the tear).  The kept lines keep
+        their bytes: the file is truncated in place at the tear's
+        offset.  Idempotent: a clean log is left unchanged.  Called
+        after recovery (and by replica promotion) so the next append
+        lands on a clean file.
         """
-        kept = []
-        for record, _reason in self._scan():
-            if record is None:
-                break
-            kept.append(record)
         self.close()
-        with open(self.path, "w", encoding="utf-8") as fh:
-            for record in kept:
-                body = _encode_payload(record)
-                crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-                fh.write(f"{crc:08x} {body}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._file = open(self.path, "a", encoding="utf-8")
-        return len(kept)
+        kept, cut = 0, None
+        for offset, record, _reason in self._scan():
+            if record is None:
+                cut = offset
+                break
+            kept += 1
+        if cut is not None:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(cut)
+                fh.flush()
+                os.fsync(fh.fileno())
+        self._file = open(self.path, "ab")
+        return kept
 
     def reset(self) -> None:
         """Empty the log (after a checkpoint snapshot has been fsynced)."""
         self.sync()
         self.close()
-        with open(self.path, "w", encoding="utf-8") as fh:
+        with open(self.path, "wb") as fh:
             fh.flush()
             os.fsync(fh.fileno())
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = open(self.path, "ab")
 
     def size_bytes(self) -> int:
         self._file.flush()
