@@ -299,7 +299,6 @@ class BFabric:
 
             with system.snapshot() as snap:
                 projects = snap.query("project").all()
-                hits = system.search.search(principal, "heart", snapshot=snap)
         """
         return self.db.snapshot()
 

@@ -13,6 +13,7 @@ from repro.errors import EntityNotFound
 from repro.orm.model import Model
 from repro.storage.database import Database
 from repro.storage.query import Condition, Query
+from repro.storage.table import bound_snapshot
 from repro.storage.transaction import Transaction
 
 M = TypeVar("M", bound=Model)
@@ -92,22 +93,26 @@ class Repository(Generic[M]):
         return instance
 
     def get_or_none(self, pk: Any) -> M | None:
-        # The latest version's payload, as Database.get_or_none reads
-        # it; from_rows makes the only copy.  Resolved before the
-        # schema is read (see ModelQuery.all).
+        # The payload Database.get_or_none reads — at the bound read
+        # view's snapshot, else the latest version; from_rows makes the
+        # only copy.  Resolved before the schema is read (see
+        # ModelQuery.all).
+        view = bound_snapshot()
         table = self.database.table(self.table)
-        rows = tuple(table.raw_rows((pk,)))
+        if view is None:
+            rows = tuple(table.raw_rows((pk,)))
+        else:
+            row = view.raw_row(self.table, pk)
+            rows = () if row is None else (row,)
         models = self.model.from_rows(rows, table.schema.column_names)
         return models[0] if models else None
 
     def exists(self, pk: Any) -> bool:
         return self.database.get_or_none(self.table, pk) is not None
 
-    def query(self, *, snapshot=None) -> ModelQuery[M]:
-        """Typed query; pass an MVCC ``snapshot`` for a pinned read view."""
-        return ModelQuery(
-            self.model, self.database.query(self.table, snapshot=snapshot)
-        )
+    def query(self) -> ModelQuery[M]:
+        """Typed query (at the bound read view's snapshot, if any)."""
+        return ModelQuery(self.model, self.database.query(self.table))
 
     def all(self) -> list[M]:
         return self.query().all()

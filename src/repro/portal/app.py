@@ -110,8 +110,12 @@ class PortalApplication:
         """Session check + routing + error mapping (no instrumentation).
 
         Every GET runs against one MVCC snapshot (``request.snapshot``),
-        opened here and closed when the view returns: the page renders
-        from a single consistent state, never blocks on a concurrent
+        opened here and closed when the view returns.  It is bound to
+        the worker thread's read view for the dispatch, so every
+        ``Database`` and ``Repository`` read the view makes — services,
+        ACL checks, search — resolves through it: the page renders the
+        committed state at one sequence number, never a row of a
+        transaction that is still open, never blocks on a concurrent
         writer, and repeated reads within the view agree with each
         other.  Writes (POST/PUT) keep working against the live
         database through the single-writer transaction protocol.
@@ -125,9 +129,10 @@ class PortalApplication:
         Cacheable GETs go through :class:`~repro.portal.caching
         .CachePolicy`: a matching ``If-None-Match`` is answered ``304``
         before any snapshot is opened or view run, and fresh renders
-        leave with a strong ETag derived from exactly the tables they
-        read.  ``/api`` paths get JSON error bodies (and ``401`` rather
-        than a login redirect) for machine clients.
+        leave with a strong ETag over the snapshot's versions of
+        exactly the tables they read.  ``/api`` paths get JSON error
+        bodies (and ``401`` rather than a login redirect) for machine
+        clients.
         """
         is_api = request.path == "/api" or request.path.startswith("/api/")
         token = request.cookies.get(_SESSION_COOKIE, "")
@@ -142,7 +147,6 @@ class PortalApplication:
                 return Response.redirect("/login")
         if match is None:
             match = self.router.resolve(request.method, request.path)
-        cache_ctx = None
         try:
             if request.method == "GET":
                 cache_ctx = self.cache.begin(match.pattern, request)
@@ -150,17 +154,17 @@ class PortalApplication:
                     not_modified = cache_ctx.not_modified()
                     if not_modified is not None:
                         return not_modified
-                    cache_ctx.capture()
                 if self.replicas is not None:
                     request.snapshot = self.replicas.read_snapshot(
                         min_seq=self._seen_seq(request)
                     )
                 else:
                     request.snapshot = self.system.db.snapshot()
-            if cache_ctx is not None:
-                with track_reads(cache_ctx.sink):
+                sink = None if cache_ctx is None else cache_ctx.sink
+                with track_reads(sink, snapshot=request.snapshot):
                     response = self.router.dispatch(request, match)
-                cache_ctx.finish(response)
+                if cache_ctx is not None:
+                    cache_ctx.finish(response)
             else:
                 response = self.router.dispatch(request, match)
             if (

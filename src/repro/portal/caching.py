@@ -6,29 +6,24 @@ touched it (:attr:`Table.version`), and the database can report those as
 a *version vector* in O(tables).  This module turns that bookkeeping
 into **strong, exact ETags**:
 
-* A response's ETag is a hash over the ``(table, version)`` pairs of the
-  tables the render actually read — its *covering set* — plus the
-  request identity (path, query, principal) and the database's history
-  id.  The vector moves iff a covering table committed, so the ETag
-  changes iff the page could have changed.
+* A GET renders from one MVCC snapshot: every read of the view resolves
+  through it (:func:`repro.storage.table.track_reads`), so the body is
+  the committed state at the snapshot's sequence number — never a row
+  of a transaction that is still open, and never a mix of two states.
 
-* The covering set is *learned*, not declared: a thread-local read probe
-  (:func:`repro.storage.table.track_reads`) records every table the view
-  touches while rendering.  Coverage per route only ever widens
-  (monotone union across requests), so a validator computed over a
-  narrower set than the route's current coverage simply hashes
-  differently and misses — a spurious render, never a false 304.
+* A response's ETag is a hash over the snapshot's version vector
+  (:meth:`Snapshot.version_vector`), projected on the tables the render
+  actually read — its *covering set* — plus the request identity (path,
+  query, principal) and the database's history id.  The vector moves
+  iff a covering table committed, so the ETag changes iff the page
+  could have changed.
 
-* Mid-render commits are certified away: the vector is captured before
-  dispatch and re-read (projected onto the touched set) after; the ETag
-  is only emitted when the two agree, so a validator never vouches for a
-  torn read.
-
-* So are uncommitted rows: views read the live tables, into which an
-  open transaction writes in place before ``Table.version`` moves.  The
-  tables' seqlock epochs (``mutation_vector``) are captured and re-read
-  the same way, and a render that met a dirty or moving touched table
-  gets no validator — it may show a row that is about to roll back.
+* The covering set is *learned*, not declared: the same per-thread
+  read view records every table the view touches while rendering.
+  Coverage per route only ever widens (monotone union across
+  requests), so a validator computed over a narrower set than the
+  route's current coverage simply hashes differently and misses — a
+  spurious render, never a false 304.
 
 The happy path is what makes this worth it: when a route's coverage is
 already known and the client's ``If-None-Match`` matches the ETag of the
@@ -36,22 +31,19 @@ already known and the client's ``If-None-Match`` matches the ETag of the
 rendering, without opening a snapshot, and without touching a table —
 a handful of dict reads and one small hash.
 
-Validation always runs against the **primary** database.  Views render
-from the primary's live services (the request snapshot only feeds
-search), so deriving validators from a lagged replica's vector would
-let a stale 304 vouch for a fresh body.
+The 304 check reads the primary's vector.  A replica-routed GET renders
+from the replica's snapshot, whose sequence numbers and table versions
+are the primary's, so its validator is exact on the primary too: it
+matches there only once the primary's covering versions equal the ones
+the replica rendered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import TYPE_CHECKING
 
 from repro.portal.http import Request, Response
-
-if TYPE_CHECKING:
-    pass
 
 #: Bumped whenever the hash recipe changes, so stale validators from an
 #: older build can never collide into a false 304 after an upgrade.
@@ -115,11 +107,6 @@ class RouteCoverage:
             return dict(self._covers)
 
 
-def _project(vector: dict[str, int], names: "frozenset[str]") -> dict[str, int]:
-    """Restrict a version vector to the named tables."""
-    return {name: version for name, version in vector.items() if name in names}
-
-
 def compute_etag(
     vector: dict[str, int],
     *,
@@ -150,9 +137,7 @@ def compute_etag(
 class _CacheContext:
     """Per-request cache state threaded through dispatch."""
 
-    __slots__ = (
-        "policy", "route", "request", "user_id", "_pre", "_pre_epochs", "sink"
-    )
+    __slots__ = ("policy", "route", "request", "user_id", "sink")
 
     def __init__(self, policy: "CachePolicy", route: str, request: Request,
                  user_id: int):
@@ -160,26 +145,8 @@ class _CacheContext:
         self.route = route
         self.request = request
         self.user_id = user_id
-        #: Full vector pinned by :meth:`capture` just before dispatch;
-        #: stays ``None`` on the 304 fast path, which only ever reads
-        #: the covering tables' versions.
-        self._pre: "dict[str, int] | None" = None
-        #: The tables' seqlock epochs at the same moment.
-        self._pre_epochs: "dict[str, int | None]" = {}
-        #: Filled by the read probe during render.
+        #: Filled by the read view during render.
         self.sink: set[str] = set()
-
-    def capture(self) -> None:
-        """Pin the pre-render vector.
-
-        Must run *before* the view dispatches: :meth:`finish` certifies
-        an ETag by comparing this against the post-render vector, and a
-        capture taken any later would make that comparison vacuous (a
-        mid-render commit would slip into both sides).
-        """
-        if self._pre is None:
-            self._pre = self.policy.db.version_vector()
-            self._pre_epochs = self.policy.db.mutation_vector()
 
     def not_modified(self) -> "Response | None":
         """The 304 fast path: no render, no snapshot, no table reads.
@@ -214,32 +181,14 @@ class _CacheContext:
         return response
 
     def finish(self, response: Response) -> None:
-        """Stamp a freshly rendered 200 with its validator.
-
-        The ETag is only emitted when the covering tables' versions did
-        not move between the pre-dispatch capture and now: a mid-render
-        commit means the body may mix states, and a validator must never
-        vouch for a torn read (the next request simply renders again).
-        Nor when a touched table is dirty, mid-change, or its epoch
-        moved: the views read live tables, so the body may carry rows
-        of a transaction that is still open or has rolled back, neither
-        of which the committed versions show.
-        """
-        if response.status != 200 or not self.sink or self._pre is None:
+        """Stamp a freshly rendered 200 with its validator: the
+        request snapshot's versions of the tables the render read."""
+        if response.status != 200 or not self.sink:
             return
         touched = frozenset(self.sink)
-        db = self.policy.db
-        post = db.version_vector(touched)
-        if post != _project(self._pre, touched):
-            return
-        epochs = db.mutation_vector(touched)
-        if None in epochs.values() or epochs != _project(
-            self._pre_epochs, touched
-        ):
-            return
         self.policy.coverage.widen(self.route, touched)
         response.headers.append(("ETag", compute_etag(
-            post,
+            self.request.snapshot.version_vector(touched),
             user_id=self.user_id,
             path=self.request.path,
             query=self.request.query,

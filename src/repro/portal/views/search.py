@@ -13,14 +13,6 @@ from repro.search.export import export_csv
 from repro.security.acl import Permission, project_of
 
 
-def _run_search(portal, request, principal, query: str, limit: int = 25):
-    # GET requests carry a pinned MVCC snapshot; the ACL filter inside
-    # the engine reads membership at it, lock-free.
-    return portal.system.search.search(
-        principal, query, limit=limit, snapshot=request.snapshot
-    )
-
-
 @lru_cache(maxsize=4096)
 def _with_query(path: str, query: str) -> str:
     """*path* with *query* as its URL-encoded ``q`` parameter; a
@@ -46,7 +38,7 @@ def register(router, portal) -> None:
         )
         if query:
             try:
-                results = _run_search(portal, request, principal, query)
+                results = system.search.search(principal, query)
             except QuerySyntaxError as exc:
                 return Response(
                     page("Search", body + f"<p>{esc(exc)}</p>",
@@ -101,7 +93,7 @@ def register(router, portal) -> None:
         if not query:
             return Response("missing query", status=400)
         try:
-            results = _run_search(portal, request, principal, query, limit=1000)
+            results = system.search.search(principal, query, limit=1000)
         except QuerySyntaxError as exc:
             return Response(str(exc), status=400)
         payload = export_csv(results)
@@ -138,7 +130,7 @@ def register(router, portal) -> None:
             system.acl.require(principal, Permission.READ, root)
         neighbors = system.links.neighbors(ref, snapshot=snap)
         if not principal.is_expert:
-            readable = {None, *system.acl.visible_project_ids(principal, snapshot=snap)}
+            readable = {None, *system.acl.visible_project_ids(principal)}
             neighbors = [(other, label) for other, label in neighbors
                          if project(other) in readable]
         rows = [

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.errors import ReplicaLagExceeded, ReplicationError
 from repro.replication.primary import ReplicationPublisher
 from repro.replication.replica import Replica
+from repro.storage.table import track_reads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -135,23 +136,22 @@ class ReplicaSet:
         return Session(registry, readonly=True).begin()
 
     def search(self, principal: Any, query: str, **kwargs: Any) -> Any:
-        """Full-text search on the routed system's engine and snapshot."""
+        """Full-text search on the routed system's engine, its reads
+        bound to that system's snapshot."""
         replica = self.pick()
         if replica is not None and hasattr(replica.system, "search"):
             try:
-                with replica.snapshot() as snap:
+                with replica.snapshot() as snap, track_reads(snapshot=snap):
                     self._m_reads.labels(target=replica.name).inc()
-                    return replica.system.search.search(
-                        principal, query, snapshot=snap, **kwargs
-                    )
+                    return replica.system.search.search(principal, query, **kwargs)
             except ReplicaLagExceeded:
                 pass
         self._m_reads.labels(target="primary").inc()
         search = getattr(self.primary, "search", None)
         if search is None:
             raise ReplicationError("primary has no search engine")
-        with self.primary_db.snapshot() as snap:
-            return search.search(principal, query, snapshot=snap, **kwargs)
+        with self.primary_db.snapshot() as snap, track_reads(snapshot=snap):
+            return search.search(principal, query, **kwargs)
 
     def wait_all(self, seq: int, timeout: float = 5.0) -> None:
         """Block until every replica has applied *seq* (convergence)."""

@@ -186,22 +186,18 @@ class SearchEngine:
         *,
         types: list[str] | None = None,
         limit: int = 25,
-        snapshot=None,
     ) -> list[SearchResult]:
         """Evaluate *query* for *principal*, best matches first.
 
-        With *snapshot* (an MVCC read view) the per-principal ACL
-        filter reads project membership at that snapshot, so a search
-        issued inside a pinned request sees access rights consistent
-        with every other read of that request — and never blocks on a
-        concurrent membership write.
+        The per-principal ACL filter reads project membership through
+        the database, so inside a bound read view (a portal GET) it
+        sees access rights at the request's snapshot, consistent with
+        every other read of that request.
         """
         self.before_use()
         with self.obs.tracer.span("search.query", user=principal.login) as span:
             timer = self.obs.timer()
-            results = self._evaluate(
-                principal, query, types=types, limit=limit, snapshot=snapshot
-            )
+            results = self._evaluate(principal, query, types=types, limit=limit)
             self._m_queries.inc()
             self._m_query_seconds.observe(timer.elapsed())
             self._m_results.observe(len(results))
@@ -215,7 +211,6 @@ class SearchEngine:
         *,
         types: list[str] | None,
         limit: int,
-        snapshot=None,
     ) -> list[SearchResult]:
         if isinstance(query, str):
             query = parse_query(query)
@@ -229,13 +224,7 @@ class SearchEngine:
         if self._acl is None or principal.is_expert:
             chosen = ranked.keys[:limit]
         else:
-            if snapshot is not None:
-                ids = self._acl.visible_project_ids(principal, snapshot=snapshot)
-            else:
-                # Keyword omitted so duck-typed ACL stand-ins predating the
-                # snapshot parameter keep working for live searches.
-                ids = self._acl.visible_project_ids(principal)
-            visible = set(ids)
+            visible = set(self._acl.visible_project_ids(principal))
             buckets = [
                 positions
                 for project_id, positions in ranked.by_project.items()
@@ -357,15 +346,13 @@ class SearchEngine:
         return matched
 
     def quick_search(
-        self, principal: Principal, text: str, *, limit: int = 10, snapshot=None
+        self, principal: Principal, text: str, *, limit: int = 10
     ) -> list[SearchResult]:
         """The main-screen quick box: plain words, all object types."""
         terms = tokenize(text)
         if not terms:
             return []
-        return self.search(
-            principal, " ".join(terms), limit=limit, snapshot=snapshot
-        )
+        return self.search(principal, " ".join(terms), limit=limit)
 
     # -- stats -----------------------------------------------------------------------
 

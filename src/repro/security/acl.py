@@ -17,6 +17,7 @@ from repro.errors import AccessDenied
 from repro.security.principals import Principal
 from repro.storage.database import Database
 from repro.storage.snapshot import Snapshot
+from repro.storage.table import view_memo
 
 #: child table -> (parent table, FK column): the parent's project is
 #: the child's project.
@@ -58,13 +59,24 @@ class AccessControl:
 
     def membership_role(self, principal: Principal, project_id: int) -> str | None:
         """The principal's role within the project, or ``None``."""
-        row = (
-            self._db.query("project_membership")
-            .where("user_id", "=", principal.user_id)
-            .where("project_id", "=", project_id)
-            .first()
-        )
-        return row["role"] if row else None
+        return self._roles(principal.user_id).get(project_id)
+
+    def _roles(self, user_id: int) -> dict[int, str]:
+        """``{project_id: role}`` over the user's memberships: one read,
+        kept for the life of the thread's read view (a portal GET)."""
+        memo = view_memo()
+        key = ("project_membership", user_id)
+        if memo is not None and key in memo:
+            return memo[key]
+        roles = {
+            row["project_id"]: row["role"]
+            for row in self._db.query("project_membership")
+            .where("user_id", "=", user_id)
+            .shared_rows()
+        }
+        if memo is not None:
+            memo[key] = roles
+        return roles
 
     def is_member(self, principal: Principal, project_id: int) -> bool:
         return self.membership_role(principal, project_id) is not None
@@ -134,19 +146,8 @@ class AccessControl:
                 permission=permission.value,
             )
 
-    def visible_project_ids(
-        self, principal: Principal, *, snapshot=None
-    ) -> list[int]:
-        """Projects the principal may read (all, for experts).
-
-        With *snapshot* (an MVCC read view) the membership tables are
-        evaluated at that snapshot — lock-free and consistent with any
-        other reads pinned to it — instead of the live state.
-        """
+    def visible_project_ids(self, principal: Principal) -> list[int]:
+        """Projects the principal may read (all, for experts)."""
         if principal.is_expert:
-            return self._db.query("project", snapshot=snapshot).pks()
-        return (
-            self._db.query("project_membership", snapshot=snapshot)
-            .where("user_id", "=", principal.user_id)
-            .values("project_id")
-        )
+            return self._db.query("project").pks()
+        return list(self._roles(principal.user_id))

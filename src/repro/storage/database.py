@@ -26,7 +26,7 @@ from repro.storage.durability import Durability
 from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Query, QueryCache
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
-from repro.storage.table import Table, UndoEntry
+from repro.storage.table import Table, UndoEntry, bound_snapshot
 from repro.storage.transaction import CommitEvent, CommitListener, Transaction
 from repro.storage.types import from_jsonable, to_jsonable
 from repro.storage.wal import WriteAheadLog, commit_record
@@ -488,18 +488,29 @@ class Database:
         with self.transaction() as txn:
             return txn.delete(table, pk)
 
+    # Reads resolve through the snapshot of this thread's read view (a
+    # portal GET's) — on that snapshot's own database, so a replica-routed
+    # GET reads the chains its snapshot pins — else the latest state.
+
     def get(self, table: str, pk: Any) -> dict[str, Any]:
-        return self.table(table).get(pk)
+        view = bound_snapshot()
+        return self.table(table).get(pk) if view is None else view.get(table, pk)
 
     def get_or_none(self, table: str, pk: Any) -> dict[str, Any] | None:
-        return self.table(table).get_or_none(pk)
+        view = bound_snapshot()
+        if view is None:
+            return self.table(table).get_or_none(pk)
+        return view.get_or_none(table, pk)
 
     def query(self, table: str, *, snapshot: "Snapshot | None" = None) -> Query:
-        """Start a fluent query over *table*, optionally snapshot-pinned."""
-        return Query(self.table(table), snapshot=snapshot)
+        """Start a fluent query over *table*, pinned to *snapshot* (or
+        the read view's) when there is one."""
+        snapshot = snapshot or bound_snapshot()
+        return Query(self.table(table)) if snapshot is None else snapshot.query(table)
 
     def count(self, table: str) -> int:
-        return len(self.table(table))
+        view = bound_snapshot()
+        return len(self.table(table)) if view is None else view.count(table)
 
     # -- version vectors (HTTP caching) ------------------------------------------------
 
@@ -534,28 +545,6 @@ class Database:
             table = tables.get(name)
             if table is not None:
                 vector[name] = table.version
-        return vector
-
-    def mutation_vector(
-        self, names: "Iterable[str] | None" = None
-    ) -> "dict[str, int | None]":
-        """Per-table seqlock epochs — ``None`` while a table is mid-change
-        or holds an open transaction's uncommitted rows.
-
-        The companion of :meth:`version_vector` for readers of the
-        *live* tables (the portal's views): committed versions cannot
-        see a transaction that has written in place and not committed
-        yet, or one that rolled back.  Equal, ``None``-free vectors
-        taken before and after a read prove that it saw committed state
-        only.  Same *names* contract as :meth:`version_vector`.
-        """
-        tables = self._tables
-        vector: "dict[str, int | None]" = {}
-        for name in tables if names is None else names:
-            table = tables.get(name)
-            if table is not None:
-                epoch = table.mutation_epoch
-                vector[name] = None if epoch & 1 or table.dirty else epoch
         return vector
 
     # -- snapshots (MVCC read views) ---------------------------------------------------
@@ -934,20 +923,24 @@ class Database:
             }
             return snap.seq, tables
 
-    def version_vector_at(self, seq: int) -> dict[str, int]:
-        """The per-table version vector as of commit sequence *seq*.
+    def version_vector_at(
+        self, seq: int, names: "Iterable[str] | None" = None
+    ) -> dict[str, int]:
+        """The per-table version vector as of commit sequence *seq*
+        (same *names* contract as :meth:`version_vector`).
 
         For a table whose live version is at or below *seq* the answer
         is exact (no later commit touched it).  A table that moved past
-        *seq* since the snapshot was taken is conservatively reported at
-        *seq* itself — a replica bootstrapping from this vector then
-        differs from the primary only until that table's next shipped
-        commit restamps it, and only in the safe direction (spurious
-        ``ETag`` misses, never a false match).
+        *seq* since is conservatively reported at *seq* itself.  Two
+        different states of a table then never share its entry, though
+        two reads of one state may differ: a validator minted from it
+        can miss spuriously, never match falsely.  A replica
+        bootstrapping from this vector differs from the primary only
+        until that table's next shipped commit restamps it.
         """
         return {
             name: version if version <= seq else seq
-            for name, version in self.version_vector().items()
+            for name, version in self.version_vector(names).items()
         }
 
     def apply_replicated_commit(
@@ -1137,4 +1130,5 @@ class Database:
     # -- bulk iteration ------------------------------------------------------------------
 
     def rows(self, table: str) -> Iterator[dict[str, Any]]:
-        return self.table(table).rows()
+        view = bound_snapshot()
+        return self.table(table).rows() if view is None else view.scan(table)

@@ -41,11 +41,11 @@ Snapshot execution: a query built from a
 :class:`~repro.storage.snapshot.Snapshot` (``snap.query(...)`` or
 ``Query(table, snapshot=snap)``) resolves rows from the version chains
 at the snapshot's commit sequence number and never takes the writer
-lock.  The planner still uses the live indexes when they are provably
-equivalent to the snapshot state — no commit past the snapshot, no
-uncommitted changes, seqlock epoch stable across planning — and
+lock.  The planner still uses the live indexes while the table has not
+committed past the snapshot — seqlock epoch stable across planning,
+and the pks an open transaction touched added to the candidates — and
 otherwise degrades to a chain-walking scan.  Cache keys are identical
-in both modes whenever the table hasn't moved past the snapshot, so
+in both modes whenever the table hasn't committed past the snapshot, so
 snapshot readers and live readers share cached results; a snapshot of
 an older state bypasses the cache (historical versions are not keyed).
 """
@@ -514,30 +514,34 @@ class Query:
         Runs only when a result must be computed (cache miss or bypass)
         or explained; the cache key is syntactic and never plans.
 
-        Snapshot queries may only use the live indexes while those
-        provably match the snapshot state: no committed change past the
-        snapshot's sequence number, no uncommitted changes, and a
-        stable (even) seqlock epoch across planning.  Their chosen plan
-        is additionally **pinned** — candidate pks are materialized
-        under the guard — because execution resolves rows through the
-        version chains later, possibly after more commits have moved
-        the indexes.  A failed guard degrades to a chain-walking scan,
-        which is always correct.
+        Snapshot queries may use the live indexes while the table has
+        not committed past the snapshot (:meth:`Table.read_at`, seqlock
+        guarded across planning).  Their chosen plan is **pinned** —
+        candidate pks are materialized under the guard — because
+        execution resolves rows through the version chains later.  A
+        failed guard degrades to a chain-walking scan.
         """
         if self._snapshot is None:
             return self._plan_live()
-        tbl = self._table
-        epoch = tbl.mutation_epoch
-        if epoch & 1 or tbl.dirty or tbl.version > self._snapshot.seq:
-            return self._scan_plan()
-        plan = self._materialize(self._plan_live(for_snapshot=True))
-        if tbl.mutation_epoch != epoch:
-            return self._scan_plan()
-        return plan
+        plan = self._table.read_at(
+            self._snapshot.seq,
+            lambda pending: self._materialize(
+                self._plan_live(for_snapshot=True), pending
+            ),
+        )
+        return self._scan_plan() if plan is None else plan
 
-    def _materialize(self, plan: Plan) -> Plan:
-        """Pin a deferred plan's candidate pks (snapshot path)."""
-        if plan.kind == "hash":
+    def _materialize(self, plan: Plan, pending: "set[Any]") -> Plan:
+        """Pin a deferred plan's candidate pks (snapshot path).  The pks
+        an open transaction touched (*pending*) join them, and every
+        condition is re-checked: the live indexes (and the pk plan's
+        existence check) see those rows as that transaction left them."""
+        residual = plan.residual
+        if plan.kind == "pks":
+            if not pending:
+                return plan
+            pks = plan.pks
+        elif plan.kind == "hash":
             pks = plan.index.lookup(plan.key)
         elif plan.kind == "intersect":
             assert plan.indexes is not None and plan.keys is not None
@@ -562,10 +566,14 @@ class Query:
             )
         else:
             return plan
+        if pending:
+            pks |= pending
+            residual = list(self._conditions)
         return replace(
             plan,
             kind="pks",
             pks=pks,
+            residual=residual,
             ordered=(),
             early_exit=False,
             candidates=len(pks),
@@ -912,18 +920,18 @@ class Query:
         stale (snapshot-state) result under the new version's key.
 
         without_indexes() exists for the ablation benchmarks, which
-        must measure real scans; a dirty table must never populate or
-        serve the cache (its in-memory state is uncommitted).  A
-        snapshot query is cacheable only while the live table still
-        matches the snapshot — the cache is keyed on committed table
-        versions and does not index historical states.
+        must measure real scans; a live query on a dirty table must
+        never populate or serve the cache (its state is uncommitted).
+        A snapshot query reads committed state, so it is cacheable,
+        dirty table or not, while the table has not committed past the
+        snapshot — historical versions are not keyed.
         """
-        if not self._use_indexes or self._table.dirty:
+        if not self._use_indexes:
             return None
+        if self._snapshot is None:
+            return None if self._table.dirty else self._table.version
         version = self._table.version
-        if self._snapshot is not None and version > self._snapshot.seq:
-            return None
-        return version
+        return None if version > self._snapshot.seq else version
 
     def _cache_key(self, kind: str, version: "int | None" = None) -> tuple:
         # When a snapshot query is cacheable the live version equals the
@@ -1196,20 +1204,19 @@ class Query:
         cached = cache.get(key)
         if cached is not None:
             cache.record("hit")
-            # A hit touches no table method; the read probe (portal
+            # A hit touches no table method; the read view (portal
             # ETags) must still learn that this table was read.
             note_table_read(self._table.name)
             return cached
         cache.record("miss")
-        # Snapshot the epoch before executing: if any mutation lands
-        # while we scan, the result may be torn and must not be
-        # published under the version captured in the key.
-        epoch = self._table.mutation_epoch
+        # A mutation landing while a live query scans may tear its
+        # result; a snapshot query's is the state at the key's version.
+        table = self._table
+        epoch = table.mutation_epoch
         result = self._execute(kind, compute)
-        if (
-            self._table.mutation_epoch == epoch
-            and not self._table.dirty
-            and self._table.version == version
+        if table.version == version and (
+            self._snapshot is not None
+            or (table.mutation_epoch == epoch and not table.dirty)
         ):
             cache.put(key, result)
         return result

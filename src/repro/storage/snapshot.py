@@ -25,24 +25,23 @@ oldest live snapshot's sequence number, and chains are only cut below
 it.  Close snapshots promptly (use them as context managers) so storage
 can reclaim superseded versions.
 
-Index lookups opportunistically use the live secondary indexes — valid
-whenever the table has not changed since the snapshot — guarded by the
-table's seqlock epoch; when the table has moved on (or a mutation is in
-flight), they fall back to a chain-walking scan, trading speed for the
-same correctness.
+Index lookups use the live secondary indexes whenever the table has
+not committed past the snapshot (:meth:`Table.read_at`, seqlock
+guarded): the pks an open transaction touched join the candidates, and
+every candidate is resolved at the snapshot with the predicate
+re-checked.  Otherwise they fall back to a chain-walking scan, trading
+speed for the same correctness.
 
 Fluent queries built from a snapshot go through the same cost-based
-planner as live queries; the statistics it prices plans with are the
-live table's, which under the seqlock guard *are* the snapshot-version
-statistics (the guard proves no mutation has happened since).  The
-chosen plan is pinned — candidate pks are materialized while the guard
-holds — so execution stays correct even if commits land before the rows
-are resolved through the version chains.
+planner as live queries, under the same rule.  The chosen plan is
+pinned — candidate pks are materialized while the guard holds — so
+execution stays correct even if commits land before the rows are
+resolved through the version chains.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import RowNotFound, SchemaError
 from repro.storage.table import Table
@@ -108,15 +107,20 @@ class Snapshot:
 
     # -- reads -------------------------------------------------------------
 
+    def raw_row(self, table: str, pk: Any) -> dict[str, Any] | None:
+        """Row *pk* as of this snapshot, uncopied: the immutable version
+        payload (same read-only contract as :meth:`Table.raw_rows`)."""
+        return self._table(table).row_at(pk, self._seq)
+
     def get(self, table: str, pk: Any) -> dict[str, Any]:
         """Return a copy of row *pk* as of this snapshot."""
-        row = self._table(table).row_at(pk, self._seq)
+        row = self.raw_row(table, pk)
         if row is None:
             raise RowNotFound(table, pk)
         return dict(row)
 
     def get_or_none(self, table: str, pk: Any) -> dict[str, Any] | None:
-        row = self._table(table).row_at(pk, self._seq)
+        row = self.raw_row(table, pk)
         return None if row is None else dict(row)
 
     def contains(self, table: str, pk: Any) -> bool:
@@ -137,11 +141,11 @@ class Snapshot:
     def lookup(
         self, table: str, columns: "str | tuple[str, ...]", *values: Any
     ) -> list[dict[str, Any]]:
-        """Equality lookup, index-backed when the index is still valid.
+        """Equality lookup, index-backed when the index can answer.
 
         ``columns`` may be one column name or a tuple (composite
         indexes); *values* matches it positionally.  Uses the live
-        hash/unique index when the table has not changed since the
+        hash/unique index while the table has not committed past the
         snapshot (seqlock-guarded); otherwise falls back to a chain
         scan.  Either path returns the same rows.
         """
@@ -152,51 +156,36 @@ class Snapshot:
                 f"lookup on {columns!r} got {len(values)} value(s)"
             )
         tbl = self._table(table)
-        pks = self._index_pks(tbl, columns, tuple(values))
-        rows: list[dict[str, Any]] = []
-        if pks is not None:
-            for pk in pks:
-                row = tbl.row_at(pk, self._seq)
-                if row is not None and all(
-                    row.get(c) == v for c, v in zip(columns, values)
-                ):
-                    rows.append(dict(row))
-            return rows
-        for _pk, row in tbl.items_at(self._seq):
-            if all(row.get(c) == v for c, v in zip(columns, values)):
-                rows.append(dict(row))
-        return rows
-
-    def _index_pks(
-        self, tbl: Table, columns: tuple[str, ...], key: tuple
-    ) -> "set[Any] | None":
-        """Candidate pks from a live index, or ``None`` when unusable.
-
-        The live index reflects the *latest* state; it matches this
-        snapshot only when the table has no committed change past our
-        sequence number and no uncommitted change at all.  The seqlock
-        epoch is read before and after: an odd or changed epoch means a
-        writer raced us and the candidate set cannot be trusted.
-        """
-        epoch = tbl.mutation_epoch
-        if epoch & 1 or tbl.dirty or tbl.version > self._seq:
-            return None
+        pks = None
         for find in (tbl.hash_index_for, tbl.unique_index_for, tbl.ordered_index_for):
             index = find(columns)
             if index is not None:
+                # Its bucket plus the pks an open transaction touched,
+                # each resolved here with the key re-checked.
+                pks = tbl.read_at(
+                    self._seq, lambda pending: index.lookup(values) | pending
+                )
                 break
+        if pks is None:
+            rows: Iterator[Any] = (row for _pk, row in tbl.items_at(self._seq))
         else:
-            return None
-        pks = index.lookup(key)
-        if tbl.mutation_epoch != epoch:
-            return None
-        return pks
+            rows = filter(None, (tbl.row_at(pk, self._seq) for pk in pks))
+        return [
+            dict(row) for row in rows
+            if all(row.get(c) == v for c, v in zip(columns, values))
+        ]
 
     def query(self, table: str) -> "Query":
         """Start a fluent query evaluated against this snapshot."""
         from repro.storage.query import Query
 
         return Query(self._table(table), snapshot=self)
+
+    def version_vector(self, names: "Iterable[str]") -> dict[str, int]:
+        """The named tables' versions as of this snapshot
+        (:meth:`Database.version_vector_at`)."""
+        self._check_open()
+        return self._db.version_vector_at(self._seq, names)
 
     def statistics(self) -> dict[str, Any]:
         """Row counts visible at this snapshot (admin/debugging).

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import (
     CheckViolation,
@@ -58,6 +58,7 @@ from repro.util.ids import IdAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
+    from repro.storage.snapshot import Snapshot
 
 _PLAIN_TYPE_SET = frozenset(PLAIN_TYPES.values())
 
@@ -80,41 +81,48 @@ def _refiles(old: Any, new: Any) -> bool:
     )
 
 
-# -- read tracking ------------------------------------------------------------
+# -- the per-thread read view --------------------------------------------------
 #
-# The portal's conditional-GET machinery needs to know which tables a
-# request actually read, so it can derive an exact ``ETag`` from those
-# tables' committed versions.  ``track_reads`` installs a per-thread
-# sink; every table read path reports its table name into it.  The hot
-# paths pay one module-global truthiness check while no probe is active
-# anywhere in the process, so storage benchmarks are unaffected by the
-# feature existing.
+# A portal GET renders from one MVCC snapshot and derives its ``ETag``
+# from the versions of the tables it read.  ``track_reads`` installs
+# both per thread: a sink every table read path reports its name into,
+# and the snapshot ``Database`` and ``Repository`` reads resolve through.
+# The hot paths pay one module-global truthiness check while no view is
+# active anywhere in the process.
 
-class _ReadProbe(threading.local):
+class _ReadView(threading.local):
     sink: "set[str] | None" = None
+    snapshot: "Snapshot | None" = None
+    #: Answers derived from the snapshot's rows, for the view's life.
+    memo: "dict[Any, Any] | None" = None
 
 
-_read_probe = _ReadProbe()
+_read_view = _ReadView()
 _probe_users = 0
 _probe_lock = threading.Lock()
 
 
 @contextmanager
-def track_reads(sink: "set[str]"):
-    """Collect the names of every table read by this thread.
+def track_reads(
+    sink: "set[str] | None" = None, *, snapshot: "Snapshot | None" = None
+):
+    """Collect the names of every table read by this thread and, with
+    *snapshot*, resolve this thread's ``Database`` reads through it.
 
-    Nests: the innermost sink wins for the duration, the outer one is
-    restored on exit.  Only reads on the *calling* thread are observed.
+    Nests: the innermost view wins for the duration, the outer one is
+    restored on exit.  Only reads on the *calling* thread are affected.
     """
     global _probe_users
-    previous = _read_probe.sink
+    view = _read_view
+    previous = (view.sink, view.snapshot, view.memo)
     with _probe_lock:
         _probe_users += 1
-    _read_probe.sink = sink
+    view.sink, view.snapshot = sink, snapshot
+    view.memo = None if snapshot is None else {}
     try:
         yield sink
     finally:
-        _read_probe.sink = previous
+        view.sink, view.snapshot, view.memo = previous
         with _probe_lock:
             _probe_users -= 1
 
@@ -122,9 +130,20 @@ def track_reads(sink: "set[str]"):
 def note_table_read(name: str) -> None:
     """Report a read of *name* to this thread's probe, if one is active."""
     if _probe_users:
-        sink = _read_probe.sink
+        sink = _read_view.sink
         if sink is not None:
             sink.add(name)
+
+
+def bound_snapshot() -> "Snapshot | None":
+    """The snapshot this thread's reads resolve through, if one is bound."""
+    return _read_view.snapshot if _probe_users else None
+
+
+def view_memo() -> "dict[Any, Any] | None":
+    """A dict for answers derived from this thread's bound snapshot,
+    dropped with it (``None`` without one)."""
+    return _read_view.memo if _probe_users else None
 
 
 class RowVersion:
@@ -405,19 +424,50 @@ class Table:
                 yield pk, node.row
 
     def count_at(self, seq: int) -> int:
-        """Number of rows visible at commit sequence *seq*.
+        """Number of rows visible at commit sequence *seq*: the live
+        count corrected by the rows an open transaction touched while
+        the table has not committed past *seq* (O(1) when clean),
+        otherwise a full chain-walking pass."""
+        def corrected(pending: "set[Any]") -> int:
+            count = self._live
+            for pk in pending:
+                head = self._rows.get(pk)
+                node = self._visible_at(head, seq)
+                count += (node is not None and node.row is not None) - (
+                    head is not None and head.row is not None
+                )
+            return count
 
-        O(1) while the table has not moved past *seq* (the live count
-        equals the snapshot count, seqlock-verified); otherwise a full
-        chain-walking pass — snapshot ``statistics()``/``explain()`` on
-        a table with newer commits pay O(rows).
+        count = self.read_at(seq, corrected)
+        return sum(1 for _ in self.items_at(seq)) if count is None else count
+
+    def read_at(self, seq: int, read: "Callable[[set[Any]], Any]") -> Any:
+        """Run *read* over the live indexes and counts for a reader at
+        commit sequence *seq*, or return ``None`` when they cannot
+        answer: the table committed past *seq*, or a writer raced the
+        read (seqlock epoch odd or moved).  *read* must not return
+        ``None``.
+
+        The live structures hold the state committed at ``version``
+        (the state at *seq*) plus the open transaction's writes.  *read*
+        gets the pks that transaction touched and must resolve those at
+        *seq* itself, re-checking its predicate.
         """
         epoch = self._mutation_epoch
-        if not (epoch & 1) and self._pending_ops == 0 and self._version <= seq:
-            live = self._live
-            if self._mutation_epoch == epoch:
-                return live
-        return sum(1 for _ in self.items_at(seq))
+        if epoch & 1 or self._version > seq:
+            return None
+        pending: "set[Any]" = set()
+        for node in list(self._uncommitted):
+            row = node.row
+            if row is None and (older := node.older) is not None:
+                row = older.row  # a tombstone: the row it deletes
+            # No row: a commit and a prune raced us, and moved the epoch.
+            if row is not None:
+                pending.add(row[self._pk])
+        result = read(pending)
+        if self._mutation_epoch != epoch:
+            return None
+        return result
 
     # -- versioning (query-cache keys, seqlock) --------------------------------
 

@@ -145,6 +145,10 @@ class TestConditionalGet:
 
 
 class TestMidRenderCommits:
+    """The validator is the request snapshot's: a render reads one
+    committed state, and its ETag names that state's versions however
+    the live tables move while it runs."""
+
     def _context(self, system, path="/projects"):
         policy = CachePolicy(system.db)
         request = Request(method="GET", path=path)
@@ -153,54 +157,71 @@ class TestMidRenderCommits:
         )
         context = policy.begin(path, request)
         assert context is not None
+        request.snapshot = system.db.snapshot()
         return policy, context
 
+    @staticmethod
+    def _finish(context) -> str:
+        context.sink.add("project")
+        response = Response("body")
+        context.finish(response)
+        context.request.snapshot.close()
+        return dict(response.headers).get("ETag", "")
+
+    @staticmethod
+    def _etag_over(policy, vector) -> str:
+        return compute_etag(
+            vector, user_id=42, path="/projects", query={},
+            history_id=policy.history_id,
+        )
+
     def test_quiescent_render_is_certified(self, system):
-        _, context = self._context(system)
-        context.capture()
-        context.sink.add("project")
-        response = Response("body")
-        context.finish(response)
-        assert dict(response.headers).get("ETag")
-
-    def test_mid_render_commit_suppresses_etag(self, system, admin):
-        """A commit between capture and finish torpedoes the validator:
-        the body may mix states, so no ETag is emitted for it."""
         policy, context = self._context(system)
-        context.capture()
-        context.sink.add("project")
+        etag = self._finish(context)
+        assert etag == self._etag_over(policy, system.db.version_vector(["project"]))
+        assert policy.coverage.get("/projects") == frozenset({"project"})
+
+    def test_mid_render_commit_yields_the_snapshot_etag(self, system, admin):
+        """A commit between the snapshot's open and finish moves the
+        live vector, not the snapshot's: the ETag names the state the
+        body was rendered from, never the post-commit one.  (A table
+        that committed past the snapshot is named at the snapshot's
+        seq, which no later vector names.)"""
+        policy, context = self._context(system)
+        snapshot = context.request.snapshot
         system.projects.create(admin, "raced")
-        response = Response("body")
-        context.finish(response)
-        assert "ETag" not in dict(response.headers)
-        # ...and the coverage map was not widened by the torn render.
-        assert policy.coverage.get("/projects") is None
+        after = self._etag_over(policy, system.db.version_vector(["project"]))
+        pinned = self._etag_over(policy, snapshot.version_vector(["project"]))
+        etag = self._finish(context)
+        assert etag == pinned != after
+        # The 304 path reads the current vector: the pre-commit
+        # validator no longer matches it.
+        policy.coverage.widen("/projects", frozenset({"project"}))
+        request = Request(
+            method="GET", path="/projects", headers={"if-none-match": etag}
+        )
+        request.session = context.request.session
+        assert policy.begin("/projects", request).not_modified() is None
 
-
-    def test_transaction_rolled_back_mid_render_suppresses_etag(self, system, admin):
-        """Committed versions never move for a rollback; the seqlock
-        epochs do."""
+    def test_rollback_mid_render_keeps_the_snapshot_etag(self, system, admin):
+        """A transaction that wrote and rolled back while the view ran
+        was never visible to its snapshot: the validator is the one a
+        quiescent render gets."""
         project = system.projects.create(admin, "steady")
         policy, context = self._context(system)
-        context.capture()
-        context.sink.add("project")
+        clean = self._etag_over(policy, system.db.version_vector(["project"]))
         txn = system.db.transaction()
         txn.update("project", project.id, {"name": "ghost"})
         txn.rollback()
-        response = Response("body")
-        context.finish(response)
-        assert "ETag" not in dict(response.headers)
-        assert policy.coverage.get("/projects") is None
+        assert self._finish(context) == clean
+        assert policy.coverage.get("/projects") == frozenset({"project"})
 
 
 class TestUncommittedRows:
-    """Views read the live tables, into which an open transaction has
-    already written in place: such a render must not be certified on
-    the committed versions, which cannot see the transaction."""
+    """An open transaction has already written into the live tables in
+    place; a GET reads its snapshot, which cannot see those rows."""
 
-    def test_render_over_an_open_transaction_carries_no_validator(
-        self, client, system, admin
-    ):
+    def test_open_transaction_renders_committed_rows(self, client, system, admin):
         project = system.projects.create(admin, "steady name")
         system.samples.register_sample(admin, project.id, "s1", species="E. coli")
         target = f"/projects/{project.id}"
@@ -215,49 +236,20 @@ class TestUncommittedRows:
         # The committed versions still match the client's validator, so
         # the 304 (for the committed body it holds) stands ...
         assert dirty.status == 304
-        # ... but a render of the in-place state is not vouched for.
+        # ... and a render shows the committed rows under that validator.
         dirty = client.get(target)
-        assert dirty.status == 200 and b"ghost sample" in dirty.body
-        assert _etag(dirty) == ""
+        assert dirty.status == 200 and b"ghost sample" not in dirty.body
+        assert dirty.body == clean.body
+        assert _etag(dirty) == _etag(clean)
         txn.rollback()
 
         after = client.get(target)
         assert b"ghost sample" not in after.body
-        # The validator issued now is the one the clean body carried;
-        # at no point was it attached to the body with the ghost row.
         assert _etag(after) == _etag(clean)
         assert after.body == clean.body
         assert client.get(
             target, headers={"If-None-Match": _etag(after)}
         ).status == 304
-
-    def test_sharded_vectors_carry_the_same_guard(self, tmp_path):
-        # The database-level guard beneath the render check above: a
-        # table an open transaction has written reads None, and a
-        # rollback still moves the epoch although no version moved.
-        from repro.storage import Column, ColumnType, Database, TableSchema
-
-        db = Database(tmp_path / "db")
-        db.create_table(TableSchema(
-            "doc", [Column("id", ColumnType.INT, primary_key=True),
-                    Column("body", ColumnType.TEXT)],
-        ))
-        db.create_table(TableSchema(
-            "other", [Column("id", ColumnType.INT, primary_key=True)],
-        ))
-        db.insert("doc", {"id": 1, "body": "a"})
-        before = db.mutation_vector(["doc", "other"])
-        assert set(before) == {"doc", "other"} and None not in before.values()
-        versions = db.version_vector(["doc"])
-        txn = db.transaction()
-        txn.update("doc", 1, {"body": "b"})
-        during = db.mutation_vector(["doc", "other"])
-        assert during["doc"] is None and during["other"] == before["other"]
-        txn.rollback()
-        after = db.mutation_vector(["doc", "other"])
-        assert None not in after.values() and after != before
-        assert db.version_vector(["doc"]) == versions
-        db.close()
 
 
 class TestApiSurface:
