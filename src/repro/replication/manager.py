@@ -73,17 +73,47 @@ class ReplicaSet:
 
     # -- routing -----------------------------------------------------------
 
+    def lag(self, replica: Replica) -> int:
+        """Commit sequences *replica* trails the primary by, against the
+        primary's own committed seq.  A replica measures its lag only
+        from frames it has read, so one stalled mid-apply reads 0."""
+        return max(0, self.primary_db.committed_seq - replica.applied_seq)
+
     def pick(self) -> Replica | None:
-        """The least-lagged healthy replica, or ``None`` → use primary."""
+        """The least-lagged connected replica within ``max_lag``, or
+        ``None`` → use primary."""
         best: Replica | None = None
         best_lag = None
         for replica in self.replicas:
-            if replica.promoted or not replica.healthy(self.max_lag):
+            if replica.promoted or not replica.connected:
                 continue
-            lag = replica.lag()
+            lag = self.lag(replica)
+            if self.max_lag is not None and lag > self.max_lag:
+                continue
             if best_lag is None or lag < best_lag:
                 best, best_lag = replica, lag
         return best
+
+    def _replica_snapshot(
+        self, replica: Replica, min_seq: int | None = None
+    ) -> "Snapshot":
+        """A snapshot on *replica* once it has applied *min_seq*.
+
+        Raises :class:`ReplicaLagExceeded` when the replica cannot
+        serve one, or trails the primary beyond ``max_lag`` once it is
+        open (it may have fallen behind since :meth:`pick`)."""
+        if min_seq is not None:
+            replica.wait_for(min_seq, timeout=2.0)
+        snapshot = replica.snapshot()
+        lag = self.lag(replica)
+        if self.max_lag is not None and lag > self.max_lag:
+            snapshot.close()
+            raise ReplicaLagExceeded(
+                f"replica {replica.name!r} trails the primary by {lag} "
+                f"seqs (bound {self.max_lag})",
+                lag_seqs=lag,
+            )
+        return snapshot
 
     def read_snapshot(self, min_seq: int | None = None) -> "Snapshot":
         """A lock-free read view, replica-first.
@@ -96,9 +126,7 @@ class ReplicaSet:
         replica = self.pick()
         if replica is not None:
             try:
-                if min_seq is not None:
-                    replica.wait_for(min_seq, timeout=2.0)
-                snapshot = replica.snapshot()
+                snapshot = self._replica_snapshot(replica, min_seq)
                 self._m_reads.labels(target=replica.name).inc()
                 return snapshot
             except ReplicaLagExceeded:
@@ -118,10 +146,8 @@ class ReplicaSet:
         replica = self.pick()
         if replica is not None and hasattr(replica.system, "registry"):
             try:
-                if min_seq is not None:
-                    replica.wait_for(min_seq, timeout=2.0)
-                # Guard the lag bound the same way snapshot() does.
-                replica.snapshot().close()
+                # Guard the lag bound the same way read_snapshot() does.
+                self._replica_snapshot(replica, min_seq).close()
                 session = Session(replica.system.registry, readonly=True)
                 self._m_reads.labels(target=replica.name).inc()
                 return session.begin()
@@ -141,7 +167,9 @@ class ReplicaSet:
         replica = self.pick()
         if replica is not None and hasattr(replica.system, "search"):
             try:
-                with replica.snapshot() as snap, track_reads(snapshot=snap):
+                with self._replica_snapshot(replica) as snap, track_reads(
+                    snapshot=snap
+                ):
                     self._m_reads.labels(target=replica.name).inc()
                     return replica.system.search.search(principal, query, **kwargs)
             except ReplicaLagExceeded:

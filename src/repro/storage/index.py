@@ -5,16 +5,18 @@ Two flavours, one structure per declared index:
 * :class:`HashIndex` — equality lookups; used for composite secondary
   indexes and for unique constraints.
 * :class:`OrderedIndex` — equality, prefix, and range lookups over one
-  or more columns, kept as a sorted list of composite keys (binary
-  search via :mod:`bisect`).  It is the only index on a single-column
-  plain spec: equality is one dict probe on the wrapped key.
+  or more columns, kept as a sorted list of keys (binary search via
+  :mod:`bisect`).  It is the only index on a single-column plain spec.
+  A plain-typed column (INT, FLOAT, TEXT, BOOL) is keyed by its own
+  values, so equality there is one dict probe on the bare value and a
+  range seek bisects a list of ``str`` or ``int`` in C.
 
-Indexes map a key (tuple of column values) to the **bucket** of primary
-keys of rows carrying that key: a 1-tuple while the key holds one pk, a
-``set`` from the second pk on (a one-row bucket costs 48 bytes instead
-of 216, and is not tracked by the garbage collector).  They are
-maintained synchronously by the table on every insert/update/delete so
-reads never rebuild anything.
+Indexes map a key to the **bucket** of primary keys of rows carrying
+that key: a 1-tuple while the key holds one pk, a ``set`` from the
+second pk on (a one-row bucket costs 48 bytes instead of 216, and is
+not tracked by the garbage collector).  They are maintained
+synchronously by the table on every insert/update/delete so reads
+never rebuild anything.
 
 Planner support: both flavours maintain an O(1) entry counter
 (``len(index)`` is a hot path for metrics and cost estimation) and
@@ -32,12 +34,7 @@ import bisect
 from typing import Any, Iterable, Iterator
 
 from repro.errors import UniqueViolation
-from repro.storage.types import sort_key
-
-#: Compares greater than every :func:`sort_key` result (type tags are
-#: 0..5); appended to a wrapped prefix it forms the exclusive upper
-#: bound of that prefix's key range.
-_KEY_INFINITY = (6,)
+from repro.storage.types import PLAIN_TYPES, ColumnType, sort_key, sort_rank
 
 
 def _with(bucket: "tuple | set | None", pk: Any) -> "tuple | set | None":
@@ -190,30 +187,159 @@ class HashIndex(_Index):
         self._entries = 0
 
 
+class _Edge:
+    """A key component outside every column value: ``NULL`` sorts below
+    all of them, ``_FLOOR`` just above ``NULL``, ``_TOP`` above
+    everything.  Equal only to itself, and hashed by identity."""
+
+    __slots__ = ("rank", "label")
+
+    def __init__(self, rank: int, label: str):
+        self.rank = rank
+        self.label = label
+
+    def __lt__(self, other: Any) -> bool:
+        if type(other) is _Edge:
+            return self.rank < other.rank
+        return self.rank < 2
+
+    def __gt__(self, other: Any) -> bool:
+        if type(other) is _Edge:
+            return self.rank > other.rank
+        return self.rank == 2
+
+    def __repr__(self) -> str:
+        return self.label
+
+
+#: How an ordered index stores a NULL column value: below every value,
+#: so ``NULLS FIRST`` order and ``exclude_null`` seeks need no wrapper.
+NULL = _Edge(0, "NULL")
+#: A probe between NULL and every value (a bound of a lower type family).
+_FLOOR = _Edge(1, "FLOOR")
+#: A probe above every key; appended to a prefix it bounds that
+#: prefix's key range from above.
+_TOP = _Edge(2, "TOP")
+
+
+class _Keyed:
+    """A key component of a column that is not plain-typed (DATETIME,
+    JSON, or an index built without column types): it orders and hashes
+    by :func:`sort_key` and carries the raw value, which a covering read
+    hands out (two equal aware datetimes can differ in zone)."""
+
+    __slots__ = ("key", "raw")
+
+    def __init__(self, raw: Any):
+        self.key = sort_key(raw)
+        self.raw = raw
+
+    def __eq__(self, other: Any) -> bool:
+        return type(other) is _Keyed and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __lt__(self, other: Any) -> bool:
+        if type(other) is _Keyed:
+            return self.key < other.key
+        return NotImplemented
+
+    def __gt__(self, other: Any) -> bool:
+        if type(other) is _Keyed:
+            return self.key > other.key
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_Keyed({self.raw!r})"
+
+
+def _keyed(value: Any) -> Any:
+    """Normaliser of a column that is not plain-typed."""
+    return NULL if value is None else _Keyed(value)
+
+
+def _plain(kind: type):
+    """Normaliser of a plain column whose values are of type *kind*: a
+    value of the column's type family is its own key; one of another
+    family sorts below or above all of them, as :func:`sort_key` ranks
+    it, and equals none."""
+    rank = sort_rank(kind())
+
+    def normalise(value: Any) -> Any:
+        if type(value) is kind:
+            return value
+        if value is None:
+            return NULL
+        other = sort_rank(value)
+        if other == rank:
+            return value
+        return _FLOOR if other < rank else _TOP
+
+    return normalise
+
+
+def _raw_part(part: Any) -> Any:
+    """The column value a stored key component stands for."""
+    if part is NULL:
+        return None
+    return part.raw if type(part) is _Keyed else part
+
+
 class OrderedIndex(_Index):
     """Ordered (range-capable) index over one or more columns.
 
-    Maintains a sorted list of distinct composite keys alongside a hash
-    map to pk-sets.  Each component is wrapped with
-    :func:`repro.storage.types.sort_key` so mixed/None values stay
-    ordered; composite keys compare lexicographically, which is what
-    makes **prefix seeks** work: every key extending prefix ``p`` sorts
-    inside ``[p, p + infinity)``.
+    Maintains a sorted list of distinct keys alongside a dict from key
+    to bucket.  Each column's value is normalised into a key component
+    by a function chosen at construction from the column's type:
+
+    * a plain column (INT, FLOAT, TEXT, BOOL —
+      :data:`~repro.storage.types.PLAIN_TYPES`) is keyed by its coerced
+      value itself.  Its values share one type, compare in
+      :func:`sort_key` order, and equal ones share a hash, so a probe
+      or a bisect runs on them in C;
+    * any other column by a :class:`_Keyed`, which orders by
+      :func:`sort_key` and keeps the raw value.
+
+    NULL is the :data:`NULL` sentinel, which sorts below every value
+    (``NULLS FIRST``).  A single-column key is its bare component, a
+    composite key the tuple of its components; tuples compare
+    lexicographically, which is what makes **prefix seeks** work: every
+    key extending prefix ``p`` sorts inside ``[p, p + (_TOP,))``.
+
+    A probe value of another type family than its plain column
+    (a ``str`` bound on an INT column) becomes ``_FLOOR`` or ``_TOP``,
+    so a seek bounded by it matches every non-null key or none, as
+    :func:`sort_key` orders them, and never raises ``TypeError``.
 
     The index is *covering* for any column subset of :attr:`columns`:
-    entries retain the raw column values, so a plan whose selected and
-    residual columns all live here can be answered without touching the
-    row store (see :meth:`covers` / :meth:`seek`).
+    keys keep the column values, so a plan whose selected and residual
+    columns all live here can be answered without touching the row
+    store (see :meth:`covers` / :meth:`seek`).
     """
 
-    def __init__(self, table: str, columns: "tuple[str, ...] | str"):
+    def __init__(
+        self,
+        table: str,
+        columns: "tuple[str, ...] | str",
+        types: "tuple[ColumnType, ...] | None" = None,
+    ):
         if isinstance(columns, str):
             columns = (columns,)
         self.table = table
         self.columns = tuple(columns)
-        self._sorted_keys: list[tuple] = []   # sort_key-wrapped composites
-        #: wrapped key -> (raw value tuple, bucket)
-        self._by_key: dict[tuple, "tuple[tuple, tuple | set[Any]]"] = {}
+        if types is None:
+            types = (None,) * len(self.columns)
+        #: Per column: the type of its non-null key components.
+        self._kinds = tuple(PLAIN_TYPES.get(t, _Keyed) for t in types)
+        self._norms = tuple(
+            _plain(PLAIN_TYPES[t]) if t in PLAIN_TYPES else _keyed
+            for t in types
+        )
+        self._single = len(self.columns) == 1
+        self._sorted_keys: list[Any] = []
+        #: key -> bucket
+        self._by_key: dict[Any, "tuple | set[Any]"] = {}
         #: Total pk entries; O(1) ``len`` for metrics and plan costing.
         self._entries = 0
 
@@ -229,9 +355,26 @@ class OrderedIndex(_Index):
     def key_for(self, row: dict[str, Any]) -> tuple:
         return tuple(row[c] for c in self.columns)
 
-    @staticmethod
-    def _wrap(raw: tuple) -> tuple:
-        return tuple(sort_key(part) for part in raw)
+    def _parts(self, values: tuple) -> tuple:
+        """The normalised components of leading column *values*."""
+        return tuple(norm(value) for norm, value in zip(self._norms, values))
+
+    def _key(self, raw: tuple) -> Any:
+        """The key that the full raw key tuple *raw* is stored under."""
+        if self._single:
+            return self._norms[0](raw[0])
+        return self._parts(raw)
+
+    def _row_key(self, row: dict[str, Any]) -> Any:
+        if self._single:
+            return self._norms[0](row[self.columns[0]])
+        return self._parts(self.key_for(row))
+
+    def _raw(self, key: Any) -> tuple:
+        """The raw column-value tuple *key* stands for."""
+        if self._single:
+            return (_raw_part(key),)
+        return tuple(map(_raw_part, key))
 
     def covers(self, columns: Iterable[str]) -> bool:
         """Whether every column in *columns* is stored in this index."""
@@ -241,18 +384,13 @@ class OrderedIndex(_Index):
     # -- maintenance -------------------------------------------------------
 
     def add(self, row: dict[str, Any], pk: Any) -> None:
-        raw = self.key_for(row)
-        wrapped = self._wrap(raw)
-        entry = self._by_key.get(wrapped)
-        if entry is None:
-            bisect.insort(self._sorted_keys, wrapped)
-            self._by_key[wrapped] = (raw, (pk,))
-            self._entries += 1
-            return
-        bucket = _with(entry[1], pk)
+        key = self._row_key(row)
+        old = self._by_key.get(key)
+        if old is None:
+            bisect.insort(self._sorted_keys, key)
+        bucket = _with(old, pk)
         if bucket is not None:
-            if bucket is not entry[1]:
-                self._by_key[wrapped] = (entry[0], bucket)
+            self._by_key[key] = bucket
             self._entries += 1
 
     def add_many(self, entries: "Iterable[tuple[dict[str, Any], Any]]") -> None:
@@ -262,37 +400,30 @@ class OrderedIndex(_Index):
         ``insort`` per new key: O(n log n) rather than O(n²) moves.
         """
         by_key = self._by_key
+        row_key = self._row_key
         added = 0
         for row, pk in entries:
-            raw = self.key_for(row)
-            wrapped = self._wrap(raw)
-            entry = by_key.get(wrapped)
-            if entry is None:
-                by_key[wrapped] = (raw, (pk,))
-            else:
-                bucket = _with(entry[1], pk)
-                if bucket is None:
-                    continue
-                if bucket is not entry[1]:
-                    by_key[wrapped] = (entry[0], bucket)
-            added += 1
+            key = row_key(row)
+            bucket = _with(by_key.get(key), pk)
+            if bucket is not None:
+                by_key[key] = bucket
+                added += 1
         self._entries += added
         self._sorted_keys = sorted(by_key)
 
     def remove(self, row: dict[str, Any], pk: Any) -> None:
-        wrapped = self._wrap(self.key_for(row))
-        entry = self._by_key.get(wrapped)
-        if entry is None or pk not in entry[1]:
+        key = self._row_key(row)
+        bucket = self._by_key.get(key)
+        if bucket is None or pk not in bucket:
             return
         self._entries -= 1
-        rest = _without(entry[1], pk)
-        if rest is not None:
-            if rest is not entry[1]:
-                self._by_key[wrapped] = (entry[0], rest)
-        else:
-            del self._by_key[wrapped]
+        rest = _without(bucket, pk)
+        if rest is None:
+            del self._by_key[key]
             # It was in _by_key, so it sits at exactly bisect_left.
-            del self._sorted_keys[bisect.bisect_left(self._sorted_keys, wrapped)]
+            del self._sorted_keys[bisect.bisect_left(self._sorted_keys, key)]
+        elif rest is not bucket:
+            self._by_key[key] = rest
 
     def clear(self) -> None:
         self._sorted_keys.clear()
@@ -304,9 +435,8 @@ class OrderedIndex(_Index):
     def members(self, key: tuple) -> "tuple | set[Any]":
         """The live bucket under the full *key*, uncopied and read-only:
         one dict probe.  Equal values (``1``, ``1.0``, ``True``) share a
-        :func:`sort_key`, so a bucket."""
-        entry = self._by_key.get(self._wrap(key))
-        return () if entry is None else entry[1]
+        hash and compare equal, so a bucket."""
+        return self._by_key.get(self._key(key), ())
 
     def distinct_keys(self) -> int:
         """Number of distinct composite keys currently indexed (O(1))."""
@@ -314,28 +444,65 @@ class OrderedIndex(_Index):
 
     def entries(self) -> "Iterable[tuple[tuple, tuple | set[Any]]]":
         """``(raw_key, bucket)`` per distinct key, unordered (integrity checks)."""
-        return self._by_key.values()
+        raw = self._raw
+        return ((raw(key), bucket) for key, bucket in self._by_key.items())
 
     def structure_problems(self) -> list[str]:
-        """Also: the sorted key list holds exactly the bucket keys, in order."""
+        """Also: every key has its columns' layout — a plain column's own
+        value type or NULL, never a wrapper — a single-column index
+        files NULL at the head, and the sorted key list holds exactly
+        the bucket keys, in order."""
         problems = super().structure_problems()
-        if self._sorted_keys != sorted(self._by_key):
+        problems += filter(None, map(self._key_problem, self._by_key))
+        keys = self._sorted_keys
+        if self._single and any(key is NULL for key in keys[1:]):
+            problems.append("NULL key not at the head")
+        try:
+            in_order = all(a < b for a, b in zip(keys, keys[1:]))
+        except TypeError:  # a wrong-typed key
+            in_order = False
+        if (
+            not in_order
+            or len(keys) != len(self._by_key)
+            or any(key not in self._by_key for key in keys)
+        ):
             problems.append("sorted keys out of step")
         return problems
 
+    def _key_problem(self, key: Any) -> "str | None":
+        parts = (key,) if self._single else key
+        if type(parts) is not tuple or len(parts) != len(self.columns):
+            return f"malformed key {key!r}"
+        for part, kind in zip(parts, self._kinds):
+            if part is NULL or type(part) is kind:
+                continue
+            if kind is not _Keyed and type(part) in (tuple, _Keyed):
+                return f"wrapped key {key!r}"
+            return f"key {key!r} is not {kind.__name__}"
+        return None
+
     def min_key(self) -> "tuple | None":
         """Smallest raw key tuple, or ``None`` when empty (O(1))."""
-        if not self._sorted_keys:
-            return None
-        return self._by_key[self._sorted_keys[0]][0]
+        keys = self._sorted_keys
+        return self._raw(keys[0]) if keys else None
 
     def max_key(self) -> "tuple | None":
         """Largest raw key tuple, or ``None`` when empty (O(1))."""
-        if not self._sorted_keys:
-            return None
-        return self._by_key[self._sorted_keys[-1]][0]
+        keys = self._sorted_keys
+        return self._raw(keys[-1]) if keys else None
 
     # -- range machinery ---------------------------------------------------
+
+    def _edge(self, parts: tuple, after: bool) -> int:
+        """Position of the first key extending the normalised leading
+        components *parts*, or with *after* of the first key past them."""
+        keys = self._sorted_keys
+        if not parts:
+            return len(keys) if after else 0
+        if self._single:
+            edge = bisect.bisect_right if after else bisect.bisect_left
+            return edge(keys, parts[0])
+        return bisect.bisect_left(keys, parts + (_TOP,) if after else parts)
 
     def _bounds(
         self,
@@ -354,33 +521,19 @@ class OrderedIndex(_Index):
         with only an upper bound must not start at the NULL keys that
         sort below everything.
         """
-        wrapped_prefix = self._wrap(prefix)
-        if low is None:
-            if exclude_null and len(prefix) < len(self.columns):
-                lo_pos = bisect.bisect_left(
-                    self._sorted_keys,
-                    wrapped_prefix + (sort_key(None), _KEY_INFINITY),
-                )
-            else:
-                lo_pos = bisect.bisect_left(self._sorted_keys, wrapped_prefix)
+        parts = self._parts(prefix)
+        if low is not None:
+            bound = self._norms[len(parts)](low)
+            lo_pos = self._edge(parts + (bound,), not include_low)
+        elif exclude_null and len(parts) < len(self.columns):
+            lo_pos = self._edge(parts + (NULL,), True)
         else:
-            bound = wrapped_prefix + (sort_key(low),)
-            lo_pos = (
-                bisect.bisect_left(self._sorted_keys, bound)
-                if include_low
-                else bisect.bisect_left(self._sorted_keys, bound + (_KEY_INFINITY,))
-            )
+            lo_pos = self._edge(parts, False)
         if high is None:
-            hi_pos = bisect.bisect_left(
-                self._sorted_keys, wrapped_prefix + (_KEY_INFINITY,)
-            )
+            hi_pos = self._edge(parts, True)
         else:
-            bound = wrapped_prefix + (sort_key(high),)
-            hi_pos = (
-                bisect.bisect_left(self._sorted_keys, bound + (_KEY_INFINITY,))
-                if include_high
-                else bisect.bisect_left(self._sorted_keys, bound)
-            )
+            bound = self._norms[len(parts)](high)
+            hi_pos = self._edge(parts + (bound,), include_high)
         return lo_pos, hi_pos
 
     def estimate_range(
@@ -439,18 +592,21 @@ class OrderedIndex(_Index):
         positions: Iterable[int] = (
             range(hi_pos - 1, lo_pos - 1, -1) if descending else range(lo_pos, hi_pos)
         )
+        keys = self._sorted_keys
+        by_key = self._by_key
+        raw = self._raw
         for pos in positions:
             # Lock-free readers can race a writer shrinking the key
             # list; results are best-effort latest-state (exactly like
             # the old materializing range()) and the query layer's
             # epoch checks keep torn results out of the cache.
             try:
-                wrapped = self._sorted_keys[pos]
+                key = keys[pos]
             except IndexError:
                 break
-            entry = self._by_key.get(wrapped)
-            if entry is not None:
-                yield entry
+            bucket = by_key.get(key)
+            if bucket is not None:
+                yield raw(key), bucket
 
     def range_pks(
         self,

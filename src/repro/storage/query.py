@@ -367,6 +367,9 @@ class Query:
         self._offset: int = 0
         self._use_indexes = True
         self._select: "tuple[str, ...] | None" = None
+        #: Single-column range estimates priced so far by the running
+        #: :meth:`_plan` call (``None`` outside one).
+        self._estimates: "dict[tuple, tuple[int, float]] | None" = None
 
     # -- building ----------------------------------------------------------------
 
@@ -455,11 +458,12 @@ class Query:
             sx = tbl.ordered_index_for((cond.column,))
             if sx is not None and len(sx) > 0:
                 if cond.op in (">", ">="):
-                    _keys, est = sx.estimate_range(
-                        (), low=cond.value, include_low=cond.op == ">="
+                    _keys, est = self._estimate_range(
+                        sx, (), low=cond.value, include_low=cond.op == ">="
                     )
                 else:
-                    _keys, est = sx.estimate_range(
+                    _keys, est = self._estimate_range(
+                        sx,
                         (),
                         high=cond.value,
                         include_high=cond.op == "<=",
@@ -479,6 +483,46 @@ class Query:
         if cond.op == "!=":
             return max(0.0, 1.0 - 1.0 / max(1, tbl.distinct_count(cond.column)))
         return 0.5
+
+    def _estimate_range(
+        self,
+        index: Any,
+        prefix: tuple,
+        low: Any = None,
+        high: Any = None,
+        *,
+        include_low: bool = True,
+        include_high: bool = True,
+        exclude_null: bool = False,
+    ) -> tuple[int, float]:
+        """``index.estimate_range``, priced once per range within one
+        :meth:`_plan` call: the scan's selectivity and the seek over the
+        same bounds share it.  Values are told apart by identity (they
+        are the conditions' own), so values that are equal but not
+        :func:`sort_key`-equal never share."""
+        memo = self._estimates
+        key = (
+            id(index),
+            tuple(map(id, prefix)),
+            id(low),
+            id(high),
+            include_low,
+            include_high,
+            exclude_null,
+        )
+        if memo is not None and key in memo:
+            return memo[key]
+        estimate = index.estimate_range(
+            prefix,
+            low,
+            high,
+            include_low=include_low,
+            include_high=include_high,
+            exclude_null=exclude_null,
+        )
+        if memo is not None:
+            memo[key] = estimate
+        return estimate
 
     def _selectivity_product(self, conds: "list[Condition]") -> float:
         sel = 1.0
@@ -521,15 +565,19 @@ class Query:
         execution resolves rows through the version chains later.  A
         failed guard degrades to a chain-walking scan.
         """
-        if self._snapshot is None:
-            return self._plan_live()
-        plan = self._table.read_at(
-            self._snapshot.seq,
-            lambda pending: self._materialize(
-                self._plan_live(for_snapshot=True), pending
-            ),
-        )
-        return self._scan_plan() if plan is None else plan
+        self._estimates = {}
+        try:
+            if self._snapshot is None:
+                return self._plan_live()
+            plan = self._table.read_at(
+                self._snapshot.seq,
+                lambda pending: self._materialize(
+                    self._plan_live(for_snapshot=True), pending
+                ),
+            )
+            return self._scan_plan() if plan is None else plan
+        finally:
+            self._estimates = None
 
     def _materialize(self, plan: Plan, pending: "set[Any]") -> Plan:
         """Pin a deferred plan's candidate pks (snapshot path).  The pks
@@ -815,7 +863,8 @@ class Query:
         # A seek bounded only from above must structurally skip NULL
         # keys: range predicates never match NULL.
         exclude_null = bounded and low is None
-        _keys, examined = index.estimate_range(
+        _keys, examined = self._estimate_range(
+            index,
             prefix_key,
             low,
             high,

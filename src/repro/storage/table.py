@@ -268,7 +268,7 @@ class Table:
                 self._hash_indexes[spec] = HashIndex(schema.name, spec)
         for spec in [s for s in specs if len(s) == 1] + schema.ordered_index_specs():
             if spec not in self._ordered_indexes:
-                self._ordered_indexes[spec] = OrderedIndex(schema.name, spec)
+                self._ordered_indexes[spec] = self._ordered_index(spec)
 
         # Planner statistics: reservoir samples per column; fed by the
         # row mutation paths (insert/update/delete and their undos), so
@@ -365,6 +365,12 @@ class Table:
         if _probe_users:
             note_table_read(self.schema.name)
         return filter(None, map(_payload, filter(None, map(self._rows.get, pks))))
+
+    def raw_payloads(self) -> Iterator[dict[str, Any]]:
+        """Zero-copy :meth:`rows`: every live payload of the latest
+        versions, lazily and in insertion order, under the
+        :meth:`raw_rows` contract."""
+        return self.raw_rows(list(self._rows))
 
     def raw_items(self) -> list[tuple[Any, dict[str, Any]]]:
         """Zero-copy ``(pk, row)`` pairs of the latest live versions.
@@ -1000,6 +1006,11 @@ class Table:
             return self._ordered_indexes.get(columns)
         return self._hash_indexes.get(columns)
 
+    def _ordered_index(self, columns: tuple[str, ...]) -> OrderedIndex:
+        """A new ordered index over *columns*, keyed by their types."""
+        types = tuple(self.schema.column(c).type for c in columns)
+        return OrderedIndex(self.name, columns, types)
+
     def ordered_index_for(self, columns: tuple[str, ...]) -> OrderedIndex | None:
         """The ordered index over exactly *columns*, if one exists."""
         return self._ordered_indexes.get(columns)
@@ -1153,7 +1164,9 @@ class Table:
             )
         timer = self._db.obs.timer()
         self._begin_change()
-        index = (OrderedIndex if ordered else HashIndex)(self.name, columns)
+        index = (
+            self._ordered_index(columns) if ordered else HashIndex(self.name, columns)
+        )
         index.add_many(
             (head.row, pk) for pk, head in self._rows.items() if head.row is not None
         )

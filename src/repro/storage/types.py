@@ -153,6 +153,20 @@ def from_jsonable(value: Any, column_type: ColumnType) -> Any:
     return coerce(value, column_type)
 
 
+def sort_rank(value: Any) -> int:
+    """The type tag :func:`sort_key` gives *value* (its first element),
+    without building the key: values of a lower rank sort first."""
+    if value is None:
+        return 0
+    if isinstance(value, (int, float)):
+        return 2
+    if isinstance(value, _dt.datetime):
+        return 3
+    if isinstance(value, str):
+        return 4
+    return 5
+
+
 def sort_key(value: Any) -> tuple:
     """Total-order key over heterogeneous, possibly-None values.
 

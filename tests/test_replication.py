@@ -365,6 +365,33 @@ class TestRouting:
         counter = primary.obs.metrics.get("replication_reads_total")
         assert counter.labels(target="primary").value >= 1
 
+    def test_stalled_apply_is_routed_around(self, cluster):
+        """A replica stuck applying a frame has read no newer one, so its
+        own lag reads 0; routing measures it against the primary."""
+        primary, publisher, replicas = cluster
+        stalled = replicas[0]
+        primary.insert("doc", {"id": 0, "body": "before"})
+        stalled.wait_for(current_seq(primary), timeout=10.0)
+        gate = threading.Event()
+        apply = stalled.db.apply_replicated_commit
+
+        def held(*args, **kwargs):
+            gate.wait(10.0)
+            return apply(*args, **kwargs)
+
+        stalled.db.apply_replicated_commit = held
+        try:
+            for i in range(1, 21):
+                primary.insert("doc", {"id": i, "body": f"stalled {i}"})
+            rs = ReplicaSet(primary, [stalled], publisher=publisher, max_lag=2)
+            assert stalled.lag() <= 2
+            assert rs.pick() is None
+            with rs.read_snapshot() as snap:
+                assert snap.query("doc").count() == 21
+            assert rs.lag(stalled) >= 19
+        finally:
+            gate.set()
+
     def test_disconnected_replica_snapshot_raises(self, cluster):
         primary, publisher, replicas = cluster
         replicas[0].max_lag = 8  # opt in to the staleness bound

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.storage import Column, ColumnType, Database, TableSchema
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import NULL, HashIndex, OrderedIndex
 
 
 def make_db(path=None) -> Database:
@@ -183,16 +183,14 @@ class TestVerifyIntegrity:
     def test_row_missing_from_its_bucket(self):
         db = corrupt_db()
         index = self.index(db)
-        raw, _bucket = index._by_key[index._wrap((1,))]
-        index._by_key[index._wrap((1,))] = (raw, (1,))
+        index._by_key[1] = (1,)
         problems = db.verify_integrity()
         assert any("sample[3]: missing from index sx_sample_project" in p for p in problems)
 
     def test_filed_pk_that_is_no_live_row(self):
         db = corrupt_db()
         index = self.index(db)
-        raw, bucket = index._by_key[index._wrap((0,))]
-        index._by_key[index._wrap((0,))] = (raw, bucket | {99})
+        index._by_key[0] = index._by_key[0] | {99}
         index._entries += 1
         problems = db.verify_integrity()
         assert any("99 filed under (0,)" in p for p in problems)
@@ -219,16 +217,42 @@ class TestVerifyIntegrity:
 
     def test_sorted_keys_out_of_step_with_buckets(self):
         db = corrupt_db()
-        self.index(db)._sorted_keys.append(self.index(db)._wrap((5,)))
+        self.index(db)._sorted_keys.append(5)
         problems = db.verify_integrity()
+        assert any("sorted keys out of step" in p for p in problems)
+
+    def test_key_of_the_wrong_type(self):
+        db = corrupt_db()
+        index = self.index(db)
+        index._by_key["0"] = index._by_key.pop(0)
+        index._sorted_keys[0] = "0"
+        problems = db.verify_integrity()
+        assert any("key '0' is not int" in p for p in problems)
+        assert any("sorted keys out of step" in p for p in problems)
+
+    def test_wrapped_key(self):
+        db = corrupt_db()
+        index = self.index(db)
+        index._by_key[(2, 0)] = index._by_key.pop(0)
+        index._sorted_keys[0] = (2, 0)
+        problems = db.verify_integrity()
+        assert any("wrapped key (2, 0)" in p for p in problems)
+
+    def test_null_key_not_at_the_head(self):
+        db = corrupt_db()
+        db.insert("sample", {"id": 9, "name": "s9", "project": None, "kind": "x"})
+        index = self.index(db)
+        assert index._sorted_keys[0] is NULL
+        index._sorted_keys.append(index._sorted_keys.pop(0))
+        problems = db.verify_integrity()
+        assert any("NULL key not at the head" in p for p in problems)
         assert any("sorted keys out of step" in p for p in problems)
 
     @pytest.mark.parametrize("bucket", [(), set(), {2}, (2, 4)], ids=repr)
     def test_malformed_bucket(self, bucket):
         db = corrupt_db()
         index = self.index(db)
-        raw, _old = index._by_key[index._wrap((0,))]
-        index._by_key[index._wrap((0,))] = (raw, bucket)
+        index._by_key[0] = bucket
         problems = db.verify_integrity()
         assert any("malformed bucket" in p for p in problems)
 
@@ -237,8 +261,7 @@ class TestVerifyIntegrity:
         index = self.index(db)
         index._entries += 3
         index._sorted_keys.reverse()
-        raw, _old = index._by_key[index._wrap((0,))]
-        index._by_key[index._wrap((0,))] = (raw, {2})
+        index._by_key[0] = {2}
         assert db.verify_integrity() != []
         db.rebuild_indexes()
         assert db.verify_integrity() == []

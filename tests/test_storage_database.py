@@ -1,9 +1,15 @@
 """Database-level behaviour: registry, statistics, listeners, misc."""
 
+import datetime as dt
+import gc
+import json
+import tracemalloc
+
 import pytest
 
 from repro.errors import SchemaError
 from repro.storage import Column, ColumnType, Database, TableSchema
+from repro.storage.database import SNAPSHOT_META_KEY
 
 
 def simple_schema(name="t"):
@@ -98,3 +104,84 @@ class TestRowsIteration:
         for v in ("x", "y", "z"):
             db.insert("t", {"v": v})
         assert [r["v"] for r in db.rows("t")] == ["x", "y", "z"]
+
+
+class TestCheckpointStream:
+    """A checkpoint is written a chunk of rows at a time, and the file
+    is byte for byte the one-shot ``json.dumps`` of the whole document."""
+
+    def make(self, path, rows):
+        db = Database(path, durability="buffered")
+        db.create_table(
+            TableSchema(
+                "wide",
+                [
+                    Column("id", ColumnType.INT, primary_key=True),
+                    Column("name", ColumnType.TEXT),
+                    Column("score", ColumnType.FLOAT),
+                    Column("at", ColumnType.DATETIME),
+                    Column("meta", ColumnType.JSON),
+                ],
+            )
+        )
+        db.create_table(simple_schema("empty"))
+        db.create_table(simple_schema("small"))
+        with db.transaction() as txn:
+            for i in range(rows):
+                txn.insert(
+                    "wide",
+                    {
+                        "name": f"résumé {i}" if i % 3 else None,
+                        "score": i / 7,
+                        "at": dt.datetime(2010, 1, 1 + i % 28, i % 24),
+                        "meta": {"i": i, "tags": ["a", "☃"]} if i % 2 else None,
+                    },
+                )
+            txn.insert("small", {"v": "only"})
+        return db
+
+    def test_file_is_the_one_shot_encoding(self, tmp_path):
+        db = self.make(tmp_path, 2345)
+        db.delete("wide", 7)
+        seq = db.committed_seq
+        # The document as one dict, encoded in one call.
+        document = {
+            SNAPSHOT_META_KEY: {
+                "seq": seq,
+                "stats": {
+                    name: db.table(name).stats_state() for name in db.table_names()
+                },
+            }
+        }
+        for name in db.table_names():
+            document[name] = [
+                db._encode_row_for_wal(name, row) for row in db.table(name).rows()
+            ]
+        expected = json.dumps(document, separators=(",", ":"), default=str)
+        path = db.checkpoint()
+        assert path.read_text(encoding="utf-8") == expected
+        db.close()
+        restored = Database(tmp_path)
+        self.make_schemas(restored)
+        restored.recover()
+        assert restored.count("wide") == 2344 and restored.count("small") == 1
+        restored.close()
+
+    def make_schemas(self, db):
+        source = self.make(None, 0)
+        for name in source.table_names():
+            db.create_table(source.table(name).schema)
+
+    def test_peak_memory_stays_well_below_the_file(self, tmp_path):
+        db = self.make(tmp_path, 5000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            path = db.checkpoint()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 500_000
+        assert peak < size / 2, (peak, size)
+        db.close()

@@ -286,6 +286,51 @@ class TestOrderAndLimit:
         assert plan["early_exit"] is False
 
 
+    @pytest.mark.parametrize("op", [">=", ">", "<", "<="])
+    def test_range_limit_prices_its_range_once(self, monkeypatch, op):
+        """A range + LIMIT miss (engine_mixed's range_limit shape) probes
+        the ordered index once: the scan's selectivity and the seek
+        share one estimate within the planning call."""
+        db = Database(query_cache_size=0)
+        db.create_table(
+            TableSchema(
+                "workunit",
+                [
+                    Column("id", ColumnType.INT, primary_key=True),
+                    Column("name", ColumnType.TEXT, nullable=False),
+                ],
+                indexes=["name"],
+            )
+        )
+        with db.transaction() as txn:
+            for i in range(60):
+                txn.insert("workunit", {"name": f"wu {i:03d}"})
+        calls = []
+        estimate = OrderedIndex.estimate_range
+
+        def counting(index, *args, **kwargs):
+            calls.append(args)
+            return estimate(index, *args, **kwargs)
+
+        def shape():
+            return (
+                db.query("workunit")
+                .where("name", op, "wu 030")
+                .order_by("name")
+                .limit(10)
+            )
+
+        query = shape()
+        report = query.explain()
+        monkeypatch.setattr(OrderedIndex, "estimate_range", counting)
+        rows = query.all()
+        assert len(calls) == 1
+        assert rows == shape().without_indexes().all()
+        # explain() still prices every rival afresh, to the same figures.
+        assert query.explain() == report
+        assert report["strategy"] == "range:sx_workunit_name"
+
+
 # -- statistics ------------------------------------------------------------
 
 
