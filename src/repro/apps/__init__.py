@@ -11,8 +11,8 @@ Pieces:
 
 * :mod:`repro.apps.connectors` — the connector SPI and staging model;
 * :mod:`repro.apps.rserve` — a simulated Rserve connector with a real
-  two-group analysis "script" (scipy t-tests over synthesized
-  expression matrices);
+  two-group analysis "script" (Welch t-tests on the standard library
+  over synthesized expression matrices);
 * :mod:`repro.apps.registry` — application registration with interface
   validation;
 * :mod:`repro.apps.experiments` — experiment definitions and runs;

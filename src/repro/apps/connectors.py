@@ -67,7 +67,9 @@ class LocalPythonConnector(Connector):
     The callable is registered under the application's ``executable``
     name and receives the :class:`RunRequest`; whatever files it writes
     into ``request.workdir`` and lists in its outcome become the result
-    workunit's resources.
+    workunit's resources.  :class:`~repro.apps.rserve.RserveConnector`
+    keeps its scripts in this same registry and words the two lookup
+    errors its own way.
     """
 
     kind = "python"
@@ -79,18 +81,28 @@ class LocalPythonConnector(Connector):
         self, name: str, function: Callable[[RunRequest], RunOutcome]
     ) -> None:
         if name in self._scripts:
-            raise ConnectorError(f"script {name!r} already registered")
+            raise ConnectorError(self._duplicate_message(name))
         self._scripts[name] = function
 
     def script_names(self) -> list[str]:
         return sorted(self._scripts)
 
-    def run(self, request: RunRequest) -> RunOutcome:
-        script = self._scripts.get(request.executable)
+    def _duplicate_message(self, name: str) -> str:
+        return f"script {name!r} already registered"
+
+    def _missing_message(self, name: str) -> str:
+        return f"connector {self.kind!r} has no script {name!r}"
+
+    def _script(self, name: str) -> Callable[[RunRequest], RunOutcome]:
+        """The script registered as *name*; :class:`ConnectorError`
+        when there is none."""
+        script = self._scripts.get(name)
         if script is None:
-            raise ConnectorError(
-                f"connector {self.kind!r} has no script {request.executable!r}"
-            )
+            raise ConnectorError(self._missing_message(name))
+        return script
+
+    def run(self, request: RunRequest) -> RunOutcome:
+        script = self._script(request.executable)
         try:
             outcome = script(request)
         except ConnectorError:

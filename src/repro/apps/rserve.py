@@ -12,65 +12,60 @@ interpreter differs (see DESIGN.md substitutions).
 The built-in :func:`two_group_analysis` reproduces the demo's example
 application: it derives an expression matrix from each input file
 deterministically, splits samples by the ``reference group`` parameter
-and reports per-gene Welch t-tests — real statistics (scipy) over
-simulated measurements.  numpy and scipy are imported inside the
-functions that use them, so loading the facade (every ``repro`` verb,
-every ``repro serve`` start) does not pay for them.
+and reports per-gene Welch t-tests — real statistics over simulated
+measurements, on the standard library alone.  Its t statistics and
+p-values are those of ``scipy.stats.ttest_ind(..., equal_var=False)``
+(``tests/test_apps.py`` pins them), so a serving process never loads
+an array or statistics stack for a 200-gene demo.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
+from collections import deque
+from math import copysign, exp, fsum, inf, lgamma, log, nan, sqrt
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Sequence
 
-from repro.apps.connectors import Connector, RunOutcome, RunRequest
+from repro.apps.connectors import LocalPythonConnector, RunOutcome, RunRequest
 from repro.errors import ApplicationError, ConnectorError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 _GENES = 200
 
+#: Lines of Rserve session log a connector keeps (two per run).
+SESSION_LOG_LINES = 256
 
-class RserveConnector(Connector):
+
+class RserveConnector(LocalPythonConnector):
     """Runs "R scripts" on a simulated Rserve session."""
 
     kind = "rserve"
 
     def __init__(self, *, host: str = "rserve.local", port: int = 6311):
+        super().__init__()
         self.host = host
         self.port = port
-        self._scripts: dict[str, Callable[[RunRequest], RunOutcome]] = {}
-        self._session_log: list[str] = []
+        self._session_log: deque[str] = deque(maxlen=SESSION_LOG_LINES)
 
     @property
     def endpoint(self) -> str:
         return f"rserve:{self.host}:{self.port}"
 
-    def register_script(
-        self, name: str, function: Callable[[RunRequest], RunOutcome]
-    ) -> None:
-        """Deploy a script on the Rserve side."""
-        if name in self._scripts:
-            raise ConnectorError(f"R script {name!r} already deployed")
-        self._scripts[name] = function
+    def _duplicate_message(self, name: str) -> str:
+        return f"R script {name!r} already deployed"
 
-    def script_names(self) -> list[str]:
-        return sorted(self._scripts)
+    def _missing_message(self, name: str) -> str:
+        return f"Rserve at {self.host}:{self.port} has no script {name!r}"
 
     @property
     def session_log(self) -> list[str]:
+        """The last :data:`SESSION_LOG_LINES` lines of the session."""
         return list(self._session_log)
 
     def run(self, request: RunRequest) -> RunOutcome:
-        script = self._scripts.get(request.executable)
-        if script is None:
-            raise ConnectorError(
-                f"Rserve at {self.host}:{self.port} has no script "
-                f"{request.executable!r}"
-            )
+        script = self._script(request.executable)
         self._session_log.append(
             f"RS.connect({self.host}, {self.port}); "
             f"source('{request.executable}.R')"
@@ -91,19 +86,102 @@ class RserveConnector(Connector):
         return outcome
 
 
-def _expression_vector(path: Path, genes: int = _GENES) -> np.ndarray:
+# -- Welch's t-test -------------------------------------------------------------
+
+#: Lentz's floor for a vanishing continued-fraction term, and the
+#: relative change of the fraction at which it has converged.
+_TINY = 1e-300
+_EPS = 1e-15
+_MAX_TERMS = 1000
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of ``I_x(a, b)`` by Lentz's method; it
+    converges fast for ``x < (a + 1) / (a + b + 2)``."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
+    h = d
+    for m in range(1, _MAX_TERMS + 1):
+        m2 = 2 * m
+        # The even term, then the odd one.
+        term = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + term * d
+        d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
+        c = 1.0 + term / c
+        if -_TINY < c < _TINY:
+            c = _TINY
+        h *= d * c
+        term = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + term * d
+        d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
+        c = 1.0 + term / c
+        if -_TINY < c < _TINY:
+            c = _TINY
+        step = d * c
+        h *= step
+        if -_EPS < step - 1.0 < _EPS:
+            break
+    return h
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta ``I_x(a, b)``; *y* is ``1 - x``,
+    given separately so that neither end loses digits."""
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    log_front = (
+        lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - exp(log_front) * _beta_fraction(b, a, y) / b
+
+
+def _welch(
+    treatment: Sequence[float], reference: Sequence[float]
+) -> tuple[float, float]:
+    """Welch's t of *treatment* against *reference* and its two-sided
+    p-value, as ``scipy.stats.ttest_ind(..., equal_var=False)`` gives
+    them: ``nan``/``nan`` for a group of one value or for two constant
+    groups with one mean, ``±inf``/``0.0`` for constant groups apart.
+    """
+    n1, n2 = len(treatment), len(reference)
+    if n1 < 2 or n2 < 2:
+        return nan, nan
+    mean1 = fsum(treatment) / n1
+    mean2 = fsum(reference) / n2
+    vn1 = fsum([(v - mean1) ** 2 for v in treatment]) / (n1 - 1) / n1
+    vn2 = fsum([(v - mean2) ** 2 for v in reference]) / (n2 - 1) / n2
+    spread = vn1 + vn2
+    if spread == 0.0:
+        if mean1 == mean2:
+            return nan, nan
+        return copysign(inf, mean1 - mean2), 0.0
+    t = (mean1 - mean2) / sqrt(spread)
+    # Welch–Satterthwaite degrees of freedom.
+    df = spread * spread / (vn1 * vn1 / (n1 - 1) + vn2 * vn2 / (n2 - 1))
+    # P(|T| >= |t|) for Student's t with df degrees of freedom.
+    t2 = t * t
+    return t, _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+# -- the demo application -------------------------------------------------------
+
+
+def _expression_vector(path: Path, genes: int = _GENES) -> list[float]:
     """Deterministic simulated expression values for one input file.
 
     The file bytes seed a generator, so the same imported resource
     always yields the same measurements — experiments are reproducible,
     which is the whole point of capturing processing parameters.
     """
-    import numpy as np
-
     digest = hashlib.sha256(path.read_bytes()).digest()
-    seed = int.from_bytes(digest[:8], "big")
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc=8.0, scale=2.0, size=genes)
+    gauss = random.Random(int.from_bytes(digest[:8], "big")).gauss
+    return [gauss(8.0, 2.0) for _ in range(genes)]
 
 
 def two_group_analysis(request: RunRequest) -> RunOutcome:
@@ -118,10 +196,6 @@ def two_group_analysis(request: RunRequest) -> RunOutcome:
     Produces ``two_group_result.csv`` (per-gene statistics) and
     ``report.txt`` (an R-session-style summary).
     """
-    # The analysis stack costs ~0.9 s to import; only a run pays it.
-    import numpy as np
-    from scipy import stats
-
     reference_marker = request.parameters.get("reference_group")
     if not reference_marker:
         raise ApplicationError(
@@ -144,21 +218,17 @@ def two_group_analysis(request: RunRequest) -> RunOutcome:
             f"({len(reference)} reference / {len(treatment)} treatment files)"
         )
 
-    ref_matrix = np.vstack(reference)
-    trt_matrix = np.vstack(treatment)
-    t_stat, p_value = stats.ttest_ind(
-        trt_matrix, ref_matrix, axis=0, equal_var=False
-    )
-    log_fc = trt_matrix.mean(axis=0) - ref_matrix.mean(axis=0)
-    significant = int(np.sum(p_value < alpha))
-
+    genes = len(reference[0])
+    significant = 0
     result_csv = request.workdir / "two_group_result.csv"
     with open(result_csv, "w", encoding="utf-8") as fh:
         fh.write("gene,log_fc,t_statistic,p_value\n")
-        for gene in range(ref_matrix.shape[1]):
+        for gene, (trt, ref) in enumerate(zip(zip(*treatment), zip(*reference))):
+            t_stat, p_value = _welch(trt, ref)
+            log_fc = fsum(trt) / len(trt) - fsum(ref) / len(ref)
+            significant += p_value < alpha
             fh.write(
-                f"gene_{gene:04d},{log_fc[gene]:.4f},"
-                f"{t_stat[gene]:.4f},{p_value[gene]:.6f}\n"
+                f"gene_{gene:04d},{log_fc:.4f},{t_stat:.4f},{p_value:.6f}\n"
             )
 
     report_lines = [
@@ -169,7 +239,7 @@ def two_group_analysis(request: RunRequest) -> RunOutcome:
         f"reference group: {reference_marker!r} "
         f"({len(reference)} file(s))",
         f"treatment group: {len(treatment)} file(s)",
-        f"genes tested: {ref_matrix.shape[1]}",
+        f"genes tested: {genes}",
         f"significant at alpha={alpha}: {significant}",
     ]
     report_txt = request.workdir / "report.txt"
@@ -179,7 +249,7 @@ def two_group_analysis(request: RunRequest) -> RunOutcome:
         files=[result_csv, report_txt],
         report="\n".join(report_lines),
         metrics={
-            "genes": int(ref_matrix.shape[1]),
+            "genes": genes,
             "significant": significant,
             "reference_files": len(reference),
             "treatment_files": len(treatment),

@@ -345,7 +345,7 @@ class Table:
     def pks(self) -> list[Any]:
         if _probe_users:
             note_table_read(self.schema.name)
-        return [pk for pk, head in list(self._rows.items()) if head.row is not None]
+        return [pk for pk, head in self._rows.copy().items() if head.row is not None]
 
     def raw_rows(self, pks: Iterable[Any]) -> Iterator[dict[str, Any]]:
         """Zero-copy access to the *latest* versions' payloads of *pks*,
@@ -385,7 +385,7 @@ class Table:
             note_table_read(self.schema.name)
         return [
             (pk, head.row)
-            for pk, head in list(self._rows.items())
+            for pk, head in self._rows.copy().items()
             if head.row is not None
         ]
 
@@ -417,14 +417,16 @@ class Table:
     def items_at(self, seq: int) -> Iterator[tuple[Any, dict[str, Any]]]:
         """Zero-copy ``(pk, row)`` pairs visible at commit sequence *seq*.
 
-        The pk set is materialized atomically (GIL) before walking, so a
-        concurrent writer can neither tear the iteration nor raise
-        ``dict changed size``; rows the writer commits afterwards carry
-        a higher sequence number and stay invisible.
+        The row map is copied atomically (one C call under the GIL)
+        before walking, so a concurrent writer can neither tear the
+        iteration nor raise ``dict changed size``; rows the writer
+        commits afterwards carry a higher sequence number and stay
+        invisible.  Walking the copy's items reuses one pair tuple
+        where a ``list(items())`` would hold one per row.
         """
         if _probe_users:
             note_table_read(self.schema.name)
-        for pk, head in list(self._rows.items()):
+        for pk, head in self._rows.copy().items():
             node = self._visible_at(head, seq)
             if node is not None and node.row is not None:
                 yield pk, node.row

@@ -167,6 +167,21 @@ def sort_rank(value: Any) -> int:
     return 5
 
 
+def _canonical(value: Any) -> Any:
+    """*value* with every ``bool`` and integral finite ``float`` inside
+    it replaced by the ``int`` it equals, so that containers equal by
+    ``==`` (``[1] == [True] == [1.0]``) dump to one string."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    return value
+
+
 def sort_key(value: Any) -> tuple:
     """Total-order key over heterogeneous, possibly-None values.
 
@@ -174,7 +189,8 @@ def sort_key(value: Any) -> tuple:
     values are grouped by type so comparisons never raise.  Values that
     compare equal get equal keys, so an index probe finds what ``==``
     does: ``bool`` ranks as the number it equals (``True == 1 == 1.0``),
-    and an aware datetime by its UTC instant.
+    an aware datetime by its UTC instant, and a JSON container by its
+    :func:`_canonical` dump (``[True]`` as ``[1]``).
     """
     if value is None:
         return (0, "")
@@ -186,4 +202,4 @@ def sort_key(value: Any) -> tuple:
         return (3, value.isoformat())
     if isinstance(value, str):
         return (4, value)
-    return (5, json.dumps(value, sort_keys=True, default=str))
+    return (5, json.dumps(_canonical(value), sort_keys=True, default=str))

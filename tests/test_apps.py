@@ -2,7 +2,9 @@
 
 import datetime as dt
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 import zipfile
@@ -12,7 +14,13 @@ import pytest
 
 from repro.apps.connectors import LocalPythonConnector, RunOutcome, RunRequest
 from repro.apps.registry import check_parameters, validate_interface
-from repro.apps.rserve import RserveConnector, two_group_analysis
+from repro.apps.rserve import (
+    SESSION_LOG_LINES,
+    RserveConnector,
+    _expression_vector,
+    _welch,
+    two_group_analysis,
+)
 from repro.dataimport import AffymetrixGeneChipProvider
 from repro.errors import (
     ApplicationError,
@@ -219,6 +227,25 @@ class TestConnectors:
         assert any("RS.connect" in line for line in connector.session_log)
         assert any("status: ok" in line for line in connector.session_log)
 
+    def test_rserve_shares_the_script_registry(self, tmp_path):
+        connector = RserveConnector(host="r1", port=7000)
+        connector.register_script("ok", lambda request: RunOutcome(files=[]))
+        assert connector.script_names() == ["ok"]
+        with pytest.raises(ConnectorError, match="R script 'ok' already deployed"):
+            connector.register_script("ok", lambda request: RunOutcome(files=[]))
+        with pytest.raises(ConnectorError, match="Rserve at r1:7000 has no script 'nope'"):
+            connector.run(self.make_request(tmp_path, "nope"))
+        assert connector.session_log == []
+
+    def test_rserve_session_log_is_bounded(self, tmp_path):
+        connector = RserveConnector()
+        connector.register_script("ok", lambda request: RunOutcome(files=[]))
+        for _ in range(SESSION_LOG_LINES):  # two lines a run: twice the bound
+            connector.run(self.make_request(tmp_path, "ok"))
+        log = connector.session_log
+        assert isinstance(log, list) and len(log) == SESSION_LOG_LINES
+        assert log[-2].startswith("RS.connect(") and log[-1].startswith("status: ok")
+
     def test_rserve_error_logged(self, tmp_path):
         connector = RserveConnector()
 
@@ -296,20 +323,124 @@ class TestTwoGroupAnalysis:
                 RunRequest("a", "t", [], {"reference_group": "r"}, {}, workdir)
             )
 
-    def test_analysis_stack_imported_only_by_a_run(self):
+    def test_analysis_stack_imported_only_by_a_run(self, tmp_path):
         # Every `repro` verb and `repro serve` start imports the facade
-        # and the portal; neither may pull in numpy or scipy (~0.9 s).
+        # and the portal, and a run imports the analysis; none of them
+        # may pull in numpy or scipy (~77 MB of a serving process).
         src = Path(__file__).resolve().parents[1] / "src"
+        inputs = self.make_inputs(tmp_path, ["ref_1.cel", "trt_1.cel", "trt_2.cel"])
         script = (
             "import sys, repro.facade, repro.portal.server\n"
+            "from pathlib import Path\n"
+            "from repro.apps import RunRequest, two_group_analysis\n"
+            "files = [Path(name) for name in sys.argv[2:]]\n"
+            "request = RunRequest('tga', 'two_group_analysis', files,\n"
+            "                     {'reference_group': 'ref'}, {}, Path(sys.argv[1]))\n"
+            "assert two_group_analysis(request).metrics['genes'] == 200\n"
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, str(tmp_path), *map(str, inputs)],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_csv_rows_are_the_welch_statistics(self, tmp_path):
+        names = ["ref_1.cel", "ref_2.cel", "trt_1.cel", "trt_2.cel", "trt_3.cel"]
+        self.run(tmp_path, names, {"reference_group": "ref"})
+        vectors = {
+            name: _expression_vector(tmp_path / name) for name in names
+        }
+        reference = [vectors[n] for n in names if n.startswith("ref")]
+        treatment = [vectors[n] for n in names if n.startswith("trt")]
+        lines = (tmp_path / "work" / "two_group_result.csv").read_text().splitlines()
+        assert len(lines) == 201
+        for gene, line in enumerate(lines[1:]):
+            trt = [v[gene] for v in treatment]
+            ref = [v[gene] for v in reference]
+            t_stat, p_value = _welch(trt, ref)
+            log_fc = math.fsum(trt) / 3 - math.fsum(ref) / 2
+            assert line == (
+                f"gene_{gene:04d},{log_fc:.4f},{t_stat:.4f},{p_value:.6f}"
+            )
+
+    def test_one_file_per_group_reports_nan(self, tmp_path):
+        # The portal demo's own runs are one file against one.
+        outcome = self.run(
+            tmp_path, ["scan_a.cel", "scan_b.cel"], {"reference_group": "_a"}
+        )
+        assert outcome.metrics["significant"] == 0
+        rows = (tmp_path / "work" / "two_group_result.csv").read_text().splitlines()
+        assert all(row.endswith(",nan,nan") for row in rows[1:])
+
+
+def _same(got: float, want: float) -> bool:
+    """Equal to 1e-10 relative, with nan equal to nan and ±inf exact."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return math.isclose(got, want, rel_tol=1e-10, abs_tol=0.0)
+
+
+#: ``(treatment, reference, t, p)`` from ``scipy.stats.ttest_ind(
+#: treatment, reference, equal_var=False)`` in scipy 1.17.1, so that
+#: the oracle check needs no scipy to run.
+WELCH_REFERENCE = [
+    ((8.1, 9.4), (7.2, 6.9), 2.5484077425859266, 0.21832384082724643),
+    ((10.0, 11.5, 9.8), (7.1, 8.4, 6.6, 7.9, 8.8),
+     3.9746828611026044, 0.014644690992455033),
+    ((5.5, 6.1, 4.9, 5.2, 6.6, 5.8), (6.0, 9.1),
+     -1.1886676744487263, 0.43745796799764364),
+    ((8.0, 8.3, 7.7, 8.1), (8.2, 7.9, 8.4, 7.6), 0.0, 1.0),
+    ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0, 1.0),
+    ((4.0, 4.0, 4.0), (1.0, 3.0, 2.0), 3.464101615137755, 0.07417990022744854),
+    ((2.0, 2.5), (9.0, 9.25, 9.5), -24.248711305964285, 0.003845395263814187),
+    # |t| > 30: the p-value lives in the fraction's small tail.
+    ((100.0, 100.1, 100.2), (1.0, 1.1, 1.05),
+     1534.4760017673611, 8.911064417664686e-10),
+    ((20.1, 20.3, 19.9, 20.2, 20.0, 19.8), (10.2, 9.9, 10.1, 10.0, 9.8, 10.3),
+     92.58200997725517, 5.290705657110998e-16),
+    # A group of one file has no variance estimate.
+    ((8.0,), (9.0,), math.nan, math.nan),
+    ((8.0,), (1.0, 2.0, 3.0), math.nan, math.nan),
+    # Both groups constant: apart gives ±inf / 0, together nan / nan.
+    ((3.0, 3.0), (1.0, 1.0, 1.0), math.inf, 0.0),
+    ((1.0, 1.0), (5.0, 5.0), -math.inf, 0.0),
+    ((2.0, 2.0), (2.0, 2.0, 2.0), math.nan, math.nan),
+]
+
+
+class TestWelchOracle:
+    @pytest.mark.parametrize(
+        "treatment, reference, t_stat, p_value", WELCH_REFERENCE
+    )
+    def test_pinned_scipy_results(self, treatment, reference, t_stat, p_value):
+        got_t, got_p = _welch(treatment, reference)
+        assert _same(got_t, t_stat), (got_t, t_stat)
+        assert _same(got_p, p_value), (got_p, p_value)
+
+    def test_matches_scipy_on_random_genes(self):
+        np = pytest.importorskip("numpy")
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(2010)
+        for _ in range(2000):
+            shift = rng.choice([0.0, 0.5, 3.0, 25.0])
+            spread = rng.choice([0.01, 1.0, 2.0, 50.0])
+            treatment = [
+                rng.gauss(8.0 + shift, spread) for _ in range(rng.randint(2, 6))
+            ]
+            reference = [
+                rng.gauss(8.0, spread * rng.choice([0.1, 1.0, 5.0]))
+                for _ in range(rng.randint(2, 6))
+            ]
+            want = stats.ttest_ind(
+                np.array(treatment), np.array(reference), equal_var=False
+            )
+            want_t, want_p = float(want.statistic), float(want.pvalue)
+            t_stat, p_value = _welch(treatment, reference)
+            assert _same(t_stat, want_t), (treatment, reference)
+            assert _same(p_value, want_p), (treatment, reference)
+            assert f"{t_stat:.4f},{p_value:.6f}" == f"{want_t:.4f},{want_p:.6f}"
 
 
 class TestApplicationRegistry:

@@ -3,6 +3,7 @@
 import datetime as dt
 import gc
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -104,6 +105,29 @@ class TestRowsIteration:
         for v in ("x", "y", "z"):
             db.insert("t", {"v": v})
         assert [r["v"] for r in db.rows("t")] == ["x", "y", "z"]
+
+
+    def test_scans_hold_no_pair_per_row(self, db):
+        # A scan walks an atomic copy of the row map, whose items
+        # iterator reuses one (pk, head) tuple: its peak stays below
+        # the tuples alone of a list(items()) snapshot.
+        db.create_table(simple_schema())
+        with db.transaction() as txn:
+            for i in range(5000):
+                txn.insert("t", {"v": f"v{i}"})
+        table = db.table("t")
+        seq = db.committed_seq
+        pair_per_row = 5000 * sys.getsizeof((0, None))
+        for scan in (table.pks, lambda: sum(1 for _ in table.items_at(seq))):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                scan()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < pair_per_row, (scan, peak, pair_per_row)
+        assert len(table.pks()) == 5000
 
 
 class TestCheckpointStream:

@@ -50,13 +50,14 @@ VALUES = {
             dt.datetime(2009, 12, 31, tzinfo=PLUS_TWO),
         ]
     ),
-    # No bools or floats inside containers: JSON equality there is not
-    # sort_key equality ([1] == [True]), for index and scan alike.
+    # Bools and floats inside containers too: [1] == [True] == [1.0].
     "j": st.one_of(
         st.integers(min_value=0, max_value=2),
         st.sampled_from(["1", "a"]),
-        st.lists(st.integers(min_value=0, max_value=1), max_size=2),
-        st.dictionaries(st.sampled_from("xy"), st.integers(0, 1), max_size=1),
+        st.lists(st.sampled_from([0, 1, True, False, 1.0, 0.5]), max_size=2),
+        st.dictionaries(
+            st.sampled_from("xy"), st.sampled_from([0, 1, True, 1.0]), max_size=1
+        ),
     ),
 }
 
@@ -74,7 +75,9 @@ PROBES = [
     dt.datetime(2010, 1, 1, 12),
     INSTANT,
     [1],
+    [True],
     {"x": 1},
+    {"x": 1.0},
 ]
 
 

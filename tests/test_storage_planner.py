@@ -635,3 +635,62 @@ class TestEqualityFollowsPythonEquality:
             pinned = make(snap.query("t"), column, value)
             assert pinned.explain()["strategy"] != "scan"
             assert pinned.all() == expected
+
+
+#: JSON values equal by ``==`` across bool, int and float, nested in
+#: lists and dicts, beside values that differ from them.
+JSON_VALUES = [
+    [1], [True], [1.0], [0], [False], [0.5],
+    [[1, 2.0]], [[True, 2]], [[1.0, 3]],
+    {"a": 1}, {"a": True}, {"a": 1.5},
+    {"a": [1.0, {"b": False}]}, {"a": [1, {"b": 0}]}, {"a": [True, {"b": 0.0}]},
+    {"a": [1, {"b": 1}]}, [], {},
+]
+
+
+def _json_db() -> Database:
+    db = Database(query_cache_size=0)
+    db.create_table(
+        TableSchema(
+            "t",
+            [
+                Column("id", ColumnType.INT, primary_key=True),
+                Column("j", ColumnType.JSON),
+            ],
+            indexes=["j"],
+        )
+    )
+    with db.transaction() as txn:
+        for i, value in enumerate(JSON_VALUES * 2 + [None]):
+            txn.insert("t", {"id": i, "j": value})
+    return db
+
+
+class TestJsonKeysFollowPythonEquality:
+    """``[1] == [True] == [1.0]``: an index probe on a JSON column finds
+    the rows a scan finds, however deep the bool or float sits."""
+
+    SHAPES = {
+        "equality": lambda q, v: q.where("j", "=", v),
+        "equality+order+limit": lambda q, v: (
+            q.where("j", "=", v).order_by("id", descending=True).limit(3)
+        ),
+        "range": lambda q, v: q.where("j", ">=", v).where("j", "<=", v),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("value", JSON_VALUES, ids=repr)
+    def test_index_answers_what_a_scan_answers(self, shape, value):
+        db = _json_db()
+        make = self.SHAPES[shape]
+        query = make(db.query("t"), value)
+        assert query.explain()["strategy"] != "scan"
+        expected = make(db.query("t"), value).without_indexes().all()
+        assert expected and all(row["j"] == value for row in expected)
+        assert query.all() == expected
+        with db.snapshot() as snap:
+            pinned = make(snap.query("t"), value)
+            assert pinned.explain()["strategy"] != "scan"
+            assert pinned.all() == expected
+            db.insert("t", {"id": 999, "j": value})
+            assert make(snap.query("t"), value).all() == expected
