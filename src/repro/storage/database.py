@@ -51,6 +51,35 @@ _encode_snapshot = json.JSONEncoder(separators=(",", ":"), default=str).encode
 _SNAPSHOT_CHUNK_ROWS = 100
 
 
+def _snapshot_rows(
+    table: str, encoded: Any
+) -> "list[dict[str, Any]] | Iterator[dict[str, Any]]":
+    """One checkpointed table's rows as row dicts, for
+    :meth:`Table.load_rows`.  A checkpoint holds ``{"columns": [...],
+    "rows": [[...], ...]}`` per table; one written before that format
+    holds the list of row dicts itself.  A row of the first form is
+    keyed by the header, so a column the header lacks takes its default
+    and one the schema lacks is dropped, as in a row dict."""
+    if not isinstance(encoded, dict):
+        return encoded or []
+    header, rows = encoded.get("columns"), encoded.get("rows")
+    if not isinstance(header, list) or not isinstance(rows, list):
+        raise SchemaError(f"snapshot table {table!r}: no column header and rows")
+    if not rows:
+        return []
+
+    def keyed() -> Iterator[dict[str, Any]]:
+        for values in rows:
+            if not isinstance(values, list) or len(values) != len(header):
+                raise SchemaError(
+                    f"snapshot table {table!r}: row {values!r} does not "
+                    f"match its {len(header)}-column header"
+                )
+            yield dict(zip(header, values))
+
+    return keyed()
+
+
 class Database:
     """An embedded multi-table transactional store."""
 
@@ -718,23 +747,35 @@ class Database:
             return target
 
     def _write_snapshot(self, fh: Any, meta: dict[str, Any]) -> None:
-        """Write the snapshot document ``{meta key: meta, table: rows,
-        ...}`` to *fh*, byte for byte what ``json.dumps(document,
-        separators=(",", ":"), default=str)`` returns, without ever
-        holding it whole: rows are encoded and written
-        :data:`_SNAPSHOT_CHUNK_ROWS` at a time (the live payloads, not
-        copies; the writer lock is held)."""
+        """Write the snapshot document ``{meta key: meta, table:
+        {"columns": [...], "rows": [[...], ...]}, ...}`` to *fh*, byte
+        for byte what ``json.dumps(document, separators=(",", ":"),
+        default=str)`` returns, without ever holding it whole.  Each
+        table names its columns once, in schema order, and each row is
+        the list of its values in that order.  Rows are encoded and
+        written :data:`_SNAPSHOT_CHUNK_ROWS` at a time (the live
+        payloads, not copies; the writer lock is held)."""
         encode = _encode_snapshot
         fh.write("{" + encode(SNAPSHOT_META_KEY) + ":" + encode(meta))
         for name, table in self._tables.items():
-            fh.write("," + encode(name) + ":[")
+            schema = table.schema
+            columns = schema.column_names
+            kinds = [col.type for col in schema.columns]
+            fh.write("," + encode(name) + ':{"columns":' + encode(columns))
+            fh.write(',"rows":[')
             rows = table.raw_payloads()
             separator = ""
             for batch in iter(lambda: list(islice(rows, _SNAPSHOT_CHUNK_ROWS)), []):
-                chunk = encode([self._encode_row_for_wal(name, row) for row in batch])
-                fh.write(separator + chunk[1:-1])
+                if schema.wal_passthrough:
+                    values = [[row[c] for c in columns] for row in batch]
+                else:
+                    values = [
+                        [to_jsonable(row[c], k) for c, k in zip(columns, kinds)]
+                        for row in batch
+                    ]
+                fh.write(separator + encode(values)[1:-1])
                 separator = ","
-            fh.write("]")
+            fh.write("]}")
         fh.write("}")
 
     def recover(self) -> dict[str, int]:
@@ -845,7 +886,7 @@ class Database:
         for name, table in self._tables.items():
             state = saved.get(name)
             rows += table.load_rows(
-                snapshot.pop(name, None) or [],
+                _snapshot_rows(name, snapshot.pop(name, None)),
                 stats=state if isinstance(state, dict) else None,
             )
         return rows, seq

@@ -12,8 +12,9 @@ Example::
     )
 
 Planning is **cost based**: the planner enumerates every candidate
-access path — primary-key hit, composite/single hash probe, hash-index
-intersection, ordered-index range seek, composite prefix seek (equality
+access path — primary-key hit, composite/single hash probe, an ``IN``
+list probed value by value, hash-index intersection, ordered-index
+range seek, composite prefix seek (equality
 on a key prefix + range on the next column), covering skip-fetch reads,
 and LIMIT-aware ordered rides — prices each with the table's statistics
 (live row count, O(1) exact distinct counts off the indexes, reservoir
@@ -102,6 +103,11 @@ def _pk_order(bucket: "tuple | set[Any]") -> Any:
     atomic call): *bucket* may be an index's live set, which a writer
     may be resizing; a 1-tuple bucket is immutable."""
     return tuple(bucket) if len(bucket) < 2 else sorted(bucket)
+
+
+def _union(index: Any, keys: "list[tuple]") -> "set[Any]":
+    """The pks filed under any of *keys* in *index* (an ``IN`` plan)."""
+    return set().union(*map(index.members, keys))
 
 
 def _sort_rows(
@@ -316,6 +322,7 @@ class Plan:
     * ``pks`` — a pre-materialized candidate pk set (primary-key hits,
       and every index plan once pinned for snapshot execution);
     * ``hash`` — one equality probe (hash or ordered index) at execution;
+    * ``in`` — one equality probe per ``IN`` member, the buckets' union;
     * ``intersect`` — several single-column equality probes ANDed together;
     * ``seek`` — lazy ordered-index iteration (range / prefix / ordered
       ride), fetching rows pk by pk;
@@ -341,7 +348,7 @@ class Plan:
     index: Any = None
     key: "tuple | None" = None
     indexes: "list[Any] | None" = None   # intersect: probed indexes
-    keys: "list[tuple] | None" = None    # intersect: one key per index
+    keys: "list[tuple] | None" = None    # intersect: one key per index; in: per member
     prefix: tuple = ()
     low: Any = None
     high: Any = None
@@ -591,6 +598,8 @@ class Query:
             pks = plan.pks
         elif plan.kind == "hash":
             pks = plan.index.lookup(plan.key)
+        elif plan.kind == "in":
+            pks = _union(plan.index, plan.keys)
         elif plan.kind == "intersect":
             assert plan.indexes is not None and plan.keys is not None
             sets = sorted(
@@ -735,6 +744,41 @@ class Query:
                     candidates=bucket,
                 )
             )
+
+        # IN lists: a probe per distinct non-NULL member (NULL never
+        # matches) of a single column's plain or unique index, the
+        # buckets' union in pk order.  A member that cannot be hashed
+        # leaves the list to the other plans.
+        for cond in conds:
+            if cond.op != "in" or not isinstance(cond.value, _PK_SETS):
+                continue
+            try:
+                keys = [(v,) for v in {v for v in cond.value if v is not None}]
+            except TypeError:
+                continue
+            residual = [c for c in conds if c is not cond]
+            for index in (
+                tbl.hash_index_for((cond.column,)),
+                tbl.unique_index_for((cond.column,)),
+            ):
+                if index is None:
+                    continue
+                matched = sum(index.bucket_size(key) for key in keys)
+                cost = len(keys) * SEEK_COST + matched * (
+                    INTERSECT_COST + ROW_FETCH_COST + len(residual) * RESIDUAL_COST
+                )
+                plans.append(
+                    Plan(
+                        f"in:{index.name}",
+                        "in",
+                        cost,
+                        self._est(matched, residual),
+                        residual,
+                        index=index,
+                        keys=keys,
+                        candidates=matched,
+                    )
+                )
 
         # Index intersection: AND several single-column equality probes.
         singles: list[tuple[Condition, Any]] = []
@@ -1162,6 +1206,8 @@ class Query:
                 pks: Any = tbl.pks()
             elif plan.kind == "hash":
                 pks = _pk_order(plan.index.members(plan.key))
+            elif plan.kind == "in":
+                pks = _pk_order(_union(plan.index, plan.keys))
             elif plan.kind == "intersect":
                 assert plan.indexes is not None and plan.keys is not None
                 sets = sorted(

@@ -8,8 +8,9 @@ the database-wide commit sequence number.  Readers pinned to a
 :class:`~repro.storage.snapshot.Snapshot` walk the chain to the newest
 version visible at their sequence number and therefore never block on —
 or observe — an in-flight writer.  Versions below the oldest live
-snapshot are pruned lazily on the write path and swept when snapshots
-close.
+snapshot are pruned lazily on the write path, and when a snapshot
+closes the table prunes the chains its commits superseded since the last
+prune — never the rest.
 
 All constraint checks happen against the *latest* state, *before* any
 chain changes, so a failed write leaves rows and indexes untouched.
@@ -36,6 +37,7 @@ rely on three invariants:
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -215,10 +217,10 @@ class Table:
         #: Uncommitted versions in application order; commit stamps them
         #: with the global sequence number, rollback pops them (LIFO).
         self._uncommitted: list[RowVersion] = []
-        #: Upper bound on chain nodes a prune sweep could reclaim
-        #: (superseded versions + tombstones).  Zero means a sweep would
-        #: find nothing, so snapshot close skips the O(n) pass.
-        self._reclaimable = 0
+        #: ``(seq, pk)`` per committed version that superseded another
+        #: version or is a tombstone, in commit order: the only chains a
+        #: prune can shorten.  Every other chain is one live version.
+        self._prunable: deque[tuple[int, Any]] = deque()
         self._ids = IdAllocator()
         self._pk = schema.primary_key.name
         self._auto_pk = schema.primary_key.type is ColumnType.INT
@@ -295,6 +297,11 @@ class Table:
         self._m_pruned = obs.metrics.counter(
             "storage_versions_pruned_total",
             "Row versions reclaimed from MVCC chains",
+            labels=("table",),
+        ).labels(table=schema.name)
+        self._m_chains_visited = obs.metrics.counter(
+            "storage_prune_chains_visited_total",
+            "Version chains a prune examined",
             labels=("table",),
         ).labels(table=schema.name)
 
@@ -523,11 +530,17 @@ class Table:
         an even epoch, ``dirty`` False, and a stale ``version`` all at
         once — and wrongly trust the live indexes, which already
         reflect this commit's deletes and updates.
+
+        Each version that supersedes another, and each tombstone, joins
+        the prune queue here: a rolled-back version never does.
         """
         if self._pending_ops:
             self._mutation_epoch += 1
+            prunable = self._prunable
             for node in self._uncommitted:
                 node.seq = seq
+                if node.older is not None:
+                    prunable.append((seq, self._pk_of(node)))
             self._uncommitted.clear()
             self._version = seq
             self._pending_ops = 0
@@ -581,16 +594,32 @@ class Table:
             cursor = cursor.older
         return dropped
 
+    def _pk_of(self, node: RowVersion) -> Any:
+        """The pk of *node*'s chain, for a version not yet committed
+        or being committed.  A tombstone's is that of the live row it
+        deletes, which stays linked to it until then: a prune only cuts
+        below a committed version."""
+        row = node.row if node.row is not None else node.older.row
+        return row[self._pk]
+
     def prune_versions(self, horizon: int) -> int:
-        """Sweep every chain, dropping versions below *horizon* and
-        removing fully-dead tombstone entries.  Caller holds the writer
-        lock.  Returns the number of chain nodes reclaimed."""
-        if self._reclaimable == 0:
+        """Prune the chains queued by commits at or below *horizon*:
+        cut each below the version visible at *horizon*, and drop it
+        whole once only a committed tombstone is left.  Entries above
+        the horizon stay queued, so a close that does not move the
+        horizon costs nothing.  Caller holds the writer lock.  Returns
+        the number of chain nodes reclaimed."""
+        queue = self._prunable
+        if not queue or queue[0][0] > horizon:
             return 0
-        dropped = 0
-        reclaimable = 0
-        for pk in list(self._rows):
-            head = self._rows[pk]
+        rows = self._rows
+        dropped = visited = 0
+        while queue and queue[0][0] <= horizon:
+            pk = queue.popleft()[1]
+            head = rows.get(pk)
+            if head is None:
+                continue  # queued twice, and already dropped
+            visited += 1
             dropped += self._truncate_chain(head, horizon)
             if (
                 head.row is None
@@ -601,15 +630,9 @@ class Table:
                 # Committed tombstone with no history left and no
                 # snapshot that could still see the row: the chain is
                 # fully dead.
-                del self._rows[pk]
+                del rows[pk]
                 dropped += 1
-            else:
-                node = head
-                while node is not None:
-                    if node.older is not None or node.row is None:
-                        reclaimable += 1
-                    node = node.older
-        self._reclaimable = reclaimable
+        self._m_chains_visited.inc(visited)
         if dropped:
             self._m_pruned.inc(dropped)
         return dropped
@@ -799,7 +822,6 @@ class Table:
         node = RowVersion(candidate, None, head)
         self._rows[pk] = node
         self._uncommitted.append(node)
-        self._reclaimable += 1
         self._lazy_truncate(node)
         self._index_move(before, candidate, pk)
         self._stats.on_remove(before)
@@ -827,7 +849,6 @@ class Table:
         self._rows[pk] = node
         self._uncommitted.append(node)
         self._live -= 1
-        self._reclaimable += 2  # the tombstone plus the superseded version
         self._lazy_truncate(node)
         self._stats.on_remove(before)
         self._end_change()
@@ -840,7 +861,6 @@ class Table:
             return
         dropped = self._truncate_chain(head, self._db.version_horizon())
         if dropped:
-            self._reclaimable = max(0, self._reclaimable - dropped)
             self._m_pruned.inc(dropped)
 
     def apply_undo(self, entry: UndoEntry) -> None:
@@ -848,7 +868,10 @@ class Table:
 
         Undo entries are replayed in reverse application order, so the
         chain head for ``entry.pk`` is always the uncommitted version
-        that mutation created: undo pops it.
+        that mutation created: undo pops it.  Undoing a re-insert bares
+        the committed tombstone below it again, which is queued for
+        pruning anew: a prune while the insert was open may have popped
+        its entry without dropping it.
         """
         head = self._rows.get(entry.pk)
         assert head is not None and head.seq is None, (
@@ -862,10 +885,13 @@ class Table:
             assert head.row is not None
             self._index_remove(head.row, entry.pk)
             self._stats.on_remove(head.row)
-            if head.older is None:
+            older = head.older
+            if older is None:
                 del self._rows[entry.pk]
             else:
-                self._rows[entry.pk] = head.older
+                self._rows[entry.pk] = older
+                if older.row is None and older.seq is not None:
+                    self._prunable.append((older.seq, entry.pk))
             self._live -= 1
         elif entry.op == "delete":
             older = head.older
@@ -874,7 +900,6 @@ class Table:
             self._index_add(older.row, entry.pk)
             self._stats.on_insert(older.row)
             self._live += 1
-            self._reclaimable = max(0, self._reclaimable - 2)
         elif entry.op == "update":
             older = head.older
             assert older is not None and older.row is not None
@@ -883,7 +908,6 @@ class Table:
             self._index_move(head.row, older.row, entry.pk)
             self._stats.on_remove(head.row)
             self._stats.on_insert(older.row)
-            self._reclaimable = max(0, self._reclaimable - 1)
         else:  # pragma: no cover - defensive
             raise SchemaError(f"unknown undo op {entry.op!r}")
         self._end_undo()
@@ -892,11 +916,12 @@ class Table:
 
     def load_rows(
         self,
-        rows: "list[dict[str, Any]]",
+        rows: "Iterable[dict[str, Any]]",
         *,
         stats: "dict[str, Any] | None" = None,
     ) -> int:
-        """Install *rows*, a snapshot's encoded state of this table.
+        """Install *rows*, a snapshot's encoded state of this table (a
+        falsy value, or an iterator that yields at least one row).
 
         The one loader behind checkpoint recovery and replica bootstrap.
         Each row is decoded and normalized in one pass: datetimes through
@@ -1138,7 +1163,7 @@ class Table:
             self._rows[pk] = RowVersion(
                 {**head.row, column.name: value}, seq, head
             )
-            self._reclaimable += 1
+            self._prunable.append((seq, pk))
         self._mutation_epoch += 1  # close the seqlock without going dirty
         self._db._publish_commit_seq(seq)
         if column.unique:
@@ -1241,20 +1266,26 @@ class Table:
     # -- statistics ------------------------------------------------------------
 
     def version_statistics(self) -> dict[str, int]:
-        """Chain shape counters for the admin console / tests."""
-        chains = 0
-        nodes = 0
+        """Chain shape counters for the admin console / tests.
+
+        Only the chains in the prune queue or under an open transaction
+        can hold more than one version or a tombstone, so only those are
+        walked; every other chain is one live version.  Caller holds the
+        writer lock."""
+        chains = nodes = len(self._rows)
         tombstones = 0
         multi = 0
-        for head in list(self._rows.values()):
-            chains += 1
-            if head.older is not None:
-                multi += 1
-            node = head
+        walked = {pk for _seq, pk in self._prunable}
+        walked.update(map(self._pk_of, self._uncommitted))
+        for pk in walked:
+            node = self._rows.get(pk)
+            if node is None:
+                continue
+            multi += node.older is not None
+            nodes -= 1
             while node is not None:
                 nodes += 1
-                if node.row is None:
-                    tombstones += 1
+                tombstones += node.row is None
                 node = node.older
         return {
             "chains": chains,

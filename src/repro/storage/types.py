@@ -167,18 +167,34 @@ def sort_rank(value: Any) -> int:
     return 5
 
 
-def _canonical(value: Any) -> Any:
+def _canonical(value: Any, foreign: "list[Any]") -> Any:
     """*value* with every ``bool`` and integral finite ``float`` inside
     it replaced by the ``int`` it equals, so that containers equal by
-    ``==`` (``[1] == [True] == [1.0]``) dump to one string."""
+    ``==`` (``[1] == [True] == [1.0]``) dump to one string.
+
+    What a JSON column never stores — a tuple, a dict key that is not a
+    ``str``, any object beyond ``str``, numbers and ``None`` — is noted
+    in *foreign*: it dumps like a value the column does store (``(1,)``
+    as ``[1]``) but equals none of them."""
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, float):
         return int(value) if value.is_integer() else value
     if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
+        if type(value) is not list:
+            foreign.append(value)
+        return [_canonical(item, foreign) for item in value]
     if isinstance(value, dict):
-        return {key: _canonical(item) for key, item in value.items()}
+        if all(type(key) is str for key in value):
+            return {key: _canonical(item, foreign) for key, item in value.items()}
+        # Keys of several types do not sort: key each by its own dump.
+        foreign.append(value)
+        return {
+            json.dumps(_canonical(key, foreign), default=str): _canonical(item, foreign)
+            for key, item in value.items()
+        }
+    if value is not None and not isinstance(value, (str, int)):
+        foreign.append(value)
     return value
 
 
@@ -190,7 +206,10 @@ def sort_key(value: Any) -> tuple:
     compare equal get equal keys, so an index probe finds what ``==``
     does: ``bool`` ranks as the number it equals (``True == 1 == 1.0``),
     an aware datetime by its UTC instant, and a JSON container by its
-    :func:`_canonical` dump (``[True]`` as ``[1]``).
+    :func:`_canonical` dump (``[True]`` as ``[1]``).  A value no JSON
+    column stores sorts just after the one it dumps like, and never
+    shares its key: ``(1,) != [1]``, so an index probe with ``(1,)``
+    must not find ``[1]``.
     """
     if value is None:
         return (0, "")
@@ -202,4 +221,6 @@ def sort_key(value: Any) -> tuple:
         return (3, value.isoformat())
     if isinstance(value, str):
         return (4, value)
-    return (5, json.dumps(_canonical(value), sort_keys=True, default=str))
+    foreign: list[Any] = []
+    dumped = json.dumps(_canonical(value, foreign), sort_keys=True, default=str)
+    return (5, dumped, 1) if foreign else (5, dumped)

@@ -178,9 +178,14 @@ class TestCheckpointStream:
             }
         }
         for name in db.table_names():
-            document[name] = [
-                db._encode_row_for_wal(name, row) for row in db.table(name).rows()
-            ]
+            columns = db.table(name).schema.column_names
+            document[name] = {
+                "columns": columns,
+                "rows": [
+                    [db._encode_row_for_wal(name, row)[c] for c in columns]
+                    for row in db.table(name).rows()
+                ],
+            }
         expected = json.dumps(document, separators=(",", ":"), default=str)
         path = db.checkpoint()
         assert path.read_text(encoding="utf-8") == expected
@@ -197,7 +202,7 @@ class TestCheckpointStream:
             db.create_table(source.table(name).schema)
 
     def test_peak_memory_stays_well_below_the_file(self, tmp_path):
-        db = self.make(tmp_path, 5000)
+        db = self.make(tmp_path, 6000)
         gc.collect()
         tracemalloc.start()
         try:

@@ -207,7 +207,12 @@ class TestEveryReadMatchesASortKeyScan:
         rows=rows_strategy,
         column=st.sampled_from(sorted(COLUMNS)),
         conditions=st.lists(
-            st.tuples(st.sampled_from(["=", "<", "<=", ">", ">="]), probe),
+            st.one_of(
+                st.tuples(st.sampled_from(["=", "<", "<=", ">", ">="]), probe),
+                # IN lists, with a tuple no JSON column stores beside
+                # the list it dumps like.
+                st.tuples(st.just("in"), st.lists(probe | st.just((1,)), max_size=3)),
+            ),
             min_size=1,
             max_size=2,
         ),

@@ -185,6 +185,42 @@ class TestPlanChoice:
         assert plan["actual_rows"] == 20
         assert abs(plan["estimated_rows"] - plan["actual_rows"]) <= 5
 
+    @pytest.mark.parametrize(
+        "column, values, strategy",
+        [
+            ("project", [3, 5, None], "in:sx_event_project"),
+            ("project", [], "in:sx_event_project"),
+            ("score", [1, True, 1.0, "1"], "in:sx_event_score"),
+            ("score", list(range(380)), "scan"),
+            ("payload", ["row 1", "row 2"], "scan"),
+        ],
+    )
+    def test_in_list_probes_an_index(self, events_db, column, values, strategy):
+        query = events_db.query("event").where(column, "in", values)
+        assert query.explain()["strategy"] == strategy
+        assert query.pks() == query.without_indexes().pks()
+        with events_db.snapshot() as snap:
+            pinned = snap.query("event").where(column, "in", values)
+            assert pinned.explain()["strategy"] == strategy
+            assert pinned.pks() == query.pks()
+
+    def test_in_list_probes_a_unique_index(self):
+        db = Database()
+        db.create_table(
+            TableSchema(
+                "tag",
+                [
+                    Column("id", ColumnType.INT, primary_key=True),
+                    Column("code", ColumnType.TEXT, unique=True),
+                ],
+            )
+        )
+        for i in range(200):
+            db.insert("tag", {"code": f"c{i}"})
+        query = db.query("tag").where("code", "in", ["c7", "c3", "nope", None])
+        assert query.explain()["strategy"] == "in:uq_tag_code"
+        assert query.pks() == [4, 8]
+
     def test_scan_when_no_index_applies(self, events_db):
         plan = (
             events_db.query("event").where("payload", "contains", "7").explain()
@@ -471,6 +507,25 @@ def _hot_shapes(source):
         "pk_twice": lambda: (
             source.query("event").where("id", "=", 7).where("id", "=", 8)
         ),
+        # IN over an indexed column: probed member by member.
+        "in_indexed": lambda: source.query("event").where("project", "in", [3, 5]),
+        "in_with_null": lambda: (
+            source.query("event").where("score", "in", [None, 7, 49, 103])
+        ),
+        "in_equal_numbers": lambda: (
+            source.query("event").where("project", "in", (1, True, 1.0))
+        ),
+        "in_empty": lambda: source.query("event").where("project", "in", []),
+        "in_other_family": lambda: (
+            source.query("event").where("kind", "in", [3, None, "qc"])
+        ),
+        "in_residual": lambda: (
+            source.query("event").where("project", "in", {3, 4})
+            .where("kind", "=", "run")
+        ),
+        "in_most_of_table": lambda: (
+            source.query("event").where("score", "in", list(range(380)))
+        ),
     }
 
 
@@ -501,8 +556,13 @@ class TestPlanEquivalence:
         assert answers["pk_query"] == answers["pk_residual_hit"] == [row]
         assert len(answers["indexed_eq"]) == 20
         assert [r["id"] for r in answers["range_limit"]] == list(range(100, 110))
-        for empty in ("pk_miss", "pk_residual_miss", "pk_null", "pk_twice"):
+        for empty in ("pk_miss", "pk_residual_miss", "pk_null", "pk_twice", "in_empty"):
             assert answers[empty] == []
+        assert len(answers["in_indexed"]) == 40
+        assert [r["id"] for r in answers["in_with_null"]] == [7, 103]
+        assert len(answers["in_equal_numbers"]) == 20
+        assert len(answers["in_other_family"]) == 100
+        assert len(answers["in_most_of_table"]) == 373
 
     def test_snapshot_plans_return_what_a_scan_returns(self, events_db):
         live = self._check(events_db)
@@ -694,3 +754,23 @@ class TestJsonKeysFollowPythonEquality:
             assert pinned.all() == expected
             db.insert("t", {"id": 999, "j": value})
             assert make(snap.query("t"), value).all() == expected
+
+    #: Values no JSON column stores (it keeps lists, not tuples, and
+    #: ``str`` keys), most dumping like a stored value they do not
+    #: equal: ``(1,) != [1]``.
+    FOREIGN = [
+        (1,), ((1, 2.0),), ([True, 2],), {"a": (1.0, {"b": False})},
+        {1: "a", "b": 2},
+    ]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("value", FOREIGN, ids=repr)
+    def test_a_value_no_column_stores_finds_nothing(self, shape, value):
+        db = _json_db()
+        make = self.SHAPES[shape]
+        query = make(db.query("t"), value)
+        assert query.explain()["strategy"] != "scan"
+        assert make(db.query("t"), value).without_indexes().all() == []
+        assert query.all() == []
+        with db.snapshot() as snap:
+            assert make(snap.query("t"), value).all() == []

@@ -283,10 +283,32 @@ class TestRecoveredStateEqualsOriginal:
             gc.enable()
 
 
-def edit_snapshot(path, edit) -> None:
+def edit_snapshot(path, edit, form="columns") -> None:
+    """Apply *edit* to the checkpoint's tables as lists of row dicts,
+    then write them back as *form*: ``"columns"`` (one header per table,
+    one value list per row) or ``"dicts"`` (the list of row dicts that
+    checkpoints held before the header).  In the header form a column
+    some edited row lacks is left out of the header altogether, and a
+    column only some rows carry is null in the others."""
     target = path / SNAPSHOT_NAME
     snapshot = json.loads(target.read_text(encoding="utf-8"))
+    headers = {}
+    for name, table in snapshot.items():
+        if name != SNAPSHOT_META_KEY:
+            headers[name] = table["columns"]
+            snapshot[name] = [dict(zip(table["columns"], row)) for row in table["rows"]]
     edit(snapshot)
+    if form == "columns":
+        for name, rows in snapshot.items():
+            if name == SNAPSHOT_META_KEY:
+                continue
+            known = headers.get(name, [])
+            header = [c for c in known if all(c in row for row in rows)]
+            header += list(dict.fromkeys(c for row in rows for c in row if c not in known))
+            snapshot[name] = {
+                "columns": header,
+                "rows": [[row.get(c) for c in header] for row in rows],
+            }
     target.write_text(json.dumps(snapshot), encoding="utf-8")
 
 
@@ -321,23 +343,30 @@ EDITS = {
 }
 
 
+#: The two checkpoint forms ``edit_snapshot`` writes.
+FORMS = ["columns", "dicts"]
+
+
 class TestValidationKept:
-    @pytest.mark.parametrize("case", sorted(EDITS))
-    def test_hand_edited_snapshot_raises_the_same_type(self, tmp_path, case):
-        db = build(tmp_path)
+    def check(self, path, case, form):
+        db = build(path)
         db.checkpoint()
         db.close()
         edit, expected = EDITS[case]
-        edit_snapshot(tmp_path, edit)
+        edit_snapshot(path, edit, form)
         with pytest.raises(expected):
-            recovered(tmp_path)
+            recovered(path)
         assert gc.isenabled()
 
-    def test_loosely_written_values_still_load(self, tmp_path):
-        db = build(tmp_path)
-        db.checkpoint()
-        db.close()
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_hand_edited_snapshot_raises_the_same_type(self, tmp_path, case):
+        self.check(tmp_path, case, "columns")
 
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_hand_edited_row_dicts_raise_the_same_type(self, tmp_path, case):
+        self.check(tmp_path, case, "dicts")
+
+    def test_loosely_written_values_still_load(self, tmp_path):
         def loosen(snapshot):
             row = snapshot["item"][0]
             row["batch"] = float(row["batch"])          # 3.0 into an INT column
@@ -346,16 +375,33 @@ class TestValidationKept:
             snapshot["lab"][0].pop("active")            # default applies
             snapshot["lab"][0]["retired"] = "x"         # dropped column
 
-        edit_snapshot(tmp_path, loosen)
-        db = recovered(tmp_path)
-        item = db.get("item", 1)
-        assert isinstance(item["batch"], int)
-        assert item["created"] == dt.datetime(2009, 5, 6, 7, 8, 9)
-        lab = db.get("lab", 1)
-        assert lab["score"] == 1.0 and isinstance(lab["score"], float)
-        assert lab["active"] is True
-        assert "retired" not in lab
-        db.close()
+        for form in FORMS:
+            path = tmp_path / form
+            db = build(path)
+            db.checkpoint()
+            db.close()
+            edit_snapshot(path, loosen, form)
+            db = recovered(path)
+            item = db.get("item", 1)
+            assert isinstance(item["batch"], int)
+            assert item["created"] == dt.datetime(2009, 5, 6, 7, 8, 9)
+            lab = db.get("lab", 1)
+            assert lab["score"] == 1.0 and isinstance(lab["score"], float)
+            assert lab["active"] is True
+            assert "retired" not in lab
+            db.close()
+
+
+def test_a_row_off_its_header_is_refused(tmp_path):
+    db = build(tmp_path)
+    db.checkpoint()
+    db.close()
+    target = tmp_path / SNAPSHOT_NAME
+    snapshot = json.loads(target.read_text(encoding="utf-8"))
+    snapshot["item"]["rows"][3].pop()
+    target.write_text(json.dumps(snapshot), encoding="utf-8")
+    with pytest.raises(SchemaError, match="header"):
+        recovered(tmp_path)
 
 
 class TestStatisticsWithoutSavedState:

@@ -1,9 +1,11 @@
 """MVCC snapshots: pinned reads, lookups, pruning, recovery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RowNotFound, SchemaError
 from repro.storage import Column, ColumnType, Database, Snapshot, TableSchema
+from repro.storage.table import Table
 
 
 @pytest.fixture
@@ -213,3 +215,205 @@ class TestRecovery:
         with revived.snapshot() as snap:
             assert snap.count("event") == 4
             assert snap.get("event", 3)["n"] == 30
+
+
+# -- pruning follows the commits, not the table size ----------------------
+
+
+def _counter_schema() -> TableSchema:
+    return TableSchema(
+        "t",
+        [
+            Column("id", ColumnType.INT, primary_key=True),
+            Column("v", ColumnType.INT, nullable=False),
+        ],
+    )
+
+
+def _chain_walk(table) -> dict:
+    """``version_statistics`` the slow way: every node of every chain."""
+    chains = nodes = tombstones = multi = 0
+    for head in table._rows.values():
+        chains += 1
+        multi += head.older is not None
+        node = head
+        while node is not None:
+            nodes += 1
+            tombstones += node.row is None
+            node = node.older
+    return {
+        "chains": chains,
+        "nodes": nodes,
+        "tombstones": tombstones,
+        "superseded_versions": nodes - chains,
+        "multi_version_chains": multi,
+    }
+
+
+class TestPruneQueue:
+    @pytest.mark.parametrize("updated", [0, 1, 7, 40])
+    def test_close_examines_only_the_updated_chains(self, monkeypatch, updated):
+        db = Database()
+        db.create_table(_counter_schema())
+        with db.transaction() as txn:
+            for pk in range(10_000):
+                txn.insert("t", {"id": pk, "v": 0})
+        for pk in range(0, 10_000, 10_000 // max(updated, 1))[:updated]:
+            db.update("t", pk, {"v": 1})
+        calls = []
+        truncate = Table._truncate_chain
+        monkeypatch.setattr(
+            Table,
+            "_truncate_chain",
+            lambda self, head, horizon: calls.append(1) or truncate(self, head, horizon),
+        )
+        visited = db.obs.metrics.counter(
+            "storage_prune_chains_visited_total", labels=("table",)
+        ).labels(table="t")
+        before = visited.value
+        db.snapshot().close()
+        assert len(calls) <= updated
+        assert visited.value - before == updated
+        stats = db.table("t").version_statistics()
+        assert stats == _chain_walk(db.table("t"))
+        assert stats["nodes"] == stats["chains"] == 10_000
+
+    def test_pinned_entries_wait_for_the_horizon(self):
+        db = Database()
+        db.create_table(_counter_schema())
+        for pk in range(5):
+            db.insert("t", {"id": pk, "v": 0})
+        pinned = db.snapshot()
+        db.update("t", 1, {"v": 1})
+        db.delete("t", 2)
+        for _ in range(3):
+            db.snapshot().close()  # the horizon stays at the pinned seq
+        table = db.table("t")
+        assert table.version_chain_length(1) == 2
+        assert pinned.get("t", 2)["v"] == 0
+        assert len(table._prunable) == 2
+        pinned.close()
+        assert not table._prunable
+        assert table.version_statistics() == _chain_walk(table)
+        assert table.version_statistics()["nodes"] == 4
+
+    def test_rollback_queues_nothing_and_rebares_a_tombstone(self):
+        db = Database()
+        db.create_table(_counter_schema())
+        db.insert("t", {"id": 1, "v": 0})
+        db.delete("t", 1)
+        table = db.table("t")
+        snap = db.snapshot()
+        txn = db.transaction()
+        txn.insert("t", {"id": 1, "v": 5})
+        txn.update("t", 1, {"v": 6})
+        snap.close()  # prunes inside the open transaction
+        txn.rollback()
+        assert table.version_statistics() == _chain_walk(table)
+        assert table.version_statistics()["tombstones"] == 1
+        db.snapshot().close()
+        assert table.version_statistics() == _chain_walk(table)
+        assert 1 not in table._rows and not table._prunable
+
+    def test_add_column_backfill_is_queued(self):
+        db = Database()
+        db.create_table(_counter_schema())
+        for pk in range(4):
+            db.insert("t", {"id": pk, "v": pk})
+        pinned = db.snapshot()
+        db.add_column("t", Column("w", ColumnType.INT, default=7))
+        table = db.table("t")
+        assert table.version_statistics() == _chain_walk(table)
+        assert table.version_statistics()["multi_version_chains"] == 4
+        assert "w" not in pinned.get("t", 3)
+        pinned.close()
+        assert table.version_statistics()["nodes"] == 4
+
+
+#: One step of the MVCC model test: autocommit writes, a transaction
+#: that commits or rolls back (optionally closing a snapshot while it is
+#: open, which prunes inside it), and snapshot opens and closes.
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 6), st.integers(0, 9)),
+        st.tuples(st.just("update"), st.integers(0, 6), st.integers(0, 9)),
+        st.tuples(st.just("delete"), st.integers(0, 6), st.just(0)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_steps = st.lists(
+    st.one_of(
+        _writes.map(lambda ops: ("autocommit", ops, False, None)),
+        st.tuples(
+            st.just("txn"), _writes, st.booleans(),
+            st.one_of(st.none(), st.integers(0, 3)),
+        ),
+        st.just(("open", None, False, None)),
+        st.tuples(st.just("close"), st.integers(0, 3), st.just(False), st.none()),
+    ),
+    max_size=30,
+)
+
+
+def _write(target, model: dict, op: tuple) -> None:
+    kind, pk, value = op
+    if kind == "insert" and pk not in model:
+        target.insert("t", {"id": pk, "v": value})
+        model[pk] = value
+    elif kind == "update" and pk in model:
+        target.update("t", pk, {"v": value})
+        model[pk] = value
+    elif kind == "delete" and pk in model:
+        target.delete("t", pk)
+        del model[pk]
+
+
+class TestPruneQueueModel:
+    @given(steps=_steps)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_snapshots_and_statistics_follow_a_model(self, steps):
+        db = Database(query_cache_size=0)
+        db.create_table(_counter_schema())
+        table = db.table("t")
+        committed: dict = {}
+        open_snaps: list = []  # (snapshot, what it read when opened)
+
+        def close(index):
+            if open_snaps:
+                snap, _seen = open_snaps.pop(index % len(open_snaps))
+                snap.close()
+
+        for kind, arg, commit, close_at in steps:
+            if kind == "autocommit":
+                for op in arg:
+                    _write(db, committed, op)
+            elif kind == "txn":
+                model = dict(committed)
+                txn = db.transaction()
+                for op in arg:
+                    _write(txn, model, op)
+                if close_at is not None:
+                    close(close_at)
+                if commit:
+                    txn.commit()
+                    committed = model
+                else:
+                    txn.rollback()
+            elif kind == "open":
+                open_snaps.append((db.snapshot(), dict(committed)))
+            else:
+                close(arg)
+            for snap, seen in open_snaps:
+                rows = snap.query("t").all()
+                assert {row["id"]: row["v"] for row in rows} == seen
+            assert table.version_statistics() == _chain_walk(table)
+            assert {row["id"]: row["v"] for row in db.rows("t")} == committed
+
+        while open_snaps:
+            close(0)
+        db.snapshot().close()
+        stats = table.version_statistics()
+        assert stats == _chain_walk(table)
+        assert stats["nodes"] == stats["chains"] == len(committed)
+        assert stats["tombstones"] == 0
