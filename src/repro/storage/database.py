@@ -29,7 +29,7 @@ from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
 from repro.storage.table import Table, UndoEntry, bound_snapshot
 from repro.storage.transaction import CommitEvent, CommitListener, Transaction
-from repro.storage.types import from_jsonable, to_jsonable
+from repro.storage.types import ColumnType, from_jsonable, to_jsonable
 from repro.storage.wal import WriteAheadLog, commit_record
 from repro.util.heap import collector_paused
 
@@ -65,6 +65,13 @@ def _snapshot_rows(
     header, rows = encoded.get("columns"), encoded.get("rows")
     if not isinstance(header, list) or not isinstance(rows, list):
         raise SchemaError(f"snapshot table {table!r}: no column header and rows")
+    if not all(isinstance(name, str) for name in header) or len(
+        set(header)
+    ) != len(header):
+        raise SchemaError(
+            f"snapshot table {table!r}: column header {header!r} is not "
+            "a list of distinct column names"
+        )
     if not rows:
         return []
 
@@ -78,6 +85,22 @@ def _snapshot_rows(
             yield dict(zip(header, values))
 
     return keyed()
+
+
+def _jsonable_row(
+    schema: TableSchema, row: dict[str, Any]
+) -> dict[str, Any]:
+    """*row* with every value JSON-safe: the one encoding the WAL and
+    the checkpoint share.  Only DATETIME values need transforming, so
+    a table without one returns the live payload itself (never
+    mutated), and one with them a copy with just those re-encoded."""
+    if not schema.datetime_columns:
+        return row
+    encoded = dict(row)
+    for name in schema.datetime_columns:
+        if name in encoded:
+            encoded[name] = to_jsonable(encoded[name], ColumnType.DATETIME)
+    return encoded
 
 
 class Database:
@@ -371,9 +394,13 @@ class Database:
             # Stamp-then-publish: touched tables stamp their uncommitted
             # versions with the new sequence number first, and only then
             # does the number become visible to snapshot opens.
-            for name in {op.table for op in operations}:
-                self._tables[name].commit_version(seq)
+            touched = [
+                self._tables[name] for name in {op.table for op in operations}
+            ]
+            for table in touched:
+                table.commit_version(seq)
             self._committed_seq = seq
+            self._prune_committed(touched)
         entry = None
         if seq is not None:
             trace = span.context() if span is not None else None
@@ -626,6 +653,19 @@ class Database:
             finally:
                 self._lock.release()
 
+    def _prune_committed(self, tables: "list[Table]") -> None:
+        """Write-path prune after a commit: a touched table whose prune
+        queue has outgrown its live rows pops what the horizon allows,
+        so a process that never closes a snapshot (a standby replica, a
+        bulk load) keeps its queues O(rows).  Each queued entry pops
+        once, so this is O(1) amortised per written version.  Writer
+        lock held."""
+        due = [table for table in tables if table.prune_overdue]
+        if due:
+            horizon = self.version_horizon()
+            for table in due:
+                table.prune_versions(horizon)
+
     def version_horizon(self) -> int:
         """Oldest commit sequence any live snapshot may still read.
 
@@ -678,15 +718,7 @@ class Database:
     ) -> dict[str, Any] | None:
         if row is None:
             return None
-        schema = self.table(table).schema
-        # Only DATETIME values need transforming; every other type is
-        # already JSON-safe, so most tables skip the per-value pass.
-        if schema.wal_passthrough:
-            return row
-        return {
-            name: to_jsonable(value, schema.column(name).type)
-            for name, value in row.items()
-        }
+        return _jsonable_row(self.table(table).schema, row)
 
     def _decode_row_from_wal(
         self, table: str, row: dict[str, Any] | None
@@ -753,26 +785,21 @@ class Database:
         default=str)`` returns, without ever holding it whole.  Each
         table names its columns once, in schema order, and each row is
         the list of its values in that order.  Rows are encoded and
-        written :data:`_SNAPSHOT_CHUNK_ROWS` at a time (the live
-        payloads, not copies; the writer lock is held)."""
+        written :data:`_SNAPSHOT_CHUNK_ROWS` at a time, through the
+        WAL's :func:`_jsonable_row` (the live payloads, copied only for
+        a table with DATETIME columns; the writer lock is held)."""
         encode = _encode_snapshot
         fh.write("{" + encode(SNAPSHOT_META_KEY) + ":" + encode(meta))
         for name, table in self._tables.items():
-            schema = table.schema
-            columns = schema.column_names
-            kinds = [col.type for col in schema.columns]
+            columns = table.schema.column_names
             fh.write("," + encode(name) + ':{"columns":' + encode(columns))
             fh.write(',"rows":[')
-            rows = table.raw_payloads()
+            rows = map(
+                partial(_jsonable_row, table.schema), table.raw_payloads()
+            )
             separator = ""
             for batch in iter(lambda: list(islice(rows, _SNAPSHOT_CHUNK_ROWS)), []):
-                if schema.wal_passthrough:
-                    values = [[row[c] for c in columns] for row in batch]
-                else:
-                    values = [
-                        [to_jsonable(row[c], k) for c, k in zip(columns, kinds)]
-                        for row in batch
-                    ]
+                values = [[row[c] for c in columns] for row in batch]
                 fh.write(separator + encode(values)[1:-1])
                 separator = ","
             fh.write("]}")
@@ -1047,10 +1074,13 @@ class Database:
                     raise WalWriteError(
                         f"replicated commit seq={seq}: WAL append failed"
                     ) from exc
-            for table in self._tables.values():
-                if table.dirty:
-                    table.commit_version(seq)
+            touched = [
+                table for table in self._tables.values() if table.dirty
+            ]
+            for table in touched:
+                table.commit_version(seq)
             self._committed_seq = seq
+            self._prune_committed(touched)
             entry = self._feed_enqueue(
                 seq, applied, nbytes, trace, record=record
             )

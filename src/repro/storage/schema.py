@@ -168,10 +168,10 @@ class TableSchema:
         # touches every column of every row).  Schema evolution builds a
         # fresh TableSchema, so the map never goes stale.
         self._column_map = {c.name: c for c in self.columns}
-        # Rows of a table without DATETIME columns are JSON-safe as-is
-        # and skip per-value encoding on the WAL path.
-        self.wal_passthrough = all(
-            c.type is not ColumnType.DATETIME for c in self.columns
+        # The only columns whose values the WAL and the checkpoint must
+        # encode; a table without one writes its payloads as they are.
+        self.datetime_columns = tuple(
+            c.name for c in self.columns if c.type is ColumnType.DATETIME
         )
 
     # -- introspection -----------------------------------------------------

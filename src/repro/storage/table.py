@@ -537,10 +537,11 @@ class Table:
         if self._pending_ops:
             self._mutation_epoch += 1
             prunable = self._prunable
+            at = self._queue_seq(seq)
             for node in self._uncommitted:
                 node.seq = seq
                 if node.older is not None:
-                    prunable.append((seq, self._pk_of(node)))
+                    prunable.append((at, self._pk_of(node)))
             self._uncommitted.clear()
             self._version = seq
             self._pending_ops = 0
@@ -601,6 +602,24 @@ class Table:
         below a committed version."""
         row = node.row if node.row is not None else node.older.row
         return row[self._pk]
+
+    @property
+    def prune_overdue(self) -> bool:
+        """True once the prune queue holds more entries than the table
+        has live rows: a commit then prunes rather than wait for a
+        snapshot close, so writes alone cannot grow the queue."""
+        return len(self._prunable) > self._live
+
+    def _queue_seq(self, seq: int) -> int:
+        """The seq to queue a version committed at *seq* under: *seq*
+        itself, or the newest queued seq when that is later (a bootstrap
+        stamps a table below seqs already queued, an undo re-queues an
+        old tombstone), so the queue stays in order.  An entry queued
+        late is only reclaimed late."""
+        queue = self._prunable
+        if queue and queue[-1][0] > seq:
+            return queue[-1][0]
+        return seq
 
     def prune_versions(self, horizon: int) -> int:
         """Prune the chains queued by commits at or below *horizon*:
@@ -891,7 +910,9 @@ class Table:
             else:
                 self._rows[entry.pk] = older
                 if older.row is None and older.seq is not None:
-                    self._prunable.append((older.seq, entry.pk))
+                    self._prunable.append(
+                        (self._queue_seq(older.seq), entry.pk)
+                    )
             self._live -= 1
         elif entry.op == "delete":
             older = head.older

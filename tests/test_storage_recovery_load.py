@@ -397,11 +397,26 @@ def test_a_row_off_its_header_is_refused(tmp_path):
     db.checkpoint()
     db.close()
     target = tmp_path / SNAPSHOT_NAME
-    snapshot = json.loads(target.read_text(encoding="utf-8"))
-    snapshot["item"]["rows"][3].pop()
-    target.write_text(json.dumps(snapshot), encoding="utf-8")
-    with pytest.raises(SchemaError, match="header"):
-        recovered(tmp_path)
+    pristine = target.read_text(encoding="utf-8")
+
+    def short_row(item):
+        item["rows"][3].pop()
+
+    def unhashable_name(item):
+        item["columns"][1] = [item["columns"][1]]
+
+    def repeated_name(item):
+        item["columns"][1] = item["columns"][2]
+
+    def numbered_name(item):
+        item["columns"][1] = 1
+
+    for edit in (short_row, unhashable_name, repeated_name, numbered_name):
+        snapshot = json.loads(pristine)
+        edit(snapshot["item"])
+        target.write_text(json.dumps(snapshot), encoding="utf-8")
+        with pytest.raises(SchemaError, match="header"):
+            recovered(tmp_path)
 
 
 class TestStatisticsWithoutSavedState:

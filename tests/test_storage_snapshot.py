@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import RowNotFound, SchemaError
 from repro.storage import Column, ColumnType, Database, Snapshot, TableSchema
 from repro.storage.table import Table
+from repro.storage.wal import commit_record
 
 
 @pytest.fixture
@@ -278,6 +279,78 @@ class TestPruneQueue:
         assert stats == _chain_walk(db.table("t"))
         assert stats["nodes"] == stats["chains"] == 10_000
 
+    def test_commits_bound_the_queue_with_no_snapshot_closed(self):
+        """A writer that never closes a snapshot (a bulk load, a standby
+        replica) keeps the queue at the live rows plus what the horizon
+        pins, not one entry per write."""
+        db = Database()
+        db.create_table(_counter_schema())
+        for pk in range(10):
+            db.insert("t", {"id": pk, "v": 0})
+        table = db.table("t")
+        for n in range(10_000):
+            db.update("t", n % 10, {"v": n})
+            if n % 3 == 0:
+                db.delete("t", n % 10)
+                db.insert("t", {"id": n % 10, "v": n})
+            assert len(table._prunable) <= 11
+        for pk in range(10, 5_010):
+            db.insert("t", {"id": pk, "v": 0})
+            db.delete("t", pk)
+            assert len(table._prunable) <= 11
+        assert table.version_statistics() == _chain_walk(table)
+        assert table.version_statistics()["nodes"] <= 21
+        pinned = db.snapshot()
+        for n in range(1_000):
+            db.update("t", n % 10, {"v": -n})
+        assert len(table._prunable) >= 1_000  # each a retained version
+        pinned.close()
+        assert not table._prunable
+
+    def test_replicated_commits_bound_the_queue(self):
+        primary, replica = Database(), Database()
+        for db in (primary, replica):
+            db.create_table(_counter_schema())
+        primary.on_commit(  # an in-memory primary logs no record: build it
+            lambda event: replica.apply_replicated_commit(
+                commit_record(0, event.ops, primary._encode_row_for_wal),
+                seq=event.seq,
+            )
+        )
+        for pk in range(10):
+            primary.insert("t", {"id": pk, "v": 0})
+        table = replica.table("t")
+        for n in range(2_000):
+            primary.update("t", n % 10, {"v": n})
+            if n % 7 == 0:
+                primary.delete("t", n % 10)
+                primary.insert("t", {"id": n % 10, "v": n})
+            assert len(table._prunable) <= 11
+        assert list(replica.rows("t")) == list(primary.rows("t"))
+        assert table.version_statistics() == _chain_walk(table)
+        assert table.version_statistics()["nodes"] <= 21
+
+    def test_the_queue_stays_in_order(self):
+        db = Database()
+        db.create_table(_counter_schema())
+        db.insert("t", {"id": 1, "v": 0})
+        db.insert("t", {"id": 2, "v": 0})
+        first = db.snapshot()
+        db.delete("t", 1)  # the tombstone's entry
+        second = db.snapshot()
+        db.update("t", 2, {"v": 1})  # an entry above it, pinned by second
+        txn = db.transaction()
+        txn.insert("t", {"id": 1, "v": 5})
+        first.close()  # pops the tombstone's entry inside the transaction
+        txn.rollback()  # bares the tombstone again
+        table = db.table("t")
+        seqs = [seq for seq, _pk in table._prunable]
+        assert len(seqs) == 2 and seqs == sorted(seqs)
+        assert second.get("t", 2)["v"] == 0
+        second.close()
+        assert not table._prunable and 1 not in table._rows
+        assert table.version_statistics() == _chain_walk(table)
+
     def test_pinned_entries_wait_for_the_horizon(self):
         db = Database()
         db.create_table(_counter_schema())
@@ -301,9 +374,9 @@ class TestPruneQueue:
         db = Database()
         db.create_table(_counter_schema())
         db.insert("t", {"id": 1, "v": 0})
+        snap = db.snapshot()  # keeps the tombstone past its commit
         db.delete("t", 1)
         table = db.table("t")
-        snap = db.snapshot()
         txn = db.transaction()
         txn.insert("t", {"id": 1, "v": 5})
         txn.update("t", 1, {"v": 6})
