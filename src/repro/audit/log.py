@@ -72,10 +72,10 @@ class AuditLog:
         entity_id: int,
         summary: str = "",
         details: dict | None = None,
-        *,
-        txn=None,
     ) -> AuditEntry:
-        """Append one entry; joins the caller's transaction when given."""
+        """Append one entry, in the calling thread's open transaction if
+        there is one (a write request's), so it commits with the change
+        it describes."""
         values = {
             "at": self._clock.now(),
             "user_id": principal.user_id,
@@ -86,8 +86,7 @@ class AuditLog:
             "summary": summary,
             "details": details or {},
         }
-        target = txn if txn is not None else self._db
-        row = target.insert(AUDIT_TABLE, values)
+        row = self._db.insert(AUDIT_TABLE, values)
         return AuditEntry.from_row(row)
 
     # -- queries --------------------------------------------------------------------

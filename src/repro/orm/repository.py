@@ -1,8 +1,8 @@
 """Typed CRUD over one model.
 
 Repositories return model instances, not raw rows, and expose a typed
-variant of the storage query builder.  All writes run in single-statement
-transactions unless an explicit transaction is passed.
+variant of the storage query builder.  Each write joins the calling
+thread's open transaction, or runs as its own single-statement one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.orm.model import Model
 from repro.storage.database import Database
 from repro.storage.query import Condition, Query
 from repro.storage.table import bound_snapshot
-from repro.storage.transaction import Transaction
 
 M = TypeVar("M", bound=Model)
 
@@ -139,48 +138,30 @@ class Repository(Generic[M]):
 
     # -- writes -------------------------------------------------------------------
 
-    def create(self, txn: Transaction | None = None, /, **values: Any) -> M:
+    def create(self, **values: Any) -> M:
         """Insert a new entity and return it (with its allocated pk)."""
         instance = self.model(**values)
-        row = instance.to_row()
-        if txn is not None:
-            stored = txn.insert(self.table, row)
-        else:
-            stored = self.database.insert(self.table, row)
+        stored = self.database.insert(self.table, instance.to_row())
         return self.model.from_row(stored)
 
-    def save(self, instance: M, txn: Transaction | None = None) -> M:
+    def save(self, instance: M) -> M:
         """Insert (no pk yet) or update (pk set) *instance*."""
         row = instance.to_row()
         pk = row.get(self._pk)
         if pk is None or self.database.get_or_none(self.table, pk) is None:
-            if txn is not None:
-                stored = txn.insert(self.table, row)
-            else:
-                stored = self.database.insert(self.table, row)
+            stored = self.database.insert(self.table, row)
         else:
             changes = {k: v for k, v in row.items() if k != self._pk}
-            if txn is not None:
-                stored = txn.update(self.table, pk, changes)
-            else:
-                stored = self.database.update(self.table, pk, changes)
+            stored = self.database.update(self.table, pk, changes)
         refreshed = self.model.from_row(stored)
         instance.__dict__.update(refreshed.__dict__)
         return instance
 
-    def update(
-        self, pk: Any, txn: Transaction | None = None, /, **changes: Any
-    ) -> M:
-        if txn is not None:
-            stored = txn.update(self.table, pk, changes)
-        else:
-            stored = self.database.update(self.table, pk, changes)
+    def update(self, pk: Any, **changes: Any) -> M:
+        stored = self.database.update(self.table, pk, changes)
         return self.model.from_row(stored)
 
-    def delete(self, pk: Any, txn: Transaction | None = None) -> None:
+    def delete(self, pk: Any) -> None:
         if self.database.get_or_none(self.table, pk) is None:
             raise EntityNotFound(self.model.__name__, pk)
-        if txn is not None:
-            txn.delete(self.table, pk)
-        else:
-            self.database.delete(self.table, pk)
+        self.database.delete(self.table, pk)

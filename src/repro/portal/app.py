@@ -117,8 +117,12 @@ class PortalApplication:
         committed state at one sequence number, never a row of a
         transaction that is still open, never blocks on a concurrent
         writer, and repeated reads within the view agree with each
-        other.  Writes (POST/PUT) keep working against the live
-        database through the single-writer transaction protocol.
+        other.  Every other request runs its handler inside one
+        ``db.transaction()``: the handler's writes (and the services',
+        the ORM sessions', the audit rows') join it and commit once,
+        before the response leaves — a ``303`` still means durable — or
+        roll back together when an exception escapes the handler, so
+        the error response mapped below leaves nothing half-written.
 
         The snapshot is opened *inside* the ``try`` and closed in the
         ``finally`` however dispatch exits — including the catch-all
@@ -166,7 +170,12 @@ class PortalApplication:
                 if cache_ctx is not None:
                     cache_ctx.finish(response)
             else:
-                response = self.router.dispatch(request, match)
+                # One transaction per write request: everything the
+                # handler writes commits once, before the response
+                # leaves, or rolls back with the exception that maps to
+                # the error response.
+                with self.system.db.transaction():
+                    response = self.router.dispatch(request, match)
             if (
                 request.method in ("POST", "PUT")
                 and response.status < 400

@@ -16,6 +16,7 @@ import threading
 import traceback
 import uuid
 from collections import deque
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -51,6 +52,31 @@ _encode_snapshot = json.JSONEncoder(separators=(",", ":"), default=str).encode
 _SNAPSHOT_CHUNK_ROWS = 100
 
 
+def _check_header(where: str, header: Any) -> list[str]:
+    """*header* if it is a list of distinct column names, else
+    :class:`SchemaError` naming *where* it was read."""
+    if (
+        not isinstance(header, list)
+        or not all(isinstance(name, str) for name in header)
+        or len(set(header)) != len(header)
+    ):
+        raise SchemaError(
+            f"{where}: column header {header!r} is not a list of "
+            "distinct column names"
+        )
+    return header
+
+
+def _keyed_row(where: str, header: list[str], values: Any) -> dict[str, Any]:
+    """One row stored as values in *header*'s order, as a row dict."""
+    if not isinstance(values, list) or len(values) != len(header):
+        raise SchemaError(
+            f"{where}: row {values!r} does not match its "
+            f"{len(header)}-column header"
+        )
+    return dict(zip(header, values))
+
+
 def _snapshot_rows(
     table: str, encoded: Any
 ) -> "list[dict[str, Any]] | Iterator[dict[str, Any]]":
@@ -62,29 +88,12 @@ def _snapshot_rows(
     and one the schema lacks is dropped, as in a row dict."""
     if not isinstance(encoded, dict):
         return encoded or []
-    header, rows = encoded.get("columns"), encoded.get("rows")
-    if not isinstance(header, list) or not isinstance(rows, list):
-        raise SchemaError(f"snapshot table {table!r}: no column header and rows")
-    if not all(isinstance(name, str) for name in header) or len(
-        set(header)
-    ) != len(header):
-        raise SchemaError(
-            f"snapshot table {table!r}: column header {header!r} is not "
-            "a list of distinct column names"
-        )
-    if not rows:
-        return []
-
-    def keyed() -> Iterator[dict[str, Any]]:
-        for values in rows:
-            if not isinstance(values, list) or len(values) != len(header):
-                raise SchemaError(
-                    f"snapshot table {table!r}: row {values!r} does not "
-                    f"match its {len(header)}-column header"
-                )
-            yield dict(zip(header, values))
-
-    return keyed()
+    where = f"snapshot table {table!r}"
+    rows = encoded.get("rows")
+    if not isinstance(rows, list):
+        raise SchemaError(f"{where}: no column header and rows")
+    header = _check_header(where, encoded.get("columns"))
+    return (_keyed_row(where, header, values) for values in rows)
 
 
 def _jsonable_row(
@@ -195,6 +204,10 @@ class Database:
         # own tiny mutex (``+=`` on an attribute is not atomic).
         self._intent_lock = threading.Lock()
         self._write_intents = 0
+        # ``(thread ident, root transaction)`` while a transaction is
+        # open: set by the thread holding the writer lock, cleared before
+        # it releases it, read in one step by every ``transaction()``.
+        self._bound: "tuple[int, Transaction] | None" = None
         # MVCC state.  ``_committed_seq`` is the database-wide commit
         # sequence number: every commit stamps its new row versions with
         # the next number *before* publishing it here, so a lock-free
@@ -317,12 +330,60 @@ class Database:
     # -- transactions --------------------------------------------------------------
 
     def transaction(self) -> Transaction:
-        """Begin a transaction; the single-writer lock is held until it ends."""
+        """Begin a transaction bound to the calling thread; the
+        single-writer lock is held until it ends.
+
+        While it is open, a further call on the same thread (an
+        autocommit :meth:`insert`, an ORM session, a service's own
+        block) returns a nested block of it instead: a savepoint whose
+        writes commit with the outer transaction, or roll back alone
+        when an exception escapes the block.
+        """
+        bound = self._bound
+        if bound is not None and bound[0] == threading.get_ident():
+            return Transaction(self, bound[1].txn_id, outer=bound[1])
+        txn = Transaction(self, 0)
+        self._begin(txn)
+        return txn
+
+    def _begin(self, txn: Transaction) -> None:
+        """Take the writer lock for *txn* and bind it to this thread."""
         with self._intent_lock:
             self._write_intents += 1
         self._lock.acquire()
         self._txn_counter += 1
-        return Transaction(self, self._txn_counter, timer=self.obs.timer())
+        txn.txn_id = self._txn_counter
+        txn.timer = self.obs.timer()
+        self._bound = (threading.get_ident(), txn)
+
+    def _release_writer(self) -> None:
+        """Unbind this thread's transaction and release the writer lock."""
+        self._bound = None
+        with self._intent_lock:
+            self._write_intents -= 1
+        self._lock.release()
+
+    @contextmanager
+    def writer_released(self) -> Iterator[None]:
+        """Run the block without the writer lock, for a thread that must
+        wait on another thread that writes (a queue worker).
+
+        The calling thread's open transaction commits first — what it
+        wrote becomes durable and visible, and cannot roll back any
+        more — and stays open: it re-takes the writer lock after the
+        block and logs the thread's later writes as a fresh commit.
+        Without an open transaction the block just runs.
+        """
+        bound = self._bound
+        if bound is None or bound[0] != threading.get_ident():
+            yield
+            return
+        root = bound[1]
+        root._commit_point()
+        try:
+            yield
+        finally:
+            self._begin(root)
 
     def _finish_commit(self, txn: Transaction) -> None:
         """Called by Transaction.commit while the lock is still held.
@@ -346,17 +407,19 @@ class Database:
         every untraced bench commit); the slow log still sees them
         through a direct duration check.
         """
-        tracer = self.obs.tracer
-        if tracer.current() is not None:
-            with tracer.span(
-                "storage.commit", txn=txn.txn_id, ops=len(txn.operations)
-            ) as span:
-                self._commit_locked(txn, span)
-        else:
-            self._commit_locked(txn, None)
-
-    def _commit_locked(self, txn: Transaction, span) -> None:
         operations = txn.operations
+        tracer = self.obs.tracer
+        if operations and tracer.current() is not None:
+            with tracer.span(
+                "storage.commit", txn=txn.txn_id, ops=len(operations)
+            ) as span:
+                self._commit_locked(txn, operations, span)
+        else:
+            self._commit_locked(txn, operations, None)
+
+    def _commit_locked(
+        self, txn: Transaction, operations: "list[UndoEntry]", span
+    ) -> None:
         nbytes, ticket, derive = 0, None, None
         # The commit sequence number is reserved before the WAL append so
         # the record itself can carry it — replication identifies commits
@@ -407,9 +470,7 @@ class Database:
             entry = self._feed_enqueue(
                 seq, operations, nbytes, trace, derive=derive
             )
-        with self._intent_lock:
-            self._write_intents -= 1
-        self._lock.release()
+        self._release_writer()
         try:
             if ticket is not None:
                 # Block until the group leader's fsync covers our record.
@@ -428,6 +489,8 @@ class Database:
             # After the ticket, so no listener (a replication
             # publisher) ships a commit before its WAL write.
             self._feed_deliver(entry)
+        if not operations:
+            return  # nothing was written: nothing committed
         self._m_commits.inc()
         for op in operations:
             key = (op.table, op.op)
@@ -438,10 +501,8 @@ class Database:
             child.inc()
         elapsed = txn.timer.elapsed() if txn.timer is not None else 0.0
         self._m_commit_seconds.observe(elapsed)
-        if (
-            span is None
-            and operations
-            and elapsed >= self.obs.slowlog.threshold_for("storage.commit")
+        if span is None and elapsed >= self.obs.slowlog.threshold_for(
+            "storage.commit"
         ):
             # Untraced commits have no span for the sink to promote, so
             # the slow log is fed directly.
@@ -450,18 +511,15 @@ class Database:
                 elapsed,
                 {"txn": txn.txn_id, "ops": len(operations)},
             )
-        if operations:
-            self.obs.log.log(
-                "storage.commit",
-                txn=txn.txn_id,
-                operations=len(operations),
-                duration=elapsed,
-            )
+        self.obs.log.log(
+            "storage.commit",
+            txn=txn.txn_id,
+            operations=len(operations),
+            duration=elapsed,
+        )
 
     def _finish_abort(self, txn: Transaction) -> None:
-        with self._intent_lock:
-            self._write_intents -= 1
-        self._lock.release()
+        self._release_writer()
 
     def on_commit(self, listener: CommitListener) -> int:
         """Subscribe *listener* to the commit feed: ``listener(event)``.
@@ -919,23 +977,41 @@ class Database:
         return rows, seq
 
     def _replay_commit(self, record: dict[str, Any]) -> list[UndoEntry]:
+        """Apply one commit record's ops to the tables, in op order.
+
+        Records are redo-only: a delete carries no ``after``, an
+        update's holds the changed columns.  An insert is ``[table,
+        values]``, the values under the table's header in the record's
+        ``columns``; logs written before that format hold an insert as a
+        dict with the row itself as ``after`` (older ones also an
+        update's full row, beside a ``before`` image nothing reads).
+        Both forms replay here, for recovery and for replicated applies
+        alike."""
+        headers = {
+            name: _check_header(f"commit record, table {name!r}", header)
+            for name, header in (record.get("columns") or {}).items()
+        }
         applied: list[UndoEntry] = []
         for op in record["ops"]:
-            table = self.table(op["table"])
-            # Records are redo-only: a delete carries no "after", an
-            # update's holds the changed columns.  Older logs wrote the
-            # full row there (beside a "before" image nothing reads);
-            # apply_update merges either onto the current row.
-            if op["op"] == "insert":
-                after = self._decode_row_from_wal(op["table"], op.get("after"))
-                assert after is not None
-                applied.append(table.apply_insert(after)[1])
-            elif op["op"] == "update":
-                after = self._decode_row_from_wal(op["table"], op.get("after"))
-                assert after is not None
-                applied.append(table.apply_update(op["pk"], after)[1])
-            elif op["op"] == "delete":
+            if isinstance(op, list):
+                name, values = op
+                kind = "insert"
+                row = _keyed_row(
+                    f"commit record, table {name!r}",
+                    headers.get(name, []),
+                    values,
+                )
+            else:
+                name, kind, row = op["table"], op["op"], op.get("after")
+            table = self.table(name)
+            if kind == "delete":
                 applied.append(table.apply_delete(op["pk"])[1])
+            elif kind == "insert":
+                row = self._decode_row_from_wal(name, row)
+                applied.append(table.apply_insert(row)[1])
+            elif kind == "update":
+                row = self._decode_row_from_wal(name, row)
+                applied.append(table.apply_update(op["pk"], row)[1])
         return applied
 
     # -- replication apply path ----------------------------------------------------------

@@ -2,10 +2,12 @@
 
 The engine is single-writer: a database-wide re-entrant lock is held for
 the duration of a transaction (acquired in
-:meth:`~repro.storage.database.Database.transaction`).  Inside one, every
-mutation is applied immediately to the live tables and an undo entry is
-recorded; rollback replays the undo log in reverse, and commit hands the
-redo log to the write-ahead log for durability.
+:meth:`~repro.storage.database.Database.transaction`), which is bound to
+the thread that opened it: a transaction opened on that thread while it
+is open is a nested block of it (a savepoint), never a second commit.
+Inside one, every mutation is applied immediately to the live tables and
+an undo entry is recorded; rollback replays the undo log in reverse, and
+commit hands the redo log to the write-ahead log for durability.
 
 Referential delete actions live here because they span tables: deleting a
 row consults the database's reverse foreign-key map and either refuses
@@ -80,29 +82,62 @@ _ROLLED_BACK = "rolled_back"
 
 
 class Transaction:
-    """One atomic unit of work.  Obtain via ``Database.transaction()``."""
+    """One atomic unit of work.  Obtain via ``Database.transaction()``.
 
-    def __init__(self, database: "Database", txn_id: int, *, timer=None):
+    The first transaction a thread opens is its *root*: it holds the
+    writer lock until it ends, and its commit makes the log durable.
+    While it is open, every further ``Database.transaction()`` on that
+    thread opens a *nested* block over the same log.  A nested block is
+    a savepoint: a clean exit (or :meth:`commit`) keeps its writes in
+    the root, an escaping exception (or :meth:`rollback`) undoes just
+    them.  Log positions (savepoints, nested marks) count every op
+    since the root began, so they stay meaningful across a commit point
+    (:meth:`Database.writer_released`); what it made durable can no
+    longer be undone.
+    """
+
+    def __init__(
+        self,
+        database: "Database",
+        txn_id: int,
+        *,
+        timer=None,
+        outer: "Transaction | None" = None,
+    ):
         self._db = database
         self.txn_id = txn_id
         #: Monotonic timer started at begin; the database reads it at
         #: commit to record end-to-end transaction latency.
         self.timer = timer
-        self._log: list[UndoEntry] = []
         self._state = _ACTIVE
-        self._savepoints: dict[str, int] = {}
+        if outer is None:
+            self._root = self
+            self._log: list[UndoEntry] = []
+            self._savepoints: dict[str, int] = {}
+            #: Ops already made durable by commit points.
+            self._flushed = 0
+        else:
+            self._root = outer._root
+            self._log = self._root._log
+            self._savepoints = self._root._savepoints
+        self._mark = self._position()
 
     # -- state ----------------------------------------------------------------
 
     @property
     def is_active(self) -> bool:
-        return self._state == _ACTIVE
+        return self._state == _ACTIVE and self._root._state == _ACTIVE
 
     def _require_active(self) -> None:
-        if self._state != _ACTIVE:
+        if not self.is_active:
+            state = self._state if self._state != _ACTIVE else self._root._state
             raise TransactionError(
-                f"transaction #{self.txn_id} is {self._state}, not active"
+                f"transaction #{self.txn_id} is {state}, not active"
             )
+
+    def _position(self) -> int:
+        root = self._root
+        return root._flushed + len(root._log)
 
     # -- mutations --------------------------------------------------------------
 
@@ -193,35 +228,63 @@ class Transaction:
     def savepoint(self, name: str) -> None:
         """Mark the current position; a later rollback can return here."""
         self._require_active()
-        self._savepoints[name] = len(self._log)
+        self._savepoints[name] = self._position()
 
     def rollback_to(self, name: str) -> None:
         """Undo everything applied since :meth:`savepoint` *name*."""
         self._require_active()
         if name not in self._savepoints:
             raise TransactionError(f"no savepoint named {name!r}")
-        mark = self._savepoints[name]
-        while len(self._log) > mark:
+        self._rewind(self._savepoints[name])
+
+    def _rewind(self, position: int) -> None:
+        """Undo the ops logged after *position* (none that a commit
+        point made durable); savepoints taken after it go too."""
+        keep = max(position - self._root._flushed, 0)
+        while len(self._log) > keep:
             entry = self._log.pop()
             self._db.table(entry.table).apply_undo(entry)
-        # Savepoints taken after the mark are now invalid.
-        self._savepoints = {
-            sp_name: pos for sp_name, pos in self._savepoints.items() if pos <= mark
-        }
+        for name in [n for n, pos in self._savepoints.items() if pos > position]:
+            del self._savepoints[name]
 
     # -- lifecycle -------------------------------------------------------------------
 
     def commit(self) -> None:
-        """Make the transaction durable and release the writer lock."""
+        """End the transaction.  A root makes its log durable and
+        releases the writer lock; a nested block leaves its writes to
+        the outer transaction."""
         self._require_active()
         self._state = _COMMITTED
+        if self._root is self:
+            self._make_durable()
+
+    def rollback(self) -> None:
+        """Undo every mutation of this transaction (of a nested block:
+        of the block alone); a root releases the writer lock."""
+        self._require_active()
+        if self._root is not self:
+            self._rewind(self._mark)
+            self._state = _ROLLED_BACK
+            return
+        self._rollback_log()
+        self._state = _ROLLED_BACK
+        self._db._finish_abort(self)
+
+    def _commit_point(self) -> None:
+        """Root only: make the log so far durable and release the writer
+        lock, staying open (see :meth:`Database.writer_released`)."""
+        self._require_active()
+        self._make_durable()
+        self._flushed += len(self._log)
+        self._log.clear()
+
+    def _make_durable(self) -> None:
         try:
             self._db._finish_commit(self)
         except WalWriteError as exc:
             # The WAL append failed while the writer lock was still
             # held: the in-memory state must not claim durability it
             # does not have.  Undo, release, and surface the cause.
-            self._state = _ACTIVE
             self._rollback_log()
             self._state = _ROLLED_BACK
             self._db._finish_abort(self)
@@ -232,13 +295,6 @@ class Transaction:
         # committed state intact.  Commit-feed listeners never fail a
         # commit; the database logs and counts what they raise.
 
-    def rollback(self) -> None:
-        """Undo every mutation of this transaction and release the lock."""
-        self._require_active()
-        self._rollback_log()
-        self._state = _ROLLED_BACK
-        self._db._finish_abort(self)
-
     def _rollback_log(self) -> None:
         while self._log:
             entry = self._log.pop()
@@ -246,8 +302,9 @@ class Transaction:
 
     @property
     def operations(self) -> list[UndoEntry]:
-        """The mutations applied so far (redo log for the WAL)."""
-        return list(self._log)
+        """The mutations applied so far and not yet durable (of a nested
+        block: since it began) — the redo log for the WAL."""
+        return self._log[max(self._mark - self._root._flushed, 0):]
 
     # -- context manager --------------------------------------------------------------
 

@@ -51,17 +51,22 @@ def _changed(old: Any, new: Any) -> bool:
 
     Type-exact, because the log is JSON: ``1``, ``1.0`` and ``True``
     compare equal yet replay as different values.  A column the update
-    did not name still holds the very object the old version held;
-    containers that are not that object are logged without looking
-    inside (equal containers can differ in a nested ``1``/``True``).
+    did not name still holds the very object the old version held; a
+    container is compared by its encoding, which tells a nested ``1``
+    from a nested ``True`` (and one key order from another) where
+    ``==`` does not.
     """
     if old is new:
         return False
-    return (
-        type(old) is not type(new)
-        or isinstance(new, (dict, list))
-        or old != new
-    )
+    if type(old) is not type(new):
+        return True
+    if isinstance(new, (dict, list)):
+        return _encode_exact(old) != _encode_exact(new)
+    return old != new
+
+
+#: A container's JSON text, keys in their own order.
+_encode_exact = json.JSONEncoder(separators=(",", ":"), default=str).encode
 
 
 #: The one line encoding, built once: ``json.dumps`` with arguments
@@ -75,23 +80,49 @@ _encode_payload = json.JSONEncoder(
 _FRAME_BYTES = 1 << 16
 
 
-def _op_image(entry: UndoEntry, encode_value) -> dict[str, Any]:
-    """The redo image of one op: an insert logs its row, an update the
-    columns it changed, a delete nothing but the pk.  Replay merges
-    ``after`` onto the current row, so the full ``after`` images (and
-    the ``before`` images nothing ever read) of older logs replay
-    through the same code."""
+def _insert_headers(operations: list[UndoEntry]) -> dict[str, list[str]]:
+    """The column header of each table the commit inserts into: the
+    keys of its first inserted row, in that row's order."""
+    headers: dict[str, list[str]] = {}
+    for entry in operations:
+        if entry.op == "insert" and entry.table not in headers:
+            headers[entry.table] = list(entry.after)
+    return headers
+
+
+def _op_image(
+    entry: UndoEntry, encode_value, headers: dict[str, list[str]]
+) -> "dict[str, Any] | list[Any]":
+    """The redo image of one op.  An insert is ``[table, values]``: its
+    row's values in the order of the table's header in *headers*.  An
+    update is a dict naming the columns it changed as ``after``, a
+    delete one with nothing but the pk.  Replay merges ``after`` onto
+    the current row, so the full ``after`` images (and the ``before``
+    images nothing ever read) of older logs replay through the same
+    code, as does an insert logged as a dict with its row as ``after``.
+
+    Every row a commit inserts into one table carries the same columns
+    (a row holds every column its table had when it was inserted), so
+    one header fits them all.  A row inserted across a column addition
+    has more columns than the header and is logged as a dict."""
     op: dict[str, Any] = {"op": entry.op, "table": entry.table, "pk": entry.pk}
-    after = entry.after
+    if entry.op == "insert":
+        after = encode_value(entry.table, entry.after)
+        columns = headers[entry.table]
+        if len(after) != len(columns):
+            op["after"] = after
+            return op
+        return [entry.table, [after[name] for name in columns]]
     if entry.op == "update":
         before = entry.before
-        after = {
-            name: value
-            for name, value in after.items()
-            if _changed(before.get(name, _ABSENT), value)
-        }
-    if after is not None:
-        op["after"] = encode_value(entry.table, after)
+        op["after"] = encode_value(
+            entry.table,
+            {
+                name: value
+                for name, value in entry.after.items()
+                if _changed(before.get(name, _ABSENT), value)
+            },
+        )
     return op
 
 
@@ -102,12 +133,16 @@ def commit_record(
     seq: int | None = None,
 ) -> dict[str, Any]:
     """The record dict a commit line encodes, built from the same op
-    images :func:`_commit_chunks` streams."""
+    images :func:`_commit_chunks` streams.  ``columns`` (present when
+    the commit inserts) holds each inserted table's header once."""
+    headers = _insert_headers(operations)
     record: dict[str, Any] = {
         "kind": "commit",
-        "ops": [_op_image(entry, encode_value) for entry in operations],
+        "ops": [_op_image(entry, encode_value, headers) for entry in operations],
         "txn": txn_id,
     }
+    if headers:
+        record["columns"] = headers
     if seq is not None:
         record["seq"] = seq
     return record
@@ -122,15 +157,23 @@ def _commit_chunks(
     """Encode a commit record one op at a time, as ASCII chunks whose
     concatenation is ``_encode_payload(commit_record(...))``.
 
-    ``sort_keys`` orders the record's keys ``kind < ops < seq < txn``
-    and ``json.dumps`` escapes every non-ASCII character, so the
-    record is the fixed prefix, each op's own encoding, and the
-    integer ``seq``/``txn`` pair."""
-    yield b'{"kind":"commit","ops":['
+    ``sort_keys`` orders the record's keys ``columns < kind < ops < seq
+    < txn`` and ``json.dumps`` escapes every non-ASCII character, so
+    the record is the headers, a fixed infix, each op's own encoding,
+    and the integer ``seq``/``txn`` pair."""
+    headers = _insert_headers(operations)
+    if headers:
+        yield b'{"columns":%s,"kind":"commit","ops":[' % _encode_payload(
+            headers
+        ).encode("ascii")
+    else:
+        yield b'{"kind":"commit","ops":['
     for i, entry in enumerate(operations):
         if i:
             yield b","
-        yield _encode_payload(_op_image(entry, encode_value)).encode("ascii")
+        yield _encode_payload(
+            _op_image(entry, encode_value, headers)
+        ).encode("ascii")
     if seq is None:
         yield b'],"txn":%d}' % txn_id
     else:

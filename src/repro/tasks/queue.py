@@ -149,9 +149,13 @@ class JobQueue:
 
     Thread-safe: one in-process lock serializes state transitions (the
     database rows are what survives a crash; the lock only arbitrates
-    between this process's workers).  Handlers are registered here so
-    every :class:`~repro.tasks.workers.WorkerPool` — including the
-    throwaway pool behind ``repro queue drain`` — sees the same table.
+    between this process's workers).  A transition is one transaction
+    and takes the database's writer lock before the queue lock, as a
+    request that enqueues inside its own transaction does, so no two
+    threads each hold the lock the other waits for.  Handlers are
+    registered here so every :class:`~repro.tasks.workers.WorkerPool` —
+    including the throwaway pool behind ``repro queue drain`` — sees
+    the same table.
     """
 
     def __init__(
@@ -164,6 +168,7 @@ class JobQueue:
         max_depth: int | None = None,
     ):
         self._registry = registry
+        self._db = registry.database
         self._jobs = registry.register(Job)
         self._attempts = registry.register(JobAttempt)
         self._clock = clock or SystemClock()
@@ -294,7 +299,7 @@ class JobQueue:
         if trace is None and self._obs is not None:
             context = self._obs.tracer.context()
             trace = context.to_dict() if context is not None else None
-        with self._cond:
+        with self._db.transaction(), self._cond:
             if idempotency_key:
                 existing = self._live_job_for_key(idempotency_key)
                 if existing is not None:
@@ -372,7 +377,7 @@ class JobQueue:
         the claim would actually return work, so scripted kills land on
         a real delivery, not an idle poll.
         """
-        with self._cond:
+        with self._db.transaction(), self._cond:
             now = self._clock.now()
             self._expire_due_leases(now)
             candidates = [
@@ -455,14 +460,14 @@ class JobQueue:
         deployment simply waits out the old leases — no fencing tokens,
         no session registry, nothing else to repair.
         """
-        with self._cond:
+        with self._db.transaction(), self._cond:
             return self._expire_due_leases(self._clock.now())
 
     def heartbeat(
         self, job_id: int, worker: str, *, extend_seconds: float = 30.0
     ) -> Job:
         """Extend a held lease; long jobs call this under the timeout."""
-        with self._cond:
+        with self._db.transaction(), self._cond:
             fault_point("queue.heartbeat")
             job = self._owned(job_id, worker)
             return self._jobs.update(
@@ -481,7 +486,7 @@ class JobQueue:
         durable update — a kill here leaves the job leased, lease expiry
         redelivers it, and the handler's idempotency key suppresses the
         double effect (the torn-ack scenario)."""
-        with self._cond:
+        with self._db.transaction(), self._cond:
             fault_point("queue.ack")
             self._owned(job_id, worker)
             now = self._clock.now()
@@ -513,7 +518,7 @@ class JobQueue:
         backoff wake time; exhausted (or not *retryable*) → ``dead``,
         where :meth:`retry_dead` can revive it.
         """
-        with self._cond:
+        with self._db.transaction(), self._cond:
             job = self._owned(job_id, worker)
             now = self._clock.now()
             if retryable and job.attempts < job.max_attempts:
@@ -586,7 +591,7 @@ class JobQueue:
 
     def retry_dead(self, job_id: int) -> Job:
         """Re-run a dead job from its durable payload (operator replay)."""
-        with self._cond:
+        with self._db.transaction(), self._cond:
             job = self.get(job_id)
             if job.state != "dead":
                 raise StateError(f"job {job_id} is {job.state}, not dead")
@@ -617,11 +622,15 @@ class JobQueue:
         This is the enqueue-then-wait half of the synchronous facade
         paths.  Returns the job in whatever state it reached; on timeout
         it returns the job as-is — callers inspect ``state``.
+
+        The calling thread's open transaction commits before the wait
+        (:meth:`~repro.storage.database.Database.writer_released`): the
+        worker needs the writer lock, and the rows the job reads.
         """
         deadline = (
             self._clock.monotonic() + timeout if timeout is not None else None
         )
-        with self._cond:
+        with self._db.writer_released(), self._cond:
             while True:
                 job = self.get(job_id)
                 if job.state in ("done", "dead"):

@@ -9,6 +9,7 @@ report" workflow runs to completion by itself).
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from repro.audit.log import AuditLog
@@ -40,6 +41,10 @@ INSTANCE_STATES = ("active", "completed", "cancelled", "failed")
 
 #: Safety bound on auto-action chaining (a cycle of autos would spin).
 _MAX_AUTO_CHAIN = 100
+
+#: A context's JSON text: two contexts with equal text store the same
+#: row (``1`` and ``True`` compare equal, but encode apart).
+_encode_context = json.JSONEncoder(default=str).encode
 
 #: Default bounded retry for transition pre-functions.  Nothing is
 #: persisted before they run, so re-running is safe; the short backoff
@@ -274,20 +279,13 @@ class WorkflowEngine:
 
         to_step = action.target
         now = self._clock.now()
-        if to_step == END:
-            updated = self._instances.update(
-                instance_id,
-                status="completed",
-                context=context,
-                updated_at=now,
-            )
-        else:
-            updated = self._instances.update(
-                instance_id,
-                current_step=to_step,
-                context=context,
-                updated_at=now,
-            )
+        changes: dict[str, Any] = {"context": context, "updated_at": now}
+        if to_step != END:
+            changes["current_step"] = to_step
+        if to_step == END or definition.step(to_step).is_terminal:
+            # Reaching the end completes the instance in the same write.
+            changes["status"] = "completed"
+        updated = self._instances.update(instance_id, **changes)
         self._history.create(
             instance_id=instance_id,
             at=now,
@@ -297,19 +295,16 @@ class WorkflowEngine:
             to_step=to_step,
         )
 
-        for function in action.post_functions:
-            function(context)
-        # Post-functions may mutate the context; persist their effects.
-        updated = self._instances.update(instance_id, context=context)
+        if action.post_functions:
+            # Post-functions may mutate the context; persist what they
+            # changed, and only then (an update logs the whole context).
+            before = _encode_context(context)
+            for function in action.post_functions:
+                function(context)
+            if _encode_context(context) != before:
+                updated = self._instances.update(instance_id, context=context)
 
         if updated.status == "completed":
-            self._finish_transition(timer, updated, action_name, completed=True)
-            self._events.publish(
-                "workflow.completed", instance=updated, principal=principal
-            )
-            return updated
-        if definition.step(updated.current_step).is_terminal:
-            updated = self._instances.update(instance_id, status="completed")
             self._finish_transition(timer, updated, action_name, completed=True)
             self._events.publish(
                 "workflow.completed", instance=updated, principal=principal

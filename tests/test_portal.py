@@ -5,6 +5,7 @@ import datetime as dt
 import pytest
 
 from repro.dataimport import AffymetrixGeneChipProvider
+from repro.errors import ValidationError
 from repro.facade import BFabric
 from repro.portal import PortalApplication
 from repro.portal.http import Request, Response
@@ -463,3 +464,128 @@ class TestPortalEdgeCases:
         record = system.errors.report("test", "boom")
         response = client.post(f"/admin/errors/{record.id}/resolve")
         assert "boom" not in response.text
+
+
+class TestOneTransactionPerWriteRequest:
+    """Every write request commits once: what its handler, the services
+    it calls and the audit log write lands in one transaction."""
+
+    @pytest.fixture(autouse=True)
+    def application(self, system):
+        admin = system.directory.principal_for(
+            system.directory.user_by_login("admin")
+        )
+        system.applications.register_application(
+            admin, name="two group analysis", connector="rserve",
+            executable="two_group_analysis", interface=TWO_GROUP_INTERFACE,
+        )
+
+    @staticmethod
+    def commits(system) -> float:
+        return system.obs.metrics.get("storage_commits_total").value
+
+    @staticmethod
+    def flow(sci, system):
+        """The demo flow's POSTs, each yielded as its response."""
+        yield sci.post("/projects", {"name": "P", "description": ""},
+                       follow_redirects=False)
+        yield sci.post("/projects/1/samples",
+                       {"name": "s", "species": "", "description": ""},
+                       follow_redirects=False)
+        for letter in ("a", "b"):
+            yield sci.post("/samples/1/extracts",
+                           {"name": f"scan01 {letter}", "procedure": ""},
+                           follow_redirects=False)
+        yield sci.post(
+            "/projects/1/import",
+            {"provider": "GeneChip", "workunit_name": "chips", "mode": "copy",
+             "file": ["scan01_a.cel", "scan01_b.cel"]},
+            follow_redirects=False,
+        )
+        yield sci.post("/workunits/1/assign", {"extract_1": "1", "extract_2": "2"},
+                       follow_redirects=False)
+        yield sci.post("/projects/1/experiments", {
+            "name": "light effect", "application_id": "1", "attributes": "{}",
+            "resource": ["1", "2"],
+        }, follow_redirects=False)
+        yield sci.post("/experiments/1/run",
+                       {"workunit_name": "results", "param_reference_group": "_a"},
+                       follow_redirects=False)
+
+    def test_each_demo_flow_post_commits_once(self, sci, system):
+        before = self.commits(system)
+        audits = system.db.count("audit_entry")
+        steps = 0
+        for response in self.flow(sci, system):
+            after = self.commits(system)
+            assert response.status == 303
+            assert after - before == 1, dict(response.headers)["Location"]
+            before = after
+            steps += 1
+        assert steps == 8
+        # The audit trail still records every change, inside those commits.
+        assert system.db.count("audit_entry") > audits + steps
+        result = system.db.query("workunit").where("name", "=", "results").one()
+        assert result["status"] == "available"
+
+    @pytest.mark.parametrize("error, status", [
+        (lambda: ValidationError("refused late", {"name": "late"}), 400),
+        (lambda: RuntimeError("crashed late"), 500),
+    ])
+    def test_a_handler_that_raises_after_writing_leaves_nothing(
+        self, sci, system, monkeypatch, error, status
+    ):
+        sci.post("/projects", {"name": "P", "description": ""})
+        register = system.samples.register_sample
+
+        def register_then_fail(*args, **kwargs):
+            register(*args, **kwargs)  # the sample row and its audit row
+            raise error()
+
+        monkeypatch.setattr(system.samples, "register_sample", register_then_fail)
+        samples, audits = system.db.count("sample"), system.db.count("audit_entry")
+        seq = system.db.committed_seq
+        response = sci.post("/projects/1/samples",
+                            {"name": "half", "species": "", "description": ""})
+        assert response.status == status
+        assert system.db.count("sample") == samples
+        assert system.db.count("audit_entry") == audits
+        assert not system.db.query("sample").where("name", "=", "half").exists()
+        # Nothing the request wrote was committed (an error report may be).
+        assert system.db.committed_seq <= seq + 1
+        # The writer lock is free again: the next write request commits.
+        assert sci.post("/projects", {"name": "Q", "description": ""},
+                        follow_redirects=False).status == 303
+
+    def test_run_and_import_finish_through_the_queue(self, sci, system):
+        """With workers draining the queue, POST import and POST run
+        enqueue a job and wait for it.  The request's transaction
+        commits before the wait; held, the worker could never take the
+        writer lock and the wait would run out its timeout."""
+        import time
+
+        system.start_workers(workers=2, lease_seconds=30.0, name="portal")
+        try:
+            assert system.queue.workers_active()
+            timings = {}
+            for response in self.flow(sci, system):
+                assert response.status == 303
+            for job in system.queue.list():
+                assert job.state == "done", job
+            assert {job.job_type for job in system.queue.list()} == {
+                "import.files", "experiment.execute",
+            }
+            for label, url, fields in (
+                ("import", "/projects/1/import",
+                 {"provider": "GeneChip", "workunit_name": "again",
+                  "mode": "copy", "file": ["scan01_a.cel"]}),
+                ("run", "/experiments/1/run",
+                 {"workunit_name": "rerun", "param_reference_group": "_a"}),
+            ):
+                started = time.monotonic()
+                response = sci.post(url, fields, follow_redirects=False)
+                timings[label] = time.monotonic() - started
+                assert response.status == 303, label
+            assert max(timings.values()) < 5.0, timings
+        finally:
+            system.stop_workers()

@@ -350,7 +350,10 @@ class TestCrossShardTransactions:
         records = [r for r in durable.wal.records() if r["kind"] == "commit"]
         assert len(records) == 1
         (record,) = records
-        assert [op["pk"] for op in record["ops"]] == [1, 2]
+        header = record["columns"]["note"]
+        assert [
+            dict(zip(header, values))["id"] for _table, values in record["ops"]
+        ] == [1, 2]
         assert record["seq"] == durable.committed_seq
         assert "gtid" not in record
         kinds = {r["kind"] for r in durable.wal.records()}

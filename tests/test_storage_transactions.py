@@ -1,5 +1,7 @@
 """Transaction semantics: atomicity, rollback, savepoints, context manager."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -7,7 +9,7 @@ from repro.errors import (
     TransactionError,
     UniqueViolation,
 )
-from repro.storage import Database
+from repro.storage import Column, ColumnType, Database, TableSchema
 
 
 class TestCommitRollback:
@@ -182,3 +184,212 @@ class TestCommitListeners:
         txn.insert("org", {"name": "A"})
         txn.rollback()
         assert seen == []
+
+
+def _org_db(path=None) -> Database:
+    database = Database(path)
+    database.create_table(
+        TableSchema(
+            name="org",
+            columns=[
+                Column("id", ColumnType.INT, primary_key=True),
+                Column("name", ColumnType.TEXT, nullable=False, unique=True),
+            ],
+        )
+    )
+    return database
+
+
+def _logged_names(database: Database) -> list[list[str]]:
+    """The org names each commit line of the WAL inserts, line by line."""
+    lines = []
+    for record in database.wal.records():
+        header = record["columns"]["org"]
+        lines.append([dict(zip(header, values))["name"]
+                      for _table, values in record["ops"]])
+    return lines
+
+
+def _writer_lock_free(database: Database) -> bool:
+    """Whether another thread can open a transaction within a second."""
+    taken = []
+
+    def other():
+        if database._lock.acquire(timeout=1.0):
+            database._lock.release()
+            taken.append(True)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join()
+    return bool(taken)
+
+
+class TestThreadBoundTransaction:
+    """While a thread's transaction is open, every write on that thread
+    joins it: an autocommit statement or a nested ``transaction()``
+    commits with the outer transaction, never on its own."""
+
+    def test_an_autocommit_inside_a_transaction_joins_it(self, tmp_path):
+        database = _org_db(tmp_path)
+        commits = []
+        database.on_commit(commits.append)
+        with database.transaction() as txn:
+            txn.insert("org", {"name": "outer"})
+            database.insert("org", {"name": "joined"})
+            with database.snapshot() as snap:
+                # Neither row is committed: no snapshot may see either.
+                assert snap.count("org") == 0
+            assert commits == []
+        assert len(commits) == 1
+        assert [op.op for op in commits[0].ops] == ["insert", "insert"]
+        assert _logged_names(database) == [["outer", "joined"]]
+        with database.snapshot() as snap:
+            assert snap.count("org") == 2
+        database.close()
+
+    def test_rolling_back_the_outer_undoes_a_joined_autocommit(self):
+        database = _org_db()
+        txn = database.transaction()
+        txn.insert("org", {"name": "outer"})
+        database.insert("org", {"name": "joined"})
+        txn.rollback()
+        assert database.count("org") == 0
+        assert database.committed_seq == 0
+        assert _writer_lock_free(database)
+
+    def test_an_exception_in_a_nested_block_undoes_only_that_block(
+        self, tmp_path
+    ):
+        database = _org_db(tmp_path)
+        with database.transaction() as txn:
+            txn.insert("org", {"name": "before"})
+            with pytest.raises(RuntimeError):
+                with database.transaction() as inner:
+                    inner.insert("org", {"name": "inner"})
+                    database.insert("org", {"name": "inner autocommit"})
+                    raise RuntimeError("boom")
+            assert txn.is_active
+            with database.transaction() as kept:
+                kept.insert("org", {"name": "kept"})
+            txn.insert("org", {"name": "after"})
+        assert sorted(database.query("org").values("name")) == [
+            "after", "before", "kept",
+        ]
+        assert _logged_names(database) == [["before", "kept", "after"]]
+        database.close()
+
+    def test_a_failed_autocommit_leaves_the_outer_intact(self):
+        database = _org_db()
+        with database.transaction() as txn:
+            txn.insert("org", {"name": "A"})
+            with pytest.raises(UniqueViolation):
+                database.insert("org", {"name": "A"})
+            txn.insert("org", {"name": "B"})
+        assert sorted(database.query("org").values("name")) == ["A", "B"]
+
+    def test_a_nested_commit_leaves_its_rows_to_the_outer(self):
+        database = _org_db()
+        outer = database.transaction()
+        inner = database.transaction()
+        inner.insert("org", {"name": "inner"})
+        inner.commit()
+        assert database.committed_seq == 0
+        outer.rollback()
+        assert database.count("org") == 0
+        assert _writer_lock_free(database)
+
+    def test_other_threads_open_their_own_transaction(self):
+        database = _org_db()
+        with database.transaction() as txn:
+            txn.insert("org", {"name": "mine"})
+            done = threading.Event()
+
+            def other():
+                database.insert("org", {"name": "theirs"})
+                done.set()
+
+            thread = threading.Thread(target=other)
+            thread.start()
+            # The other thread waits for the writer lock, not joins us.
+            assert not done.wait(0.2)
+        thread.join(5.0)
+        assert done.is_set()
+        assert database.committed_seq == 2
+
+    def test_concurrent_threads_never_join_each_other(self):
+        """Many threads, a tiny switch interval: every commit holds the
+        two rows of exactly one thread's transaction."""
+        import sys
+
+        database = _org_db()
+        commits = []
+        database.on_commit(commits.append)
+        threads, rounds = 6, 40
+
+        def work(tag: int) -> None:
+            for n in range(rounds):
+                with database.transaction() as txn:
+                    txn.insert("org", {"name": f"{tag}/{n}/outer"})
+                    database.insert("org", {"name": f"{tag}/{n}/joined"})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(tag,))
+                for tag in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(commits) == threads * rounds
+        for event in commits:
+            names = [op.after["name"] for op in event.ops]
+            assert len(names) == 2
+            assert names[0].rsplit("/", 1)[0] == names[1].rsplit("/", 1)[0]
+        assert database.count("org") == 2 * threads * rounds
+
+
+class TestWriterReleased:
+    def test_the_open_transaction_commits_and_stays_open(self, tmp_path):
+        database = _org_db(tmp_path)
+        with database.transaction() as txn:
+            txn.insert("org", {"name": "first"})
+            with database.writer_released():
+                assert database.count("org") == 1
+                assert database.committed_seq == 1
+                # Another thread can write meanwhile.
+                worker = threading.Thread(
+                    target=database.insert, args=("org", {"name": "worker"})
+                )
+                worker.start()
+                worker.join(5.0)
+            txn.insert("org", {"name": "second"})
+        assert _logged_names(database) == [["first"], ["worker"], ["second"]]
+        database.close()
+
+    def test_a_rollback_after_it_undoes_only_the_later_writes(self):
+        database = _org_db()
+        txn = database.transaction()
+        with pytest.raises(RuntimeError):
+            with database.transaction() as block:
+                block.insert("org", {"name": "durable"})
+                with database.writer_released():
+                    pass
+                block.insert("org", {"name": "undone"})
+                raise RuntimeError("boom")
+        txn.insert("org", {"name": "later"})
+        txn.rollback()
+        assert database.query("org").values("name") == ["durable"]
+        assert _writer_lock_free(database)
+
+    def test_without_a_transaction_the_block_just_runs(self):
+        database = _org_db()
+        with database.writer_released():
+            database.insert("org", {"name": "A"})
+        assert database.count("org") == 1

@@ -260,8 +260,9 @@ class TestNonDurable:
 
 
 class TestCompactEncoding:
-    """Commit records are redo-only: an insert carries its row, an
-    update ``pk`` + the columns it changed, a delete ``pk`` alone."""
+    """Commit records are redo-only: an insert carries its row, as
+    ``[table, values]`` under the table's column header, an update
+    ``pk`` + the columns it changed, a delete ``pk`` alone."""
 
     def test_insert_update_delete_images(self, tmp_path):
         db = open_db(tmp_path)
@@ -269,10 +270,15 @@ class TestCompactEncoding:
         db.update("item", row["id"], {"name": "b"})
         db.delete("item", row["id"])
         records = list(db._wal.records())
-        ops = [op for rec in records for op in rec["ops"]]
+        (table, values), *ops = [op for rec in records for op in rec["ops"]]
         by_kind = {op["op"]: op for op in ops}
         assert all("before" not in op for op in ops)
-        assert by_kind["insert"]["after"]["name"] == "a"
+        assert table == "item"
+        header = records[0]["columns"]["item"]
+        assert dict(zip(header, values)) == {
+            "id": row["id"], "name": "a", "created": None, "meta": {"k": 1},
+        }
+        assert all("columns" not in rec for rec in records[1:])
         assert by_kind["update"] == {
             "op": "update", "table": "item", "pk": row["id"],
             "after": {"name": "b"},
@@ -294,7 +300,7 @@ class TestCompactEncoding:
             op["after"]
             for rec in db._wal.records()
             for op in rec["ops"]
-            if op["op"] == "update"
+            if isinstance(op, dict) and op["op"] == "update"
         ]
         assert updates == [
             {"meta": True}, {"meta": 1.0}, {"meta": 1},
@@ -365,6 +371,45 @@ class TestCompactEncoding:
         assert states[0][0] == [
             {"id": 1, "name": "b", "created": created, "meta": {"k": 2}}
         ]
+
+    def test_row_dict_inserts_replay_beside_header_lines(self, tmp_path):
+        """Until commit lines named each inserted table's columns once,
+        an insert was a dict holding its whole row as ``after``.  A log
+        with lines of both forms recovers, and a replica applies records
+        of both forms, to the same rows."""
+        created = dt.datetime(2010, 1, 5, 12, 0)
+        previous = {"kind": "commit", "txn": 1, "seq": 1, "ops": [
+            {"op": "insert", "table": "item", "pk": 1, "after": {
+                "id": 1, "name": "a", "created": created.isoformat(),
+                "meta": {"k": 1}}},
+            {"op": "insert", "table": "item", "pk": 2, "after": {
+                "id": 2, "name": "b", "created": None, "meta": None}},
+        ]}
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal.append_replicated(previous)
+        wal.close()
+        db = open_db(tmp_path)
+        assert db.recover()["wal_txns"] == 1
+        db.insert("item", {"name": "c", "meta": [1, True]})
+        db.update("item", 1, {"name": "a2"})
+        db.delete("item", 2)
+        db.close()
+        records = list(WriteAheadLog(tmp_path / "wal.log").records())
+        assert ["columns" in record for record in records] == [
+            False, True, False, False,
+        ]
+        revived = open_db(tmp_path)
+        assert revived.recover()["wal_txns"] == 4
+        expected = [
+            {"id": 1, "name": "a2", "created": created, "meta": {"k": 1}},
+            {"id": 3, "name": "c", "created": None, "meta": [1, True]},
+        ]
+        assert list(revived.rows("item")) == expected
+        replica = open_db(None)
+        for record in records:
+            assert replica.apply_replicated_commit(record, seq=record["seq"])
+        assert list(replica.rows("item")) == expected
+        revived.close()
 
     def test_compact_records_replay(self, tmp_path):
         db = open_db(tmp_path)

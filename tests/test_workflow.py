@@ -285,6 +285,33 @@ class TestConditionsAndFunctions:
         assert instance.context["stamped"] is True
         assert instance.status == "completed"  # terminal step
 
+    @pytest.mark.parametrize("post, writes", [
+        ((), 1),
+        ((lambda ctx: ctx.get("missing"),), 1),
+        ((lambda ctx: ctx.update(n=True),), 2),  # 1 -> True is a change
+    ])
+    def test_context_is_rewritten_only_when_a_post_function_changed_it(
+        self, system, admin, post, writes
+    ):
+        definition = WorkflowDefinition(
+            "quiet",
+            steps=[
+                Step("a", actions=(Action("go", target="b", post_functions=post),)),
+                Step("b", actions=(Action("finish", target=END),)),
+            ],
+        )
+        system.workflow.register_definition(definition)
+        instance = system.workflow.start(admin, "quiet", context={"n": 1})
+        updates = []
+        system.db.on_commit(lambda event: updates.extend(
+            op for op in event.ops
+            if op.table == "workflow_instance" and op.op == "update"
+        ))
+        fired = system.workflow.fire(admin, instance.id, "go")
+        assert len(updates) == writes
+        assert fired.context == system.workflow.get(instance.id).context
+        assert fired.context["n"] is (True if writes == 2 else 1)
+
     def test_auto_actions_chain(self, system, admin):
         definition = WorkflowDefinition(
             "autos",
