@@ -22,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.errors import SchemaError, WalWriteError
+from repro.errors import SchemaError, TransactionError, WalWriteError
 from repro.obs import Observability, TraceContext
 from repro.storage.durability import Durability
 from repro.storage.query import DEFAULT_QUERY_CACHE_SIZE, Query, QueryCache
@@ -341,8 +341,8 @@ class Database:
         """
         bound = self._bound
         if bound is not None and bound[0] == threading.get_ident():
-            return Transaction(self, bound[1].txn_id, outer=bound[1])
-        txn = Transaction(self, 0)
+            return Transaction(self, outer=bound[1])
+        txn = Transaction(self)
         self._begin(txn)
         return txn
 
@@ -793,9 +793,15 @@ class Database:
     # -- snapshots & recovery -----------------------------------------------------------
 
     def checkpoint(self) -> Path:
-        """Write a full snapshot and reset the WAL.  Returns snapshot path."""
+        """Write a full snapshot and reset the WAL.  Returns snapshot path.
+
+        Refused on a thread with an open transaction: the snapshot would
+        hold its uncommitted rows, which a rollback cannot take back."""
         if self._path is None:
             raise SchemaError("checkpoint requires a database directory")
+        bound = self._bound
+        if bound is not None and bound[0] == threading.get_ident():
+            raise TransactionError("checkpoint inside an open transaction")
         timer = self.obs.timer()
         with self._lock:
             # The commit sequence rides along in the snapshot *and* the

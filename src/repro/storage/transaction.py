@@ -97,18 +97,14 @@ class Transaction:
     """
 
     def __init__(
-        self,
-        database: "Database",
-        txn_id: int,
-        *,
-        timer=None,
-        outer: "Transaction | None" = None,
+        self, database: "Database", *, outer: "Transaction | None" = None
     ):
         self._db = database
-        self.txn_id = txn_id
-        #: Monotonic timer started at begin; the database reads it at
+        #: Set when the database begins the root (and at each commit
+        #: point): its id, and a monotonic timer the database reads at
         #: commit to record end-to-end transaction latency.
-        self.timer = timer
+        self.txn_id = 0 if outer is None else outer._root.txn_id
+        self.timer = None
         self._state = _ACTIVE
         if outer is None:
             self._root = self

@@ -354,6 +354,19 @@ class TestThreadBoundTransaction:
             assert names[0].rsplit("/", 1)[0] == names[1].rsplit("/", 1)[0]
         assert database.count("org") == 2 * threads * rounds
 
+    def test_a_checkpoint_inside_a_transaction_is_refused(self, tmp_path):
+        database = _org_db(tmp_path)
+        txn = database.transaction()
+        txn.insert("org", {"name": "uncommitted"})
+        with pytest.raises(TransactionError):
+            database.checkpoint()
+        txn.rollback()
+        database.checkpoint()
+        database.close()
+        reopened = _org_db(tmp_path)
+        reopened.recover()
+        assert reopened.count("org") == 0
+
 
 class TestWriterReleased:
     def test_the_open_transaction_commits_and_stays_open(self, tmp_path):
