@@ -3,7 +3,9 @@
 A :class:`Session` batches reads and writes over many models inside one
 storage transaction.  Within a session, loading the same row twice
 returns the same Python object (identity map), and all writes commit or
-roll back together.
+roll back together.  Opened while the thread already has a transaction
+(a portal write request), the session is a nested block of it: its
+writes commit with that transaction, and its rollback undoes only them.
 
 Every session additionally pins an MVCC snapshot at :meth:`begin`, so
 its reads are **repeatable**: commits made by other threads while the

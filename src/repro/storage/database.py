@@ -363,6 +363,14 @@ class Database:
             self._write_intents -= 1
         self._lock.release()
 
+    def _refuse_in_transaction(self, action: str) -> None:
+        """Raise if the calling thread has a transaction open: *action*
+        re-enters the writer lock and would treat that transaction's
+        uncommitted rows as committed state."""
+        bound = self._bound
+        if bound is not None and bound[0] == threading.get_ident():
+            raise TransactionError(f"{action} inside an open transaction")
+
     @contextmanager
     def writer_released(self) -> Iterator[None]:
         """Run the block without the writer lock, for a thread that must
@@ -799,9 +807,7 @@ class Database:
         hold its uncommitted rows, which a rollback cannot take back."""
         if self._path is None:
             raise SchemaError("checkpoint requires a database directory")
-        bound = self._bound
-        if bound is not None and bound[0] == threading.get_ident():
-            raise TransactionError("checkpoint inside an open transaction")
+        self._refuse_in_transaction("checkpoint")
         timer = self.obs.timer()
         with self._lock:
             # The commit sequence rides along in the snapshot *and* the
@@ -882,6 +888,7 @@ class Database:
         """
         if self._path is None:
             raise SchemaError("recover requires a database directory")
+        self._refuse_in_transaction("recovery")
         stats = {"snapshot_rows": 0, "wal_txns": 0}
         timer = self.obs.timer()
         checkpoint_seq = 0
@@ -1140,6 +1147,7 @@ class Database:
         ahead of the published sequence (a redelivered frame); the
         caller treats that as a clean duplicate, not an error.
         """
+        self._refuse_in_transaction("a replicated apply")
         with self._intent_lock:
             self._write_intents += 1
         self._lock.acquire()
@@ -1207,6 +1215,7 @@ class Database:
         ``ETag``s derived from :meth:`version_vector` agree across the
         whole replica fleet from the first request after bootstrap.
         """
+        self._refuse_in_transaction("a replica bootstrap")
         with self._intent_lock:
             self._write_intents += 1
         self._lock.acquire()

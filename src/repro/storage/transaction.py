@@ -258,13 +258,10 @@ class Transaction:
         """Undo every mutation of this transaction (of a nested block:
         of the block alone); a root releases the writer lock."""
         self._require_active()
-        if self._root is not self:
-            self._rewind(self._mark)
-            self._state = _ROLLED_BACK
-            return
-        self._rollback_log()
+        self._rewind(self._mark)
         self._state = _ROLLED_BACK
-        self._db._finish_abort(self)
+        if self._root is self:
+            self._db._finish_abort(self)
 
     def _commit_point(self) -> None:
         """Root only: make the log so far durable and release the writer
@@ -281,7 +278,7 @@ class Transaction:
             # The WAL append failed while the writer lock was still
             # held: the in-memory state must not claim durability it
             # does not have.  Undo, release, and surface the cause.
-            self._rollback_log()
+            self._rewind(self._mark)
             self._state = _ROLLED_BACK
             self._db._finish_abort(self)
             raise (exc.__cause__ or exc) from None
@@ -290,11 +287,6 @@ class Transaction:
         # cannot be unwound here, so the error propagates with the
         # committed state intact.  Commit-feed listeners never fail a
         # commit; the database logs and counts what they raise.
-
-    def _rollback_log(self) -> None:
-        while self._log:
-            entry = self._log.pop()
-            self._db.table(entry.table).apply_undo(entry)
 
     @property
     def operations(self) -> list[UndoEntry]:

@@ -1,6 +1,7 @@
 """The web portal, driven end-to-end through the in-process client."""
 
 import datetime as dt
+import time
 
 import pytest
 
@@ -562,8 +563,6 @@ class TestOneTransactionPerWriteRequest:
         enqueue a job and wait for it.  The request's transaction
         commits before the wait; held, the worker could never take the
         writer lock and the wait would run out its timeout."""
-        import time
-
         system.start_workers(workers=2, lease_seconds=30.0, name="portal")
         try:
             assert system.queue.workers_active()

@@ -354,13 +354,26 @@ class TestThreadBoundTransaction:
             assert names[0].rsplit("/", 1)[0] == names[1].rsplit("/", 1)[0]
         assert database.count("org") == 2 * threads * rounds
 
-    def test_a_checkpoint_inside_a_transaction_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("action", [
+        lambda db: db.checkpoint(),
+        lambda db: db.recover(),
+        lambda db: db.apply_replicated_commit(
+            {"kind": "commit", "txn": 1, "ops": [], "seq": 1}, seq=1
+        ),
+        lambda db: db.load_replicated_snapshot({}, seq=1),
+    ], ids=["checkpoint", "recover", "replicated_apply", "bootstrap"])
+    def test_state_replacing_calls_are_refused_inside_a_transaction(
+        self, tmp_path, action
+    ):
+        """Each re-enters the writer lock; inside an open transaction it
+        would persist or stamp that transaction's uncommitted rows."""
         database = _org_db(tmp_path)
         txn = database.transaction()
         txn.insert("org", {"name": "uncommitted"})
         with pytest.raises(TransactionError):
-            database.checkpoint()
+            action(database)
         txn.rollback()
+        assert database.committed_seq == 0
         database.checkpoint()
         database.close()
         reopened = _org_db(tmp_path)
