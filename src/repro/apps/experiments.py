@@ -14,7 +14,10 @@ arbitrary attributes that feed a registered application.  Running it:
 
 ``defer=True`` leaves the workflow parked in its pending step so the
 demo's pending screen is observable; :meth:`ExperimentService.execute_pending`
-then fires it.
+then fires it.  A run made inline (no queue workers, or inside a
+caller's open transaction) runs the application first and writes the
+rows of steps 1–3 after it returns, so a portal request holds the
+writer lock for those writes only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Any, Sequence
 from repro.apps.connectors import RunOutcome, RunRequest
 from repro.apps.registry import ApplicationRegistry, check_parameters
 from repro.audit.log import AuditLog
-from repro.core.entities import Experiment, Workunit
+from repro.core.entities import Application, Experiment, Workunit
 from repro.core.services.samples import SampleService
 from repro.core.services.workunits import WorkunitService
 from repro.dataimport.store import ManagedStore
@@ -51,7 +54,7 @@ from repro.util.clock import Clock, SystemClock
 from repro.util.events import EventBus
 from repro.util.text import normalize_whitespace
 from repro.workflow.definitions import Action, Step, WorkflowDefinition
-from repro.workflow.engine import WorkflowEngine
+from repro.workflow.engine import WorkflowEngine, WorkflowInstance
 
 #: Name of the registered experiment-run workflow definition.
 EXPERIMENT_WORKFLOW = "run_experiment"
@@ -237,7 +240,31 @@ class ExperimentService:
         self._acl.require(principal, Permission.WRITE, experiment.project_id)
         application = self._applications.get(experiment.application_id)
         effective = check_parameters(application.interface, parameters or {})
+        if not defer and (
+            self._queue is None
+            or not self._queue.workers_active()
+            # A caller's open transaction cannot wait on a worker.
+            or self._registry.database.in_transaction()
+        ):
+            return self._run_inline(
+                principal, experiment, application, workunit_name, effective
+            )
+        workunit, _ = self._open_run(
+            principal, experiment, application, workunit_name, effective
+        )
+        if defer:
+            return workunit
+        return self._execute_via_queue(principal, workunit.id)
 
+    def _open_run(
+        self,
+        principal: Principal,
+        experiment: Experiment,
+        application: Application,
+        workunit_name: str,
+        parameters: dict[str, Any],
+    ) -> tuple[Workunit, WorkflowInstance]:
+        """Create the pending result workunit and start its workflow."""
         workunit = self._workunits.create(
             principal,
             experiment.project_id,
@@ -245,24 +272,48 @@ class ExperimentService:
             description=f"run of {application.name!r} "
             f"for experiment {experiment.name!r}",
             application_id=application.id,
-            parameters=effective,
+            parameters=parameters,
         )
-        self._workflow.start(
+        instance = self._workflow.start(
             principal,
             EXPERIMENT_WORKFLOW,
             entity_type="workunit",
             entity_id=workunit.id,
-            context={"experiment_id": experiment.id, "parameters": effective},
+            context={"experiment_id": experiment.id, "parameters": parameters},
         )
         self._audit.record(
             principal, "create", "experiment_run", workunit.id,
             f"run {application.name} for {experiment.name}",
         )
-        if defer:
-            return workunit
-        if self._queue is not None and self._queue.workers_active():
-            return self._execute_via_queue(principal, workunit.id)
-        return self.execute_pending(principal, workunit.id)
+        return workunit, instance
+
+    def _run_inline(
+        self,
+        principal: Principal,
+        experiment: Experiment,
+        application: Application,
+        workunit_name: str,
+        parameters: dict[str, Any],
+    ) -> Workunit:
+        """Run the application, then record the run.
+
+        Nothing is written until the application has returned, so a
+        caller's transaction (a portal request) takes the writer lock
+        for the run's writes only, not for the application's runtime.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            outcome = self._invoke(
+                principal, experiment, application, parameters, Path(tmp)
+            )
+            workunit, instance = self._open_run(
+                principal, experiment, application, workunit_name, parameters
+            )
+            workunit = self._workunits.transition(
+                principal, workunit.id, "processing"
+            )
+            return self._conclude(
+                principal, workunit, instance.id, experiment, outcome
+            )
 
     # -- the queue path -----------------------------------------------------------------
 
@@ -383,25 +434,41 @@ class ExperimentService:
         application = self._applications.get(experiment.application_id)
 
         workunit = self._workunits.transition(principal, workunit_id, "processing")
+        with tempfile.TemporaryDirectory() as tmp:
+            outcome = self._invoke(
+                principal, experiment, application, workunit.parameters,
+                Path(tmp),
+            )
+            return self._conclude(
+                principal, workunit, instance.id, experiment, outcome
+            )
+
+    def _invoke(
+        self,
+        principal: Principal,
+        experiment: Experiment,
+        application: Application,
+        parameters: dict[str, Any],
+        workdir: Path,
+    ) -> "RunOutcome | BFabricError":
+        """Stage the inputs into *workdir* and run the application; a
+        failure is returned, for :meth:`_conclude` to record."""
         try:
-            with tempfile.TemporaryDirectory() as tmp:
-                workdir = Path(tmp)
-                input_files = self._stage_inputs(principal, experiment, workdir)
-                # Registry.run applies the retry/timeout/breaker policy;
-                # CircuitOpenError and TimeoutExceeded are BFabricErrors,
-                # so an outage lands in the same failed path below.
-                outcome = self._applications.run(
-                    application,
-                    RunRequest(
-                        application=application.name,
-                        executable=application.executable,
-                        input_files=input_files,
-                        parameters=dict(workunit.parameters),
-                        attributes=dict(experiment.attributes),
-                        workdir=workdir,
-                    )
-                )
-                self._collect(principal, workunit, experiment, outcome)
+            input_files = self._stage_inputs(principal, experiment, workdir)
+            # Registry.run applies the retry/timeout/breaker policy;
+            # CircuitOpenError and TimeoutExceeded are BFabricErrors,
+            # so an outage lands in the same failed path.
+            return self._applications.run(
+                application,
+                RunRequest(
+                    application=application.name,
+                    executable=application.executable,
+                    input_files=input_files,
+                    parameters=dict(parameters),
+                    attributes=dict(experiment.attributes),
+                    workdir=workdir,
+                ),
+            )
         except CrashPoint:
             # A simulated process kill (CrashPoint *is* a BFabricError):
             # a real SIGKILL cannot fail the workflow or transition the
@@ -409,16 +476,39 @@ class ExperimentService:
             # ``processing`` state via _reset_interrupted_run.
             raise
         except BFabricError as error:
-            self._workflow.fail(principal, instance.id, str(error))
-            workunit = self._workunits.transition(principal, workunit_id, "failed")
+            return error
+
+    def _conclude(
+        self,
+        principal: Principal,
+        workunit: Workunit,
+        instance_id: int,
+        experiment: Experiment,
+        outcome: "RunOutcome | BFabricError",
+    ) -> Workunit:
+        """Collect a processing run's outcome and complete its workflow,
+        or fail both if the run (or the collection) failed."""
+        error = outcome if isinstance(outcome, BFabricError) else None
+        if error is None:
+            try:
+                self._collect(principal, workunit, experiment, outcome)
+            except CrashPoint:
+                raise
+            except BFabricError as exc:
+                error = exc
+        if error is not None:
+            self._workflow.fail(principal, instance_id, str(error))
+            workunit = self._workunits.transition(
+                principal, workunit.id, "failed"
+            )
             self._events.publish(
                 "experiment.failed", workunit=workunit, error=error,
                 principal=principal,
             )
             return workunit
 
-        self._workflow.fire(principal, instance.id, "execute")
-        workunit = self._workunits.transition(principal, workunit_id, "available")
+        self._workflow.fire(principal, instance_id, "execute")
+        workunit = self._workunits.transition(principal, workunit.id, "available")
         self._events.publish(
             "experiment.completed", workunit=workunit, experiment=experiment,
             principal=principal,

@@ -240,10 +240,16 @@ class DataImportService:
         When a worker pool is draining the job queue, the import runs as
         a background job (crash-safe, per-provider limited) and this
         call becomes enqueue-then-wait — same signature, same results,
-        same errors.  Without workers it runs inline, unchanged.
+        same errors.  Without workers it runs inline, unchanged, and so
+        it does inside a caller's open transaction (a portal request),
+        which cannot wait on a worker.
         """
         self._validate_request(provider_name, file_names, mode)
-        if self._queue is not None and self._queue.workers_active():
+        if (
+            self._queue is not None
+            and self._queue.workers_active()
+            and not self._registry.database.in_transaction()
+        ):
             return self._import_via_queue(
                 principal,
                 project_id,
@@ -478,7 +484,9 @@ class DataImportService:
             parameters[IMPORT_JOB_KEY_PARAM] = job_key
 
         # Copy mode fetches everything *before* any row is created, so a
-        # provider failure mid-import leaves no half-imported workunit.
+        # provider failure mid-import leaves no half-imported workunit,
+        # and a caller's transaction (a portal request) does not hold
+        # the writer lock while the provider answers.
         # Each fetch runs under the provider's retry/timeout/breaker
         # policy and is size-verified against the listing, so a partial
         # read is detected (and usually healed by a retry) here, not

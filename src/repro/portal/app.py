@@ -123,6 +123,9 @@ class PortalApplication:
         before the response leaves — a ``303`` still means durable — or
         roll back together when an exception escapes the handler, so
         the error response mapped below leaves nothing half-written.
+        The transaction takes the writer lock at its first write, so a
+        handler's reads and slow outside calls made before it (a
+        provider fetch, an application run) hold no other writer up.
 
         The snapshot is opened *inside* the ``try`` and closed in the
         ``finally`` however dispatch exits — including the catch-all
@@ -174,7 +177,7 @@ class PortalApplication:
                 # handler writes commits once, before the response
                 # leaves, or rolls back with the exception that maps to
                 # the error response.
-                with self.system.db.transaction():
+                with self.system.db.transaction(defer_lock=True):
                     response = self.router.dispatch(request, match)
             if (
                 request.method in ("POST", "PUT")

@@ -16,7 +16,6 @@ import threading
 import traceback
 import uuid
 from collections import deque
-from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -204,10 +203,8 @@ class Database:
         # own tiny mutex (``+=`` on an attribute is not atomic).
         self._intent_lock = threading.Lock()
         self._write_intents = 0
-        # ``(thread ident, root transaction)`` while a transaction is
-        # open: set by the thread holding the writer lock, cleared before
-        # it releases it, read in one step by every ``transaction()``.
-        self._bound: "tuple[int, Transaction] | None" = None
+        # ``txn``: the calling thread's open root transaction, if any.
+        self._bound = threading.local()
         # MVCC state.  ``_committed_seq`` is the database-wide commit
         # sequence number: every commit stamps its new row versions with
         # the next number *before* publishing it here, so a lock-free
@@ -329,69 +326,65 @@ class Database:
 
     # -- transactions --------------------------------------------------------------
 
-    def transaction(self) -> Transaction:
+    def transaction(self, *, defer_lock: bool = False) -> Transaction:
         """Begin a transaction bound to the calling thread; the
         single-writer lock is held until it ends.
+
+        With *defer_lock* the lock is taken only at the transaction's
+        first write (or first nested block), so what the thread does
+        before that — reads, a provider fetch, an application run —
+        keeps no other writer waiting; a transaction that never writes
+        never takes it.
 
         While it is open, a further call on the same thread (an
         autocommit :meth:`insert`, an ORM session, a service's own
         block) returns a nested block of it instead: a savepoint whose
         writes commit with the outer transaction, or roll back alone
-        when an exception escapes the block.
+        when an exception escapes the block.  Opening one takes the
+        writer lock, so a block that goes on to take another lock (the
+        job queue's) always takes the writer lock first.
         """
-        bound = self._bound
-        if bound is not None and bound[0] == threading.get_ident():
-            return Transaction(self, outer=bound[1])
+        root = getattr(self._bound, "txn", None)
+        if root is not None:
+            if not root.holds_writer:
+                self._take_writer(root)
+            return Transaction(self, outer=root)
         txn = Transaction(self)
-        self._begin(txn)
+        self._bound.txn = txn
+        if not defer_lock:
+            self._take_writer(txn)
         return txn
 
-    def _begin(self, txn: Transaction) -> None:
-        """Take the writer lock for *txn* and bind it to this thread."""
+    def _take_writer(self, txn: Transaction) -> None:
+        """Take the writer lock for the root transaction *txn*."""
         with self._intent_lock:
             self._write_intents += 1
         self._lock.acquire()
         self._txn_counter += 1
         txn.txn_id = self._txn_counter
         txn.timer = self.obs.timer()
-        self._bound = (threading.get_ident(), txn)
+        txn.holds_writer = True
 
-    def _release_writer(self) -> None:
-        """Unbind this thread's transaction and release the writer lock."""
-        self._bound = None
-        with self._intent_lock:
-            self._write_intents -= 1
-        self._lock.release()
+    def _release_writer(self, txn: Transaction) -> None:
+        """Unbind the root transaction *txn* from this thread and
+        release the writer lock if it holds it."""
+        self._bound.txn = None
+        if txn.holds_writer:
+            txn.holds_writer = False
+            with self._intent_lock:
+                self._write_intents -= 1
+            self._lock.release()
+
+    def in_transaction(self) -> bool:
+        """Whether the calling thread has a transaction open."""
+        return getattr(self._bound, "txn", None) is not None
 
     def _refuse_in_transaction(self, action: str) -> None:
         """Raise if the calling thread has a transaction open: *action*
-        re-enters the writer lock and would treat that transaction's
-        uncommitted rows as committed state."""
-        bound = self._bound
-        if bound is not None and bound[0] == threading.get_ident():
+        would treat that transaction's uncommitted rows as committed
+        state."""
+        if self.in_transaction():
             raise TransactionError(f"{action} inside an open transaction")
-
-    @contextmanager
-    def writer_released(self) -> Iterator[None]:
-        """Run the block without the writer lock, for a thread that must
-        wait on another thread that writes (a queue worker).
-
-        The calling thread's open transaction commits first — what it
-        wrote becomes durable and visible, and cannot roll back any
-        more — and stays open: it re-takes the writer lock after the
-        block and logs the thread's later writes as a fresh commit.
-        Without an open transaction the block just runs.
-        """
-        bound = self._bound
-        if bound is None or bound[0] != threading.get_ident():
-            yield
-            return
-        root = bound[1]
-        root._commit_point()
-        try:
-            yield
-        finally:
-            self._begin(root)
 
     def _finish_commit(self, txn: Transaction) -> None:
         """Called by Transaction.commit while the lock is still held.
@@ -415,6 +408,9 @@ class Database:
         every untraced bench commit); the slow log still sees them
         through a direct duration check.
         """
+        if not txn.holds_writer:
+            self._release_writer(txn)  # it never wrote: nothing to commit
+            return
         operations = txn.operations
         tracer = self.obs.tracer
         if operations and tracer.current() is not None:
@@ -478,7 +474,7 @@ class Database:
             entry = self._feed_enqueue(
                 seq, operations, nbytes, trace, derive=derive
             )
-        self._release_writer()
+        self._release_writer(txn)
         try:
             if ticket is not None:
                 # Block until the group leader's fsync covers our record.
@@ -527,7 +523,7 @@ class Database:
         )
 
     def _finish_abort(self, txn: Transaction) -> None:
-        self._release_writer()
+        self._release_writer(txn)
 
     def on_commit(self, listener: CommitListener) -> int:
         """Subscribe *listener* to the commit feed: ``listener(event)``.
@@ -1000,20 +996,29 @@ class Database:
         update's full row, beside a ``before`` image nothing reads).
         Both forms replay here, for recovery and for replicated applies
         alike."""
+        columns = record.get("columns", {})
+        if not isinstance(columns, dict):
+            raise SchemaError(
+                f"commit record: columns {columns!r} is not a map of "
+                "table headers"
+            )
         headers = {
             name: _check_header(f"commit record, table {name!r}", header)
-            for name, header in (record.get("columns") or {}).items()
+            for name, header in columns.items()
         }
         applied: list[UndoEntry] = []
         for op in record["ops"]:
             if isinstance(op, list):
+                if len(op) != 2 or not isinstance(op[0], str):
+                    raise SchemaError(
+                        f"commit record: insert {op!r} is not [table, values]"
+                    )
                 name, values = op
                 kind = "insert"
-                row = _keyed_row(
-                    f"commit record, table {name!r}",
-                    headers.get(name, []),
-                    values,
-                )
+                where = f"commit record, table {name!r}"
+                if name not in headers:
+                    raise SchemaError(f"{where}: insert with no column header")
+                row = _keyed_row(where, headers[name], values)
             else:
                 name, kind, row = op["table"], op["op"], op.get("after")
             table = self.table(name)

@@ -1,13 +1,14 @@
 """Transactions: atomic multi-table mutations with rollback and savepoints.
 
-The engine is single-writer: a database-wide re-entrant lock is held for
-the duration of a transaction (acquired in
-:meth:`~repro.storage.database.Database.transaction`), which is bound to
-the thread that opened it: a transaction opened on that thread while it
-is open is a nested block of it (a savepoint), never a second commit.
-Inside one, every mutation is applied immediately to the live tables and
-an undo entry is recorded; rollback replays the undo log in reverse, and
-commit hands the redo log to the write-ahead log for durability.
+The engine is single-writer: a database-wide re-entrant lock is held
+from a transaction's first write (or, by default, from
+:meth:`~repro.storage.database.Database.transaction` itself) until it
+ends.  A transaction is bound to the thread that opened it: a
+transaction opened on that thread while it is open is a nested block of
+it (a savepoint), never a second commit.  Inside one, every mutation is
+applied immediately to the live tables and an undo entry is recorded;
+rollback replays the undo log in reverse, and commit hands the redo log
+to the write-ahead log for durability.
 
 Referential delete actions live here because they span tables: deleting a
 row consults the database's reverse foreign-key map and either refuses
@@ -85,38 +86,36 @@ class Transaction:
     """One atomic unit of work.  Obtain via ``Database.transaction()``.
 
     The first transaction a thread opens is its *root*: it holds the
-    writer lock until it ends, and its commit makes the log durable.
+    writer lock from its first write (see ``Database.transaction``'s
+    *defer_lock*) until it ends, and its commit makes the log durable.
     While it is open, every further ``Database.transaction()`` on that
     thread opens a *nested* block over the same log.  A nested block is
     a savepoint: a clean exit (or :meth:`commit`) keeps its writes in
     the root, an escaping exception (or :meth:`rollback`) undoes just
-    them.  Log positions (savepoints, nested marks) count every op
-    since the root began, so they stay meaningful across a commit point
-    (:meth:`Database.writer_released`); what it made durable can no
-    longer be undone.
+    them.  Each block names its own savepoints, and can return to no
+    position before it began.
     """
 
     def __init__(
         self, database: "Database", *, outer: "Transaction | None" = None
     ):
         self._db = database
-        #: Set when the database begins the root (and at each commit
-        #: point): its id, and a monotonic timer the database reads at
-        #: commit to record end-to-end transaction latency.
+        #: Set when the root takes the writer lock: its id, and a
+        #: monotonic timer the database reads at commit to record
+        #: end-to-end transaction latency.
         self.txn_id = 0 if outer is None else outer._root.txn_id
         self.timer = None
         self._state = _ACTIVE
+        self._savepoints: dict[str, int] = {}
         if outer is None:
             self._root = self
             self._log: list[UndoEntry] = []
-            self._savepoints: dict[str, int] = {}
-            #: Ops already made durable by commit points.
-            self._flushed = 0
+            #: Whether this root holds the writer lock.
+            self.holds_writer = False
         else:
             self._root = outer._root
             self._log = self._root._log
-            self._savepoints = self._root._savepoints
-        self._mark = self._position()
+        self._mark = len(self._log)
 
     # -- state ----------------------------------------------------------------
 
@@ -131,22 +130,24 @@ class Transaction:
                 f"transaction #{self.txn_id} is {state}, not active"
             )
 
-    def _position(self) -> int:
-        root = self._root
-        return root._flushed + len(root._log)
+    def _require_writer(self) -> None:
+        """Active, and the root holds the writer lock (taken now if not)."""
+        self._require_active()
+        if not self._root.holds_writer:
+            self._db._take_writer(self._root)
 
     # -- mutations --------------------------------------------------------------
 
     def insert(self, table: str, values: dict[str, Any]) -> dict[str, Any]:
         """Insert *values* into *table*; returns the stored row (with pk)."""
-        self._require_active()
+        self._require_writer()
         row, undo = self._db.table(table).apply_insert(values)
         self._log.append(undo)
         return row
 
     def update(self, table: str, pk: Any, changes: dict[str, Any]) -> dict[str, Any]:
         """Apply *changes* to row *pk* of *table*; returns the new row."""
-        self._require_active()
+        self._require_writer()
         row, undo = self._db.table(table).apply_update(pk, changes)
         self._log.append(undo)
         return row
@@ -159,7 +160,7 @@ class Transaction:
         and set-nulls are applied depth-first and roll back with the rest
         of the transaction.
         """
-        self._require_active()
+        self._require_writer()
         return self._delete_recursive(table, pk, chain=set())
 
     def _delete_recursive(
@@ -224,20 +225,25 @@ class Transaction:
     def savepoint(self, name: str) -> None:
         """Mark the current position; a later rollback can return here."""
         self._require_active()
-        self._savepoints[name] = self._position()
+        self._savepoints[name] = len(self._log)
 
     def rollback_to(self, name: str) -> None:
-        """Undo everything applied since :meth:`savepoint` *name*."""
+        """Undo everything applied since :meth:`savepoint` *name* (one
+        this block took: an outer block's savepoints are not its own)."""
         self._require_active()
         if name not in self._savepoints:
             raise TransactionError(f"no savepoint named {name!r}")
-        self._rewind(self._savepoints[name])
+        position = self._savepoints[name]
+        if position < self._mark or position > len(self._log):
+            raise TransactionError(
+                f"savepoint {name!r} is outside this transaction's writes"
+            )
+        self._rewind(position)
 
     def _rewind(self, position: int) -> None:
-        """Undo the ops logged after *position* (none that a commit
-        point made durable); savepoints taken after it go too."""
-        keep = max(position - self._root._flushed, 0)
-        while len(self._log) > keep:
+        """Undo the ops logged after *position*; this block's savepoints
+        taken after it go too."""
+        while len(self._log) > position:
             entry = self._log.pop()
             self._db.table(entry.table).apply_undo(entry)
         for name in [n for n, pos in self._savepoints.items() if pos > position]:
@@ -251,27 +257,8 @@ class Transaction:
         the outer transaction."""
         self._require_active()
         self._state = _COMMITTED
-        if self._root is self:
-            self._make_durable()
-
-    def rollback(self) -> None:
-        """Undo every mutation of this transaction (of a nested block:
-        of the block alone); a root releases the writer lock."""
-        self._require_active()
-        self._rewind(self._mark)
-        self._state = _ROLLED_BACK
-        if self._root is self:
-            self._db._finish_abort(self)
-
-    def _commit_point(self) -> None:
-        """Root only: make the log so far durable and release the writer
-        lock, staying open (see :meth:`Database.writer_released`)."""
-        self._require_active()
-        self._make_durable()
-        self._flushed += len(self._log)
-        self._log.clear()
-
-    def _make_durable(self) -> None:
+        if self._root is not self:
+            return
         try:
             self._db._finish_commit(self)
         except WalWriteError as exc:
@@ -288,11 +275,20 @@ class Transaction:
         # committed state intact.  Commit-feed listeners never fail a
         # commit; the database logs and counts what they raise.
 
+    def rollback(self) -> None:
+        """Undo every mutation of this transaction (of a nested block:
+        of the block alone); a root releases the writer lock."""
+        self._require_active()
+        self._rewind(self._mark)
+        self._state = _ROLLED_BACK
+        if self._root is self:
+            self._db._finish_abort(self)
+
     @property
     def operations(self) -> list[UndoEntry]:
-        """The mutations applied so far and not yet durable (of a nested
-        block: since it began) — the redo log for the WAL."""
-        return self._log[max(self._mark - self._root._flushed, 0):]
+        """The mutations applied so far (of a nested block: since it
+        began) — the redo log for the WAL."""
+        return self._log[self._mark:]
 
     # -- context manager --------------------------------------------------------------
 

@@ -61,12 +61,13 @@ def _changed(old: Any, new: Any) -> bool:
     if type(old) is not type(new):
         return True
     if isinstance(new, (dict, list)):
-        return _encode_exact(old) != _encode_exact(new)
+        return encode_exact(old) != encode_exact(new)
     return old != new
 
 
-#: A container's JSON text, keys in their own order.
-_encode_exact = json.JSONEncoder(separators=(",", ":"), default=str).encode
+#: A container's JSON text, keys in their own order: two containers
+#: with equal text log (and replay) as the same value.
+encode_exact = json.JSONEncoder(separators=(",", ":"), default=str).encode
 
 
 #: The one line encoding, built once: ``json.dumps`` with arguments

@@ -47,7 +47,12 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import LeaseLost, QueueSaturated, StateError
+from repro.errors import (
+    LeaseLost,
+    QueueSaturated,
+    StateError,
+    TransactionError,
+)
 from repro.orm import (
     DateTimeField,
     IntField,
@@ -623,14 +628,19 @@ class JobQueue:
         paths.  Returns the job in whatever state it reached; on timeout
         it returns the job as-is — callers inspect ``state``.
 
-        The calling thread's open transaction commits before the wait
-        (:meth:`~repro.storage.database.Database.writer_released`): the
-        worker needs the writer lock, and the rows the job reads.
+        Refused (:class:`~repro.errors.TransactionError`) on a thread
+        with an open transaction: the worker could not see the job's
+        rows, nor take the writer lock that transaction may hold.
+        Callers inside one run the work inline instead.
         """
+        if self._db.in_transaction():
+            raise TransactionError(
+                "waiting on a queued job inside an open transaction"
+            )
         deadline = (
             self._clock.monotonic() + timeout if timeout is not None else None
         )
-        with self._db.writer_released(), self._cond:
+        with self._cond:
             while True:
                 job = self.get(job_id)
                 if job.state in ("done", "dead"):

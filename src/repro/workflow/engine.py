@@ -9,7 +9,6 @@ report" workflow runs to completion by itself).
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.audit.log import AuditLog
@@ -33,6 +32,7 @@ from repro.orm import (
     TextField,
 )
 from repro.security.principals import Principal
+from repro.storage.wal import encode_exact
 from repro.util.clock import Clock, SystemClock
 from repro.util.events import EventBus
 from repro.workflow.definitions import END, WorkflowDefinition
@@ -41,10 +41,6 @@ INSTANCE_STATES = ("active", "completed", "cancelled", "failed")
 
 #: Safety bound on auto-action chaining (a cycle of autos would spin).
 _MAX_AUTO_CHAIN = 100
-
-#: A context's JSON text: two contexts with equal text store the same
-#: row (``1`` and ``True`` compare equal, but encode apart).
-_encode_context = json.JSONEncoder(default=str).encode
 
 #: Default bounded retry for transition pre-functions.  Nothing is
 #: persisted before they run, so re-running is safe; the short backoff
@@ -298,10 +294,10 @@ class WorkflowEngine:
         if action.post_functions:
             # Post-functions may mutate the context; persist what they
             # changed, and only then (an update logs the whole context).
-            before = _encode_context(context)
+            before = encode_exact(context)
             for function in action.post_functions:
                 function(context)
-            if _encode_context(context) != before:
+            if encode_exact(context) != before:
                 updated = self._instances.update(instance_id, context=context)
 
         if updated.status == "completed":

@@ -1,6 +1,7 @@
 """The web portal, driven end-to-end through the in-process client."""
 
 import datetime as dt
+import threading
 import time
 
 import pytest
@@ -559,21 +560,17 @@ class TestOneTransactionPerWriteRequest:
                         follow_redirects=False).status == 303
 
     def test_run_and_import_finish_through_the_queue(self, sci, system):
-        """With workers draining the queue, POST import and POST run
-        enqueue a job and wait for it.  The request's transaction
-        commits before the wait; held, the worker could never take the
-        writer lock and the wait would run out its timeout."""
+        """With workers draining the queue, POST import and POST run do
+        their work inline: the request's open transaction cannot wait
+        on a worker, which would need the rows it has not committed.
+        No job is enqueued, each request is still one commit, and
+        neither runs out a queue wait."""
         system.start_workers(workers=2, lease_seconds=30.0, name="portal")
         try:
             assert system.queue.workers_active()
             timings = {}
             for response in self.flow(sci, system):
                 assert response.status == 303
-            for job in system.queue.list():
-                assert job.state == "done", job
-            assert {job.job_type for job in system.queue.list()} == {
-                "import.files", "experiment.execute",
-            }
             for label, url, fields in (
                 ("import", "/projects/1/import",
                  {"provider": "GeneChip", "workunit_name": "again",
@@ -581,10 +578,53 @@ class TestOneTransactionPerWriteRequest:
                 ("run", "/experiments/1/run",
                  {"workunit_name": "rerun", "param_reference_group": "_a"}),
             ):
+                before = self.commits(system)
                 started = time.monotonic()
                 response = sci.post(url, fields, follow_redirects=False)
                 timings[label] = time.monotonic() - started
                 assert response.status == 303, label
+                assert self.commits(system) - before == 1, label
             assert max(timings.values()) < 5.0, timings
+            assert system.queue.list() == []
         finally:
             system.stop_workers()
+
+    def test_no_writer_lock_during_a_fetch_or_an_application_run(
+        self, sci, system, monkeypatch
+    ):
+        """POST import fetches from the provider, and POST run runs the
+        application, before the request's first write: the request's
+        transaction does not hold the writer lock while they take their
+        time, so other writers do not queue behind them."""
+        def lock_free() -> bool:
+            taken = []
+
+            def other():
+                if system.db._lock.acquire(timeout=1.0):
+                    system.db._lock.release()
+                    taken.append(True)
+
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            return bool(taken)
+
+        free = {}
+        provider = system.imports.provider("GeneChip")
+        fetch, run = provider.fetch, system.applications.run
+
+        def observed_fetch(*args, **kwargs):
+            free.setdefault("fetch", lock_free())
+            return fetch(*args, **kwargs)
+
+        def observed_run(*args, **kwargs):
+            free.setdefault("run", lock_free())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(provider, "fetch", observed_fetch)
+        monkeypatch.setattr(system.applications, "run", observed_run)
+        for response in self.flow(sci, system):
+            assert response.status == 303
+        assert free == {"fetch": True, "run": True}
+        result = system.db.query("workunit").where("name", "=", "results").one()
+        assert result["status"] == "available"

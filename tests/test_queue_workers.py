@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.errors import CrashPoint, ValidationError
+from repro.errors import CrashPoint, TransactionError, ValidationError
 from repro.orm import Registry
 from repro.resilience.faults import Fault, FaultPlan, install
 from repro.resilience.policies import RetryPolicy
@@ -58,6 +58,24 @@ class TestPoolBasics:
         assert sorted(seen) == [0, 1, 2, 3, 4]
         assert queue.wait(jobs[3].id).result == {"n": 3}
         assert pool.jobs_run == 5
+
+    def test_waiting_inside_an_open_transaction_is_refused(
+        self, queue, stop_pools
+    ):
+        """The worker could not see a job enqueued in the waiter's open
+        transaction, nor take the writer lock it holds: refused at
+        once, not after the timeout."""
+        queue.register_handler("t", lambda job: {})
+        pool = WorkerPool(queue, workers=1, lease_seconds=5.0).start()
+        stop_pools(pool)
+        database = queue._db
+        with database.transaction():
+            job = queue.enqueue("t", {})
+            started = time.monotonic()
+            with pytest.raises(TransactionError):
+                queue.wait(job.id, timeout=10.0)
+            assert time.monotonic() - started < 1.0
+        assert queue.wait(job.id, timeout=10.0).state == "done"
 
     def test_unknown_job_type_goes_dead(self, queue, stop_pools):
         queue.register_handler("known", lambda job: None)

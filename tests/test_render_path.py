@@ -7,8 +7,9 @@
 * a primary-key ``IN`` list is a pk-set plan that returns what a scan
   returns, live and on a pinned snapshot;
 * ``repro serve`` freezes the collector's view of its warmed-up heap;
-* list tables escape user text, and the search screen's links carry
-  their query verbatim.
+* list tables escape user text (the project page's hand-built rows
+  give table()'s bytes), and the search screen's links carry their
+  query verbatim.
 """
 
 from __future__ import annotations
@@ -395,6 +396,30 @@ def test_user_text_is_escaped_in_every_list_table(portal):
         text = client.get(url).text
         assert "<script>" not in text, url
         assert text.count(escaped) >= count, url
+
+
+def test_project_lists_are_what_table_and_link_give(portal):
+    """The project page builds its sample and workunit rows as one
+    f-string each: the bytes ``table()`` over ``link()`` cells gives."""
+    system, client = portal
+    client.post("/projects", {"name": "P", "description": ""})
+    for name, species in ((_EVIL, _EVIL), ("plain", ""), ("a&b", "x")):
+        client.post("/projects/1/samples", {
+            "name": name, "species": species, "description": "",
+        })
+    principal = system.directory.principal_for(system.directory.user_by_login("sci"))
+    for name in (_EVIL, "wu"):
+        system.workunits.create(principal, 1, name)
+    samples = system.samples.samples_of_project(principal, 1)
+    workunits = system.workunits.of_project(principal, 1)
+    assert len(samples) == 3 and len(workunits) == 2
+    text = client.get("/projects/1").text
+    assert table(["id", "sample", "species"], [
+        (s.id, link(f"/samples/{s.id}", s.name), s.species) for s in samples
+    ]) in text
+    assert table(["id", "workunit", "status"], [
+        (w.id, link(f"/workunits/{w.id}", w.name), w.status) for w in workunits
+    ]) in text
 
 
 def test_search_links_carry_the_query_verbatim(portal, monkeypatch):

@@ -381,41 +381,81 @@ class TestThreadBoundTransaction:
         assert reopened.count("org") == 0
 
 
-class TestWriterReleased:
-    def test_the_open_transaction_commits_and_stays_open(self, tmp_path):
-        database = _org_db(tmp_path)
+class TestNestedSavepoints:
+    """Each block names its own savepoints: a nested block can neither
+    return to a position the outer marked before it began nor replace
+    the outer's savepoint of the same name."""
+
+    def test_a_nested_block_cannot_roll_back_to_an_outer_savepoint(self):
+        database = _org_db()
         with database.transaction() as txn:
-            txn.insert("org", {"name": "first"})
-            with database.writer_released():
-                assert database.count("org") == 1
-                assert database.committed_seq == 1
-                # Another thread can write meanwhile.
-                worker = threading.Thread(
-                    target=database.insert, args=("org", {"name": "worker"})
-                )
-                worker.start()
-                worker.join(5.0)
-            txn.insert("org", {"name": "second"})
-        assert _logged_names(database) == [["first"], ["worker"], ["second"]]
+            txn.savepoint("sp")
+            txn.insert("org", {"name": "outer"})
+            with database.transaction() as inner:
+                inner.insert("org", {"name": "inner"})
+                with pytest.raises(TransactionError):
+                    inner.rollback_to("sp")
+        assert sorted(database.query("org").values("name")) == [
+            "inner", "outer",
+        ]
+
+    def test_a_nested_savepoint_does_not_replace_the_outer_one(self):
+        database = _org_db()
+        with database.transaction() as txn:
+            txn.insert("org", {"name": "kept"})
+            txn.savepoint("sp")
+            txn.insert("org", {"name": "outer"})
+            with database.transaction() as inner:
+                inner.savepoint("sp")
+                inner.insert("org", {"name": "inner"})
+                inner.rollback_to("sp")
+                inner.insert("org", {"name": "inner again"})
+            txn.rollback_to("sp")
+        assert database.query("org").values("name") == ["kept"]
+
+
+class TestDeferredLock:
+    """``transaction(defer_lock=True)`` takes the writer lock at its
+    first write or nested block, not when it opens."""
+
+    def test_the_lock_is_taken_at_the_first_write(self, tmp_path):
+        database = _org_db(tmp_path)
+        with database.transaction(defer_lock=True) as txn:
+            assert database.in_transaction()
+            assert _writer_lock_free(database)
+            worker = threading.Thread(
+                target=database.insert, args=("org", {"name": "theirs"})
+            )
+            worker.start()
+            worker.join(5.0)
+            txn.insert("org", {"name": "mine"})
+            assert not _writer_lock_free(database)
+        assert not database.in_transaction()
+        assert _writer_lock_free(database)
+        assert _logged_names(database) == [["theirs"], ["mine"]]
         database.close()
 
-    def test_a_rollback_after_it_undoes_only_the_later_writes(self):
+    def test_a_nested_block_takes_it_when_it_opens(self):
+        """So a block that then takes another lock (the job queue's)
+        always holds the writer lock first."""
         database = _org_db()
-        txn = database.transaction()
-        with pytest.raises(RuntimeError):
-            with database.transaction() as block:
-                block.insert("org", {"name": "durable"})
-                with database.writer_released():
-                    pass
-                block.insert("org", {"name": "undone"})
-                raise RuntimeError("boom")
-        txn.insert("org", {"name": "later"})
-        txn.rollback()
-        assert database.query("org").values("name") == ["durable"]
+        with database.transaction(defer_lock=True):
+            with database.transaction() as inner:
+                assert not _writer_lock_free(database)
+                inner.insert("org", {"name": "A"})
+        assert database.count("org") == 1
         assert _writer_lock_free(database)
 
-    def test_without_a_transaction_the_block_just_runs(self):
+    def test_a_transaction_that_never_writes_commits_nothing(self):
         database = _org_db()
-        with database.writer_released():
-            database.insert("org", {"name": "A"})
-        assert database.count("org") == 1
+        commits = []
+        database.on_commit(commits.append)
+        with database.transaction(defer_lock=True):
+            assert database.count("org") == 0
+        with pytest.raises(RuntimeError):
+            with database.transaction(defer_lock=True):
+                raise RuntimeError("boom")
+        assert commits == []
+        assert database.committed_seq == 0
+        assert not database.in_transaction()
+        assert _writer_lock_free(database)

@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from repro.errors import CrashPoint, WalCorruption
+from repro.errors import CrashPoint, SchemaError, WalCorruption
 from repro.resilience import WAL_SITES, Fault, FaultPlan, inject
 from repro.storage import Column, ColumnType, Database, TableSchema
 from repro.storage.wal import WriteAheadLog
@@ -408,6 +408,24 @@ class TestCompactEncoding:
         replica = open_db(None)
         for record in records:
             assert replica.apply_replicated_commit(record, seq=record["seq"])
+        assert list(replica.rows("item")) == expected
+        # A record from outside the process whose insert form is
+        # malformed is refused as a schema error, and applies nothing.
+        header = {"item": ["id", "name"]}
+        for columns, op in [
+            (["id", "name"], ["item", [9, "x"]]),  # columns not a map
+            (header, ["item"]),  # not a [table, values] pair
+            (header, [7, [9, "x"]]),  # the table is not a name
+            (header, ["item", {"id": 9}]),  # values not a list
+            (header, ["item", [9]]),  # values not under the header
+            ({}, ["item", []]),  # no header for the table
+        ]:
+            with pytest.raises(SchemaError):
+                replica.apply_replicated_commit(
+                    {"kind": "commit", "txn": 9, "seq": 5,
+                     "columns": columns, "ops": [op]},
+                    seq=5,
+                )
         assert list(replica.rows("item")) == expected
         revived.close()
 
