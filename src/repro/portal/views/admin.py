@@ -157,6 +157,17 @@ def register(router, portal) -> None:
                     for job_type, counts in sorted(queue["per_type"].items())
                 ],
             )
+        query_counts = []
+        for metric in ("storage_query_plans_total", "storage_query_cache_total"):
+            family = registry.get(metric)
+            if family is not None:
+                query_counts.extend(
+                    (metric, labels.get("result", ""), int(child.value))
+                    for labels, child in family.samples()
+                )
+        body += "<h2>Query planning and result cache</h2>" + table(
+            ["counter", "result", "count"], sorted(query_counts)
+        )
         mvcc = system.db.statistics()["mvcc"]
         body += "<h2>MVCC</h2>" + definition_list(
             [

@@ -439,7 +439,6 @@ class Database:
             wal_timer = None if self.durability.grouped else self.obs.timer()
             try:
                 nbytes, ticket = self._wal.append_commit(
-                    txn.txn_id,
                     operations,
                     self._encode_row_for_wal,
                     seq=seq,
@@ -452,7 +451,6 @@ class Database:
                 self._m_wal_append.observe(wal_timer.elapsed())
             derive = partial(
                 commit_record,
-                txn.txn_id,
                 operations,
                 self._encode_row_for_wal,
                 seq,
@@ -988,14 +986,14 @@ class Database:
     def _replay_commit(self, record: dict[str, Any]) -> list[UndoEntry]:
         """Apply one commit record's ops to the tables, in op order.
 
-        Records are redo-only: a delete carries no ``after``, an
-        update's holds the changed columns.  An insert is ``[table,
-        values]``, the values under the table's header in the record's
-        ``columns``; logs written before that format hold an insert as a
-        dict with the row itself as ``after`` (older ones also an
-        update's full row, beside a ``before`` image nothing reads).
-        Both forms replay here, for recovery and for replicated applies
-        alike."""
+        Records are redo-only: a delete carries no ``after``.  An
+        insert is ``[table, values]``, the values under the table's
+        header in the record's ``columns``; an update is ``[table, pk,
+        changes]``.  Logs written before those forms hold an op as a
+        dict, with an insert's row or an update's changed columns as
+        ``after`` (older ones also an update's full row, beside a
+        ``before`` image nothing reads).  Every form replays here, for
+        recovery and for replicated applies alike."""
         columns = record.get("columns", {})
         if not isinstance(columns, dict):
             raise SchemaError(
@@ -1008,7 +1006,16 @@ class Database:
         }
         applied: list[UndoEntry] = []
         for op in record["ops"]:
-            if isinstance(op, list):
+            pk = None
+            if isinstance(op, list) and len(op) == 3:
+                name, pk, row = op
+                kind = "update"
+                if not isinstance(name, str) or not isinstance(row, dict):
+                    raise SchemaError(
+                        f"commit record: update {op!r} is not "
+                        "[table, pk, changes]"
+                    )
+            elif isinstance(op, list):
                 if len(op) != 2 or not isinstance(op[0], str):
                     raise SchemaError(
                         f"commit record: insert {op!r} is not [table, values]"
@@ -1021,15 +1028,17 @@ class Database:
                 row = _keyed_row(where, headers[name], values)
             else:
                 name, kind, row = op["table"], op["op"], op.get("after")
+                if kind != "insert":
+                    pk = op["pk"]
             table = self.table(name)
             if kind == "delete":
-                applied.append(table.apply_delete(op["pk"])[1])
+                applied.append(table.apply_delete(pk)[1])
             elif kind == "insert":
                 row = self._decode_row_from_wal(name, row)
                 applied.append(table.apply_insert(row)[1])
             elif kind == "update":
                 row = self._decode_row_from_wal(name, row)
-                applied.append(table.apply_update(op["pk"], row)[1])
+                applied.append(table.apply_update(pk, row)[1])
         return applied
 
     # -- replication apply path ----------------------------------------------------------

@@ -20,20 +20,28 @@ and LIMIT-aware ordered rides — prices each with the table's statistics
 (live row count, O(1) exact distinct counts off the indexes, reservoir
 NDV estimates, O(log n) range probes), and picks the cheapest.
 A primary-key equality short-circuits all of that: its plan is
-returned without pricing anything else.  :meth:`Query.explain` reports
-the chosen strategy — the A1 index ablation benchmark relies on it —
-plus estimated rows/cost, the alternatives (priced when asked for, not
-before), the query fingerprint, and the result-cache status;
-``explain(analyze=True)`` adds the actual row count so estimation error
-is visible.
+returned without pricing anything else.
+
+Planning once per shape: which access paths apply depends on the
+query's *shape* — its conditions' columns and operators, which values
+are NULL, whether an ``IN`` list hashes, the order, paging and
+projection — not on its values.  Each table memoizes, per shape, the
+value-free paths and the subset that some other path does not beat for
+every value (a scan loses to any equality probe or seek).  A call binds
+its values to those survivors and prices them only when more than one
+is left.  :meth:`Query.explain` reports the chosen strategy — the A1
+index ablation benchmark relies on it — plus estimated rows/cost, the
+alternatives (enumerated and priced afresh when asked for), the query
+fingerprint, and the result-cache status; ``explain(analyze=True)``
+adds the actual row count so estimation error is visible.
 
 Result caching: every :meth:`Query.all`/:meth:`Query.count` consults the
 database's :class:`QueryCache`, a bounded LRU keyed on ``(table,
-committed version, kind, fingerprint)``.  The fingerprint is purely
-syntactic — the query as written — so a lookup never plans; the planner
-runs on a miss only.  Because the table version only advances on
-commit, invalidation is a single integer comparison: any committed
-write makes every older entry unreachable, while rolled-back
+committed version, kind, shape, values)``, each value beside its type.
+The key is purely syntactic — the query as written — so a lookup never
+plans; the planner runs on a miss only.  Because the table version only
+advances on commit, invalidation is a single integer comparison: any
+committed write makes every older entry unreachable, while rolled-back
 transactions leave the version — and the cache — intact.  While a
 transaction has uncommitted changes on a table the cache is *bypassed*
 in both directions, so dirty state is never served or stored.
@@ -103,6 +111,42 @@ def _pk_order(bucket: "tuple | set[Any]") -> Any:
     atomic call): *bucket* may be an index's live set, which a writer
     may be resizing; a 1-tuple bucket is immutable."""
     return tuple(bucket) if len(bucket) < 2 else sorted(bucket)
+
+
+def _hashable_list(value: Any) -> bool:
+    """Whether an ``IN`` over *value* can be probed member by member: a
+    list, tuple, set or frozenset whose members all hash."""
+    if not isinstance(value, _PK_SETS):
+        return False
+    try:
+        hash(tuple(value))
+    except TypeError:
+        return False
+    return True
+
+
+def _fold_bounds(conds: "list[Condition]") -> "tuple[Any, bool, Any, bool]":
+    """``(low, include_low, high, include_high)``: the tightest bounds of
+    the range conditions *conds* on one column.  Lower bounds subsume
+    looser lower bounds (and ditto for upper), so all of them leave the
+    residual."""
+    low: Any = None
+    high: Any = None
+    include_low = include_high = True
+    for c in conds:
+        if c.op in (">", ">="):
+            inclusive = c.op == ">="
+            if low is None or sort_key(c.value) > sort_key(low):
+                low, include_low = c.value, inclusive
+            elif sort_key(c.value) == sort_key(low) and not inclusive:
+                include_low = False
+        else:
+            inclusive = c.op == "<="
+            if high is None or sort_key(c.value) < sort_key(high):
+                high, include_high = c.value, inclusive
+            elif sort_key(c.value) == sort_key(high) and not inclusive:
+                include_high = False
+    return low, include_low, high, include_high
 
 
 def _union(index: Any, keys: "list[tuple]") -> "set[Any]":
@@ -200,7 +244,10 @@ class F:
 
 
 class QueryCache:
-    """Bounded LRU of query results keyed on ``(table, version, fingerprint)``.
+    """Bounded LRU of query results keyed on ``(table, version, kind,
+    shape, values)`` (:meth:`Query._cache_key`).  The query's
+    :meth:`~Query.fingerprint` keys an entry only when one of its values
+    cannot be hashed (a JSON dict, an ``IN`` over a list).
 
     Entries for superseded table versions are never served (the key no
     longer matches) and age out through the LRU bound; no explicit
@@ -311,10 +358,52 @@ COVERING_ROW_COST = 0.25  # synthesizing one row from an index entry
 RESIDUAL_COST = 0.25     # evaluating one residual predicate on one row
 INTERSECT_COST = 0.2     # per-element set-intersection bookkeeping
 
+#: Query shapes whose access paths one table memoizes.
+PLAN_MEMO_SIZE = 256
+#: Serializes memo insertions (a miss per new shape): eviction walks the
+#: dict, which another thread's insertion must not resize meanwhile.
+_plan_memo_lock = threading.Lock()
+
+
+@dataclass(frozen=True)
+class _Path:
+    """One access path of a query shape, free of values.
+
+    Conditions are named by their position in the query: ``drive`` are
+    the ones an index is probed with (a hash probe's, in index column
+    order; an ``IN``'s; an intersection's, one per index; a seek's
+    equality prefix), ``bounds`` the range conditions a seek folds into
+    ``[low, high]``, ``residual`` the ones every fetched row is checked
+    against.  :meth:`Query._bind` turns a path into a :class:`Plan`.
+    """
+
+    strategy: str
+    kind: str
+    residual: "tuple[int, ...]"
+    drive: "tuple[int, ...]" = ()
+    bounds: "tuple[int, ...]" = ()
+    index: Any = None
+    indexes: tuple = ()
+    exclude_null: bool = False
+    descending: bool = False
+    ordered: "tuple[tuple[str, bool], ...]" = ()
+    early_exit: bool = False
+
+
+@dataclass(frozen=True)
+class _Paths:
+    """One shape's memo entry: ``every`` applicable path in enumeration
+    order (the scan last), and the ``survivors`` — every path but those
+    another path beats for all values."""
+
+    every: "tuple[_Path, ...]"
+    survivors: "tuple[_Path, ...]"
+
 
 @dataclass
 class Plan:
-    """One candidate access path, priced by the cost model.
+    """One candidate access path, bound to the query's values and priced
+    by the cost model (a plan chosen without a rival is not priced).
 
     ``kind`` drives execution:
 
@@ -341,9 +430,9 @@ class Plan:
 
     strategy: str
     kind: str
-    cost: float
-    estimated_rows: int
     residual: list[Condition]
+    cost: float = 0.0
+    estimated_rows: int = 0
     pks: "set[Any] | None" = None
     index: Any = None
     key: "tuple | None" = None
@@ -377,6 +466,9 @@ class Query:
         #: Single-column range estimates priced so far by the running
         #: :meth:`_plan` call (``None`` outside one).
         self._estimates: "dict[tuple, tuple[int, float]] | None" = None
+        #: ``(shape, values)`` as :meth:`_shape_and_values` last built
+        #: them; every builder method drops it.
+        self._keyed: "tuple[tuple, tuple] | None" = None
 
     # -- building ----------------------------------------------------------------
 
@@ -390,6 +482,7 @@ class Query:
                 f"table {self._table.name!r} has no column {column!r}"
             )
         self._conditions.append(Condition(column, op, value))
+        self._keyed = None
         return self
 
     def filter(self, *conditions: Condition) -> "Query":
@@ -400,6 +493,7 @@ class Query:
                     f"table {self._table.name!r} has no column {cond.column!r}"
                 )
             self._conditions.append(cond)
+        self._keyed = None
         return self
 
     def order_by(self, column: str, *, descending: bool = False) -> "Query":
@@ -408,18 +502,21 @@ class Query:
                 f"table {self._table.name!r} has no column {column!r}"
             )
         self._order.append((column, descending))
+        self._keyed = None
         return self
 
     def limit(self, n: int) -> "Query":
         if n < 0:
             raise SchemaError("limit must be >= 0")
         self._limit = n
+        self._keyed = None
         return self
 
     def offset(self, n: int) -> "Query":
         if n < 0:
             raise SchemaError("offset must be >= 0")
         self._offset = n
+        self._keyed = None
         return self
 
     def select(self, *columns: str) -> "Query":
@@ -436,6 +533,7 @@ class Query:
                     f"table {self._table.name!r} has no column {column!r}"
                 )
         self._select = tuple(columns)
+        self._keyed = None
         return self
 
     def without_indexes(self) -> "Query":
@@ -503,8 +601,9 @@ class Query:
         exclude_null: bool = False,
     ) -> tuple[int, float]:
         """``index.estimate_range``, priced once per range within one
-        :meth:`_plan` call: the scan's selectivity and the seek over the
-        same bounds share it.  Values are told apart by identity (they
+        :meth:`_plan` call: a rival's selectivity (an ``IN`` plan whose
+        residual is the range) and the seek over the same bounds share
+        it.  Values are told apart by identity (they
         are the conditions' own), so values that are equal but not
         :func:`sort_key`-equal never share."""
         memo = self._estimates
@@ -550,14 +649,7 @@ class Query:
         return min(examined, page / max(self._selectivity_product(residual), 1e-9))
 
     def _scan_plan(self) -> Plan:
-        conds = list(self._conditions)
-        live = len(self._table)
-        cost = SCAN_SETUP_COST + live * (
-            ROW_FETCH_COST + len(conds) * RESIDUAL_COST
-        )
-        return Plan(
-            "scan", "scan", cost, self._est(live, conds), conds, candidates=live
-        )
+        return self._price(Plan("scan", "scan", list(self._conditions)))
 
     def _plan(self) -> Plan:
         """Choose the cheapest access path for the current query shape.
@@ -640,13 +732,21 @@ class Query:
         """Cheapest live access path.  A primary-key equality is taken
         without pricing anything else: at most one row is fetched, and
         what the other paths would have cost matters only to
-        :meth:`explain`, which re-prices them through ``Plan.rivals``."""
+        :meth:`explain`, which re-prices them through ``Plan.rivals``.
+
+        Otherwise the shape's surviving paths come from the table's
+        memo, bound to this query's values; one survivor is taken
+        unpriced, several are priced on the current statistics."""
         if not self._use_indexes:
             return self._scan_plan()
         best = self._pk_plan()
         if best is None:
-            # min() is stable: the first candidate wins cost ties.
-            best = min(self._candidate_plans(for_snapshot), key=lambda p: p.cost)
+            plans = [self._bind(p) for p in self._paths(for_snapshot).survivors]
+            if len(plans) == 1:
+                best = plans[0]
+            else:
+                # min() is stable: the first candidate wins cost ties.
+                best = min(map(self._price, plans), key=lambda p: p.cost)
         best.rivals = lambda: self._candidate_plans(for_snapshot)
         return best
 
@@ -685,33 +785,76 @@ class Query:
         return Plan(
             "pk",
             "pks",
+            residual,
             cost,
             self._est(len(pks), residual),
-            residual,
             pks=pks,
             candidates=len(pks),
         )
 
     def _candidate_plans(self, for_snapshot: bool) -> "list[Plan]":
-        """Every applicable access path, priced; the scan comes last."""
+        """Every applicable access path, enumerated afresh (not from the
+        memo) and priced; the pk plan first, the scan last."""
+        plans = [
+            self._price(self._bind(path))
+            for path in self._enumerate(for_snapshot).every
+        ]
+        pk_plan = self._pk_plan()
+        return plans if pk_plan is None else [pk_plan, *plans]
+
+    def _paths(self, for_snapshot: bool) -> _Paths:
+        """The shape's paths from the table's memo, enumerated on a miss."""
         tbl = self._table
-        live = len(tbl)
+        memo = tbl.plan_memo
+        key = (for_snapshot, self._shape_and_values()[0])
+        paths = memo.get(key)
+        if paths is not None:
+            tbl.m_plans_memo.inc()
+            return paths
+        paths = self._enumerate(for_snapshot)
+        with _plan_memo_lock:
+            if len(memo) >= PLAN_MEMO_SIZE:
+                del memo[next(iter(memo))]  # the oldest shape
+            memo[key] = paths
+        tbl.m_plans_enumerated.inc()
+        return paths
+
+    def _enumerate(self, for_snapshot: bool) -> _Paths:
+        """Every access path the query's shape admits, free of values,
+        in the order that breaks cost ties: equality probes, ``IN``
+        probes, the intersection, ordered-index seeks, the scan.
+
+        Reads of a value are limited to what the shape holds: whether it
+        is NULL, and whether an ``IN`` list hashes.  The scan does not
+        survive an equality probe or a seek: each examines at most the
+        table's live rows (a bucket, or matching keys × average bucket),
+        pays one ``SEEK_COST`` probe against the scan's larger
+        ``SCAN_SETUP_COST``, and checks a subset of its predicates per
+        row, so it is cheaper for every value."""
+        tbl = self._table
         conds = self._conditions
-        plans: list[Plan] = []
+        positions = range(len(conds))
+
+        def rest(used: "tuple[int, ...]") -> "tuple[int, ...]":
+            return tuple(i for i in positions if i not in used)
 
         # `= NULL` never matches (SQL semantics), so such predicates must
         # not drive an index lookup — they stay residual and reject rows.
-        eq = {c.column: c for c in conds if c.op == "=" and c.value is not None}
-
-        # Enumerated first so it wins cost ties against an index over
-        # the pk column.
-        pk_plan = self._pk_plan()
-        if pk_plan is not None:
-            plans.append(pk_plan)
+        # The last equality on a column drives, the others stay residual.
+        eq: dict[str, int] = {}
+        ranges: dict[str, list[int]] = {}
+        for i, c in enumerate(conds):
+            if c.value is None:
+                continue
+            if c.op == "=":
+                eq[c.column] = i
+            elif c.op in _RANGE_OPS:
+                ranges.setdefault(c.column, []).append(i)
+        paths: list[_Path] = []
 
         # Equality probes: every plain or unique index whose columns are
         # all equality-constrained (a single column's ordered index is
-        # priced here, not again as a prefix seek).  Longest specs first
+        # probed here, not again as a prefix seek).  Longest specs first
         # so cost ties resolve to the most specific index.  Without ORDER
         # BY a probe stops at the page, as a seek does.
         probes = [
@@ -722,167 +865,90 @@ class Query:
         probes.sort(key=lambda index: -len(index.columns))
         early_exit = self._limit is not None and not self._order
         for index in probes:
-            key = tuple(eq[col].value for col in index.columns)
-            bucket = index.bucket_size(key)
-            # Identity-based filtering: conditions may hold unhashable
-            # values (e.g. lists for "in"), so no set membership here.
-            used = {id(eq[col]) for col in index.columns}
-            residual = [c for c in conds if id(c) not in used]
-            cost = SEEK_COST + self._priced_rows(bucket, residual, early_exit) * (
-                ROW_FETCH_COST + len(residual) * RESIDUAL_COST
-            )
-            plans.append(
-                Plan(
+            drive = tuple(eq[col] for col in index.columns)
+            paths.append(
+                _Path(
                     f"index:{index.name}",
                     "hash",
-                    cost,
-                    self._est(bucket, residual),
-                    residual,
+                    rest(drive),
+                    drive,
                     index=index,
-                    key=key,
                     early_exit=early_exit,
-                    candidates=bucket,
                 )
             )
 
-        # IN lists: a probe per distinct non-NULL member (NULL never
-        # matches) of a single column's plain or unique index, the
-        # buckets' union in pk order.  A member that cannot be hashed
-        # leaves the list to the other plans.
-        for cond in conds:
-            if cond.op != "in" or not isinstance(cond.value, _PK_SETS):
+        # IN lists: a probe per distinct non-NULL member of a single
+        # column's plain or unique index.  A member that cannot be
+        # hashed leaves the list to the other plans.
+        for i, c in enumerate(conds):
+            if c.op != "in" or not _hashable_list(c.value):
                 continue
-            try:
-                keys = [(v,) for v in {v for v in cond.value if v is not None}]
-            except TypeError:
-                continue
-            residual = [c for c in conds if c is not cond]
             for index in (
-                tbl.hash_index_for((cond.column,)),
-                tbl.unique_index_for((cond.column,)),
+                tbl.hash_index_for((c.column,)),
+                tbl.unique_index_for((c.column,)),
             ):
-                if index is None:
-                    continue
-                matched = sum(index.bucket_size(key) for key in keys)
-                cost = len(keys) * SEEK_COST + matched * (
-                    INTERSECT_COST + ROW_FETCH_COST + len(residual) * RESIDUAL_COST
-                )
-                plans.append(
-                    Plan(
-                        f"in:{index.name}",
-                        "in",
-                        cost,
-                        self._est(matched, residual),
-                        residual,
-                        index=index,
-                        keys=keys,
-                        candidates=matched,
+                if index is not None:
+                    paths.append(
+                        _Path(f"in:{index.name}", "in", rest((i,)), (i,), index=index)
                     )
-                )
 
         # Index intersection: AND several single-column equality probes.
-        singles: list[tuple[Condition, Any]] = []
-        for col, cond in eq.items():
+        singles: list[tuple[int, Any]] = []
+        for col, i in eq.items():
             index = tbl.hash_index_for((col,))
             if index is None:
                 index = tbl.unique_index_for((col,))
             if index is not None:
-                singles.append((cond, index))
+                singles.append((i, index))
         if len(singles) >= 2:
-            buckets = [
-                index.bucket_size((cond.value,)) for cond, index in singles
-            ]
-            expected = 0.0
-            if live:
-                expected = float(live)
-                for bucket in buckets:
-                    expected *= bucket / live
-            used = {id(cond) for cond, _ in singles}
-            residual = [c for c in conds if id(c) not in used]
-            cost = (
-                len(singles) * SEEK_COST
-                + sum(buckets) * INTERSECT_COST
-                + expected * (ROW_FETCH_COST + len(residual) * RESIDUAL_COST)
-            )
-            plans.append(
-                Plan(
-                    "intersect:" + "+".join(idx.name for _, idx in singles),
+            drive = tuple(i for i, _ in singles)
+            paths.append(
+                _Path(
+                    "intersect:" + "+".join(index.name for _, index in singles),
                     "intersect",
-                    cost,
-                    self._est(expected, residual),
-                    residual,
-                    indexes=[index for _, index in singles],
-                    keys=[(cond.value,) for cond, _ in singles],
-                    candidates=int(round(expected)),
+                    rest(drive),
+                    drive,
+                    indexes=tuple(index for _, index in singles),
                 )
             )
 
         # Ordered-index seeks: equality on a key prefix, a folded range
         # on the next column, covering variants, LIMIT-aware order rides.
-        range_conds: dict[str, list[Condition]] = {}
-        for c in conds:
-            if c.op in _RANGE_OPS and c.value is not None:
-                range_conds.setdefault(c.column, []).append(c)
         for index in tbl.ordered_indexes():
-            seek_plan = self._seek_plan(
-                index, eq, range_conds, for_snapshot=for_snapshot
-            )
-            if seek_plan is not None:
-                plans.extend(seek_plan)
+            paths.extend(self._seek_paths(index, eq, ranges, rest, for_snapshot))
 
-        plans.append(self._scan_plan())
-        return plans
+        dominated = any(p.kind in ("hash", "seek") for p in paths)
+        paths.append(_Path("scan", "scan", tuple(positions)))
+        every = tuple(paths)
+        return _Paths(every, every[:-1] if dominated else every)
 
-    def _seek_plan(
+    def _seek_paths(
         self,
         index: Any,
-        eq: "dict[str, Condition]",
-        range_conds: "dict[str, list[Condition]]",
-        *,
+        eq: "dict[str, int]",
+        ranges: "dict[str, list[int]]",
+        rest: "Callable[[tuple[int, ...]], tuple[int, ...]]",
         for_snapshot: bool,
-    ) -> "list[Plan] | None":
-        """Candidate seek (and covering) plans over one ordered index."""
-        tbl = self._table
+    ) -> "list[_Path]":
+        """The seek (and covering) paths over one ordered index."""
         cols = index.columns
-        prefix_conds: list[Condition] = []
+        prefix: list[int] = []
         for col in cols:
-            cond = eq.get(col)
-            if cond is None:
+            if col not in eq:
                 break
-            prefix_conds.append(cond)
-        k = len(prefix_conds)
+            prefix.append(eq[col])
+        k = len(prefix)
         if k == len(cols) == 1:
-            return None  # a single column's equality probe is priced once
+            return []  # a single column's equality probe is priced once
 
-        # Fold every range predicate on the first free column into the
-        # tightest [low, high] bounds; lower bounds subsume looser lower
-        # bounds (and ditto for upper), so all of them leave the residual.
-        low: Any = None
-        high: Any = None
-        include_low = include_high = True
-        bound_conds: list[Condition] = []
-        if k < len(cols):
-            for c in range_conds.get(cols[k], ()):
-                if c.op in (">", ">="):
-                    inclusive = c.op == ">="
-                    if low is None or sort_key(c.value) > sort_key(low):
-                        low, include_low = c.value, inclusive
-                    elif sort_key(c.value) == sort_key(low) and not inclusive:
-                        include_low = False
-                else:
-                    inclusive = c.op == "<="
-                    if high is None or sort_key(c.value) < sort_key(high):
-                        high, include_high = c.value, inclusive
-                    elif sort_key(c.value) == sort_key(high) and not inclusive:
-                        include_high = False
-                bound_conds.append(c)
-        bounded = low is not None or high is not None
-
-        if k == 0 and not bounded:
+        # Every range predicate on the first free column folds into one
+        # [low, high] (at binding), so all of them leave the residual.
+        bounds = tuple(ranges.get(cols[k], ())) if k < len(cols) else ()
+        if k == 0 and not bounds:
             # Only worth planning as an ordered ride with a LIMIT; the
             # snapshot path skips it (pinning would walk the full index).
             if for_snapshot or not self._order or self._limit is None:
-                return None
+                return []
 
         free = cols[k:]
         descending = False
@@ -895,97 +961,211 @@ class Query:
             ):
                 satisfies_order = True
                 descending = directions.pop()
-        if k == 0 and not bounded and not satisfies_order:
+        if k == 0 and not bounds and not satisfies_order:
             # A bare ride earns its keep only by producing the
             # requested order; an unhelpful one is just a scan in
             # index order, so the index is not even probed.
-            return None
+            return []
 
-        used = {id(c) for c in prefix_conds} | {id(c) for c in bound_conds}
-        residual = [c for c in self._conditions if id(c) not in used]
-        prefix_key = tuple(c.value for c in prefix_conds)
-        # A seek bounded only from above must structurally skip NULL
-        # keys: range predicates never match NULL.
-        exclude_null = bounded and low is None
-        _keys, examined = self._estimate_range(
-            index,
-            prefix_key,
-            low,
-            high,
-            include_low=include_low,
-            include_high=include_high,
-            exclude_null=exclude_null,
-        )
-        ordered = tuple((c, descending) for c in free)
-        early_exit = self._limit is not None and (
-            not self._order or satisfies_order
-        )
-        priced_examined = self._priced_rows(examined, residual, early_exit)
-        cost = SEEK_COST + priced_examined * (
-            ROW_FETCH_COST + len(residual) * RESIDUAL_COST
-        )
+        conds = self._conditions
+        drive = tuple(prefix)
+        residual = rest(drive + bounds)
         if k > 0:
             strategy = f"prefix:{index.name}"
-        elif bounded:
+        elif bounds:
             strategy = f"range:{index.name}"
         else:
             strategy = f"order:{index.name}"
-        plan = Plan(
+        seek = _Path(
             strategy,
             "seek",
-            cost,
-            self._est(examined, residual),
             residual,
+            drive,
+            bounds,
             index=index,
-            prefix=prefix_key,
-            low=low,
-            high=high,
-            include_low=include_low,
-            include_high=include_high,
-            exclude_null=exclude_null,
+            # A seek bounded only from above must structurally skip NULL
+            # keys: range predicates never match NULL.
+            exclude_null=bool(bounds)
+            and all(conds[i].op in ("<", "<=") for i in bounds),
             descending=descending,
-            ordered=ordered,
-            early_exit=early_exit,
-            candidates=int(round(examined)),
+            ordered=tuple((c, descending) for c in free),
+            early_exit=self._limit is not None
+            and (not self._order or satisfies_order),
         )
-        plans = [plan]
+        paths = [seek]
 
         # Covering variant: every needed column lives in the index (the
         # pk rides along in the entries), so skip the row fetch.  Only
         # offered under an explicit projection — callers without
         # select() expect full rows — and not to snapshots, whose
         # synthesis would read the live index at execution time,
-        # outside the seqlock guard.
+        # outside the seqlock guard.  The residual is checked on the
+        # key alone, before the pk joins it, so it must not name the pk.
         if not for_snapshot and self._select is not None:
             needed = set(self._select)
-            needed |= {c.column for c in residual}
             needed |= {c for c, _ in self._order}
-            needed.discard(tbl.pk_column)
+            needed.discard(self._table.pk_column)
+            needed |= {conds[i].column for i in residual}
             if needed <= set(cols):
-                cov_cost = SEEK_COST + priced_examined * (
-                    COVERING_ROW_COST + len(residual) * RESIDUAL_COST
+                paths.append(
+                    replace(seek, strategy=f"covering:{index.name}", kind="covering")
                 )
-                plans.append(
-                    replace(
-                        plan,
-                        strategy=f"covering:{index.name}",
-                        kind="covering",
-                        cost=cov_cost,
-                    )
-                )
-        return plans
+        return paths
+
+    def _bind(self, path: _Path) -> Plan:
+        """*path* with this query's values in it, not yet priced."""
+        conds = self._conditions
+        residual = [conds[i] for i in path.residual]
+        kind = path.kind
+        if kind == "hash":
+            return Plan(
+                path.strategy,
+                kind,
+                residual,
+                index=path.index,
+                key=tuple(conds[i].value for i in path.drive),
+                early_exit=path.early_exit,
+            )
+        if kind == "in":
+            values = conds[path.drive[0]].value
+            return Plan(
+                path.strategy,
+                kind,
+                residual,
+                index=path.index,
+                keys=[(v,) for v in {v for v in values if v is not None}],
+            )
+        if kind == "intersect":
+            return Plan(
+                path.strategy,
+                kind,
+                residual,
+                indexes=list(path.indexes),
+                keys=[(conds[i].value,) for i in path.drive],
+            )
+        if kind == "scan":
+            return Plan(path.strategy, kind, residual)
+        low, include_low, high, include_high = _fold_bounds(
+            [conds[i] for i in path.bounds]
+        )
+        return Plan(
+            path.strategy,
+            kind,
+            residual,
+            index=path.index,
+            prefix=tuple(conds[i].value for i in path.drive),
+            low=low,
+            high=high,
+            include_low=include_low,
+            include_high=include_high,
+            exclude_null=path.exclude_null,
+            descending=path.descending,
+            ordered=path.ordered,
+            early_exit=path.early_exit,
+        )
+
+    def _price(self, plan: Plan) -> Plan:
+        """Fill in *plan*'s cost, estimated rows and candidates from the
+        table's current statistics; returns *plan*."""
+        residual = plan.residual
+        kind = plan.kind
+        if kind == "scan":
+            examined: float = len(self._table)
+            cost = SCAN_SETUP_COST + examined * (
+                ROW_FETCH_COST + len(residual) * RESIDUAL_COST
+            )
+        elif kind == "hash":
+            examined = plan.index.bucket_size(plan.key)
+            cost = SEEK_COST + self._priced_rows(
+                examined, residual, plan.early_exit
+            ) * (ROW_FETCH_COST + len(residual) * RESIDUAL_COST)
+        elif kind == "in":
+            examined = sum(map(plan.index.bucket_size, plan.keys))
+            cost = len(plan.keys) * SEEK_COST + examined * (
+                INTERSECT_COST + ROW_FETCH_COST + len(residual) * RESIDUAL_COST
+            )
+        elif kind == "intersect":
+            assert plan.indexes is not None and plan.keys is not None
+            buckets = [
+                index.bucket_size(key)
+                for index, key in zip(plan.indexes, plan.keys)
+            ]
+            live = len(self._table)
+            examined = 0.0
+            if live:
+                examined = float(live)
+                for bucket in buckets:
+                    examined *= bucket / live
+            cost = (
+                len(buckets) * SEEK_COST
+                + sum(buckets) * INTERSECT_COST
+                + examined * (ROW_FETCH_COST + len(residual) * RESIDUAL_COST)
+            )
+        else:  # seek, covering
+            _keys, examined = self._estimate_range(
+                plan.index,
+                plan.prefix,
+                plan.low,
+                plan.high,
+                include_low=plan.include_low,
+                include_high=plan.include_high,
+                exclude_null=plan.exclude_null,
+            )
+            row_cost = COVERING_ROW_COST if kind == "covering" else ROW_FETCH_COST
+            cost = SEEK_COST + self._priced_rows(
+                examined, residual, plan.early_exit
+            ) * (row_cost + len(residual) * RESIDUAL_COST)
+        plan.cost = cost
+        plan.estimated_rows = self._est(examined, residual)
+        plan.candidates = int(round(examined))
+        return plan
+
+    def _shape_and_values(self) -> "tuple[tuple, tuple]":
+        """The query's *shape* — what it has apart from its values — and
+        its values, each beside its type so that ``1``, ``1.0`` and
+        ``True`` differ, then the limit.
+
+        Per condition the shape holds the column, the operator and what
+        the planner reads of the value: whether it is NULL (``=`` and
+        ranges), whether it is a list that hashes (``IN``).  Then the
+        order, whether a limit is set, the offset and the projection.
+        The shape keys the table's plan memo; both key the result cache.
+        """
+        keyed = self._keyed
+        if keyed is None:
+            conds = []
+            values: list[Any] = []
+            for c in self._conditions:
+                op, value = c.op, c.value
+                if op == "in":
+                    seen: Any = _hashable_list(value)
+                elif op == "=" or op in _RANGE_OPS:
+                    seen = value is None
+                else:
+                    seen = None
+                conds.append((c.column, op, seen))
+                values += (type(value), value)
+            values.append(self._limit)
+            shape = (
+                tuple(conds),
+                tuple(self._order),
+                self._limit is not None,
+                self._offset,
+                self._select,
+            )
+            keyed = self._keyed = (shape, tuple(values))
+        return keyed
 
     def fingerprint(self) -> str:
         """Stable digest of the query as written — it never plans.
 
         Covers conditions, order, paging, projection and
         ``without_indexes()``; two ``Query`` objects of the same shape
-        share it.  The access path is not part of it: planning is
-        deterministic for a given table version, so under the cache
-        key's version component the strategy carried no information.
-        Together with the table's committed version this keys the
-        result cache; :meth:`explain` reports it so operators can
-        correlate cache entries with query sites.
+        share it.  :meth:`explain` reports it so operators can correlate
+        cache entries with query sites.  It keys the result cache only
+        when a value cannot be hashed (:meth:`_cache_key`); otherwise
+        the cache is keyed on the shape and the typed values, which
+        costs no digest of the query's ``repr``.
         """
         shape = (
             [(c.column, c.op, c.value) for c in self._conditions],
@@ -1027,11 +1207,18 @@ class Query:
         return None if version > self._snapshot.seq else version
 
     def _cache_key(self, kind: str, version: "int | None" = None) -> tuple:
+        """``(table, version, kind, shape, values)``, or ``(table,
+        version, kind, fingerprint)`` when a value cannot be hashed."""
         # When a snapshot query is cacheable the live version equals the
         # snapshot-visible version, so both modes share one key space.
         if version is None:
             version = self._table.version
-        return (self._table.name, version, kind, self.fingerprint())
+        shape, values = self._shape_and_values()
+        try:
+            hash(values)
+        except TypeError:  # a JSON dict, an IN over a list
+            return (self._table.name, version, kind, self.fingerprint())
+        return (self._table.name, version, kind, shape, values)
 
     def explain(self, *, analyze: bool = False) -> dict[str, Any]:
         """Describe the costed access path without executing the query.
@@ -1040,13 +1227,19 @@ class Query:
         count, the ``alternatives`` the planner priced and rejected,
         whether the plan is ``covering`` (skips the row store) or can
         ``early_exit`` on LIMIT, the snapshot pin (``snapshot_version``,
-        ``None`` for live queries), and the exact result-cache key
-        (``cache_key``, ``None`` when the cache is bypassed) so hits
-        and misses are debuggable across the version-keyed cache.  With
-        ``analyze=True`` the query is executed and ``actual_rows``
-        added, making estimation error visible.
+        ``None`` for live queries), and the result-cache key's table,
+        version, kind and the query's fingerprint (``cache_key``,
+        ``None`` when the cache is bypassed) so hits and misses are
+        debuggable across the version-keyed cache.  The chosen plan's
+        figures are those of its twin among the rivals, which are all
+        enumerated and priced afresh.  With ``analyze=True`` the query
+        is executed and ``actual_rows`` added, making estimation error
+        visible.
         """
         plan = self._plan()
+        rivals = [] if plan.rivals is None else plan.rivals()
+        # A plan that had no rival left in the memo ran unpriced.
+        priced = next((p for p in rivals if p.strategy == plan.strategy), plan)
         cache = self._cache()
         version = self._cache_version()
         key = self._cache_key("rows", version)
@@ -1061,20 +1254,29 @@ class Query:
         elif plan.kind == "scan" and self._snapshot is not None:
             candidates = self._table.count_at(self._snapshot.seq)
         else:
-            candidates = plan.candidates
+            candidates = priced.candidates
+        fingerprint = self.fingerprint()
         result = {
             "table": self._table.name,
             "strategy": plan.strategy,
             "candidates": candidates,
-            "estimated_rows": plan.estimated_rows,
-            "estimated_cost": round(plan.cost, 2),
+            "estimated_rows": priced.estimated_rows,
+            "estimated_cost": round(priced.cost, 2),
             "covering": plan.kind == "covering",
             "early_exit": plan.early_exit,
             "residual_predicates": len(plan.residual),
             "order_by": list(self._order),
-            "alternatives": self._alternatives(plan),
+            "alternatives": [
+                {
+                    "strategy": p.strategy,
+                    "cost": round(p.cost, 2),
+                    "estimated_rows": p.estimated_rows,
+                }
+                for p in sorted(rivals, key=lambda p: p.cost)
+                if p is not priced
+            ],
             "cache": cache_status,
-            "fingerprint": self.fingerprint(),
+            "fingerprint": fingerprint,
             "snapshot_version": (
                 None if self._snapshot is None else self._snapshot.seq
             ),
@@ -1085,33 +1287,13 @@ class Query:
                     "table": key[0],
                     "version": key[1],
                     "kind": key[2],
-                    "fingerprint": key[3],
+                    "fingerprint": fingerprint,
                 }
             ),
         }
         if analyze:
             result["actual_rows"] = len(self.all())
         return result
-
-    @staticmethod
-    def _alternatives(chosen: Plan) -> list[dict[str, Any]]:
-        """The access paths *chosen* beat, cheapest first (priced now)."""
-        if chosen.rivals is None:
-            return []
-        rivals = chosen.rivals()
-        for i, rival in enumerate(rivals):
-            if rival.strategy == chosen.strategy:
-                del rivals[i]
-                break
-        rivals.sort(key=lambda p: p.cost)
-        return [
-            {
-                "strategy": p.strategy,
-                "cost": round(p.cost, 2),
-                "estimated_rows": p.estimated_rows,
-            }
-            for p in rivals
-        ]
 
     # -- execution -----------------------------------------------------------------
 
@@ -1157,6 +1339,9 @@ class Query:
         """Iterate internal row references for *plan* (zero-copy where
         possible; covering plans yield freshly synthesized dicts)."""
         tbl = self._table
+        # A plan may touch no row (an empty bucket at a snapshot, a
+        # covering read): the read view must learn the table all the same.
+        note_table_read(tbl.name)
         residual = plan.residual
         if not residual:
             keep = None

@@ -33,6 +33,7 @@ replace other slots than they did before the restart.
 
 from __future__ import annotations
 
+import datetime as dt
 import random
 import zlib
 from typing import Any
@@ -44,7 +45,14 @@ RESERVOIR_SIZE = 256
 
 
 def _value_token(value: Any) -> str:
-    """Stable, JSON-safe token identifying *value* for distinct counting."""
+    """Stable, JSON-safe token identifying *value* for distinct counting:
+    its type and its ISO text (a date or datetime, as checkpoints store
+    them) or its ``repr``.  Reservoirs restored from checkpoints written
+    before dates were tokened as ISO text keep ``repr`` tokens until
+    their slots turn over, so a value sampled in both forms counts twice
+    towards the distinct estimate meanwhile."""
+    if isinstance(value, dt.date):
+        return f"{type(value).__name__}:{value.isoformat()}"
     return f"{type(value).__name__}:{value!r}"
 
 

@@ -276,6 +276,11 @@ class Table:
         # row mutation paths (insert/update/delete and their undos), so
         # estimates track the latest state and rollback stays symmetric.
         self._stats = TableStatistics(list(schema.column_names))
+        #: Query shape -> its value-free access paths, filled and read by
+        #: :mod:`repro.storage.query`.  The paths name index objects, so
+        #: a new index or column starts an empty memo; rows and
+        #: statistics, loaded or written, leave it valid.
+        self.plan_memo: dict[tuple, Any] = {}
 
         # Index-maintenance instruments, cached per table so the per-row
         # hot path is a single counter increment.
@@ -304,6 +309,14 @@ class Table:
             "Version chains a prune examined",
             labels=("table",),
         ).labels(table=schema.name)
+        plans = obs.metrics.counter(
+            "storage_query_plans_total",
+            "Query plans by where their access paths came from: the "
+            "table's shape memo, or an enumeration on a memo miss",
+            labels=("result",),
+        )
+        self.m_plans_memo = plans.labels(result="memo")
+        self.m_plans_enumerated = plans.labels(result="enumerated")
 
     # -- basic access ------------------------------------------------------
 
@@ -1193,6 +1206,7 @@ class Table:
                 if head.row is not None:
                     index.add(head.row, pk)
             self._unique_indexes.append(index)
+        self.plan_memo = {}
 
     def add_index(self, columns: tuple[str, ...], *, ordered: bool = False) -> None:
         """Create a secondary index over existing data.
@@ -1219,6 +1233,7 @@ class Table:
             (head.row, pk) for pk, head in self._rows.items() if head.row is not None
         )
         indexes[columns] = index
+        self.plan_memo = {}
         if len(columns) > 1 and ordered:
             self.schema.ordered = list(self.schema.ordered) + [columns]
         else:

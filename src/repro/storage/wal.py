@@ -96,16 +96,25 @@ def _op_image(
 ) -> "dict[str, Any] | list[Any]":
     """The redo image of one op.  An insert is ``[table, values]``: its
     row's values in the order of the table's header in *headers*.  An
-    update is a dict naming the columns it changed as ``after``, a
-    delete one with nothing but the pk.  Replay merges ``after`` onto
-    the current row, so the full ``after`` images (and the ``before``
-    images nothing ever read) of older logs replay through the same
-    code, as does an insert logged as a dict with its row as ``after``.
+    update is ``[table, pk, changes]``, naming the columns it changed; a
+    delete is a dict with nothing but the pk.  Replay merges the changes
+    onto the current row, so the update dicts of older logs, with their
+    ``after`` images, full or not (and the ``before`` images nothing
+    ever read), replay through the same code, as does an insert logged
+    as a dict with its row as ``after``.
 
     Every row a commit inserts into one table carries the same columns
     (a row holds every column its table had when it was inserted), so
     one header fits them all.  A row inserted across a column addition
     has more columns than the header and is logged as a dict."""
+    if entry.op == "update":
+        before = entry.before
+        changes = {
+            name: value
+            for name, value in entry.after.items()
+            if _changed(before.get(name, _ABSENT), value)
+        }
+        return [entry.table, entry.pk, encode_value(entry.table, changes)]
     op: dict[str, Any] = {"op": entry.op, "table": entry.table, "pk": entry.pk}
     if entry.op == "insert":
         after = encode_value(entry.table, entry.after)
@@ -114,33 +123,23 @@ def _op_image(
             op["after"] = after
             return op
         return [entry.table, [after[name] for name in columns]]
-    if entry.op == "update":
-        before = entry.before
-        op["after"] = encode_value(
-            entry.table,
-            {
-                name: value
-                for name, value in entry.after.items()
-                if _changed(before.get(name, _ABSENT), value)
-            },
-        )
     return op
 
 
 def commit_record(
-    txn_id: int,
     operations: list[UndoEntry],
     encode_value,
     seq: int | None = None,
 ) -> dict[str, Any]:
     """The record dict a commit line encodes, built from the same op
     images :func:`_commit_chunks` streams.  ``columns`` (present when
-    the commit inserts) holds each inserted table's header once."""
+    the commit inserts) holds each inserted table's header once.  The
+    commit is named by its ``seq``; older logs also carry a ``txn``
+    id, which nothing reads."""
     headers = _insert_headers(operations)
     record: dict[str, Any] = {
         "kind": "commit",
         "ops": [_op_image(entry, encode_value, headers) for entry in operations],
-        "txn": txn_id,
     }
     if headers:
         record["columns"] = headers
@@ -150,7 +149,6 @@ def commit_record(
 
 
 def _commit_chunks(
-    txn_id: int,
     operations: list[UndoEntry],
     encode_value,
     seq: int | None,
@@ -158,10 +156,10 @@ def _commit_chunks(
     """Encode a commit record one op at a time, as ASCII chunks whose
     concatenation is ``_encode_payload(commit_record(...))``.
 
-    ``sort_keys`` orders the record's keys ``columns < kind < ops < seq
-    < txn`` and ``json.dumps`` escapes every non-ASCII character, so
-    the record is the headers, a fixed infix, each op's own encoding,
-    and the integer ``seq``/``txn`` pair."""
+    ``sort_keys`` orders the record's keys ``columns < kind < ops <
+    seq`` and ``json.dumps`` escapes every non-ASCII character, so the
+    record is the headers, a fixed infix, each op's own encoding, and
+    the integer ``seq``."""
     headers = _insert_headers(operations)
     if headers:
         yield b'{"columns":%s,"kind":"commit","ops":[' % _encode_payload(
@@ -175,10 +173,7 @@ def _commit_chunks(
         yield _encode_payload(
             _op_image(entry, encode_value, headers)
         ).encode("ascii")
-    if seq is None:
-        yield b'],"txn":%d}' % txn_id
-    else:
-        yield b'],"seq":%d,"txn":%d}' % (seq, txn_id)
+    yield b"]}" if seq is None else b'],"seq":%d}' % seq
 
 
 class _Batch:
@@ -258,7 +253,6 @@ class WriteAheadLog:
 
     def append_commit(
         self,
-        txn_id: int,
         operations: list[UndoEntry],
         encode_value,
         *,
@@ -284,7 +278,7 @@ class WriteAheadLog:
         to block until the batch fsync makes the record durable.
         """
         return self._append_chunks(
-            "commit", _commit_chunks(txn_id, operations, encode_value, seq)
+            "commit", _commit_chunks(operations, encode_value, seq)
         )
 
     def append_replicated(self, record: dict[str, Any]):

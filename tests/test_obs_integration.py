@@ -256,4 +256,9 @@ class TestAcceptanceScenario:
         assert "Latency (seconds)" in text
         assert "storage_commit_seconds" in text
         assert "Requests by route" in text
+        # The planner's work counter: every shape the session planned was
+        # enumerated once, and its repeats came from the shape memo.
+        assert "Query planning and result cache" in text
+        assert "<td>storage_query_plans_total</td><td>enumerated</td>" in text
+        assert "<td>storage_query_plans_total</td><td>memo</td>" in text
         system.close()

@@ -280,7 +280,11 @@ class TestConvergence:
                 for record in primary.wal.records()
                 for op in record.get("ops", ())
             ]
-            assert [op.get("after") for op in shipped] == [
+            changes = [  # an update is [table, pk, changes]
+                op[2] if isinstance(op, list) else op.get("after")
+                for op in shipped
+            ]
+            assert changes == [
                 {"note": None},
                 {"meta": {"v": True}},
                 {"body": "b3'"},

@@ -362,3 +362,124 @@ class TestKeyBeforePlan:
             db.query("doc").where("project", "=", 1).count()
             assert sink == {"doc"}
         assert lookup_counts(db)["hit"] == 2
+
+    def test_a_plan_that_fetches_no_row_still_reports_the_table(self):
+        """A snapshot read of an empty bucket resolves no row, and a
+        memoized plan prices nothing: the probe learns the table from
+        the execution itself, on the first (uncached) read."""
+        from repro.storage.table import track_reads
+
+        db = make_db()
+        with db.snapshot() as snap, track_reads(set()) as sink:
+            assert snap.query("doc").where("project", "=", 99).all() == []
+            assert sink == {"doc"}
+
+
+def _typed_db() -> Database:
+    db = Database(query_cache_size=64)
+    db.create_table(
+        TableSchema(
+            "item",
+            [
+                Column("id", ColumnType.INT, primary_key=True),
+                Column("n", ColumnType.INT),
+                Column("meta", ColumnType.JSON),
+            ],
+            indexes=["n"],
+        )
+    )
+    for i in range(6):
+        db.insert("item", {"id": i, "n": i % 3, "meta": {"k": i % 2}})
+    return db
+
+
+class TestTypedKeys:
+    """The cache key is ``(table, version, kind, shape, values)`` with
+    each value beside its type; a value that cannot be hashed keys the
+    entry by the query's fingerprint instead."""
+
+    def _key(self, query):
+        return query._cache_key("rows", query._table.version)
+
+    def test_equal_values_of_other_types_never_share_an_entry(self):
+        db = _typed_db()
+        queries = [db.query("item").where("n", "=", v) for v in (1, 1.0, True)]
+        keys = {self._key(q) for q in queries}
+        assert len(keys) == 3
+        assert all(len(key) == 5 for key in keys)
+        answers = [sorted(r["id"] for r in q.all()) for q in queries]
+        assert answers == [[1, 4]] * 3
+        assert lookup_counts(db) == {"miss": 3}
+        assert [sorted(r["id"] for r in q.all()) for q in queries] == answers
+        assert lookup_counts(db) == {"miss": 3, "hit": 3}
+
+    def test_the_limit_and_the_values_are_part_of_the_key(self):
+        db = _typed_db()
+        base = db.query("item").where("n", ">=", 1).order_by("id")
+        assert self._key(base) != self._key(
+            db.query("item").where("n", ">=", 1).order_by("id").limit(2)
+        )
+        assert self._key(base.limit(1)) != self._key(
+            db.query("item").where("n", ">=", 1).order_by("id").limit(2)
+        )
+        assert self._key(db.query("item").where("n", ">=", 2)) != self._key(
+            db.query("item").where("n", ">=", 1)
+        )
+
+    def test_unhashable_values_are_keyed_by_the_fingerprint(self):
+        db = _typed_db()
+        cases = [
+            db.query("item").where("meta", "=", {"k": 1}),
+            db.query("item").where("meta", "=", {"k": True}),
+            db.query("item").where("n", "in", [1]),
+            db.query("item").where("n", "in", [True]),
+            db.query("item").where("n", "in", [1, 2]),
+        ]
+        keys = [self._key(q) for q in cases]
+        assert [key[3] for key in keys] == [q.fingerprint() for q in cases]
+        assert len(set(keys)) == len(cases)
+        answers = [sorted(r["id"] for r in q.all()) for q in cases]
+        assert answers == [[1, 3, 5], [1, 3, 5], [1, 4], [1, 4], [1, 2, 4, 5]]
+        assert lookup_counts(db) == {"miss": 5}
+        # The same list again shares its entry, and so does a tuple of
+        # the same members (hashable, keyed by shape and values).
+        again = db.query("item").where("n", "in", [1, 2])
+        assert self._key(again) == keys[4]
+        assert sorted(r["id"] for r in again.all()) == [1, 2, 4, 5]
+        assert lookup_counts(db) == {"miss": 5, "hit": 1}
+        as_tuple = db.query("item").where("n", "in", (1, 2))
+        assert len(self._key(as_tuple)) == 5
+        assert sorted(r["id"] for r in as_tuple.all()) == [1, 2, 4, 5]
+
+    @pytest.mark.parametrize("change", ["add_column", "add_index"])
+    def test_a_schema_change_plans_the_shape_afresh(self, change):
+        from repro.storage import Column as Col
+
+        db = _typed_db()
+        plans = db.obs.metrics.get("storage_query_plans_total")
+
+        def counts():
+            return {
+                labels["result"]: child.value for labels, child in plans.samples()
+            }
+
+        def query():
+            return db.query("item").where("meta", "=", {"k": 1}).where("n", ">=", 1)
+
+        first = query().all()
+        assert counts() == {"memo": 0, "enumerated": 1}
+        db.query_cache.clear()
+        assert query().all() == first
+        assert counts() == {"memo": 1, "enumerated": 1}
+        if change == "add_column":
+            db.add_column("item", Col("extra", ColumnType.TEXT))
+        else:
+            db.add_index("item", "meta")
+        after = query()
+        assert counts() == {"memo": 1, "enumerated": 1}
+        rows = after.all()
+        assert counts() == {"memo": 1, "enumerated": 2}
+        assert rows == query().without_indexes().all()
+        assert sorted(r["id"] for r in rows) == [1, 5]
+        if change == "add_index":
+            assert after.explain()["strategy"] == "index:sx_item_meta"

@@ -7,11 +7,17 @@ change *how* rows are found, never *which* rows.
 
 from __future__ import annotations
 
+import datetime as dt
+import random
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.storage import Column, ColumnType, Database, TableSchema
 from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.types import sort_key
 
 
 def _events_schema() -> TableSchema:
@@ -324,9 +330,12 @@ class TestOrderAndLimit:
 
     @pytest.mark.parametrize("op", [">=", ">", "<", "<="])
     def test_range_limit_prices_its_range_once(self, monkeypatch, op):
-        """A range + LIMIT miss (engine_mixed's range_limit shape) probes
-        the ordered index once: the scan's selectivity and the seek
-        share one estimate within the planning call."""
+        """A range + LIMIT miss (engine_mixed's range_limit shape) does
+        not probe the ordered index at all: the seek beats the scan for
+        every value, so it is the shape's one survivor and runs
+        unpriced.  Where a rival survives beside it (an ``IN`` on the
+        same column), the rival's selectivity and the seek share one
+        estimate within the planning call."""
         db = Database(query_cache_size=0)
         db.create_table(
             TableSchema(
@@ -360,17 +369,53 @@ class TestOrderAndLimit:
         report = query.explain()
         monkeypatch.setattr(OrderedIndex, "estimate_range", counting)
         rows = query.all()
-        assert len(calls) == 1
+        assert calls == []
         assert rows == shape().without_indexes().all()
         # explain() still prices every rival afresh, to the same figures.
         assert query.explain() == report
         assert report["strategy"] == "range:sx_workunit_name"
+        assert [alt["strategy"] for alt in report["alternatives"]] == ["scan"]
+
+        names = [f"wu {i:03d}" for i in range(0, 60, 3)]
+
+        def both():
+            return db.query("workunit").where("name", "in", names).where(
+                "name", op, "wu 030"
+            )
+
+        assert {p.kind for p in both()._candidate_plans(False)} == {
+            "in", "seek", "scan"
+        }
+        calls.clear()
+        rows = _rows(both())
+        assert len(calls) == 1
+        assert rows == _rows(both().without_indexes())
 
 
 # -- statistics ------------------------------------------------------------
 
 
 class TestStatistics:
+    def test_dates_are_sampled_as_iso_text(self):
+        """A reservoir slot holds a date or datetime as the ISO text
+        checkpoints store, not its ``repr``."""
+        from repro.storage.stats import ColumnStats
+
+        stats = ColumnStats("created")
+        for value in (
+            dt.datetime(2010, 1, 14, 9, 3, 2),
+            dt.date(2010, 1, 1),
+            dt.datetime(2010, 1, 1, tzinfo=dt.timezone.utc),
+            7,
+        ):
+            stats.on_insert(value)
+        assert stats.state()["reservoir"] == [
+            "datetime:2010-01-14T09:03:02",
+            "date:2010-01-01",
+            "datetime:2010-01-01T00:00:00+00:00",
+            "int:7",
+        ]
+
     def test_distinct_counts(self, events_db):
         table = events_db.table("event")
         assert table.distinct_count("project") == 20
@@ -774,3 +819,279 @@ class TestJsonKeysFollowPythonEquality:
         assert query.all() == []
         with db.snapshot() as snap:
             assert make(snap.query("t"), value).all() == []
+
+
+# -- every priced plan equals a scan; the memo chooses what min() does -----
+
+
+def _oracle_db() -> Database:
+    """Skewed buckets (70 % of rows under ``a = 0``), a composite hash
+    and a composite ordered index for prefixes, a unique column, NULLs."""
+    db = Database(query_cache_size=0)
+    db.create_table(
+        TableSchema(
+            "item",
+            [
+                Column("id", ColumnType.INT, primary_key=True),
+                Column("a", ColumnType.INT, nullable=False),
+                Column("b", ColumnType.TEXT),
+                Column("c", ColumnType.INT),
+                Column("u", ColumnType.TEXT, unique=True),
+            ],
+            indexes=["a", "b", ("a", "b")],
+            ordered=["c", ("a", "c")],
+        )
+    )
+    with db.transaction() as txn:
+        for i in range(1, 121):
+            txn.insert(
+                "item",
+                {
+                    "id": i,
+                    "a": 0 if i % 10 < 7 else i % 7,
+                    "b": None if i % 11 == 0 else "xyz"[i % 3],
+                    "c": None if i % 9 == 0 else (i * 7) % 50,
+                    "u": None if i % 13 == 0 else f"u{i:03d}",
+                },
+            )
+    return db
+
+
+_ORACLE_VALUES = {
+    "id": st.integers(-1, 125),
+    "a": st.sampled_from([0, 1, 2, 3, 6, 9]),
+    "b": st.sampled_from(["x", "y", "z", "w"]),
+    "c": st.integers(-3, 53),
+    "u": st.sampled_from(["u001", "u050", "u777", "u104"]),
+}
+
+
+def _condition(column):
+    value = _ORACLE_VALUES[column]
+    members = st.lists(st.one_of(value, st.none()), max_size=5)
+    if column == "c":  # long enough for the scan to beat the probes
+        members |= st.integers(0, 160).map(lambda n: list(range(-2, n)))
+    return st.one_of(
+        st.tuples(
+            st.just(column),
+            st.sampled_from(["=", "=", "<", "<=", ">", ">=", "!="]),
+            st.one_of(value, st.none()) if column != "id" else value,
+        ),
+        st.tuples(
+            st.just(column),
+            st.just("in"),
+            members.flatmap(
+                lambda found: st.sampled_from([list(found), tuple(found), set(found)])
+            ),
+        ),
+        st.tuples(st.just(column), st.just("is_null"), st.booleans()),
+    )
+
+
+#: Columns drawn for conditions, the indexed ones (and the pk) oftenest.
+_ORACLE_COLUMNS = ["a", "a", "c", "c", "c", "id", "id", "b", "u"]
+
+_ORACLE_QUERIES = st.fixed_dictionaries(
+    {
+        "conds": st.lists(
+            st.sampled_from(_ORACLE_COLUMNS).flatmap(_condition),
+            min_size=1,
+            max_size=3,
+        ),
+        "order": st.one_of(
+            st.none(), st.tuples(st.sampled_from(["a", "c", "b", "id"]), st.booleans())
+        ),
+        "limit": st.sampled_from([None, 1, 5]),
+        "offset": st.sampled_from([0, 2]),
+        "select": st.sampled_from([None, ("a", "c"), ("c",), ("a",)]),
+    }
+)
+
+
+def _build(source, spec):
+    query = source.query("item")
+    for column, op, value in spec["conds"]:
+        query = query.where(column, op, value)
+    if spec["order"] is not None:
+        column, descending = spec["order"]
+        query = query.order_by(column, descending=descending)
+    if spec["limit"] is not None:
+        query = query.limit(spec["limit"])
+    if spec["offset"]:
+        query = query.offset(spec["offset"])
+    if spec["select"] is not None:
+        query = query.select(*spec["select"])
+    return query
+
+
+def _assert_same_answer(db, spec, rows, scan_rows, label):
+    """*rows* answer *spec* as the forced scan's *scan_rows* do: the same
+    rows without paging; under paging as many rows, each a match; and
+    with ORDER BY the same sequence of order keys (ties may differ)."""
+    ids = [row["id"] for row in rows]
+    assert len(set(ids)) == len(ids), label
+    if spec["limit"] is None and not spec["offset"]:
+        assert sorted(ids) == sorted(r["id"] for r in scan_rows), label
+    else:
+        assert len(rows) == len(scan_rows), label
+        everything = {**spec, "limit": None, "offset": 0, "order": None}
+        matching = {r["id"] for r in _build(db, everything).without_indexes().all()}
+        assert set(ids) <= matching, label
+    if spec["order"] is not None:
+        column = spec["order"][0]
+
+        def keys(found):
+            return [sort_key(db.get("item", r["id"])[column]) for r in found]
+
+        assert keys(rows) == keys(scan_rows), label
+
+
+@pytest.fixture(scope="module")
+def oracle_db():
+    return _oracle_db()
+
+
+def _oracle_examples(test):
+    """Corners the draw reaches rarely: a residual on the pk under a
+    covering read, several bounds on one column, a prefix with a range
+    read backwards under paging."""
+    corners = [
+        {"conds": [("id", ">", 5)], "order": ("a", False), "limit": 5,
+         "offset": 0, "select": ("a", "c")},
+        {"conds": [("c", ">", 5), ("c", ">=", 30), ("c", "<", 45), ("c", "<=", 40)],
+         "order": None, "limit": None, "offset": 0, "select": None},
+        {"conds": [("a", "=", 0), ("c", "<=", 20), ("c", "<", 20)],
+         "order": ("c", True), "limit": 5, "offset": 2, "select": ("a", "c")},
+    ]
+    for spec in corners:
+        test = example(spec=spec)(test)
+    return test
+
+
+_ORACLE_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestEveryPricedPlan:
+    """Every plan ``_candidate_plans()`` prices — not only the winner —
+    returns what the forced scan returns, live and at a snapshot (where
+    the plan is pinned through ``_materialize``); and the plan the shape
+    memo picks is ``min()`` of that fresh enumeration."""
+
+    @_ORACLE_SETTINGS
+    @_oracle_examples
+    @given(spec=_ORACLE_QUERIES)
+    def test_each_live_plan_answers_what_a_scan_answers(self, oracle_db, spec):
+        scan_rows = _build(oracle_db, spec).without_indexes().all()
+        for plan in _build(oracle_db, spec)._candidate_plans(for_snapshot=False):
+            forced = _build(oracle_db, spec)
+            forced._plan = lambda plan=plan: plan
+            _assert_same_answer(oracle_db, spec, forced.all(), scan_rows, plan.strategy)
+
+    @_ORACLE_SETTINGS
+    @_oracle_examples
+    @given(spec=_ORACLE_QUERIES)
+    def test_each_pinned_plan_answers_what_a_scan_answers(self, oracle_db, spec):
+        with oracle_db.snapshot() as snap:
+            scan_rows = _build(snap, spec).without_indexes().all()
+            plans = _build(snap, spec)._candidate_plans(for_snapshot=True)
+            assert all(plan.kind != "covering" for plan in plans)
+            for plan in plans:
+                forced = _build(snap, spec)
+                forced._plan_live = lambda for_snapshot=False, plan=plan: plan
+                pinned = forced._plan()
+                assert pinned.kind in ("pks", "scan"), plan.strategy
+                _assert_same_answer(
+                    oracle_db, spec, forced.all(), scan_rows, plan.strategy
+                )
+
+    @_ORACLE_SETTINGS
+    @_oracle_examples
+    @given(spec=_ORACLE_QUERIES)
+    def test_the_memo_picks_the_cheapest_enumerated_plan(self, oracle_db, spec):
+        for source_snapshot in (False, True):
+            query = _build(oracle_db, spec)
+            chosen = query._plan_live(for_snapshot=source_snapshot)
+            if query._pk_plan() is not None:
+                assert chosen.strategy == "pk"
+                continue
+            # min() is stable: the first of equally cheap plans wins.
+            cheapest = min(
+                query._candidate_plans(source_snapshot), key=lambda p: p.cost
+            )
+            assert chosen.strategy == cheapest.strategy, spec
+            # Asked again, from the memo, for values of the same shape.
+            assert _build(oracle_db, spec)._plan_live(
+                for_snapshot=source_snapshot
+            ).strategy == cheapest.strategy
+
+
+# -- the shape memo's work counter -------------------------------------------
+
+
+class TestPlanMemo:
+    """``storage_query_plans_total`` counts where each plan's paths came
+    from: one enumeration per shape, then the memo."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        from repro.facade import BFabric
+        from repro.workload import DeploymentGenerator, FGCZ_JANUARY_2010
+
+        system = BFabric()
+        DeploymentGenerator(system, seed=2010).generate(FGCZ_JANUARY_2010.scaled(0.02))
+        return system
+
+    def _counts(self, db):
+        family = db.obs.metrics.get("storage_query_plans_total")
+        return {labels["result"]: child.value for labels, child in family.samples()}
+
+    def test_each_shape_is_enumerated_once(self, deployment):
+        db = deployment.db
+        for name in db.table_names():
+            db.table(name).plan_memo.clear()
+        projects = [row["id"] for row in db.rows("project")]
+        workunits = [row["name"] for row in db.rows("workunit")]
+        samples = [row["id"] for row in db.rows("sample")]
+        rng = random.Random("engine_mixed/2010")
+        # engine_mixed's read shapes; pk_query and hot_set take the
+        # primary-key shortcut, which plans nothing from the memo.
+        shapes = {
+            "indexed_eq": lambda: db.query("sample").where(
+                "project_id", "=", rng.choice(projects)
+            ),
+            "range_limit": lambda: db.query("workunit").where(
+                "name", ">=", rng.choice(workunits)
+            ).order_by("name").limit(10),
+            "pk_query": lambda: db.query("sample").where("id", "=", rng.choice(samples)),
+            "hot_set": lambda: db.query("project").where("id", "=", rng.choice(projects)),
+        }
+        before = self._counts(db)
+        stream = [rng.choice(sorted(shapes)) for _ in range(400)]
+        for kind in stream:
+            db.query_cache.clear()  # every call plans
+            shapes[kind]().all()
+        planned = sum(kind in ("indexed_eq", "range_limit") for kind in stream)
+        after = self._counts(db)
+        assert after["enumerated"] - before.get("enumerated", 0) == 2
+        assert after["memo"] - before.get("memo", 0) == planned - 2
+        # A new index on the sample table enumerates its shape once more;
+        # the workunit shape stays memoized.
+        db.add_index("sample", ("project_id", "species"), ordered=True)
+        for kind in ("indexed_eq", "indexed_eq", "range_limit"):
+            db.query_cache.clear()
+            shapes[kind]().all()
+        final = self._counts(db)
+        assert final["enumerated"] - after["enumerated"] == 1
+        assert final["memo"] - after["memo"] == 2
+
+    def test_the_memo_is_bounded(self, deployment):
+        from repro.storage.query import PLAN_MEMO_SIZE
+
+        db = deployment.db
+        for offset in range(PLAN_MEMO_SIZE + 10):
+            db.query("workunit").where("name", ">=", "a").offset(offset).all()
+        assert len(db.table("workunit").plan_memo) == PLAN_MEMO_SIZE

@@ -313,7 +313,7 @@ class TestPruneQueue:
             db.create_table(_counter_schema())
         primary.on_commit(  # an in-memory primary logs no record: build it
             lambda event: replica.apply_replicated_commit(
-                commit_record(0, event.ops, primary._encode_row_for_wal),
+                commit_record(event.ops, primary._encode_row_for_wal),
                 seq=event.seq,
             )
         )

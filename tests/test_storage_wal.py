@@ -262,7 +262,8 @@ class TestNonDurable:
 class TestCompactEncoding:
     """Commit records are redo-only: an insert carries its row, as
     ``[table, values]`` under the table's column header, an update
-    ``pk`` + the columns it changed, a delete ``pk`` alone."""
+    ``[table, pk, changes]`` with the columns it changed, a delete
+    ``pk`` alone."""
 
     def test_insert_update_delete_images(self, tmp_path):
         db = open_db(tmp_path)
@@ -270,22 +271,18 @@ class TestCompactEncoding:
         db.update("item", row["id"], {"name": "b"})
         db.delete("item", row["id"])
         records = list(db._wal.records())
-        (table, values), *ops = [op for rec in records for op in rec["ops"]]
-        by_kind = {op["op"]: op for op in ops}
-        assert all("before" not in op for op in ops)
+        (table, values), update, delete = [
+            op for rec in records for op in rec["ops"]
+        ]
         assert table == "item"
         header = records[0]["columns"]["item"]
         assert dict(zip(header, values)) == {
             "id": row["id"], "name": "a", "created": None, "meta": {"k": 1},
         }
         assert all("columns" not in rec for rec in records[1:])
-        assert by_kind["update"] == {
-            "op": "update", "table": "item", "pk": row["id"],
-            "after": {"name": "b"},
-        }
-        assert by_kind["delete"] == {
-            "op": "delete", "table": "item", "pk": row["id"],
-        }
+        assert all("txn" not in rec for rec in records)
+        assert update == ["item", row["id"], {"name": "b"}]
+        assert delete == {"op": "delete", "table": "item", "pk": row["id"]}
         db.close()
 
     def test_equal_but_differently_typed_values_are_logged(self, tmp_path):
@@ -297,10 +294,10 @@ class TestCompactEncoding:
         for value in (True, 1.0, 1, {"n": 1}, {"n": True}):
             db.update("item", row["id"], {"meta": value})
         updates = [
-            op["after"]
+            op[2]
             for rec in db._wal.records()
             for op in rec["ops"]
-            if isinstance(op, dict) and op["op"] == "update"
+            if len(op) == 3
         ]
         assert updates == [
             {"meta": True}, {"meta": 1.0}, {"meta": 1},
@@ -319,7 +316,7 @@ class TestCompactEncoding:
         db.update("item", row["id"], {"name": "same"})
         seq = db.committed_seq
         last = list(db._wal.records())[-1]
-        assert last["ops"][0]["after"] == {}
+        assert last["ops"][0] == ["item", row["id"], {}]
         db.close()
         revived = open_db(tmp_path)
         revived.recover()
@@ -409,8 +406,8 @@ class TestCompactEncoding:
         for record in records:
             assert replica.apply_replicated_commit(record, seq=record["seq"])
         assert list(replica.rows("item")) == expected
-        # A record from outside the process whose insert form is
-        # malformed is refused as a schema error, and applies nothing.
+        # A record from outside the process whose insert or update form
+        # is malformed is refused as a schema error, and applies nothing.
         header = {"item": ["id", "name"]}
         for columns, op in [
             (["id", "name"], ["item", [9, "x"]]),  # columns not a map
@@ -419,6 +416,8 @@ class TestCompactEncoding:
             (header, ["item", {"id": 9}]),  # values not a list
             (header, ["item", [9]]),  # values not under the header
             ({}, ["item", []]),  # no header for the table
+            (header, [7, 1, {"name": "y"}]),  # an update's table not a name
+            (header, ["item", 1, ["y"]]),  # an update's changes not a map
         ]:
             with pytest.raises(SchemaError):
                 replica.apply_replicated_commit(
