@@ -14,10 +14,10 @@ arbitrary attributes that feed a registered application.  Running it:
 
 ``defer=True`` leaves the workflow parked in its pending step so the
 demo's pending screen is observable; :meth:`ExperimentService.execute_pending`
-then fires it.  A run made inline (no queue workers, or inside a
-caller's open transaction) runs the application first and writes the
-rows of steps 1–3 after it returns, so a portal request holds the
-writer lock for those writes only.
+(or a job :meth:`ExperimentService.enqueue_execution` queues) then
+fires it.  A run that is not deferred is inline: it runs the
+application first and writes the rows of steps 1–3 after it returns,
+so a portal request holds the writer lock for those writes only.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.errors import (
     CrashPoint,
     EntityNotFound,
     StateError,
-    TimeoutExceeded,
     ValidationError,
 )
 from repro.orm import Registry
@@ -232,29 +231,22 @@ class ExperimentService:
     ) -> Workunit:
         """Invoke the experiment's application.
 
-        Returns the result workunit: ``available`` after a synchronous
-        run, ``pending`` when *defer* is set (fire later with
-        :meth:`execute_pending`), ``failed`` if the application failed.
+        Returns the result workunit: ``available`` after an inline run,
+        ``pending`` when *defer* is set (fire later with
+        :meth:`execute_pending` or :meth:`enqueue_execution`), ``failed``
+        if the application failed.
         """
         experiment = self.get(principal, experiment_id)
         self._acl.require(principal, Permission.WRITE, experiment.project_id)
         application = self._applications.get(experiment.application_id)
         effective = check_parameters(application.interface, parameters or {})
-        if not defer and (
-            self._queue is None
-            or not self._queue.workers_active()
-            # A caller's open transaction cannot wait on a worker.
-            or self._registry.database.in_transaction()
-        ):
-            return self._run_inline(
+        if defer:
+            return self._open_run(
                 principal, experiment, application, workunit_name, effective
-            )
-        workunit, _ = self._open_run(
+            )[0]
+        return self._run_inline(
             principal, experiment, application, workunit_name, effective
         )
-        if defer:
-            return workunit
-        return self._execute_via_queue(principal, workunit.id)
 
     def _open_run(
         self,
@@ -332,22 +324,6 @@ class ExperimentService:
                 "workunit_id": workunit_id,
             },
             idempotency_key=f"exp:{workunit_id}",
-        )
-
-    def _execute_via_queue(
-        self, principal: Principal, workunit_id: int, *, timeout: float = 300.0
-    ) -> Workunit:
-        job = self.enqueue_execution(principal, workunit_id)
-        finished = self._queue.wait(job.id, timeout=timeout)
-        if finished.state in ("done", "dead"):
-            # Domain failures surface as the workunit's ``failed`` status
-            # (same contract as the inline path), so both terminal job
-            # states just hand the workunit back.
-            return self._workunits.get(principal, workunit_id)
-        raise TimeoutExceeded(
-            f"execution job {finished.id} still {finished.state} after "
-            f"{timeout:g}s",
-            seconds=timeout,
         )
 
     def _execute_job(self, job: Job) -> dict:

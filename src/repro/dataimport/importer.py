@@ -237,28 +237,10 @@ class DataImportService:
         Returns the workunit (``pending`` until extract assignment), its
         resources, and the running import workflow instance.
 
-        When a worker pool is draining the job queue, the import runs as
-        a background job (crash-safe, per-provider limited) and this
-        call becomes enqueue-then-wait — same signature, same results,
-        same errors.  Without workers it runs inline, unchanged, and so
-        it does inside a caller's open transaction (a portal request),
-        which cannot wait on a worker.
+        The import runs inline, inside the caller's transaction when one
+        is open; :meth:`enqueue_import` is the asynchronous form.
         """
         self._validate_request(provider_name, file_names, mode)
-        if (
-            self._queue is not None
-            and self._queue.workers_active()
-            and not self._registry.database.in_transaction()
-        ):
-            return self._import_via_queue(
-                principal,
-                project_id,
-                provider_name,
-                file_names,
-                workunit_name=workunit_name,
-                mode=mode,
-                description=description,
-            )
         return self._run_import(
             principal,
             project_id,
@@ -321,50 +303,6 @@ class DataImportService:
             channel=f"provider:{provider_name}",
             idempotency_key=f"import:{job_key}",
         )
-
-    def _import_via_queue(
-        self,
-        principal: Principal,
-        project_id: int,
-        provider_name: str,
-        file_names: Sequence[str],
-        *,
-        workunit_name: str,
-        mode: str,
-        description: str,
-        timeout: float = 300.0,
-    ) -> tuple[Workunit, list[DataResource], WorkflowInstance]:
-        """Enqueue-then-wait: the synchronous facade over the queue."""
-        job = self.enqueue_import(
-            principal,
-            project_id,
-            provider_name,
-            file_names,
-            workunit_name=workunit_name,
-            mode=mode,
-            description=description,
-        )
-        finished = self._queue.wait(job.id, timeout=timeout)
-        if finished.state == "done":
-            return self._load_import_result(principal, finished.result)
-        if finished.state == "dead":
-            raise ImportError_(
-                f"import job {finished.id} failed after "
-                f"{finished.attempts} attempt(s): {finished.error}"
-            )
-        raise TimeoutExceeded(
-            f"import job {finished.id} still {finished.state} after "
-            f"{timeout:g}s",
-            seconds=timeout,
-        )
-
-    def _load_import_result(
-        self, principal: Principal, result: dict
-    ) -> tuple[Workunit, list[DataResource], WorkflowInstance]:
-        workunit = self._workunits.get(principal, result["workunit_id"])
-        resources = self._workunits.resources_of(principal, workunit.id)
-        instance = self._workflow.get(result["instance_id"])
-        return workunit, resources, instance
 
     def _import_job(self, job: Job) -> dict:
         """Queue handler: run (or resume) one import job."""

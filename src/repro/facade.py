@@ -312,10 +312,11 @@ class BFabric:
     ) -> WorkerPool:
         """Start a worker pool draining the job queue.
 
-        Once workers run, ``import_files`` and non-deferred experiment
-        runs execute as background jobs (enqueue-then-wait), with
-        crash-safe redelivery and per-provider concurrency limits.
-        Stopped automatically (with a drain) by :meth:`close`.
+        The workers run what ``enqueue_import`` and
+        ``enqueue_execution`` queue, with crash-safe redelivery and
+        per-provider concurrency limits; ``import_files`` and
+        non-deferred experiment runs stay inline.  Stopped
+        automatically (with a drain) by :meth:`close`.
         """
         pool = WorkerPool(
             self.queue,

@@ -967,8 +967,8 @@ class Database:
                 "declare schemas before recover()"
             )
         # The checkpoint-time sampler state replaces each table's
-        # reservoirs; WAL replay then feeds its increments on top — the
-        # same stream the pre-crash process saw.
+        # reservoirs; the commit that settles recovery feeds the WAL
+        # tail on top — the same stream the pre-crash process saw.
         saved = meta.get("stats")
         if not isinstance(saved, dict):
             saved = {}

@@ -370,8 +370,8 @@ class OrderedIndex(_Index):
             return self._norms[0](row[self.columns[0]])
         return self._parts(self.key_for(row))
 
-    def _raw(self, key: Any) -> tuple:
-        """The raw column-value tuple *key* stands for."""
+    def raw_key(self, key: Any) -> tuple:
+        """The raw column-value tuple the stored *key* stands for."""
         if self._single:
             return (_raw_part(key),)
         return tuple(map(_raw_part, key))
@@ -444,7 +444,7 @@ class OrderedIndex(_Index):
 
     def entries(self) -> "Iterable[tuple[tuple, tuple | set[Any]]]":
         """``(raw_key, bucket)`` per distinct key, unordered (integrity checks)."""
-        raw = self._raw
+        raw = self.raw_key
         return ((raw(key), bucket) for key, bucket in self._by_key.items())
 
     def structure_problems(self) -> list[str]:
@@ -484,12 +484,12 @@ class OrderedIndex(_Index):
     def min_key(self) -> "tuple | None":
         """Smallest raw key tuple, or ``None`` when empty (O(1))."""
         keys = self._sorted_keys
-        return self._raw(keys[0]) if keys else None
+        return self.raw_key(keys[0]) if keys else None
 
     def max_key(self) -> "tuple | None":
         """Largest raw key tuple, or ``None`` when empty (O(1))."""
         keys = self._sorted_keys
-        return self._raw(keys[-1]) if keys else None
+        return self.raw_key(keys[-1]) if keys else None
 
     # -- range machinery ---------------------------------------------------
 
@@ -576,8 +576,9 @@ class OrderedIndex(_Index):
         include_high: bool = True,
         descending: bool = False,
         exclude_null: bool = False,
-    ) -> "Iterator[tuple[tuple, tuple | set[Any]]]":
-        """Lazily yield ``(raw_key, bucket)`` entries in key order.
+    ) -> "Iterator[tuple[Any, tuple | set[Any]]]":
+        """Lazily yield ``(key, bucket)`` entries in key order; *key* is
+        the stored key, which :meth:`raw_key` turns into column values.
 
         Equality on *prefix* (possibly empty), optional range bounds on
         the column right after the prefix.  Non-materializing: the
@@ -594,7 +595,6 @@ class OrderedIndex(_Index):
         )
         keys = self._sorted_keys
         by_key = self._by_key
-        raw = self._raw
         for pos in positions:
             # Lock-free readers can race a writer shrinking the key
             # list; results are best-effort latest-state (exactly like
@@ -606,7 +606,7 @@ class OrderedIndex(_Index):
                 break
             bucket = by_key.get(key)
             if bucket is not None:
-                yield raw(key), bucket
+                yield key, bucket
 
     def range_pks(
         self,
@@ -620,7 +620,7 @@ class OrderedIndex(_Index):
         exclude_null: bool = False,
     ) -> Iterator[Any]:
         """Lazily yield pks for a seek (ties in arbitrary order)."""
-        for _raw, pks in self.seek(
+        for _key, pks in self.seek(
             prefix,
             low,
             high,

@@ -76,6 +76,7 @@ from repro.storage.types import PLAIN_TYPES, sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
+    from repro.storage.index import OrderedIndex
     from repro.storage.snapshot import Snapshot
     from repro.storage.table import Table
 
@@ -1382,9 +1383,9 @@ class Query:
                 exclude_null=plan.exclude_null,
             )
             if plan.kind == "covering":
-                return self._covering_rows(plan.index.columns, entries, keep)
+                return self._covering_rows(plan.index, entries, keep)
             rows = tbl.raw_rows(
-                chain.from_iterable(_pk_order(b) for _raw, b in entries)
+                chain.from_iterable(_pk_order(b) for _key, b in entries)
             )
         else:
             if plan.kind == "scan":
@@ -1409,15 +1410,16 @@ class Query:
         return rows if keep is None else filter(keep, rows)
 
     def _covering_rows(
-        self, cols: "tuple[str, ...]", entries: Iterator[Any], keep: Any
+        self, index: OrderedIndex, entries: Iterator[Any], keep: Any
     ) -> Iterator[dict[str, Any]]:
         """Skip-fetch: rows come straight from the index entries (the
         pk rides along), the row store is never consulted.  The
         residual check runs once per distinct key — every residual
         column is part of the key."""
         pk_col = self._table.pk_column
-        for raw, bucket in entries:
-            base = dict(zip(cols, raw))
+        cols, raw = index.columns, index.raw_key
+        for key, bucket in entries:
+            base = dict(zip(cols, raw(key)))
             if keep is None or keep(base):
                 for pk in _pk_order(bucket):
                     yield {**base, pk_col: pk}

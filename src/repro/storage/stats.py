@@ -10,31 +10,36 @@ The planner prices candidate plans with three ingredients:
 * **min/max** for ordered columns — O(1) off the ordered indexes.
 
 The reservoir here is the same Algorithm R the observability histograms
-use (see :mod:`repro.obs.metrics`), re-instantiated per column with a
-deterministic per-column seed so estimates are reproducible across
-runs.  Sampling happens on the insert path only: deletes decrement the
-value counters but leave the sample alone (a uniform sample of all
-values ever inserted remains a usable NDV basis, and removal from a
-reservoir is not well-defined).  Rollback symmetry is preserved because
-the table routes undo through the same add/remove hooks.
+use (see :mod:`repro.obs.metrics`), except that the slot the *n*-th
+value may replace is a pure function of the column name and *n*
+(:func:`_victim`), not an RNG draw.  Sampling happens on the insert
+path only: deletes decrement the value counters but leave the sample
+alone (a uniform sample of all values ever inserted remains a usable
+NDV basis, and removal from a reservoir is not well-defined).
+
+**Where the feed is.**  ``Table.commit_version`` is the only caller of
+:meth:`TableStatistics.on_insert` / :meth:`TableStatistics.on_remove`:
+for each version a commit publishes it removes the version it
+supersedes and inserts the new row.  Local commits, recovery's replay,
+replicated applies and bootstrap loads all publish through it, and a
+rolled-back write never does, so the statistics describe committed
+state only.  Schema evolution's backfill
+(:meth:`TableStatistics.on_backfill`) is the one other feed.
 
 **Persistence / recovery.**  :meth:`TableStatistics.state` /
 :meth:`TableStatistics.restore` let the database checkpoint embed the
-sampler state in the snapshot's meta block, so a restart restores the
-*same* reservoirs (and therefore the same NDV estimates and plan
-choices) instead of re-sampling: the snapshot loader does not feed a
-table whose state it restores, and WAL replay feeds its rows through
-the normal insert hooks on top.  Only a snapshot without saved state
-(written before the meta block, or a table new since the checkpoint)
-is re-sampled row by row, in snapshot order.  The per-column RNG is
-not persisted, so once a reservoir is full, replayed inserts may
-replace other slots than they did before the restart.
+sampler state in the snapshot's meta block.  ``(reservoir, inserted,
+removed, nulls)`` is the whole state, so a restart that restores it and
+feeds the WAL tail on top reproduces the never-stopped process's
+reservoirs (and therefore its NDV estimates and plan choices) exactly.
+Only a snapshot without saved state (written before the meta block, or
+a table new since the checkpoint) is re-sampled row by row, in
+snapshot order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import random
 import zlib
 from typing import Any
 
@@ -42,6 +47,14 @@ from typing import Any
 #: reservoir size — big enough for stable NDV ratios, small enough to
 #: serialize into every checkpoint.
 RESERVOIR_SIZE = 256
+
+
+def _victim(seed: int, n: int) -> int:
+    """The slot in ``range(n)`` the *n*-th value of the column whose name
+    hashes to *seed* draws (Algorithm R replaces it when it is below
+    :data:`RESERVOIR_SIZE`): a CRC of *n*, so the same stream draws the
+    same slots in every process."""
+    return zlib.crc32(n.to_bytes(8, "little"), seed) % n
 
 
 def _value_token(value: Any) -> str:
@@ -59,7 +72,7 @@ def _value_token(value: Any) -> str:
 class ColumnStats:
     """Streaming statistics for one column (Algorithm R reservoir)."""
 
-    __slots__ = ("column", "inserted", "removed", "nulls", "_reservoir", "_rng")
+    __slots__ = ("column", "inserted", "removed", "nulls", "_reservoir", "_seed")
 
     def __init__(self, column: str):
         self.column = column
@@ -70,9 +83,9 @@ class ColumnStats:
         self.removed = 0
         self.nulls = 0
         self._reservoir: list[str] = []
-        # Deterministic per-column stream: same data -> same sample ->
-        # same plan choice, across processes and restarts.
-        self._rng = random.Random(zlib.crc32(column.encode("utf-8")))
+        # Per-column slot stream: same data -> same sample -> same plan
+        # choice, across processes and restarts.
+        self._seed = zlib.crc32(column.encode("utf-8"))
 
     def on_insert(self, value: Any) -> None:
         if value is None:
@@ -82,7 +95,7 @@ class ColumnStats:
         if len(self._reservoir) < RESERVOIR_SIZE:
             self._reservoir.append(_value_token(value))
         else:
-            victim = self._rng.randrange(self.inserted)
+            victim = _victim(self._seed, self.inserted)
             if victim < RESERVOIR_SIZE:
                 self._reservoir[victim] = _value_token(value)
 
@@ -133,7 +146,7 @@ class ColumnStats:
 
 
 class TableStatistics:
-    """Column statistics for one table, fed by the row add/remove hooks."""
+    """Column statistics for one table, fed by ``Table.commit_version``."""
 
     def __init__(self, columns: "list[str]"):
         self._columns: dict[str, ColumnStats] = {

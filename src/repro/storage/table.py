@@ -272,10 +272,14 @@ class Table:
             if spec not in self._ordered_indexes:
                 self._ordered_indexes[spec] = self._ordered_index(spec)
 
-        # Planner statistics: reservoir samples per column; fed by the
-        # row mutation paths (insert/update/delete and their undos), so
-        # estimates track the latest state and rollback stays symmetric.
+        # Planner statistics: reservoir samples per column, fed only by
+        # :meth:`commit_version` from the versions a commit publishes,
+        # so they describe committed state and a rollback never reaches
+        # them.  ``_fed_from`` is the first position in ``_uncommitted``
+        # still to feed: past the rows a checkpoint restore loaded with
+        # their sampler state, 0 otherwise.
         self._stats = TableStatistics(list(schema.column_names))
+        self._fed_from = 0
         #: Query shape -> its value-free access paths, filled and read by
         #: :mod:`repro.storage.query`.  The paths name index objects, so
         #: a new index or column starts an empty memo; rows and
@@ -545,17 +549,29 @@ class Table:
         reflect this commit's deletes and updates.
 
         Each version that supersedes another, and each tombstone, joins
-        the prune queue here: a rolled-back version never does.
+        the prune queue here, and each one feeds the planner statistics:
+        the version it supersedes is removed, and its row, unless it is
+        a tombstone, inserted.  A rolled-back version does neither.
         """
         if self._pending_ops:
             self._mutation_epoch += 1
             prunable = self._prunable
             at = self._queue_seq(seq)
-            for node in self._uncommitted:
+            stats = self._stats
+            fed_from = self._fed_from
+            for position, node in enumerate(self._uncommitted):
                 node.seq = seq
-                if node.older is not None:
+                older = node.older
+                if older is not None:
                     prunable.append((at, self._pk_of(node)))
+                if position < fed_from:
+                    continue
+                if older is not None and older.row is not None:
+                    stats.on_remove(older.row)
+                if node.row is not None:
+                    stats.on_insert(node.row)
             self._uncommitted.clear()
+            self._fed_from = 0
             self._version = seq
             self._pending_ops = 0
             self._mutation_epoch += 1
@@ -829,7 +845,6 @@ class Table:
         self._live += 1
         self._lazy_truncate(node)
         self._index_add(row, pk)
-        self._stats.on_insert(row)
         self._end_change()
         return dict(row), UndoEntry("insert", self.name, pk, None, row)
 
@@ -856,8 +871,6 @@ class Table:
         self._uncommitted.append(node)
         self._lazy_truncate(node)
         self._index_move(before, candidate, pk)
-        self._stats.on_remove(before)
-        self._stats.on_insert(candidate)
         self._end_change()
         return dict(candidate), UndoEntry(
             "update", self.name, pk, before, candidate
@@ -882,7 +895,6 @@ class Table:
         self._uncommitted.append(node)
         self._live -= 1
         self._lazy_truncate(node)
-        self._stats.on_remove(before)
         self._end_change()
         return dict(before), UndoEntry("delete", self.name, pk, before, None)
 
@@ -916,7 +928,6 @@ class Table:
         if entry.op == "insert":
             assert head.row is not None
             self._index_remove(head.row, entry.pk)
-            self._stats.on_remove(head.row)
             older = head.older
             if older is None:
                 del self._rows[entry.pk]
@@ -932,7 +943,6 @@ class Table:
             assert older is not None and older.row is not None
             self._rows[entry.pk] = older
             self._index_add(older.row, entry.pk)
-            self._stats.on_insert(older.row)
             self._live += 1
         elif entry.op == "update":
             older = head.older
@@ -940,8 +950,6 @@ class Table:
             assert head.row is not None
             self._rows[entry.pk] = older
             self._index_move(head.row, older.row, entry.pk)
-            self._stats.on_remove(head.row)
-            self._stats.on_insert(older.row)
         else:  # pragma: no cover - defensive
             raise SchemaError(f"unknown undo op {entry.op!r}")
         self._end_undo()
@@ -972,9 +980,11 @@ class Table:
         loaded rows.
 
         *stats* is this table's checkpointed sampler state; it replaces
-        the statistics wholesale, so the reservoirs are not fed row by
-        row.  Without it (old snapshots, tables new since the checkpoint,
-        replica bootstrap) every row is fed as an insert would.
+        the statistics wholesale, and the loaded rows are marked fed, so
+        :meth:`commit_version` feeds only what is applied after them
+        (the WAL tail).  Without it (old snapshots, tables new since the
+        checkpoint, replica bootstrap) the commit feeds every row as it
+        would an insert's.
 
         Loaded versions are uncommitted, like inserts: the caller settles
         them with :meth:`commit_version`.  Returns the number of rows.
@@ -988,7 +998,6 @@ class Table:
             auto_pk = self._auto_pk
             heads = self._rows
             uncommitted = self._uncommitted
-            feed = self._stats.on_insert if stats is None else None
             max_id = 0
             self._begin_change()
             try:
@@ -1035,8 +1044,6 @@ class Table:
                     heads[pk] = node
                     uncommitted.append(node)
                     loaded.append((row, pk))
-                    if feed is not None:
-                        feed(row)
                     if auto_pk and isinstance(pk, int) and pk > max_id:
                         max_id = pk
             finally:
@@ -1054,6 +1061,7 @@ class Table:
                 self._m_index_add.inc(len(loaded) * self._index_count())
         if stats is not None:
             self.restore_stats(stats)
+            self._fed_from = len(self._uncommitted)
         return len(loaded)
 
     # -- planner hooks --------------------------------------------------------
@@ -1261,9 +1269,21 @@ class Table:
         self._m_index_build.observe(timer.elapsed())
 
     def verify_integrity(self) -> list[str]:
-        """Cross-check rows against constraints, and every index against
-        the rows both ways; return problems."""
+        """Cross-check rows against constraints, every index against
+        the rows both ways, and each column's statistics against the
+        live row count; return problems."""
         problems: list[str] = []
+        # Statistics count committed rows only, so a table dirty with
+        # the caller's own open transaction is not compared.
+        if not self.dirty:
+            for name in self.schema.column_names:
+                stats = self._stats.column(name)
+                counted = stats.inserted - stats.removed + stats.nulls
+                if counted != self._live:
+                    problems.append(
+                        f"{self.name}: statistics of {name!r} count "
+                        f"{counted} rows, the table holds {self._live}"
+                    )
         indexes = [
             *self._unique_indexes,
             *self._hash_indexes.values(),

@@ -267,15 +267,6 @@ class JobQueue:
         with self._cond:
             return list(self._pools)
 
-    def workers_active(self) -> bool:
-        """Is anybody draining this queue right now?
-
-        The synchronous facade paths (``import_files``, ``run``) use
-        this to decide between enqueue-then-wait and inline execution,
-        so deployments without a worker pool keep working unchanged.
-        """
-        return any(pool.is_running() for pool in self.pools())
-
     def active_worker_count(self) -> int:
         return sum(pool.alive_count() for pool in self.pools())
 
@@ -624,9 +615,8 @@ class JobQueue:
     def wait(self, job_id: int, *, timeout: float | None = None) -> Job:
         """Block until the job is terminal (``done`` or ``dead``).
 
-        This is the enqueue-then-wait half of the synchronous facade
-        paths.  Returns the job in whatever state it reached; on timeout
-        it returns the job as-is — callers inspect ``state``.
+        Returns the job in whatever state it reached; on timeout it
+        returns the job as-is — callers inspect ``state``.
 
         Refused (:class:`~repro.errors.TransactionError`) on a thread
         with an open transaction: the worker could not see the job's

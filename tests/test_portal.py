@@ -567,7 +567,7 @@ class TestOneTransactionPerWriteRequest:
         neither runs out a queue wait."""
         system.start_workers(workers=2, lease_seconds=30.0, name="portal")
         try:
-            assert system.queue.workers_active()
+            assert system.queue.active_worker_count() > 0
             timings = {}
             for response in self.flow(sci, system):
                 assert response.status == 303

@@ -176,15 +176,16 @@ class TestEveryReadMatchesASortKeyScan:
             )
             if descending:
                 expected.reverse()
-            entries = list(
-                index.seek(
+            entries = [
+                (index.raw_key(key), pks)
+                for key, pks in index.seek(
                     prefix, low, high,
                     include_low=include_low,
                     include_high=include_high,
                     descending=descending,
                     exclude_null=exclude_null,
                 )
-            )
+            ]
             assert [(sk(raw), frozenset(pks)) for raw, pks in entries] == expected
             # The raw key is what each filed row holds.
             for raw, pks in entries:

@@ -300,7 +300,9 @@ def index_state(db: Database, table: str) -> dict:
     state = {}
     for index in [*tbl._unique_indexes, *tbl.hash_indexes(), *tbl.ordered_indexes()]:
         if isinstance(index, OrderedIndex):
-            entries = [(raw, frozenset(pks)) for raw, pks in index.seek()]
+            entries = [
+                (index.raw_key(key), frozenset(pks)) for key, pks in index.seek()
+            ]
         else:
             entries = {
                 key: frozenset(index.lookup(key)) for key, _bucket in index.entries()
@@ -374,11 +376,15 @@ class TestUpdatesMoveOnlyMovedKeys:
         db.update("workunit", 3, {"created": utc})
         db.update("workunit", 3, {"created": zurich})
         index = db.table("workunit").ordered_index_for(("created",))
-        filed = [raw[0].isoformat() for raw, pks in index.seek() if 3 in pks]
+        filed = [
+            index.raw_key(key)[0].isoformat()
+            for key, pks in index.seek()
+            if 3 in pks
+        ]
         assert filed == [zurich.isoformat()]
         # Equal instants share a sort key, so a probe finds what == does.
         assert sort_key(utc) == sort_key(zurich)
         assert db.query("workunit").where("created", "=", utc).pks() == [3]
         db.delete("workunit", 3)
-        assert all(3 not in pks for _raw, pks in index.seek())
+        assert all(3 not in pks for _key, pks in index.seek())
         assert db.verify_integrity() == []

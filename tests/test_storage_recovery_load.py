@@ -163,7 +163,9 @@ def index_content(index) -> tuple:
     """Every key with its pk set (in key order for an ordered index),
     and the entry count, read through the public surface."""
     if isinstance(index, OrderedIndex):
-        return [(raw, set(pks)) for raw, pks in index.seek()], len(index)
+        return [
+            (index.raw_key(key), set(pks)) for key, pks in index.seek()
+        ], len(index)
     return {key: index.lookup(key) for key, _bucket in index.entries()}, len(index)
 
 
