@@ -23,8 +23,9 @@ for each version a commit publishes it removes the version it
 supersedes and inserts the new row.  Local commits, recovery's replay,
 replicated applies and bootstrap loads all publish through it, and a
 rolled-back write never does, so the statistics describe committed
-state only.  Schema evolution's backfill
-(:meth:`TableStatistics.on_backfill`) is the one other feed.
+state only.  :meth:`TableStatistics.on_backfill` is the one other
+feed: a column added by schema evolution, or declared since the
+checkpoint a table's state was restored from, is fed the rows' values.
 
 **Persistence / recovery.**  :meth:`TableStatistics.state` /
 :meth:`TableStatistics.restore` let the database checkpoint embed the

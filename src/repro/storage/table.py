@@ -982,7 +982,8 @@ class Table:
         *stats* is this table's checkpointed sampler state; it replaces
         the statistics wholesale, and the loaded rows are marked fed, so
         :meth:`commit_version` feeds only what is applied after them
-        (the WAL tail).  Without it (old snapshots, tables new since the
+        (the WAL tail).  A column the state lacks is fed the loaded
+        rows' values.  Without it (old snapshots, tables new since the
         checkpoint, replica bootstrap) the commit feeds every row as it
         would an insert's.
 
@@ -1061,6 +1062,10 @@ class Table:
                 self._m_index_add.inc(len(loaded) * self._index_count())
         if stats is not None:
             self.restore_stats(stats)
+            for name in self.schema.column_names:
+                if name not in stats:  # declared since the checkpoint
+                    values = [row[name] for row, _pk in loaded]
+                    self._stats.on_backfill(name, values)
             self._fed_from = len(self._uncommitted)
         return len(loaded)
 

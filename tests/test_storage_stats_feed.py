@@ -261,3 +261,22 @@ class TestStatisticsAreAFoldOfTheCommits:
                 assert states(db) == expected, step
                 assert db.verify_integrity() == []
             db.close()
+
+
+class TestColumnDeclaredSinceTheCheckpoint:
+    def test_its_statistics_are_fed_the_loaded_rows(self, tmp_path):
+        db = open_db(tmp_path)
+        fill(db, 5)
+        db.checkpoint()
+        db.close()
+        widened = Database(tmp_path, durability="buffered")
+        event, tag = schemas()
+        note = Column("note", ColumnType.TEXT)
+        widened.create_table(
+            TableSchema("event", [*event.columns, note], indexes=["score"])
+        )
+        widened.create_table(tag)
+        widened.recover()
+        assert widened.table("event").stats_state()["note"]["nulls"] == 5
+        assert widened.verify_integrity() == []
+        widened.close()
